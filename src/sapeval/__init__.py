@@ -27,7 +27,6 @@ from .training import (
     TrainConfig,
     evaluate_model,
     run_ablation,
-    two_stage_train,
 )
 
 __version__ = "0.1.0"

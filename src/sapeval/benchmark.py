@@ -24,7 +24,14 @@ from .datasets import (
     synthesize_dataset,
 )
 from .sampling import SapConfig, mix_seed
-from .training import EvalReport, StagePlan, TrainConfig, evaluate_model, run_ablation
+from .training import (
+    EvalReport,
+    StagePlan,
+    TrainConfig,
+    evaluate_model,
+    resolve_variant,
+    run_ablation,
+)
 
 #: The dataset shape used throughout the benchmark.
 REFERENCE_SPEC = ZipfSpec(
@@ -78,17 +85,11 @@ def variant_config(
     n_head_examples: int,
     n_balanced: int,
 ) -> TrainConfig:
-    """Per-variant schedule derived from the shared step budgets."""
-    if variant in ("baseline_plain", "focal"):
-        stage1_n, stage2_n = n_train, n_train
-    elif variant == "naive_balanced":
-        stage1_n, stage2_n = n_balanced, n_train
-    elif variant == "stage1_all":
-        stage1_n, stage2_n = n_train, n_balanced
-    elif variant == "stage2_unbalanced":
-        stage1_n, stage2_n = n_head_examples, n_train
-    else:  # two_stage, stage2_finetune_all
-        stage1_n, stage2_n = n_head_examples, n_balanced
+    """Per-variant schedule derived from the shared step budgets: each
+    stage gets the epochs its example set needs to spend the budget."""
+    _, stage1_set, stage2_set = resolve_variant(variant, TrainConfig())
+    sizes = {"all": n_train, "head": n_head_examples, "balanced": n_balanced}
+    stage1_n, stage2_n = sizes[stage1_set], sizes[stage2_set or "all"]
     return TrainConfig(
         hidden_dim=32,
         embedding_dim=16,
@@ -145,8 +146,7 @@ def run_benchmark(
     sap_config = SapConfig(n_trials=sap_trials, seed=seed)
     for variant in variants:
         config = variant_config(variant, seed, n_train, n_head_examples, n_balanced)
-        needs_split = variant not in ("baseline_plain", "naive_balanced", "focal")
-        params = run_ablation(train, split if needs_split else None, variant, config)
+        params = run_ablation(train, split, variant, config)
         result.reports[variant] = evaluate_model(
             params, val, sap_config, split=split, min_examples=1
         )

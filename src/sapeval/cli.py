@@ -46,6 +46,7 @@ from .pools import build_eval_pool, pools_from_scores
 from .sampling import SapConfig, mix_seed, msap, sampled_ap, stability_profile
 from .training import (
     ABLATION_VARIANTS,
+    VARIANTS,
     StagePlan,
     TrainConfig,
     config_hash,
@@ -197,8 +198,11 @@ def _load_pools(args: argparse.Namespace) -> tuple[dict[int, object], dict[str, 
         if args.gt or args.det:
             raise ConfigError("--predictions excludes --gt/--det")
         ids, labels, scores = read_predictions(args.predictions)
-        if scores.min() < 0.0 or scores.max() > 1.0:
+        if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails both
             raise ParseError(args.predictions, 0, "scores must lie in [0, 1]")
+        k = scores.shape[1]
+        if any(c < 0 or c >= k for label_set in labels for c in label_set):
+            raise ParseError(args.predictions, 0, f"labels must lie in [0, {k})")
         return (
             pools_from_scores(scores, labels, ids),
             {"predictions": args.predictions},
@@ -344,15 +348,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_dir = Path(args.data_dir)
     train = read_feature_dataset(data_dir / "train.jsonl")
     val = read_feature_dataset(data_dir / "val.jsonl", n_categories=train.n_categories)
-    val.n_categories = train.n_categories = max(train.n_categories, val.n_categories)
 
-    needs_split = args.variant not in ("baseline_plain", "naive_balanced", "focal")
     split = None
     if args.split:
         split = _load_split(args.split)
     elif args.auto_split:
         split = count_split(train)
-    elif needs_split:
+    elif VARIANTS[args.variant].second_stage:
         raise ConfigError(f"--variant {args.variant} needs --split or --auto-split")
 
     try:
@@ -395,7 +397,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         "config_hash": config_hash(config),
     }
     checkpoint_path = out_dir / "checkpoint.json"
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(checkpoint_path, params, config_payload)
 
     metrics = {
@@ -526,18 +527,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     command = manifest.get("command")
-    handlers = {
-        "synth": cmd_synth,
-        "eval": cmd_eval,
-        "sap": cmd_sap,
-        "stability": cmd_stability,
-        "split": cmd_split,
-        "train": cmd_train,
-        "report": cmd_report,
-    }
-    if command not in handlers:
+    (subcommands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    if command == "rerun" or command not in subcommands:
         raise ConfigError(f"manifest has unknown command {command!r}")
-    return handlers[command](argparse.Namespace(**manifest["config"]))
+    handler = subcommands[command].get_default("func")
+    return handler(argparse.Namespace(**manifest["config"]))
 
 
 # --------------------------------------------------------------- parser

@@ -177,6 +177,12 @@ def read_feature_dataset(path: str | Path, n_categories: int | None = None) -> F
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
             if not example.labels:
                 raise ParseError(path, line_no, "example has no labels")
+            if min(example.labels) < 0:
+                raise ParseError(path, line_no, "negative label")
+            if n_categories is not None and max(example.labels) >= n_categories:
+                raise ParseError(path, line_no, f"label beyond the {n_categories} categories")
+            if examples and example.features.shape != examples[0].features.shape:
+                raise ParseError(path, line_no, "feature length differs from the first record's")
             max_label = max(max_label, *example.labels)
             examples.append(example)
     k = n_categories if n_categories is not None else max_label + 1

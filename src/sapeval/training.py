@@ -3,16 +3,16 @@ long-tail study.
 
 The model is a two-layer feature extractor (tanh between the layers)
 feeding a per-category logistic head. Gradients are written out by hand so
-they can be validated against finite differences. The training variants:
+they can be validated against finite differences.
 
-* ``baseline_plain``       single stage, original distribution
-* ``naive_balanced``       single stage on the oversampled multiset
-* ``focal``                single stage with the focusing loss
-* ``two_stage``            extractor on head categories, then a frozen-
-                           extractor head retrained on the balanced set
-* ``stage1_all``           stage one on all categories instead of the head
-* ``stage2_finetune_all``  stage two updates the extractor as well
-* ``stage2_unbalanced``    stage two on the original distribution
+Every compared schema is one row of :data:`VARIANTS`, trained by
+:func:`run_ablation`: the example set stage 1 trains on (all, head or
+balanced), whether a second stage retrains a fresh head on the balanced
+set with the extractor frozen, and the config fields it overrides.
+``two_stage`` is the head-to-tail transfer schema; ``baseline_plain``,
+``naive_balanced`` and ``focal`` are its single-stage baselines, and
+``stage1_all``, ``stage2_finetune_all`` and ``stage2_unbalanced`` its
+ablations.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .datasets import FeatureDataset, HeadTailSplit, oversample_balance
 from .errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
+from .manifest import write_atomic
 from .metrics import average_precision, mean_ap, CategoryScore
 from .pools import pools_from_scores
 from .sampling import SapConfig, SapResult, mix_seed, msap, sampled_ap
@@ -35,15 +36,28 @@ from .sampling import SapConfig, SapResult, mix_seed, msap, sampled_ap
 #: Probabilities are kept this far from {0, 1} before any logarithm.
 PROB_EPS = 1e-7
 
-ABLATION_VARIANTS = (
-    "baseline_plain",
-    "naive_balanced",
-    "focal",
-    "two_stage",
-    "stage1_all",
-    "stage2_finetune_all",
-    "stage2_unbalanced",
-)
+
+class Variant(NamedTuple):
+    """One training schema: the example set stage 1 trains on (``all``,
+    ``head`` or ``balanced``), whether a second stage follows, and the
+    :class:`TrainConfig` fields the schema overrides."""
+
+    stage1: str
+    second_stage: bool
+    overrides: dict = {}
+
+
+VARIANTS = {
+    "baseline_plain": Variant("all", False),
+    "naive_balanced": Variant("balanced", False),
+    "focal": Variant("all", False, {"loss": "focal"}),
+    "two_stage": Variant("head", True),
+    "stage1_all": Variant("all", True),
+    "stage2_finetune_all": Variant("head", True, {"stage2_freeze": False}),
+    "stage2_unbalanced": Variant("head", True, {"stage2_balance": False}),
+}
+
+ABLATION_VARIANTS = tuple(VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -122,9 +136,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(*(getattr(self, f.name).copy() for f in dataclasses.fields(self)))
-
-    def backbone_arrays(self) -> tuple[np.ndarray, ...]:
-        return self.w1, self.b1, self.w2, self.b2
 
 
 @dataclass(frozen=True)
@@ -225,6 +236,30 @@ def focal_loss(
     return loss, dloss
 
 
+def head_gradient(
+    probabilities: np.ndarray,
+    targets: np.ndarray,
+    columns: Sequence[int] | None,
+    loss: str,
+    gamma: float,
+) -> tuple[float, np.ndarray]:
+    """Loss over the given category columns (all when None) and its
+    gradient with respect to the head logits, zero outside the columns."""
+    cols = np.arange(probabilities.shape[1]) if columns is None else np.asarray(
+        sorted(columns), dtype=np.intp
+    )
+    p_used, y_used = probabilities[:, cols], targets[:, cols]
+    if loss == "bce":
+        value, dloss_used = bce_loss(p_used, y_used)
+    elif loss == "focal":
+        value, dloss_used = focal_loss(p_used, y_used, gamma)
+    else:
+        raise ValueError(f"unknown loss {loss!r}")
+    dz = np.zeros_like(probabilities)
+    dz[:, cols] = dloss_used * p_used * (1.0 - p_used)
+    return value, dz
+
+
 def model_loss(
     params: ModelParams,
     features: np.ndarray,
@@ -243,20 +278,7 @@ def model_loss(
     embeddings = hidden @ params.w2 + params.b2
     probs = head_probabilities(params, embeddings)
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-
-    cols = np.arange(probs.shape[1]) if category_mask is None else np.asarray(
-        sorted(category_mask), dtype=np.intp
-    )
-    p_used, y_used = probs[:, cols], y[:, cols]
-    if loss == "bce":
-        value, dloss_used = bce_loss(p_used, y_used)
-    elif loss == "focal":
-        value, dloss_used = focal_loss(p_used, y_used, gamma)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-
-    dz = np.zeros_like(probs)
-    dz[:, cols] = dloss_used * p_used * (1.0 - p_used)
+    value, dz = head_gradient(probs, y, category_mask, loss, gamma)
 
     g_head_w = dz.T @ embeddings
     g_head_b = dz.sum(axis=0)
@@ -318,41 +340,26 @@ def sgd_train(
             lr = plan.learning_rate(step, total_steps)
             if head_only:
                 e_batch = cached[rows]
-                probs = head_probabilities(params, e_batch)
-                y_batch = targets[rows]
-                cols = (
-                    np.arange(probs.shape[1])
-                    if category_mask is None
-                    else np.asarray(sorted(category_mask), dtype=np.intp)
+                value, dz = head_gradient(
+                    head_probabilities(params, e_batch),
+                    targets[rows],
+                    category_mask,
+                    loss,
+                    gamma,
                 )
-                if loss == "bce":
-                    value, dloss = bce_loss(probs[:, cols], y_batch[:, cols])
-                else:
-                    value, dloss = focal_loss(probs[:, cols], y_batch[:, cols], gamma)
-                if not np.isfinite(value):
-                    raise NonFiniteLoss(
-                        f"non-finite loss at epoch {epoch}, step {step}, lr {lr}"
-                    )
-                dz = np.zeros_like(probs)
-                dz[:, cols] = dloss * probs[:, cols] * (1.0 - probs[:, cols])
-                params.head_w -= lr * (dz.T @ e_batch)
-                params.head_b -= lr * dz.sum(axis=0)
+                grads = {"head_w": dz.T @ e_batch, "head_b": dz.sum(axis=0)}
             else:
                 result = model_loss(
                     params, features[rows], targets[rows], loss, gamma, category_mask
                 )
-                value = result.value
-                if not np.isfinite(value):
-                    raise NonFiniteLoss(
-                        f"non-finite loss at epoch {epoch}, step {step}, lr {lr}"
-                    )
-                g = result.grads
-                params.w1 -= lr * g.w1
-                params.b1 -= lr * g.b1
-                params.w2 -= lr * g.w2
-                params.b2 -= lr * g.b2
-                params.head_w -= lr * g.head_w
-                params.head_b -= lr * g.head_b
+                value, grads = result.value, vars(result.grads)
+            if not np.isfinite(value):
+                raise NonFiniteLoss(
+                    f"non-finite loss at epoch {epoch}, step {step}, lr {lr}"
+                )
+            for name, grad in grads.items():
+                weights = getattr(params, name)
+                weights -= lr * grad
             epoch_loss += value
             step += 1
         if history is not None:
@@ -366,90 +373,33 @@ def sgd_train(
     return params
 
 
-def _dataset_arrays(dataset: FeatureDataset) -> tuple[np.ndarray, np.ndarray]:
-    x = dataset.feature_matrix()
-    y = labels_to_multihot([e.labels for e in dataset.examples], dataset.n_categories)
-    return x, y
+def resolve_variant(
+    variant: str, config: TrainConfig
+) -> tuple[TrainConfig, str, str | None]:
+    """The config a variant trains with and the example sets its stages
+    train on (``all``, ``head`` or ``balanced``; None without a second
+    stage)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {ABLATION_VARIANTS}")
+    stage1, second_stage, overrides = VARIANTS[variant]
+    config = dataclasses.replace(config, **overrides)
+    stage2 = ("balanced" if config.stage2_balance else "all") if second_stage else None
+    return config, stage1, stage2
 
 
-def two_stage_train(
-    dataset: FeatureDataset,
-    split: HeadTailSplit,
-    config: TrainConfig = TrainConfig(),
-    stage1_head_only: bool = True,
-    history: list | None = None,
-) -> ModelParams:
-    """Head-to-tail transfer: fit extractor and head on head-category
-    examples, then freeze the extractor and retrain a fresh head on the
-    balanced full dataset.
-
-    ``config.stage2_freeze`` / ``stage2_balance`` / ``stage2_warm_start``
-    select the ablation behaviors.
-    """
-    if split.categories != frozenset(range(dataset.n_categories)):
-        raise CategoryMismatch(
-            "head/tail split does not cover the dataset's categories"
-        )
-    x, y = _dataset_arrays(dataset)
-
-    if stage1_head_only:
-        if not split.head:
-            raise EmptyHead("split has no head categories")
-        head = sorted(split.head)
-        keep = [
-            i for i, e in enumerate(dataset.examples) if e.label_set & split.head
-        ]
-        if not keep:
-            raise EmptyHead("no training examples carry a head category")
-        x1, y1, mask1 = x[keep], y[keep], head
-    else:
-        x1, y1, mask1 = x, y, None
-
-    params = init_params(
-        x.shape[1],
-        config.hidden_dim,
-        config.embedding_dim,
-        dataset.n_categories,
-        seed=config.seed,
-    )
-    stage1_history = [] if history is not None else None
-    params = sgd_train(
-        params,
-        x1,
-        y1,
-        config.stage1,
-        batch_size=config.batch_size,
-        seed=mix_seed(config.seed, 1),
-        category_mask=mask1,
-        loss=config.loss,
-        gamma=config.focal_gamma,
-        history=stage1_history,
-    )
-
-    if config.stage2_balance:
-        rows = oversample_balance(dataset, seed=mix_seed(config.seed, 2))
-        x2, y2 = x[rows], y[rows]
-    else:
-        x2, y2 = x, y
-    if not config.stage2_warm_start:
-        params = reinit_head(params, seed=config.seed)
-    stage2_history = [] if history is not None else None
-    params = sgd_train(
-        params,
-        x2,
-        y2,
-        config.stage2,
-        batch_size=config.batch_size,
-        seed=mix_seed(config.seed, 3),
-        head_only=config.stage2_freeze,
-        loss=config.loss,
-        gamma=config.focal_gamma,
-        history=stage2_history,
-    )
-    if history is not None:
-        history.extend({"stage": 1, **h} for h in stage1_history)
-        history.extend({"stage": 2, **h} for h in stage2_history)
-    return params
+def _example_rows(
+    dataset: FeatureDataset, example_set: str, split: HeadTailSplit, seed: int
+) -> list[int] | slice:
+    if example_set == "balanced":
+        return oversample_balance(dataset, seed=mix_seed(seed, 2))
+    if example_set == "all":
+        return slice(None)
+    if not split.head:
+        raise EmptyHead("split has no head categories")
+    rows = [i for i, e in enumerate(dataset.examples) if e.label_set & split.head]
+    if not rows:
+        raise EmptyHead("no training examples carry a head category")
+    return rows
 
 
 def run_ablation(
@@ -460,53 +410,57 @@ def run_ablation(
     history: list | None = None,
 ) -> ModelParams:
     """Train one of the compared schemata; all variants share the config and
-    seed so their results are directly comparable."""
-    if variant not in ABLATION_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {ABLATION_VARIANTS}")
+    seed so their results are directly comparable.
 
-    if variant in ("baseline_plain", "naive_balanced", "focal"):
-        x, y = _dataset_arrays(dataset)
-        if variant == "naive_balanced":
-            rows = oversample_balance(dataset, seed=mix_seed(config.seed, 2))
-            x, y = x[rows], y[rows]
-        loss = "focal" if variant == "focal" else config.loss
-        params = init_params(
-            x.shape[1],
-            config.hidden_dim,
-            config.embedding_dim,
-            dataset.n_categories,
-            seed=config.seed,
-        )
-        stage_history = [] if history is not None else None
+    Single-stage variants ignore ``split``; the others require one that
+    covers the dataset's categories.
+    """
+    config, stage1_set, stage2_set = resolve_variant(variant, config)
+    if stage2_set is not None:
+        if split is None:
+            raise EmptyHead(f"variant {variant!r} needs a head/tail split")
+        if split.categories != frozenset(range(dataset.n_categories)):
+            raise CategoryMismatch(
+                "head/tail split does not cover the dataset's categories"
+            )
+    x = dataset.feature_matrix()
+    y = labels_to_multihot([e.labels for e in dataset.examples], dataset.n_categories)
+
+    def train_stage(stage, params, example_set, plan, **options):
+        rows = _example_rows(dataset, example_set, split, config.seed)
+        stage_history: list = []
         params = sgd_train(
             params,
-            x,
-            y,
-            config.stage1,
+            x[rows],
+            y[rows],
+            plan,
             batch_size=config.batch_size,
-            seed=mix_seed(config.seed, 1),
-            loss=loss,
+            seed=mix_seed(config.seed, 2 * stage - 1),  # 2 seeds the balancer
+            loss=config.loss,
             gamma=config.focal_gamma,
             history=stage_history,
+            **options,
         )
         if history is not None:
-            history.extend({"stage": 1, **h} for h in stage_history)
+            history.extend({"stage": stage, **h} for h in stage_history)
         return params
 
-    if split is None:
-        raise EmptyHead(f"variant {variant!r} needs a head/tail split")
-    if variant == "two_stage":
-        return two_stage_train(dataset, split, config, history=history)
-    if variant == "stage1_all":
-        return two_stage_train(
-            dataset, split, config, stage1_head_only=False, history=history
-        )
-    if variant == "stage2_finetune_all":
-        cfg = dataclasses.replace(config, stage2_freeze=False)
-        return two_stage_train(dataset, split, cfg, history=history)
-    # stage2_unbalanced
-    cfg = dataclasses.replace(config, stage2_balance=False)
-    return two_stage_train(dataset, split, cfg, history=history)
+    params = init_params(
+        x.shape[1],
+        config.hidden_dim,
+        config.embedding_dim,
+        dataset.n_categories,
+        seed=config.seed,
+    )
+    head_mask = sorted(split.head) if stage1_set == "head" else None
+    params = train_stage(1, params, stage1_set, config.stage1, category_mask=head_mask)
+    if stage2_set is None:
+        return params
+    if not config.stage2_warm_start:
+        params = reinit_head(params, seed=config.seed)
+    return train_stage(
+        2, params, stage2_set, config.stage2, head_only=config.stage2_freeze
+    )
 
 
 @dataclass(frozen=True)
@@ -637,13 +591,20 @@ def save_checkpoint(path: str | Path, params: ModelParams, training: dict) -> No
         },
         "training": training,
     }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
+    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
+    """Weights and training record of a checkpoint; rejects any format
+    version but 1 and weights whose shapes disagree with the stored dims."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    weights = payload["weights"]
-    params = ModelParams(
-        **{name: np.asarray(weights[name], dtype=np.float64) for name in weights}
-    )
-    return params, payload.get("training", {})
+    version = payload.get("format_version")
+    if version != 1:
+        raise ValueError(f"{path}: unsupported checkpoint format_version {version!r}")
+    template = init_params(**payload["dims"])
+    weights = {}
+    for f in dataclasses.fields(ModelParams):
+        weights[f.name] = np.asarray(payload["weights"][f.name], dtype=np.float64)
+        if weights[f.name].shape != getattr(template, f.name).shape:
+            raise DimMismatch(f"{path}: {f.name} shape disagrees with dims {payload['dims']}")
+    return ModelParams(**weights), payload.get("training", {})

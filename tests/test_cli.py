@@ -6,6 +6,7 @@ import pytest
 from sapeval.cli import main
 from sapeval.formats import serialize_detections, serialize_ground_truth, serialize_predictions
 from sapeval.manifest import sha256_file
+from sapeval.training import VARIANTS
 
 from conftest import MICRO_DET, MICRO_GT
 
@@ -170,6 +171,24 @@ class TestSap:
         preds.write_text('{"id": 0, "labels": [0], "scores": [1.2]}\n')
         assert run("sap", "--predictions", preds, "--out", tmp_path / "x.json") == 3
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": 1, "labels": [0], "scores": [NaN, 0.5]}',
+            '{"id": 1, "labels": [2], "scores": [0.1, 0.5]}',
+            '{"id": 1, "labels": [-1], "scores": [0.1, 0.5]}',
+        ],
+        ids=["nan_score", "label_too_large", "negative_label"],
+    )
+    @pytest.mark.parametrize("command", ["sap", "stability"])
+    def test_bad_prediction_record_is_parse_error(self, tmp_path, capsys, record, command):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": 0, "labels": [0, 1], "scores": [0.9, 0.2]}\n' + record + "\n")
+        extra = ("--category", 0) if command == "stability" else ()
+        assert run(command, "--predictions", preds, "--out", tmp_path / "x.out", *extra) == 3
+        assert "must lie in" in capsys.readouterr().err
+        assert not (tmp_path / "x.out").exists()
+
     def test_rare_random_category_ap_collapses_but_sap_does_not(self, tmp_path):
         # 32 positives out of ~94k with uniformly random scores: plain AP
         # lands at the positive ratio while the balanced metric stays near
@@ -256,6 +275,43 @@ class TestTrain:
     def test_variant_requires_split(self, synth_dir, tmp_path):
         assert self._train(synth_dir, tmp_path / "x", "--variant", "two_stage") == 2
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_only_two_stage_variants_need_a_split(self, synth_dir, tmp_path, capsys, variant):
+        out = tmp_path / "run"
+        rc = self._train(synth_dir, out, "--variant", variant, "--stage1-epochs", "1")
+        if VARIANTS[variant].second_stage:
+            assert rc == 2
+            assert "--auto-split" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert rc == 0
+            assert (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "name,line_no,edit",
+        [
+            ("train.jsonl", 2, lambda r: r.update(labels=[-1])),
+            ("val.jsonl", 3, lambda r: r.update(labels=[9])),
+            ("train.jsonl", 4, lambda r: r.update(features=r["features"][:-1])),
+        ],
+        ids=["negative_label", "label_beyond_categories", "short_features"],
+    )
+    def test_bad_feature_record_is_parse_error_with_line(
+        self, synth_dir, tmp_path, capsys, name, line_no, edit
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        for part in ("train.jsonl", "val.jsonl"):
+            lines = (synth_dir / part).read_text().splitlines()
+            if part == name:
+                record = json.loads(lines[line_no - 1])
+                edit(record)
+                lines[line_no - 1] = json.dumps(record)
+            (data / part).write_text("\n".join(lines) + "\n")
+        rc = self._train(data, tmp_path / "run", "--variant", "baseline_plain")
+        assert rc == 3
+        assert f"{name}:{line_no}:" in capsys.readouterr().err
+
     def test_train_writes_checkpoint_and_metrics(self, synth_dir, tmp_path):
         out = tmp_path / "run"
         assert self._train(
@@ -333,6 +389,13 @@ class TestRerunDeterminism:
         (out / "train.jsonl").unlink()
         assert run("rerun", out / "run_manifest.json") == 0
         assert sha256_file(out / "train.jsonl") == before
+
+    @pytest.mark.parametrize("command", ["rerun", "mystery", None])
+    def test_rerun_rejects_unknown_command(self, tmp_path, capsys, command):
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"command": command, "config": {}}))
+        assert run("rerun", manifest) == 2
+        assert "unknown command" in capsys.readouterr().err
 
 
 class TestReportCompare:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from sapeval.training import (
     run_ablation,
     save_checkpoint,
     sgd_train,
-    two_stage_train,
 )
 
 
@@ -246,6 +246,19 @@ class TestSgdTrain:
         assert np.array_equal(after.head_b[masked_out], before.head_b[masked_out])
         assert not np.array_equal(after.head_w[mask], before.head_w[mask])
 
+    def test_head_only_step_matches_model_loss_head_gradient(self):
+        # one full-batch step on cached embeddings moves the head exactly
+        # as the head gradients of the full backward pass say
+        params, x, y = tiny_problem(seed=5, n=8)
+        lr = 0.3
+        stepped = sgd_train(
+            params, x, y, StagePlan(lr, lr, "step", 1), batch_size=8, head_only=True
+        )
+        grads = model_loss(params, x, y).grads
+        assert np.allclose(stepped.head_w, params.head_w - lr * grads.head_w, atol=1e-14)
+        assert np.allclose(stepped.head_b, params.head_b - lr * grads.head_b, atol=1e-14)
+        assert np.array_equal(stepped.w1, params.w1)
+
     def test_head_only_matches_full_backprop_freeze(self):
         # head-only training with cached embeddings equals masked full
         # training in which extractor updates are discarded
@@ -286,10 +299,11 @@ class TestTwoStage:
             stage1=StagePlan(0.5, 0.05, "step", 3),
             stage2=StagePlan(0.5, 0.05, "linear", 2),
         )
-        params = two_stage_train(datasets["train"], split, config)
-        stage1_only = two_stage_train(
+        params = run_ablation(datasets["train"], split, "two_stage", config)
+        stage1_only = run_ablation(
             datasets["train"],
             split,
+            "two_stage",
             dataclasses.replace(config, stage2=StagePlan(1e-9, 1e-10, "linear", 1)),
         )
         # the extractor is bit-identical no matter what stage 2 does
@@ -306,8 +320,11 @@ class TestTwoStage:
             stage2=StagePlan(0.1, 0.01, "linear", 2),
             stage2_freeze=False,
         )
-        frozen = two_stage_train(datasets["train"], split, dataclasses.replace(config, stage2_freeze=True))
-        unfrozen = two_stage_train(datasets["train"], split, config)
+        frozen = run_ablation(
+            datasets["train"], split, "two_stage",
+            dataclasses.replace(config, stage2_freeze=True),
+        )
+        unfrozen = run_ablation(datasets["train"], split, "two_stage", config)
         assert not np.array_equal(frozen.w1, unfrozen.w1)
 
     def test_empty_tail_degenerates_to_head_retraining(self):
@@ -321,7 +338,7 @@ class TestTwoStage:
             stage1=StagePlan(0.5, 0.05, "step", 2),
             stage2=StagePlan(0.5, 0.05, "linear", 1),
         )
-        params = two_stage_train(train, split, config)
+        params = run_ablation(train, split, "two_stage", config)
         assert np.isfinite(params.head_w).all()
 
     def test_empty_head_raises(self):
@@ -329,13 +346,13 @@ class TestTwoStage:
         train = datasets["train"]
         split = HeadTailSplit(frozenset(), frozenset(range(train.n_categories)), 0.0)
         with pytest.raises(EmptyHead):
-            two_stage_train(train, split, TrainConfig(seed=0))
+            run_ablation(train, split, "two_stage", TrainConfig(seed=0))
 
     def test_split_must_cover_categories(self):
         datasets, _ = synthetic_split()
         bad = HeadTailSplit(frozenset({0}), frozenset({1}), 0.0)
         with pytest.raises(CategoryMismatch):
-            two_stage_train(datasets["train"], bad, TrainConfig(seed=0))
+            run_ablation(datasets["train"], bad, "two_stage", TrainConfig(seed=0))
 
     def test_warm_start_keeps_stage1_head_basis(self):
         datasets, split = synthetic_split()
@@ -346,13 +363,34 @@ class TestTwoStage:
             stage1=StagePlan(0.5, 0.05, "step", 2),
             stage2=StagePlan(1e-9, 1e-10, "linear", 1),
         )
-        cold = two_stage_train(datasets["train"], split, cold_cfg)
-        warm = two_stage_train(
+        cold = run_ablation(datasets["train"], split, "two_stage", cold_cfg)
+        warm = run_ablation(
             datasets["train"],
             split,
+            "two_stage",
             dataclasses.replace(cold_cfg, stage2_warm_start=True),
         )
         assert not np.array_equal(cold.head_w, warm.head_w)
+
+    @pytest.mark.parametrize(
+        "variant,flag",
+        [("stage2_finetune_all", "stage2_freeze"), ("stage2_unbalanced", "stage2_balance")],
+    )
+    def test_ablation_variant_equals_two_stage_with_flag_off(self, variant, flag):
+        datasets, split = synthetic_split()
+        config = TrainConfig(
+            seed=4,
+            hidden_dim=10,
+            embedding_dim=5,
+            stage1=StagePlan(0.5, 0.05, "step", 2),
+            stage2=StagePlan(0.1, 0.01, "linear", 1),
+        )
+        ablation = run_ablation(datasets["train"], split, variant, config)
+        flagged = run_ablation(
+            datasets["train"], split, "two_stage", dataclasses.replace(config, **{flag: False})
+        )
+        for field in dataclasses.fields(ablation):
+            assert np.array_equal(getattr(ablation, field.name), getattr(flagged, field.name))
 
 
 class TestRunAblation:
@@ -475,3 +513,21 @@ class TestCheckpoint:
             )
         assert training["variant"] == "two_stage"
         assert loaded.dims == params.dims
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, init_params(4, 6, 3, 5, seed=8), {})
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 2
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="format_version"):
+            load_checkpoint(path)
+
+    def test_weight_shape_disagreeing_with_dims_rejected(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, init_params(4, 6, 3, 5, seed=8), {})
+        payload = json.loads(path.read_text())
+        payload["weights"]["b1"] = payload["weights"]["b1"][:-1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DimMismatch, match="b1"):
+            load_checkpoint(path)
