@@ -19,7 +19,7 @@ from .metrics import (
     random_baseline_ap,
     roc_auc,
 )
-from .pools import EvalPool, ExampleOrigin, ScoredExample, build_eval_pool, pools_from_scores
+from .pools import EvalPool, ExampleOrigin, build_eval_pool, pools_from_scores
 from .sampling import SapConfig, SapResult, msap, sampled_ap, sap_exact_small, stability_profile
 from .training import (
     ModelParams,

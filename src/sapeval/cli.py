@@ -534,8 +534,18 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     )
     if command == "rerun" or command not in subcommands:
         raise ConfigError(f"manifest has unknown command {command!r}")
-    handler = subcommands[command].get_default("func")
-    return handler(argparse.Namespace(**manifest["config"]))
+    subparser = subcommands[command]
+    config = manifest.get("config", {})
+    if not isinstance(config, dict):
+        raise ConfigError("manifest config is not an object")
+    missing = sorted(
+        action.dest
+        for action in subparser._actions
+        if not isinstance(action, argparse._HelpAction) and action.dest not in config
+    )
+    if missing:
+        raise ConfigError(f"manifest config lacks {', '.join(missing)}")
+    return subparser.get_default("func")(argparse.Namespace(**config))
 
 
 # --------------------------------------------------------------- parser

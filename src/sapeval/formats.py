@@ -39,6 +39,14 @@ def _fmt6(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; ``ValueError`` for a float, a
+    string or a boolean, which ``int()`` would convert silently."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _parse_row(path: str, line_no: int, line: str, n_fields: int) -> list[str]:
     fields = line.rstrip("\n").split(",")
     if len(fields) != n_fields:
@@ -168,9 +176,9 @@ def read_feature_dataset(path: str | Path, n_categories: int | None = None) -> F
             try:
                 record = json.loads(line)
                 example = Example(
-                    int(record["id"]),
+                    _json_int(record["id"], "id"),
                     np.asarray(record["features"], dtype=np.float64),
-                    tuple(int(c) for c in record["labels"]),
+                    tuple(_json_int(c, "label") for c in record["labels"]),
                 )
                 split = str(record["split"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -213,17 +221,21 @@ def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]],
     ids: list[int] = []
     labels: list[frozenset[int]] = []
     rows: list[list[float]] = []
+    seen: set[int] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                ids.append(int(record["id"]))
-                labels.append(frozenset(int(c) for c in record["labels"]))
+                ids.append(_json_int(record["id"], "id"))
+                labels.append(frozenset(_json_int(c, "label") for c in record["labels"]))
                 rows.append([float(v) for v in record["scores"]])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
+            if ids[-1] in seen:
+                raise ParseError(path, line_no, f"duplicate id {ids[-1]}")
+            seen.add(ids[-1])
             if rows and len(rows[-1]) != len(rows[0]):
                 raise ParseError(path, line_no, "inconsistent score vector length")
     if not ids:

@@ -70,17 +70,15 @@ def average_precision_from_arrays(
 
 
 def average_precision(pool: EvalPool) -> float:
-    scores, ids, flags = pool.scores_ids_labels()
-    return average_precision_from_arrays(scores, flags, ids)
+    return average_precision_from_arrays(pool.scores, pool.is_positive, pool.ids)
 
 
 def precision_recall_curve(pool: EvalPool) -> tuple[PrPoint, ...]:
     """The stepwise PR curve, one point per ranked example."""
-    scores, ids, flags = pool.scores_ids_labels()
-    n_pos = int(flags.sum())
+    n_pos = pool.n_pos
     if n_pos == 0:
         raise NoPositives("PR curve needs at least one positive example")
-    ranked = _ranked_positive_flags(scores, flags, ids)
+    ranked = _ranked_positive_flags(pool.scores, pool.is_positive, pool.ids)
     points = []
     tp = fp = 0
     for flag in ranked:
@@ -170,10 +168,9 @@ def roc_auc(pool: EvalPool) -> float:
     (rank-sum statistic; tied scores count one half)."""
     if pool.n_pos == 0 or pool.n_neg == 0:
         raise DegeneratePool("ROC-AUC needs at least one positive and one negative")
-    scores, _, flags = pool.scores_ids_labels()
-    ranks = _midranks(scores)
+    ranks = _midranks(pool.scores)
     n_pos, n_neg = pool.n_pos, pool.n_neg
-    rank_sum = float(ranks[flags].sum())
+    rank_sum = float(ranks[pool.is_positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -1,15 +1,23 @@
-"""Per-category retrieval pools: ranked scored examples split into positives
-and negatives.
+"""Per-category retrieval pools: scored examples split into positives and
+negatives.
 
 A pool is the substrate every metric in this package consumes. In detection
 mode it is built by matching predicted boxes to annotated boxes; in
 classification mode it comes straight from a per-example score matrix.
+
+A pool is columnar: four parallel arrays with one entry per example, its
+score (float64), its id (int64), whether it is a positive (bool) and an
+``ExampleOrigin`` code (int8). The order of the entries is kept within
+each side, because sampled AP draws negatives by index: example order in
+classification mode; in detection mode, annotated boxes in sorted frame
+order, then background detections in sorted order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,59 +30,53 @@ from .errors import UnknownCategory
 UNDETECTED_SCORE = -1.0
 
 
-class ExampleOrigin(str, Enum):
-    MATCHED_GT = "matched_gt"
-    UNMATCHED_GT = "unmatched_gt"
-    BACKGROUND_DETECTION = "background_detection"
+class ExampleOrigin(IntEnum):
+    MATCHED_GT = 0
+    UNMATCHED_GT = 1
+    BACKGROUND_DETECTION = 2
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredExample:
-    """One ranked example: an id, a score, and whether it is a positive."""
-
-    example_id: int
-    score: float
-    is_positive: bool
-    origin: ExampleOrigin
-
-    def __post_init__(self):
-        if self.score < UNDETECTED_SCORE:
-            raise ValueError(f"score {self.score} below sentinel {UNDETECTED_SCORE}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalPool:
-    """All scored examples for one category."""
+    """All scored examples for one category, as parallel arrays.
+
+    The arrays are read-only views of the inputs, not copies, so pools
+    built from one score matrix share its id and origin columns.
+    """
 
     category: int
-    positives: tuple[ScoredExample, ...]
-    negatives: tuple[ScoredExample, ...]
+    scores: np.ndarray
+    ids: np.ndarray
+    is_positive: np.ndarray
+    origin: np.ndarray
 
     def __post_init__(self):
-        if any(not e.is_positive for e in self.positives) or any(
-            e.is_positive for e in self.negatives
+        for name, dtype in (
+            ("scores", np.float64), ("ids", np.int64), ("is_positive", bool), ("origin", np.int8)
         ):
-            raise ValueError("positive/negative flags inconsistent with pool sides")
-        ids = [e.example_id for e in self.positives + self.negatives]
-        if len(ids) != len(set(ids)):
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        n = len(self.scores)
+        if not len(self.ids) == len(self.is_positive) == len(self.origin) == n:
+            raise ValueError("pool arrays must have equal lengths")
+        if (self.scores < UNDETECTED_SCORE).any():
+            raise ValueError(f"score below sentinel {UNDETECTED_SCORE}")
+        if ((self.origin < 0) | (self.origin > max(ExampleOrigin))).any():
+            raise ValueError("origin codes must be ExampleOrigin members")
+        if (self.is_positive & (self.origin == ExampleOrigin.BACKGROUND_DETECTION)).any():
+            raise ValueError("a background detection cannot be a positive")
+        ordered = np.sort(self.ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("example ids must be unique within a pool")
 
     @property
     def n_pos(self) -> int:
-        return len(self.positives)
+        return int(np.count_nonzero(self.is_positive))
 
     @property
     def n_neg(self) -> int:
-        return len(self.negatives)
-
-    def scores_ids_labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pool content as (scores, example ids, positive flags) arrays."""
-        examples = self.positives + self.negatives
-        scores = np.array([e.score for e in examples], dtype=np.float64)
-        ids = np.array([e.example_id for e in examples], dtype=np.int64)
-        flags = np.zeros(len(examples), dtype=bool)
-        flags[: len(self.positives)] = True
-        return scores, ids, flags
+        return len(self.is_positive) - self.n_pos
 
 
 def label_space(
@@ -119,8 +121,8 @@ def build_eval_pool(
                 (det.frame.video_id, det.frame.timestamp), []
             ).append(det)
 
-    positives: list[ScoredExample] = []
-    negatives: list[ScoredExample] = []
+    # (score, id, is_positive, origin) per example, in pool order
+    entries: list[tuple[float, int, bool, ExampleOrigin]] = []
     background: list[tuple[tuple[str, int], float, tuple[float, ...]]] = []
 
     for frame in sorted(set(gt_by_frame) | set(det_by_frame)):
@@ -137,8 +139,7 @@ def build_eval_pool(
                 score, origin = frame_dets[det_idx].score, ExampleOrigin.MATCHED_GT
             else:
                 score, origin = UNDETECTED_SCORE, ExampleOrigin.UNMATCHED_GT
-            example = ScoredExample(gt.instance_id, score, category in gt.categories, origin)
-            (positives if example.is_positive else negatives).append(example)
+            entries.append((score, gt.instance_id, category in gt.categories, origin))
         for d, det in enumerate(frame_dets):
             if match.is_true_positive[d]:
                 continue
@@ -148,10 +149,10 @@ def build_eval_pool(
 
     next_id = max((gt.instance_id for gt in ground_truth), default=-1) + 1
     for i, (_, score, _) in enumerate(sorted(background)):
-        negatives.append(
-            ScoredExample(next_id + i, score, False, ExampleOrigin.BACKGROUND_DETECTION)
-        )
-    return EvalPool(category, tuple(positives), tuple(negatives))
+        entries.append((score, next_id + i, False, ExampleOrigin.BACKGROUND_DETECTION))
+    # never empty: every annotated box is an entry, and with no boxes at all
+    # every detection of the category is background
+    return EvalPool(category, *zip(*entries))
 
 
 def pools_from_scores(
@@ -163,35 +164,34 @@ def pools_from_scores(
     """Classification-mode pools from an (examples x categories) score matrix.
 
     Each example is a positive for every category in its label set and a
-    negative for the rest; no box matching is involved.
+    negative for the rest; no box matching is involved. Labels outside the
+    matrix's columns are ignored.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] != len(labels):
         raise ValueError("scores must be (n_examples, n_categories) aligned with labels")
     n, k = scores.shape
-    ids = list(example_ids) if example_ids is not None else list(range(n))
+    ids = np.arange(n) if example_ids is None else np.asarray(example_ids, dtype=np.int64)
     cats = list(categories) if categories is not None else list(range(k))
     for c in cats:
         if not 0 <= c < k:
             raise UnknownCategory(f"category {c} outside score matrix with {k} columns")
-    pools: dict[int, EvalPool] = {}
-    for c in cats:
-        pos, neg = [], []
-        for i in range(n):
-            example = ScoredExample(
-                ids[i], float(scores[i, c]), c in labels[i], ExampleOrigin.MATCHED_GT
-            )
-            (pos if example.is_positive else neg).append(example)
-        pools[c] = EvalPool(c, tuple(pos), tuple(neg))
-    return pools
+    rows = np.repeat(np.arange(n), [len(s) for s in labels])
+    cols = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=len(rows))
+    inside = (cols >= 0) & (cols < k)
+    members = np.zeros((k, n), dtype=bool)
+    members[cols[inside], rows[inside]] = True
+    by_category = np.ascontiguousarray(scores.T)
+    origin = np.full(n, ExampleOrigin.MATCHED_GT, dtype=np.int8)
+    return {c: EvalPool(c, by_category[c], ids, members[c], origin) for c in cats}
 
 
 def pool_from_arrays(
     category: int, scores: Sequence[float], is_positive: Sequence[bool]
 ) -> EvalPool:
     """Convenience constructor: sequential ids, classification-mode origin."""
-    pos, neg = [], []
-    for i, (s, y) in enumerate(zip(scores, is_positive)):
-        example = ScoredExample(i, float(s), bool(y), ExampleOrigin.MATCHED_GT)
-        (pos if y else neg).append(example)
-    return EvalPool(category, tuple(pos), tuple(neg))
+    n = len(scores)
+    return EvalPool(
+        category, scores, np.arange(n), is_positive,
+        np.full(n, ExampleOrigin.MATCHED_GT, dtype=np.int8),
+    )

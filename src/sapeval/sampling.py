@@ -66,36 +66,11 @@ class SapResult:
     degenerate: bool
 
 
-def _sampling_arrays(
-    pool: EvalPool, include_background: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    pos_scores = np.array([e.score for e in pool.positives], dtype=np.float64)
-    pos_ids = np.array([e.example_id for e in pool.positives], dtype=np.int64)
-    negatives = [
-        e
-        for e in pool.negatives
-        if include_background or e.origin is not ExampleOrigin.BACKGROUND_DETECTION
-    ]
-    neg_scores = np.array([e.score for e in negatives], dtype=np.float64)
-    neg_ids = np.array([e.example_id for e in negatives], dtype=np.int64)
-    return pos_scores, pos_ids, neg_scores, neg_ids
-
-
-def _trial_ap(
-    pos_scores: np.ndarray,
-    pos_ids: np.ndarray,
-    neg_scores: np.ndarray,
-    neg_ids: np.ndarray,
-    pick: np.ndarray | None,
-) -> float:
-    if pick is not None:
-        neg_scores = neg_scores[pick]
-        neg_ids = neg_ids[pick]
-    scores = np.concatenate([pos_scores, neg_scores])
-    ids = np.concatenate([pos_ids, neg_ids])
-    flags = np.zeros(len(scores), dtype=bool)
-    flags[: len(pos_scores)] = True
-    return average_precision_from_arrays(scores, flags, ids)
+def _trial_ap(pool: EvalPool, rows: np.ndarray) -> float:
+    """AP over the pool entries at ``rows``."""
+    return average_precision_from_arrays(
+        pool.scores[rows], pool.is_positive[rows], pool.ids[rows]
+    )
 
 
 def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
@@ -108,20 +83,21 @@ def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
     """
     if pool.n_pos == 0:
         raise NoPositives(f"category {pool.category} has no positive examples")
-    pos_scores, pos_ids, neg_scores, neg_ids = _sampling_arrays(
-        pool, config.include_background
-    )
-    n_pos, n_neg = len(pos_scores), len(neg_scores)
+    negative = ~pool.is_positive
+    if not config.include_background:
+        negative &= pool.origin != ExampleOrigin.BACKGROUND_DETECTION
+    positives, negatives = np.flatnonzero(pool.is_positive), np.flatnonzero(negative)
+    n_pos, n_neg = len(positives), len(negatives)
     degenerate = n_neg < n_pos
 
     trial_aps = []
     for i in range(config.n_trials):
         if degenerate or n_neg == n_pos:
-            pick = None
+            picked = negatives
         else:
             rng = np.random.default_rng(mix_seed(config.seed, i))
-            pick = rng.choice(n_neg, size=n_pos, replace=False)
-        trial_aps.append(_trial_ap(pos_scores, pos_ids, neg_scores, neg_ids, pick))
+            picked = negatives[rng.choice(n_neg, size=n_pos, replace=False)]
+        trial_aps.append(_trial_ap(pool, np.concatenate([positives, picked])))
 
     aps = np.array(trial_aps, dtype=np.float64)
     if float(aps.min()) == float(aps.max()):
@@ -145,20 +121,18 @@ def sap_exact_small(pool: EvalPool, max_subsets: int = 500_000) -> float:
     must converge to this value."""
     if pool.n_pos == 0:
         raise NoPositives(f"category {pool.category} has no positive examples")
-    pos_scores, pos_ids, neg_scores, neg_ids = _sampling_arrays(pool, True)
-    n_pos, n_neg = len(pos_scores), len(neg_scores)
+    positives, negatives = np.flatnonzero(pool.is_positive), np.flatnonzero(~pool.is_positive)
+    n_pos, n_neg = len(positives), len(negatives)
     if n_neg <= n_pos:
-        return _trial_ap(pos_scores, pos_ids, neg_scores, neg_ids, None)
+        return _trial_ap(pool, np.concatenate([positives, negatives]))
     n_subsets = math.comb(n_neg, n_pos)
     if n_subsets > max_subsets:
         raise TooManySubsets(
             f"C({n_neg}, {n_pos}) = {n_subsets} subsets exceed budget {max_subsets}"
         )
     total = 0.0
-    for subset in combinations(range(n_neg), n_pos):
-        total += _trial_ap(
-            pos_scores, pos_ids, neg_scores, neg_ids, np.array(subset, dtype=np.intp)
-        )
+    for subset in combinations(negatives, n_pos):
+        total += _trial_ap(pool, np.concatenate([positives, subset]))
     return total / n_subsets
 
 

@@ -69,3 +69,79 @@ def exhaustive_sampled_ap(positives, negatives) -> float:
         total += brute_force_ap(scored, ids)
         count += 1
     return total / count
+
+
+def _box_iou(a, b) -> float:
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
+
+
+def reference_pools_from_scores(scores, labels, example_ids=None):
+    """Classification pools built one example at a time.
+
+    Returns ``{category: (positives, negatives)}``, each side a list of
+    ``(score, id, is_positive, origin name)`` tuples in example order.
+    """
+    n, k = np.shape(scores)
+    ids = list(example_ids) if example_ids is not None else list(range(n))
+    pools = {}
+    for c in range(k):
+        sides = ([], [])
+        for i in range(n):
+            positive = c in labels[i]
+            sides[0 if positive else 1].append(
+                (float(scores[i][c]), ids[i], positive, "MATCHED_GT")
+            )
+        pools[c] = sides
+    return pools
+
+
+def reference_build_eval_pool(ground_truth, detections, category, iou_threshold=0.5):
+    """Detection pool built one example at a time, with its own greedy match.
+
+    Frames in sorted order; within a frame, annotated boxes by instance id
+    and detections of ``category`` by (descending score, box corners). Each
+    detection in that order claims the unclaimed box it overlaps most
+    (first on ties) at IoU >= threshold. Returns ``(positives, negatives)``
+    lists of ``(score, id, is_positive, origin name)``; detections left
+    unclaimed and overlapping no box at the threshold follow the annotated
+    negatives, sorted by (frame, score, box), with ids after the largest
+    instance id.
+    """
+    frames = {}
+    for g in ground_truth:
+        frames.setdefault((g.frame.video_id, g.frame.timestamp), ([], []))[0].append(g)
+    for d in detections:
+        if d.category == category:
+            frames.setdefault((d.frame.video_id, d.frame.timestamp), ([], []))[1].append(d)
+    positives, negatives, background = [], [], []
+    for frame in sorted(frames):
+        gts = sorted(frames[frame][0], key=lambda g: g.instance_id)
+        dets = sorted(frames[frame][1], key=lambda d: (-d.score, d.box.as_tuple()))
+        claimed = [None] * len(gts)
+        for d in dets:
+            best, best_iou = None, 0.0
+            for j, g in enumerate(gts):
+                overlap = _box_iou(d.box, g.box)
+                if claimed[j] is None and overlap >= iou_threshold and overlap > best_iou:
+                    best, best_iou = j, overlap
+            if best is not None:
+                claimed[best] = d
+            elif all(_box_iou(d.box, g.box) < iou_threshold for g in gts):
+                background.append((frame, d.score, d.box.as_tuple()))
+        for g, d in zip(gts, claimed):
+            positive = category in g.categories
+            entry = (
+                (d.score, g.instance_id, positive, "MATCHED_GT")
+                if d is not None
+                else (-1.0, g.instance_id, positive, "UNMATCHED_GT")
+            )
+            (positives if positive else negatives).append(entry)
+    next_id = max((g.instance_id for g in ground_truth), default=-1) + 1
+    for i, (_, score, _) in enumerate(sorted(background)):
+        negatives.append((score, next_id + i, False, "BACKGROUND_DETECTION"))
+    return positives, negatives

@@ -189,6 +189,27 @@ class TestSap:
         assert "must lie in" in capsys.readouterr().err
         assert not (tmp_path / "x.out").exists()
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ('{"id": 1, "labels": [1.7], "scores": [0.1, 0.5]}', "not an integer"),
+            ('{"id": 1, "labels": [true], "scores": [0.1, 0.5]}', "not an integer"),
+            ('{"id": 1.0, "labels": [1], "scores": [0.1, 0.5]}', "not an integer"),
+            ('{"id": "1", "labels": [1], "scores": [0.1, 0.5]}', "not an integer"),
+            ('{"id": 0, "labels": [1], "scores": [0.1, 0.5]}', "duplicate id 0"),
+        ],
+        ids=["float_label", "bool_label", "float_id", "string_id", "duplicate_id"],
+    )
+    def test_bad_prediction_id_or_label_is_parse_error_with_line(
+        self, tmp_path, capsys, record, message
+    ):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": 0, "labels": [0, 1], "scores": [0.9, 0.2]}\n' + record + "\n")
+        assert run("sap", "--predictions", preds, "--out", tmp_path / "x.json") == 3
+        err = capsys.readouterr().err
+        assert "preds.jsonl:2:" in err and message in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_rare_random_category_ap_collapses_but_sap_does_not(self, tmp_path):
         # 32 positives out of ~94k with uniformly random scores: plain AP
         # lands at the positive ratio while the balanced metric stays near
@@ -293,8 +314,13 @@ class TestTrain:
             ("train.jsonl", 2, lambda r: r.update(labels=[-1])),
             ("val.jsonl", 3, lambda r: r.update(labels=[9])),
             ("train.jsonl", 4, lambda r: r.update(features=r["features"][:-1])),
+            ("train.jsonl", 2, lambda r: r.update(labels=[r["labels"][0] + 0.7])),
+            ("val.jsonl", 3, lambda r: r.update(id=float(r["id"]))),
         ],
-        ids=["negative_label", "label_beyond_categories", "short_features"],
+        ids=[
+            "negative_label", "label_beyond_categories", "short_features",
+            "non_integer_label", "non_integer_id",
+        ],
     )
     def test_bad_feature_record_is_parse_error_with_line(
         self, synth_dir, tmp_path, capsys, name, line_no, edit
@@ -396,6 +422,21 @@ class TestRerunDeterminism:
         manifest.write_text(json.dumps({"command": command, "config": {}}))
         assert run("rerun", manifest) == 2
         assert "unknown command" in capsys.readouterr().err
+
+    def test_rerun_rejects_missing_config_keys(self, tmp_path, capsys):
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"command": "sap", "config": {}}))
+        assert run("rerun", manifest) == 2
+        assert (
+            "lacks det, gt, iou, min_examples, no_background, out, predictions, seed, "
+            "store_trials, trials"
+        ) in capsys.readouterr().err
+
+    def test_rerun_rejects_missing_config(self, tmp_path, capsys):
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"command": "eval"}))
+        assert run("rerun", manifest) == 2
+        assert "lacks det, gt, iou, min_examples, out" in capsys.readouterr().err
 
 
 class TestReportCompare:

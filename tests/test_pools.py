@@ -1,39 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sapeval.errors import UnknownCategory
+from sapeval.metrics import average_precision_from_arrays
 from sapeval.pools import (
     EvalPool,
     ExampleOrigin,
-    ScoredExample,
     build_eval_pool,
+    label_space,
     pool_from_arrays,
     pools_from_scores,
 )
+from sapeval.sampling import SapConfig, mix_seed, sampled_ap
 
 from conftest import MICRO_DET, MICRO_GT, box, det, gt
+from oracles import reference_build_eval_pool, reference_pools_from_scores
+
+BACKGROUND = ExampleOrigin.BACKGROUND_DETECTION
 
 
-class TestScoredExample:
-    def test_rejects_score_below_sentinel(self):
-        with pytest.raises(ValueError):
-            ScoredExample(0, -1.5, True, ExampleOrigin.MATCHED_GT)
+def raw_pool(scores, ids, is_positive, origin):
+    return EvalPool(0, scores, ids, is_positive, origin)
 
-    def test_sentinel_allowed(self):
-        ScoredExample(0, -1.0, True, ExampleOrigin.UNMATCHED_GT)
+
+def side(pool, positive):
+    """One side of a pool as (score, id, is_positive, origin name) tuples."""
+    mask = pool.is_positive == positive
+    return [
+        (float(s), int(i), bool(p), ExampleOrigin(o).name)
+        for s, i, p, o in zip(
+            pool.scores[mask], pool.ids[mask], pool.is_positive[mask], pool.origin[mask]
+        )
+    ]
+
+
+def backgrounds(pool):
+    return pool.scores[pool.origin == BACKGROUND].tolist()
 
 
 class TestEvalPool:
-    def test_rejects_inconsistent_flags(self):
-        pos = (ScoredExample(0, 0.5, False, ExampleOrigin.MATCHED_GT),)
+    def test_rejects_score_below_sentinel(self):
         with pytest.raises(ValueError):
-            EvalPool(0, pos, ())
+            raw_pool([0.5, -1.5], [0, 1], [True, False], [0, 0])
+
+    def test_sentinel_allowed(self):
+        raw_pool([-1.0], [0], [True], [ExampleOrigin.UNMATCHED_GT])
+
+    def test_rejects_inconsistent_flags(self):
+        # a background detection matched no annotated box, so it cannot be
+        # a positive; and origin codes must name an ExampleOrigin
+        with pytest.raises(ValueError):
+            raw_pool([0.5], [0], [True], [BACKGROUND])
+        with pytest.raises(ValueError):
+            raw_pool([0.5], [0], [False], [len(ExampleOrigin)])
 
     def test_rejects_duplicate_ids(self):
-        a = ScoredExample(0, 0.5, True, ExampleOrigin.MATCHED_GT)
-        b = ScoredExample(0, 0.4, False, ExampleOrigin.MATCHED_GT)
         with pytest.raises(ValueError):
-            EvalPool(0, (a,), (b,))
+            raw_pool([0.5, 0.4], [0, 0], [True, False], [0, 0])
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            raw_pool([0.5, 0.4], [0, 1], [True], [0, 0])
+
+    def test_columns_are_typed_and_read_only(self):
+        p = raw_pool([1, 0], [3, 4], [1, 0], [0, 2])
+        columns = (p.scores, p.ids, p.is_positive, p.origin)
+        assert [a.dtype for a in columns] == [np.float64, np.int64, np.bool_, np.int8]
+        assert (p.n_pos, p.n_neg) == (1, 1)
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = 0
 
 
 class TestBuildEvalPool:
@@ -49,45 +86,38 @@ class TestBuildEvalPool:
             det("v", 1, box(0.5, 0.5, 0.7, 0.7), 1, 1.0),
             det("v", 2, box(0.2, 0.2, 0.4, 0.4), 0, 1.0),
         ]
-        pool = build_eval_pool(instances, detections, 0)
-        assert [e.score for e in pool.positives] == [1.0, 1.0]
-        assert all(e.origin is ExampleOrigin.MATCHED_GT for e in pool.positives)
-        assert [e.score for e in pool.negatives] == [-1.0]
-        assert all(
-            e.origin is not ExampleOrigin.BACKGROUND_DETECTION for e in pool.negatives
-        )
+        p = build_eval_pool(instances, detections, 0)
+        positive = p.is_positive
+        assert p.scores[positive].tolist() == [1.0, 1.0]
+        assert (p.origin[positive] == ExampleOrigin.MATCHED_GT).all()
+        assert p.scores[~positive].tolist() == [-1.0]
+        assert (p.origin[~positive] != BACKGROUND).all()
 
     def test_stray_detection_becomes_background_negative(self):
         instances = [gt("v", 1, box(0.1, 0.1, 0.3, 0.3), {0}, 0)]
         detections = [det("v", 1, box(0.6, 0.6, 0.8, 0.8), 0, 0.7)]
-        pool = build_eval_pool(instances, detections, 0)
-        backgrounds = [
-            e for e in pool.negatives if e.origin is ExampleOrigin.BACKGROUND_DETECTION
-        ]
-        assert len(backgrounds) == 1
-        assert backgrounds[0].score == 0.7
+        p = build_eval_pool(instances, detections, 0)
+        assert backgrounds(p) == [0.7]
+        assert not p.is_positive[p.origin == BACKGROUND].any()
 
     def test_micro_fixture_pool_sizes(self):
         # category 0: gt0 and gt2 positive; gt1, gt3, gt4 negative; one stray
-        pool = build_eval_pool(MICRO_GT, MICRO_DET, 0)
-        assert (pool.n_pos, pool.n_neg) == (2, 4)
-        assert sorted(e.score for e in pool.positives) == [0.7, 0.9]
-        background = [
-            e for e in pool.negatives if e.origin is ExampleOrigin.BACKGROUND_DETECTION
-        ]
-        assert [e.score for e in background] == [0.4]
+        p = build_eval_pool(MICRO_GT, MICRO_DET, 0)
+        assert (p.n_pos, p.n_neg) == (2, 4)
+        assert sorted(p.scores[p.is_positive].tolist()) == [0.7, 0.9]
+        assert backgrounds(p) == [0.4]
 
     def test_micro_fixture_other_category(self):
         # category 2 has one positive (gt0) never detected as 2
-        pool = build_eval_pool(MICRO_GT, MICRO_DET, 2)
-        assert pool.n_pos == 1
-        assert pool.positives[0].score == -1.0
-        assert pool.positives[0].origin is ExampleOrigin.UNMATCHED_GT
+        p = build_eval_pool(MICRO_GT, MICRO_DET, 2)
+        assert p.n_pos == 1
+        assert p.scores[p.is_positive].tolist() == [-1.0]
+        assert p.origin[p.is_positive].tolist() == [ExampleOrigin.UNMATCHED_GT]
 
     def test_positive_count_independent_of_detections(self):
         for detections in ([], MICRO_DET, MICRO_DET * 1):
-            pool = build_eval_pool(MICRO_GT, detections, 0)
-            assert pool.n_pos == 2
+            p = build_eval_pool(MICRO_GT, detections, 0)
+            assert p.n_pos == 2
 
     def test_cross_category_confusion_scores_negative(self):
         # a category-0 detection sitting on a category-1 box scores that
@@ -97,10 +127,10 @@ class TestBuildEvalPool:
             gt("v", 1, box(0.5, 0.5, 0.7, 0.7), {1}, 1),
         ]
         detections = [det("v", 1, box(0.5, 0.5, 0.7, 0.7), 0, 0.8)]
-        pool = build_eval_pool(instances, detections, 0)
-        assert pool.n_pos == 1 and pool.positives[0].score == -1.0
-        assert [e.score for e in pool.negatives] == [0.8]
-        assert pool.negatives[0].origin is ExampleOrigin.MATCHED_GT
+        p = build_eval_pool(instances, detections, 0)
+        assert p.n_pos == 1 and p.scores[p.is_positive].tolist() == [-1.0]
+        assert p.scores[~p.is_positive].tolist() == [0.8]
+        assert p.origin[~p.is_positive].tolist() == [ExampleOrigin.MATCHED_GT]
 
     def test_unknown_category(self):
         with pytest.raises(UnknownCategory):
@@ -111,11 +141,9 @@ class TestBuildEvalPool:
             build_eval_pool(MICRO_GT, MICRO_DET, 0, iou_threshold=0.0)
 
     def test_detection_contributes_at_most_one_entry(self):
-        pool = build_eval_pool(MICRO_GT, MICRO_DET, 0)
+        p = build_eval_pool(MICRO_GT, MICRO_DET, 0)
         det_scores = [d.score for d in MICRO_DET if d.category == 0]
-        pool_scores = [
-            e.score for e in pool.positives + pool.negatives if e.score >= 0
-        ]
+        pool_scores = [s for s in p.scores.tolist() if s >= 0]
         assert all(pool_scores.count(s) <= det_scores.count(s) for s in pool_scores)
 
 
@@ -126,13 +154,146 @@ class TestPoolsFromScores:
         pools = pools_from_scores(scores, labels)
         assert pools[0].n_pos == 2 and pools[0].n_neg == 1
         assert pools[1].n_pos == 2 and pools[1].n_neg == 1
-        assert {e.example_id for e in pools[0].positives} == {0, 2}
+        assert set(pools[0].ids[pools[0].is_positive].tolist()) == {0, 2}
 
     def test_unknown_category_raises(self):
         with pytest.raises(UnknownCategory):
             pools_from_scores(np.zeros((2, 2)), [frozenset({0})] * 2, categories=[5])
 
+    def test_duplicate_example_ids_raise(self):
+        with pytest.raises(ValueError):
+            pools_from_scores(np.zeros((2, 1)), [frozenset({0})] * 2, [7, 7])
+
     def test_pool_from_arrays_round_trip(self):
-        pool = pool_from_arrays(3, [0.5, 0.25], [True, False])
-        assert pool.category == 3
-        assert pool.n_pos == 1 and pool.n_neg == 1
+        p = pool_from_arrays(3, [0.5, 0.25], [True, False])
+        assert p.category == 3
+        assert p.n_pos == 1 and p.n_neg == 1
+
+
+# ---------------------------------------------- columnar vs reference
+
+
+def oracle_trial_aps(positives, negatives, config):
+    """sampled_ap's trials, computed from reference pool sides."""
+    if not config.include_background:
+        negatives = [e for e in negatives if e[3] != "BACKGROUND_DETECTION"]
+    pos_scores = np.array([e[0] for e in positives], dtype=np.float64)
+    pos_ids = np.array([e[1] for e in positives], dtype=np.int64)
+    neg_scores = np.array([e[0] for e in negatives], dtype=np.float64)
+    neg_ids = np.array([e[1] for e in negatives], dtype=np.int64)
+    n_pos, n_neg = len(pos_scores), len(neg_scores)
+    aps = []
+    for i in range(config.n_trials):
+        pick = np.arange(n_neg)
+        if n_neg > n_pos:
+            rng = np.random.default_rng(mix_seed(config.seed, i))
+            pick = rng.choice(n_neg, size=n_pos, replace=False)
+        flags = np.r_[np.ones(n_pos, dtype=bool), np.zeros(len(pick), dtype=bool)]
+        aps.append(average_precision_from_arrays(
+            np.concatenate([pos_scores, neg_scores[pick]]),
+            flags,
+            np.concatenate([pos_ids, neg_ids[pick]]),
+        ))
+    return tuple(aps)
+
+
+def assert_matches_reference(p, reference, seed):
+    positives, negatives = reference
+    assert side(p, True) == positives
+    assert side(p, False) == negatives
+    if positives:
+        for include_background in (True, False):
+            config = SapConfig(n_trials=4, seed=seed, include_background=include_background)
+            assert sampled_ap(p, config).trial_aps == oracle_trial_aps(
+                positives, negatives, config
+            )
+
+
+TIED_SCORES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def score_matrices(draw):
+    n = draw(st.integers(1, 25))
+    k = draw(st.integers(1, 4))
+    scores = np.array(draw(st.lists(
+        st.one_of(TIED_SCORES, st.floats(0.0, 1.0)), min_size=n * k, max_size=n * k
+    ))).reshape(n, k)
+    # labels beyond the columns (k, -1) are ignored by both builders
+    labels = draw(st.lists(
+        st.frozensets(st.integers(-1, k), max_size=3), min_size=n, max_size=n
+    ))
+    ids = draw(st.one_of(
+        st.none(), st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True)
+    ))
+    return scores, labels, ids
+
+
+# corners on a coarse grid so that boxes often coincide or overlap near the
+# threshold; three frames, some of which end up without boxes or detections
+CORNERS = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 4), st.integers(1, 4))
+FRAMES = st.sampled_from([("a", 0), ("a", 1), ("b", 0)])
+
+
+def grid_box(corners):
+    x, y, w, h = corners
+    return box(x / 10, y / 10, (x + w) / 10, (y + h) / 10)
+
+
+@st.composite
+def detection_sets(draw):
+    gt_specs = draw(st.lists(
+        st.tuples(FRAMES, CORNERS, st.frozensets(st.integers(0, 3), min_size=1, max_size=2)),
+        max_size=10,
+    ))
+    instances = [
+        gt(video, ts, grid_box(corners), cats, i)
+        for i, ((video, ts), corners, cats) in enumerate(gt_specs)
+    ]
+    # a detection either copies an annotated box's corners, shifted by up
+    # to one grid step, or is a stray box anywhere
+    det_specs = draw(st.lists(
+        st.tuples(
+            st.one_of(
+                st.tuples(st.integers(0, max(len(gt_specs) - 1, 0)), st.integers(-1, 1)),
+                st.tuples(FRAMES, CORNERS),
+            ),
+            st.integers(0, 3),
+            TIED_SCORES,
+        ),
+        max_size=16,
+    ))
+    detections = []
+    for where, category, score in det_specs:
+        if isinstance(where[0], int):
+            if not gt_specs:
+                continue
+            (video, ts), (x, y, w, h), _ = gt_specs[where[0]]
+            x, y = min(max(x + where[1], 0), 6), min(max(y + where[1], 0), 6)
+            corners = (x, y, w, h)
+        else:
+            (video, ts), corners = where
+        detections.append(det(video, ts, grid_box(corners), category, score))
+    iou_threshold = draw(st.sampled_from([0.5, 0.3, 1.0]))
+    return instances, detections, iou_threshold
+
+
+class TestColumnarMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(score_matrices(), st.integers(0, 2**32))
+    def test_pools_from_scores(self, case, seed):
+        scores, labels, ids = case
+        reference = reference_pools_from_scores(scores, labels, ids)
+        pools = pools_from_scores(scores, labels, ids)
+        assert sorted(pools) == sorted(reference)
+        for c, p in pools.items():
+            assert_matches_reference(p, reference[c], seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(detection_sets(), st.integers(0, 2**32))
+    def test_build_eval_pool(self, case, seed):
+        instances, detections, iou_threshold = case
+        for c in sorted(label_space(instances, detections)):
+            reference = reference_build_eval_pool(instances, detections, c, iou_threshold)
+            p = build_eval_pool(instances, detections, c, iou_threshold)
+            assert_matches_reference(p, reference, seed)

@@ -3,7 +3,7 @@ import pytest
 
 from sapeval.errors import NoEligibleCategories, NoPositives, TooManySubsets
 from sapeval.metrics import average_precision
-from sapeval.pools import ExampleOrigin, ScoredExample, EvalPool
+from sapeval.pools import EvalPool, ExampleOrigin
 from sapeval.sampling import (
     SapConfig,
     SapResult,
@@ -78,7 +78,7 @@ class TestSampledAp:
     def test_monotone_transform_invariance(self, rng):
         pool = random_pool(rng, 6, 30)
         base = sampled_ap(pool, SapConfig(n_trials=50, seed=5))
-        scores, _, flags = pool.scores_ids_labels()
+        scores, flags = pool.scores, pool.is_positive
         squashed = make_pool(
             1 / (1 + np.exp(-scores[flags])), 1 / (1 + np.exp(-scores[~flags]))
         )
@@ -86,12 +86,17 @@ class TestSampledAp:
         assert again.trial_aps == pytest.approx(base.trial_aps, abs=1e-12)
 
     def test_include_background_flag(self):
-        positives = (ScoredExample(0, 0.9, True, ExampleOrigin.MATCHED_GT),)
-        negatives = (
-            ScoredExample(1, 0.95, False, ExampleOrigin.BACKGROUND_DETECTION),
-            ScoredExample(2, 0.1, False, ExampleOrigin.MATCHED_GT),
+        pool = EvalPool(
+            0,
+            scores=[0.9, 0.95, 0.1],
+            ids=[0, 1, 2],
+            is_positive=[True, False, False],
+            origin=[
+                ExampleOrigin.MATCHED_GT,
+                ExampleOrigin.BACKGROUND_DETECTION,
+                ExampleOrigin.MATCHED_GT,
+            ],
         )
-        pool = EvalPool(0, positives, negatives)
         with_bg = sampled_ap(pool, SapConfig(n_trials=200, seed=0))
         without_bg = sampled_ap(
             pool, SapConfig(n_trials=200, seed=0, include_background=False)
