@@ -1,7 +1,8 @@
 """Balanced-sample average precision metrics and head-to-tail transfer
 training for long-tail detection and classification."""
 
-from .boxes import BoundingBox, Detection, FrameKey, GroundTruthInstance, iou, match_detections
+from .boxes import BoundingBox, Detection, DetectionColumns, FrameKey, GroundTruthInstance
+from .boxes import iou, match_detections
 from .datasets import (
     FeatureDataset,
     HeadTailSplit,
@@ -19,7 +20,7 @@ from .metrics import (
     random_baseline_ap,
     roc_auc,
 )
-from .pools import EvalPool, ExampleOrigin, build_eval_pool, pools_from_scores
+from .pools import EvalPool, ExampleOrigin, FrameIndex, build_eval_pool, pools_from_scores
 from .sampling import SapConfig, SapResult, msap, sampled_ap, sap_exact_small, stability_profile
 from .training import (
     ModelParams,

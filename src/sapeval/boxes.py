@@ -2,13 +2,17 @@
 
 Boxes use normalized corner coordinates in [0, 1]. A frame is identified
 by (video_id, timestamp) and ground truth is multi-label: one annotated
-box may carry several category ids.
+box may carry several category ids. Detections come one object per box
+(``Detection``) or as parallel columns (``DetectionColumns``), which is
+what the detection CSV reader returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +72,42 @@ class Detection:
             raise ValueError(f"detection score {self.score} outside [0, 1]")
 
 
+@dataclass(frozen=True, eq=False)
+class DetectionColumns:
+    """Detections as parallel columns, one row per detection.
+
+    ``frames`` lists each frame's (video_id, timestamp) once and ``frame``
+    holds each row's index into it; ``boxes`` is (n, 4) with corners
+    x1, y1, x2, y2; ``category`` is int64 and ``score`` float64.
+    """
+
+    frames: tuple[tuple[str, int], ...]
+    frame: np.ndarray
+    boxes: np.ndarray
+    category: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    @classmethod
+    def of(cls, detections: DetectionColumns | Iterable[Detection]) -> DetectionColumns:
+        """``detections`` as columns; columns pass through unchanged."""
+        if isinstance(detections, cls):
+            return detections
+        detections = list(detections)
+        codes: dict[tuple[str, int], int] = {}
+        frame = [codes.setdefault((d.frame.video_id, d.frame.timestamp), len(codes))
+                 for d in detections]
+        return cls(
+            tuple(codes),
+            np.array(frame, dtype=np.int64),
+            np.array([d.box.as_tuple() for d in detections], dtype=np.float64).reshape(-1, 4),
+            np.array([d.category for d in detections], dtype=np.int64),
+            np.array([d.score for d in detections], dtype=np.float64),
+        )
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint, 1 when identical."""
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
@@ -76,6 +116,19 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
+
+
+def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of corner arrays (last axis x1, y1, x2, y2), broadcast over
+    the other axes. The float operations are ``iou``'s, in its order, so
+    every value is bitwise equal to it; a zero-area box of ``b`` (padding)
+    gives 0."""
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a + area_b - inter)
 
 
 @dataclass(frozen=True)
@@ -89,9 +142,6 @@ class MatchResult:
 
     is_true_positive: tuple[bool, ...]
     gt_match: tuple[int, ...]
-
-    def gt_scores(self, scores: Sequence[float], missing: float = -1.0) -> list[float]:
-        return [scores[d] if d >= 0 else missing for d in self.gt_match]
 
 
 def match_detections(
@@ -110,32 +160,48 @@ def match_detections(
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1]")
     order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
-    return _greedy_match(
-        [detections[i].box for i in order], ground_truth, iou_threshold, order
+    overlap = paired_iou(  # (detections by rank) x boxes
+        np.reshape([detections[i].box.as_tuple() for i in order], (-1, 1, 4)),
+        np.reshape([box.as_tuple() for box in ground_truth], (1, -1, 4)),
     )
+    claimed = _greedy_match(
+        overlap, np.zeros(len(order), dtype=np.int64), np.ones((1, len(ground_truth)), bool),
+        iou_threshold,
+    )
+    is_tp = [False] * len(order)
+    gt_match = [-1] * len(ground_truth)
+    for i, g in zip(order, claimed.tolist()):
+        if g >= 0:
+            is_tp[i], gt_match[g] = True, i
+    return MatchResult(tuple(is_tp), tuple(gt_match))
 
 
 def _greedy_match(
-    boxes_by_rank: Sequence[BoundingBox],
-    ground_truth: Sequence[BoundingBox],
-    iou_threshold: float,
-    original_index: Sequence[int],
-) -> MatchResult:
-    is_tp = [False] * len(boxes_by_rank)
-    gt_match = [-1] * len(ground_truth)
-    taken = [False] * len(ground_truth)
-    for rank, box in enumerate(boxes_by_rank):
-        best_gt = -1
-        best_iou = 0.0
-        for g, gt_box in enumerate(ground_truth):
-            if taken[g]:
-                continue
-            overlap = iou(box, gt_box)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_gt = g
-                best_iou = overlap
-        if best_gt >= 0:
-            taken[best_gt] = True
-            gt_match[best_gt] = original_index[rank]
-            is_tp[original_index[rank]] = True
-    return MatchResult(tuple(is_tp), tuple(gt_match))
+    overlap: np.ndarray, frame: np.ndarray, available: np.ndarray, iou_threshold: float
+) -> np.ndarray:
+    """Greedy one-to-one matching in many frames at once.
+
+    Row i of ``overlap`` holds a detection's IoU with each box slot of
+    frame ``frame[i]``; ``frame`` is sorted, and each frame's detections
+    come in descending score order. In that order each detection claims
+    the still unclaimed ``available`` (frames x slots) slot of its frame
+    it overlaps most (the first on ties) if that IoU reaches the
+    threshold. Returns the slot each detection claimed, or -1. Frames do
+    not interact, so one step matches the r-th detection of every frame.
+    """
+    claimed = np.full(len(frame), -1, dtype=np.int64)
+    if not overlap.size:
+        return claimed
+    free = available.copy()
+    rank = np.arange(len(frame)) - np.searchsorted(frame, frame)
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = np.searchsorted(rank[by_rank], np.arange(rank.max() + 2)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        at = by_rank[lo:hi]
+        f = frame[at]
+        candidates = np.where(free[f], overlap[at], -1.0)
+        best = candidates.argmax(axis=1)
+        hit = candidates[np.arange(len(at)), best] >= iou_threshold
+        claimed[at[hit]] = best[hit]
+        free[f[hit], best[hit]] = False
+    return claimed

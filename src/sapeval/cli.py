@@ -41,8 +41,11 @@ from .formats import (
     serialize_feature_dataset,
 )
 from .manifest import write_atomic, write_manifest
-from .metrics import CategoryScore, average_precision, frame_ap, mean_ap, roc_auc
-from .pools import build_eval_pool, pools_from_scores
+from .metrics import CategoryScore, average_precision, frame_ap_from_index, mean_ap, roc_auc
+from .pools import FrameIndex, pools_from_scores
+# not called here; perfbench/tracing.py wraps them under these names
+from .metrics import frame_ap  # noqa: F401
+from .pools import build_eval_pool  # noqa: F401
 from .sampling import SapConfig, mix_seed, msap, sampled_ap, stability_profile
 from .training import (
     ABLATION_VARIANTS,
@@ -145,14 +148,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not 0.0 < args.iou <= 1.0:
         raise ConfigError("--iou: must lie in (0, 1]")
     gt = read_ground_truth_csv(args.gt)
-    dets = read_detections_csv(args.det)
+    index = FrameIndex(gt, read_detections_csv(args.det), args.iou)
 
     gt_categories = sorted({c for inst in gt for c in inst.categories})
     records = []
     scores = []
     for category in gt_categories:
-        pool = build_eval_pool(gt, dets, category, args.iou)
-        ap = frame_ap(gt, dets, category, args.iou)
+        pool = index.pool(category)
+        ap = frame_ap_from_index(index, category)
         try:
             auc = roc_auc(pool)
         except DegeneratePool:
@@ -210,10 +213,10 @@ def _load_pools(args: argparse.Namespace) -> tuple[dict[int, object], dict[str, 
     if not (args.gt and args.det):
         raise ConfigError("need either --predictions or both --gt and --det")
     gt = read_ground_truth_csv(args.gt)
-    dets = read_detections_csv(args.det)
+    index = FrameIndex(gt, read_detections_csv(args.det), args.iou)
     categories = sorted({c for inst in gt for c in inst.categories})
     return (
-        {c: build_eval_pool(gt, dets, c, args.iou) for c in categories},
+        {c: index.pool(c) for c in categories},
         {"gt": args.gt, "det": args.det},
     )
 

@@ -5,9 +5,12 @@ Ground-truth CSV (UTF-8, no header), one row per (box, label) pair::
     video_id,timestamp,x1,y1,x2,y2,category_id
 
 Rows sharing (video_id, timestamp, x1, y1, x2, y2) merge into one
-multi-label instance. Detection CSV adds a trailing ``score`` column.
+multi-label instance. Detection CSV adds a trailing ``score`` column and is
+read into ``DetectionColumns``: each line streams straight into flat
+arrays, and the rows are checked as arrays once the file is read.
 Coordinates and scores are written as 6-decimal fixed point and quantized
 to that grid on read, so parse -> serialize -> parse is the identity.
+Timestamps and category ids must fit in int64.
 
 Feature datasets are JSON lines, one record per example::
 
@@ -21,12 +24,13 @@ has one entry per category.
 from __future__ import annotations
 
 import json
+from array import array
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .boxes import BoundingBox, Detection, FrameKey, GroundTruthInstance
+from .boxes import BoundingBox, Detection, DetectionColumns, FrameKey, GroundTruthInstance
 from .datasets import Example, FeatureDataset
 from .errors import ParseError
 
@@ -40,10 +44,17 @@ def _fmt6(value: float) -> str:
 
 
 def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; ``ValueError`` for a float, a
-    string or a boolean, which ``int()`` would convert silently."""
+    """``value`` if it is a JSON integer within int64; ``ValueError`` for a
+    float, a string or a boolean, which ``int()`` would convert silently."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} {value!r} is not an integer")
+    return _int64(value, what)
+
+
+def _int64(value: str | int, what: str) -> int:
+    value = int(value)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{what} {value} outside int64")
     return value
 
 
@@ -59,7 +70,7 @@ def _parse_common(path: str, line_no: int, fields: list[str]):
     if not video_id:
         raise ParseError(path, line_no, "empty video_id")
     try:
-        timestamp = int(fields[1])
+        timestamp = _int64(fields[1], "timestamp")
         coords = tuple(_q6(float(v)) for v in fields[2:6])
     except ValueError as exc:
         raise ParseError(path, line_no, str(exc)) from None
@@ -81,7 +92,7 @@ def read_ground_truth_csv(path: str | Path) -> list[GroundTruthInstance]:
             fields = _parse_row(path, line_no, line, 7)
             frame, box = _parse_common(path, line_no, fields)
             try:
-                category = int(fields[6])
+                category = _int64(fields[6], "category")
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
             key = (frame, box)
@@ -112,39 +123,78 @@ def serialize_ground_truth(instances: Sequence[GroundTruthInstance]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_detections_csv(path: str | Path) -> list[Detection]:
+def read_detections_csv(path: str | Path) -> DetectionColumns:
+    """Detection CSV as columns. A bad row makes the columnar read fail;
+    the file is then checked line by line, which raises the ``ParseError``
+    of the first bad line."""
     path = str(path)
-    detections = []
+    try:
+        return _detection_columns(path)
+    except (ValueError, OverflowError):
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    _check_detection_row(path, line_no, line)
+        raise
+
+
+def _detection_columns(path: str) -> DetectionColumns:
+    """Raises ``ValueError`` or ``OverflowError`` for a file where
+    ``_check_detection_row`` raises ``ParseError`` on some line."""
+    raw_frames: dict[tuple[str, str], int] = {}
+    frame, category, boxes, score = array("q"), array("q"), array("d"), array("d")
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+        for line in fh:
+            try:
+                video_id, timestamp, x1, y1, x2, y2, c, s = line.split(",")
+            except ValueError:
+                if line.strip():
+                    raise
                 continue
-            fields = _parse_row(path, line_no, line, 8)
-            frame, box = _parse_common(path, line_no, fields)
-            try:
-                category = int(fields[6])
-                score = _q6(float(fields[7]))
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            try:
-                detections.append(Detection(frame, box, category, score))
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-    return detections
+            frame.append(raw_frames.setdefault((video_id, timestamp), len(raw_frames)))
+            boxes.extend((float(x1), float(y1), float(x2), float(y2)))
+            category.append(int(c))  # OverflowError beyond int64
+            score.append(float(s))
+    if not all(video_id for video_id, _ in raw_frames):
+        raise ValueError("empty video_id")
+    # one code per (video_id, timestamp) value: "7" and "07" are one frame
+    frames: dict[tuple[str, int], int] = {}
+    codes = [frames.setdefault((v, _int64(t, "timestamp")), len(frames)) for v, t in raw_frames]
+    box_array, score_array = np.frombuffer(boxes).reshape(-1, 4), np.frombuffer(score)
+    # a float np.round leaves unchanged is one round(value, 6) leaves
+    # unchanged; only values with more than 6 decimals go through round
+    for column in (box_array.reshape(-1), score_array):
+        with np.errstate(over="ignore", invalid="ignore"):
+            off_grid = np.flatnonzero(np.round(column, 6) != column)
+        column[off_grid] = [_q6(v) for v in column[off_grid].tolist()]
+    x1, y1, x2, y2 = box_array.T
+    if not ((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
+            & (0.0 <= score_array) & (score_array <= 1.0)).all():
+        raise ValueError("invalid box corners or score")
+    frame_codes = np.array(codes, dtype=np.int64)[np.frombuffer(frame, dtype=np.int64)]
+    return DetectionColumns(tuple(frames), frame_codes, box_array,
+                            np.frombuffer(category, dtype=np.int64), score_array)
 
 
-def serialize_detections(detections: Sequence[Detection]) -> str:
+def _check_detection_row(path: str, line_no: int, line: str) -> None:
+    fields = _parse_row(path, line_no, line, 8)
+    _parse_common(path, line_no, fields)
+    try:
+        _int64(fields[6], "category")
+        score = _q6(float(fields[7]))
+    except ValueError as exc:
+        raise ParseError(path, line_no, str(exc)) from None
+    if not 0.0 <= score <= 1.0:
+        raise ParseError(path, line_no, f"detection score {score} outside [0, 1]")
+
+
+def serialize_detections(detections: DetectionColumns | Sequence[Detection]) -> str:
+    d = DetectionColumns.of(detections)
     lines = [
-        ",".join(
-            [
-                d.frame.video_id,
-                str(d.frame.timestamp),
-                *(_fmt6(v) for v in d.box.as_tuple()),
-                str(d.category),
-                _fmt6(d.score),
-            ]
+        ",".join([*map(str, d.frames[f]), *map(_fmt6, box), str(c), _fmt6(score)])
+        for f, box, c, score in zip(
+            d.frame.tolist(), d.boxes.tolist(), d.category.tolist(), d.score.tolist()
         )
-        for d in detections
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 

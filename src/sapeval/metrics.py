@@ -13,9 +13,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boxes import Detection, GroundTruthInstance, match_detections
+from .boxes import Detection, DetectionColumns, GroundTruthInstance
+# not called here; perfbench/tracing.py wraps it under this name
+from .boxes import match_detections  # noqa: F401
 from .errors import DegeneratePool, InvalidCounts, NoEligibleCategories, NoPositives
-from .pools import EvalPool
+from .pools import EvalPool, FrameIndex
 
 DEFAULT_MIN_EXAMPLES = 25
 
@@ -63,7 +65,12 @@ def average_precision_from_arrays(
     n_pos = int(is_positive.sum())
     if n_pos == 0:
         raise NoPositives("average precision needs at least one positive example")
-    flags = _ranked_positive_flags(scores, is_positive, ids)
+    return _ranked_ap(_ranked_positive_flags(scores, is_positive, ids), n_pos)
+
+
+def _ranked_ap(flags: np.ndarray, n_pos: int) -> float:
+    """Mean over ``n_pos`` positives of the precision at each positive flag
+    of a ranked list."""
     cum_tp = np.cumsum(flags)
     ranks = np.arange(1, len(flags) + 1)
     return float((cum_tp[flags] / ranks[flags]).sum() / n_pos)
@@ -94,47 +101,27 @@ def precision_recall_curve(pool: EvalPool) -> tuple[PrPoint, ...]:
 
 def frame_ap(
     ground_truth: Sequence[GroundTruthInstance],
-    detections: Sequence[Detection],
+    detections: DetectionColumns | Sequence[Detection],
     category: int,
     iou_threshold: float = 0.5,
 ) -> float:
     """Detection-protocol AP for one category.
 
     Detections are matched greedily to same-frame annotated boxes carrying
-    the category, then all of them are ranked globally by score and AP is
-    computed with the category's annotation count as the number of
-    positives. An empty detection set scores 0.
+    the category (in instance-id order), then all of them are ranked
+    globally by score and AP is computed with the category's annotation
+    count as the number of positives. An empty detection set scores 0.
     """
-    positive_gts: dict[tuple[str, int], list] = {}
-    n_pos = 0
-    for g in ground_truth:
-        if category in g.categories:
-            positive_gts.setdefault((g.frame.video_id, g.frame.timestamp), []).append(g.box)
-            n_pos += 1
+    return frame_ap_from_index(FrameIndex(ground_truth, detections, iou_threshold), category)
+
+
+def frame_ap_from_index(index: FrameIndex, category: int) -> float:
+    """``frame_ap`` on an index built once for every category."""
+    scores, true_positive, n_pos = index.frame_matches(category)
     if n_pos == 0:
         raise NoPositives(f"no ground-truth instances for category {category}")
-
-    cat_dets = [d for d in detections if d.category == category]
-    if not cat_dets:
-        return 0.0
-    by_frame: dict[tuple[str, int], list[Detection]] = {}
-    for d in cat_dets:
-        by_frame.setdefault((d.frame.video_id, d.frame.timestamp), []).append(d)
-
-    scores: list[float] = []
-    tp_flags: list[bool] = []
-    for frame in sorted(by_frame):
-        frame_dets = sorted(by_frame[frame], key=lambda d: (-d.score, d.box.as_tuple()))
-        result = match_detections(frame_dets, positive_gts.get(frame, []), iou_threshold)
-        scores.extend(d.score for d in frame_dets)
-        tp_flags.extend(result.is_true_positive)
-
-    flags = np.asarray(tp_flags, dtype=bool)
-    order = np.lexsort((np.arange(len(scores)), -np.asarray(scores)))
-    ranked = flags[order]
-    cum_tp = np.cumsum(ranked)
-    ranks = np.arange(1, len(ranked) + 1)
-    return float((cum_tp[ranked] / ranks[ranked]).sum() / n_pos)
+    # ties keep frame order
+    return _ranked_ap(true_positive[np.argsort(-scores, kind="stable")], n_pos)
 
 
 def mean_ap(

@@ -11,6 +11,11 @@ score (float64), its id (int64), whether it is a positive (bool) and an
 each side, because sampled AP draws negatives by index: example order in
 classification mode; in detection mode, annotated boxes in sorted frame
 order, then background detections in sorted order.
+
+Detection mode goes through one ``FrameIndex`` per input: frames grouped
+once, every detection's IoU with its frame's boxes computed once, and the
+greedy match run per category on those arrays. ``build_eval_pool`` and
+``metrics.frame_ap`` are one-category views of it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boxes import Detection, GroundTruthInstance, _greedy_match, iou
+from .boxes import Detection, DetectionColumns, GroundTruthInstance, _greedy_match, paired_iou
+# not called here; perfbench/tracing.py counts calls under this name
+from .boxes import iou  # noqa: F401
 from .errors import UnknownCategory
 
 #: Sentinel score for ground-truth boxes no detection claimed; ranks below
@@ -80,18 +87,106 @@ class EvalPool:
 
 
 def label_space(
-    ground_truth: Iterable[GroundTruthInstance], detections: Iterable[Detection]
+    ground_truth: Iterable[GroundTruthInstance],
+    detections: DetectionColumns | Iterable[Detection],
 ) -> set[int]:
-    cats: set[int] = set()
-    for gt in ground_truth:
-        cats.update(gt.categories)
-    cats.update(d.category for d in detections)
+    cats = {c for gt in ground_truth for c in gt.categories}
+    cats.update(DetectionColumns.of(detections).category.tolist())
     return cats
+
+
+class FrameIndex:
+    """Annotated boxes and detections grouped by frame once, so that every
+    category is matched on the same prepared arrays.
+
+    Frames are numbered in sorted (video_id, timestamp) order. Annotated
+    boxes are sorted by (frame, instance id), the pool's order, and laid
+    out in a padded (frame, slot) table. Detections are sorted by
+    (category, frame, descending score, corners), stably, and ``iou``
+    holds each one's IoU with every slot of its own frame (0 for padding).
+    """
+
+    def __init__(
+        self,
+        ground_truth: Sequence[GroundTruthInstance],
+        detections: DetectionColumns | Sequence[Detection],
+        iou_threshold: float = 0.5,
+    ):
+        if not 0.0 < iou_threshold <= 1.0:
+            raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1]")
+        self.iou_threshold = iou_threshold
+        dets = DetectionColumns.of(detections)
+        self.categories = label_space(ground_truth, dets)
+        gt_frames = [(g.frame.video_id, g.frame.timestamp) for g in ground_truth]
+        number = {key: i for i, key in enumerate(sorted(set(gt_frames).union(dets.frames)))}
+
+        box_frame = np.array([number[key] for key in gt_frames], dtype=np.int64)
+        ids = np.array([g.instance_id for g in ground_truth], dtype=np.int64)
+        order = np.lexsort((ids, box_frame))
+        self.gts = [ground_truth[i] for i in order.tolist()]
+        self.ids, box_frame = ids[order], box_frame[order]
+        slot = np.arange(len(order)) - np.searchsorted(box_frame, box_frame)
+        self.at = np.full((len(number), slot.max(initial=-1) + 1), -1)  # box position; -1 pads
+        self.at[box_frame, slot] = np.arange(len(order))
+        corners = np.zeros((*self.at.shape, 4))
+        corners[box_frame, slot] = np.reshape([g.box.as_tuple() for g in self.gts], (-1, 4))
+
+        det_frame = np.array([number[key] for key in dets.frames], dtype=np.int64)[dets.frame]
+        order = np.lexsort((*dets.boxes.T[::-1], -dets.score, det_frame, dets.category))
+        self.category, self.frame = dets.category[order], det_frame[order]
+        self.score, self.boxes = dets.score[order], dets.boxes[order]
+        self.iou = np.zeros((len(order), self.at.shape[1]))
+        for s in range(self.at.shape[1]):
+            self.iou[:, s] = paired_iou(self.boxes, corners[self.frame, s])
+
+    def _rows(self, category: int) -> slice:
+        return slice(np.searchsorted(self.category, category),
+                     np.searchsorted(self.category, category, "right"))
+
+    def _labeled(self, category: int) -> np.ndarray:
+        return np.fromiter((category in g.categories for g in self.gts), bool, len(self.gts))
+
+    def pool(self, category: int) -> EvalPool:
+        """``build_eval_pool``'s pool for ``category``."""
+        if category not in self.categories:
+            raise UnknownCategory(f"category {category} absent from ground truth and detections")
+        rows = self._rows(category)
+        frame, score = self.frame[rows], self.score[rows]
+        slot = _greedy_match(self.iou[rows], frame, self.at >= 0, self.iou_threshold)
+        hit = slot >= 0
+        claimed = self.at[frame[hit], slot[hit]]
+        scores = np.full(len(self.gts), UNDETECTED_SCORE)
+        scores[claimed] = score[hit]
+        origin = np.full(len(self.gts), ExampleOrigin.UNMATCHED_GT, dtype=np.int8)
+        origin[claimed] = ExampleOrigin.MATCHED_GT
+        # background: unclaimed and overlapping no box at the threshold,
+        # sorted by (frame, score, corners)
+        stray = np.flatnonzero(~hit & (self.iou[rows] < self.iou_threshold).all(axis=1))
+        stray = stray[np.lexsort((*self.boxes[rows][stray].T[::-1], score[stray], frame[stray]))]
+        first_id, n = self.ids.max(initial=-1) + 1, len(stray)
+        return EvalPool(
+            category,
+            np.concatenate([scores, score[stray]]),
+            np.concatenate([self.ids, np.arange(first_id, first_id + n)]),
+            np.concatenate([self._labeled(category), np.zeros(n, dtype=bool)]),
+            np.concatenate([origin, np.full(n, ExampleOrigin.BACKGROUND_DETECTION, np.int8)]),
+        )
+
+    def frame_matches(self, category: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The detection protocol's match for ``category``: its detections'
+        scores (sorted frames, then descending score and corners within a
+        frame), whether each claimed a box labeled with the category, and
+        the number of such boxes."""
+        labeled = self._labeled(category)
+        rows = self._rows(category)
+        available = (self.at >= 0) & labeled[self.at]
+        claimed = _greedy_match(self.iou[rows], self.frame[rows], available, self.iou_threshold)
+        return self.score[rows], claimed >= 0, int(labeled.sum())
 
 
 def build_eval_pool(
     ground_truth: Sequence[GroundTruthInstance],
-    detections: Sequence[Detection],
+    detections: DetectionColumns | Sequence[Detection],
     category: int,
     iou_threshold: float = 0.5,
 ) -> EvalPool:
@@ -106,53 +201,7 @@ def build_eval_pool(
     so both categorical confusion and pure localization failures cost
     precision.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1]")
-    if category not in label_space(ground_truth, detections):
-        raise UnknownCategory(f"category {category} absent from ground truth and detections")
-
-    gt_by_frame: dict[tuple[str, int], list[GroundTruthInstance]] = {}
-    for gt in ground_truth:
-        gt_by_frame.setdefault((gt.frame.video_id, gt.frame.timestamp), []).append(gt)
-    det_by_frame: dict[tuple[str, int], list[Detection]] = {}
-    for det in detections:
-        if det.category == category:
-            det_by_frame.setdefault(
-                (det.frame.video_id, det.frame.timestamp), []
-            ).append(det)
-
-    # (score, id, is_positive, origin) per example, in pool order
-    entries: list[tuple[float, int, bool, ExampleOrigin]] = []
-    background: list[tuple[tuple[str, int], float, tuple[float, ...]]] = []
-
-    for frame in sorted(set(gt_by_frame) | set(det_by_frame)):
-        frame_gts = sorted(gt_by_frame.get(frame, []), key=lambda g: g.instance_id)
-        frame_dets = sorted(
-            det_by_frame.get(frame, []), key=lambda d: (-d.score, d.box.as_tuple())
-        )
-        gt_boxes = [g.box for g in frame_gts]
-        match = _greedy_match(
-            [d.box for d in frame_dets], gt_boxes, iou_threshold, range(len(frame_dets))
-        )
-        for gt, det_idx in zip(frame_gts, match.gt_match):
-            if det_idx >= 0:
-                score, origin = frame_dets[det_idx].score, ExampleOrigin.MATCHED_GT
-            else:
-                score, origin = UNDETECTED_SCORE, ExampleOrigin.UNMATCHED_GT
-            entries.append((score, gt.instance_id, category in gt.categories, origin))
-        for d, det in enumerate(frame_dets):
-            if match.is_true_positive[d]:
-                continue
-            best = max((iou(det.box, b) for b in gt_boxes), default=0.0)
-            if best < iou_threshold:
-                background.append((frame, det.score, det.box.as_tuple()))
-
-    next_id = max((gt.instance_id for gt in ground_truth), default=-1) + 1
-    for i, (_, score, _) in enumerate(sorted(background)):
-        entries.append((score, next_id + i, False, ExampleOrigin.BACKGROUND_DETECTION))
-    # never empty: every annotated box is an entry, and with no boxes at all
-    # every detection of the category is background
-    return EvalPool(category, *zip(*entries))
+    return FrameIndex(ground_truth, detections, iou_threshold).pool(category)
 
 
 def pools_from_scores(

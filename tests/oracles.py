@@ -145,3 +145,83 @@ def reference_build_eval_pool(ground_truth, detections, category, iou_threshold=
     for i, (_, score, _) in enumerate(sorted(background)):
         negatives.append((score, next_id + i, False, "BACKGROUND_DETECTION"))
     return positives, negatives
+
+
+def reference_frame_ap(ground_truth, detections, category, iou_threshold=0.5):
+    """Detection-protocol AP for one category, one object at a time.
+
+    In each frame (sorted), the category's detections by (descending score,
+    box corners) each claim the unclaimed box labeled with the category
+    they overlap most (first by instance id on ties) at IoU >= threshold.
+    All of them are then ranked by descending score, ties in that frame
+    order, and AP averages the precision at each claim over the number of
+    boxes labeled with the category. ``None`` when there are none.
+    """
+    def frame_of(x):
+        return (x.frame.video_id, x.frame.timestamp)
+
+    labeled = [g for g in ground_truth if category in g.categories]
+    if not labeled:
+        return None
+    ours = [d for d in detections if d.category == category]
+    hits = []  # (score, claimed) in frame order
+    for frame in sorted({frame_of(d) for d in ours}):
+        boxes = sorted((g for g in labeled if frame_of(g) == frame), key=lambda g: g.instance_id)
+        claimed = [False] * len(boxes)
+        for d in sorted((d for d in ours if frame_of(d) == frame),
+                        key=lambda d: (-d.score, d.box.as_tuple())):
+            best, best_iou = None, 0.0
+            for j, g in enumerate(boxes):
+                overlap = _box_iou(d.box, g.box)
+                if not claimed[j] and overlap >= iou_threshold and overlap > best_iou:
+                    best, best_iou = j, overlap
+            if best is not None:
+                claimed[best] = True
+            hits.append((d.score, best is not None))
+    ranked = sorted(range(len(hits)), key=lambda i: (-hits[i][0], i))
+    tp, total = 0, 0.0
+    for rank, i in enumerate(ranked, start=1):
+        if hits[i][1]:
+            tp += 1
+            total += tp / rank
+    return total / len(labeled)
+
+
+def reference_read_detections(path):
+    """Detection CSV rows as ``(video_id, timestamp, corners, category,
+    score)``, parsed one line at a time. Raises ``ParseError`` at the first
+    bad line, checking in field order: field count, video id, timestamp
+    (integer, int64), corners (numbers quantized to 6 decimals, then box
+    validity), category (integer, int64), score (number, then [0, 1])."""
+    from sapeval.errors import ParseError
+
+    def int64(text, what):
+        value = int(text)
+        if not -(2**63) <= value <= 2**63 - 1:
+            raise ValueError(f"{what} {value} outside int64")
+        return value
+
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split(",")
+            try:
+                if len(fields) != 8:
+                    raise ValueError(f"expected 8 fields, got {len(fields)}")
+                if not fields[0]:
+                    raise ValueError("empty video_id")
+                timestamp = int64(fields[1], "timestamp")
+                x1, y1, x2, y2 = (round(float(v), 6) for v in fields[2:6])
+                if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
+                    raise ValueError(f"invalid box corners: BoundingBox("
+                                     f"x1={x1!r}, y1={y1!r}, x2={x2!r}, y2={y2!r})")
+                category = int64(fields[6], "category")
+                score = round(float(fields[7]), 6)
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"detection score {score} outside [0, 1]")
+            except ValueError as exc:
+                raise ParseError(str(path), line_no, str(exc)) from None
+            rows.append((fields[0], timestamp, (x1, y1, x2, y2), category, score))
+    return rows

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sapeval.boxes import BoundingBox, match_detections, iou
+from sapeval.boxes import BoundingBox, match_detections, iou, paired_iou
 
 from conftest import box, det
 from oracles import grid_iou
@@ -75,6 +76,12 @@ class TestIou:
     def test_self_iou_is_one(self, a):
         assert iou(a, a) == pytest.approx(1.0)
 
+    @given(st.lists(st.tuples(valid_boxes(), valid_boxes()), max_size=5))
+    def test_paired_iou_is_bitwise_iou(self, pairs):
+        a = np.reshape([p[0].as_tuple() for p in pairs], (-1, 4))
+        b = np.reshape([p[1].as_tuple() for p in pairs], (-1, 4))
+        assert paired_iou(a, b).tolist() == [iou(*p) for p in pairs]
+
 
 class TestMatchDetections:
     def test_single_match(self):
@@ -82,7 +89,7 @@ class TestMatchDetections:
         d = [det("v", 1, box(0.12, 0.1, 0.32, 0.3), 0, 0.75)]
         result = match_detections(d, g, 0.5)
         assert result.is_true_positive == (True,)
-        assert result.gt_scores([0.75]) == [0.75]
+        assert result.gt_match == (0,)
 
     def test_duplicate_detection_is_fp(self):
         # two detections on one box: the higher-scored one wins
@@ -128,6 +135,7 @@ class TestMatchDetections:
         base_tp = {dets[i].score for i in range(5) if base.is_true_positive[i]}
         perm_tp = {shuffled[i].score for i in range(5) if result.is_true_positive[i]}
         assert base_tp == perm_tp
-        assert base.gt_scores([d.score for d in dets]) == result.gt_scores(
-            [d.score for d in shuffled]
-        )
+        # each box claimed by the same detection (scores are distinct)
+        assert [dets[d].score if d >= 0 else None for d in base.gt_match] == [
+            shuffled[d].score if d >= 0 else None for d in result.gt_match
+        ]

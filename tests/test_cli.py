@@ -99,6 +99,25 @@ class TestEval:
         assert run("eval", "--gt", gt, "--det", det, "--out", tmp_path / "x.json") == 3
         assert ":1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("v1,9223372036854775808,0.1,0.1,0.3,0.3,0,0.5",
+             "timestamp 9223372036854775808 outside int64"),
+            ("v1,1,0.1,0.1,0.3,0.3,-9223372036854775809,0.5",
+             "category -9223372036854775809 outside int64"),
+        ],
+        ids=["timestamp", "category"],
+    )
+    def test_int64_overflow_is_parse_error_with_line(
+        self, detection_files, tmp_path, capsys, row, message
+    ):
+        gt, det = detection_files
+        det.write_text(det.read_text().splitlines()[0] + "\n" + row + "\n")
+        assert run("eval", "--gt", gt, "--det", det, "--out", tmp_path / "x.json") == 3
+        err = capsys.readouterr().err
+        assert "det.csv:2:" in err and message in err
+
     def test_no_eligible_exit_4(self, detection_files, tmp_path):
         gt, det = detection_files
         assert run(
@@ -197,8 +216,10 @@ class TestSap:
             ('{"id": 1.0, "labels": [1], "scores": [0.1, 0.5]}', "not an integer"),
             ('{"id": "1", "labels": [1], "scores": [0.1, 0.5]}', "not an integer"),
             ('{"id": 0, "labels": [1], "scores": [0.1, 0.5]}', "duplicate id 0"),
+            ('{"id": 100000000000000000000000, "labels": [1], "scores": [0.1, 0.5]}',
+             "id 100000000000000000000000 outside int64"),
         ],
-        ids=["float_label", "bool_label", "float_id", "string_id", "duplicate_id"],
+        ids=["float_label", "bool_label", "float_id", "string_id", "duplicate_id", "int64_id"],
     )
     def test_bad_prediction_id_or_label_is_parse_error_with_line(
         self, tmp_path, capsys, record, message
@@ -457,3 +478,79 @@ class TestReportCompare:
             "--out-dir", report_dir,
         ) == 0
         assert (report_dir / "compare.svg").exists()
+
+
+def write_ava_fixture(directory, seed=11):
+    """A small AVA-shaped pair of CSVs, the same for a given seed: 4 videos
+    x 3 key frames x 3 boxes with 1-2 of 5 labels; one detection per box
+    and category, most near their box and some shifted down by 0.4 or 0.6
+    of its height, plus a stray box per frame; corners and scores in
+    millionths, some scores tied; detection rows shuffled."""
+    rng = np.random.default_rng(seed)
+
+    def micro(v):
+        return f"{v // 10**6}.{v % 10**6:06d}"
+
+    def row(frame, corners):
+        return ",".join([frame, *map(micro, corners)])
+
+    def score():
+        if rng.random() < 0.2:
+            return micro(int(rng.choice([250_000, 500_000, 750_000])))
+        return micro(int(rng.integers(0, 10**6 + 1)))
+
+    gt_rows, det_rows = [], []
+    for video in range(4):
+        for timestamp in (902, 903, 904):
+            frame = f"vid{video},{timestamp}"
+            for slot in range(3):
+                x1 = slot * 330_000 + int(rng.integers(20_000, 60_000))
+                y1 = int(rng.integers(0, 300_000))
+                corners = [x1, y1, x1 + int(rng.integers(150_000, 260_000)),
+                           y1 + int(rng.integers(200_000, 600_000))]
+                labels = sorted({int(c) for c in rng.integers(0, 5, int(rng.integers(1, 3)))})
+                gt_rows += [f"{row(frame, corners)},{c}" for c in labels]
+                for c in range(5):
+                    moved = [v + int(d) for v, d in zip(corners, rng.integers(-15_000, 15_001, 4))]
+                    off = int(rng.choice([0, 0, 0, 0, 0, 0, 4, 6]))  # tenths of the height
+                    shift = (corners[3] - corners[1]) * off // 10  # IoU about 0.43 or 0.25
+                    moved[1], moved[3] = moved[1] + shift, moved[3] + shift
+                    moved = [min(max(v, 0), 10**6) for v in moved]
+                    det_rows.append(f"{row(frame, moved)},{c},{score()}")
+            det_rows.append(f"{row(frame, [0, 950_000, 40_000, 1_000_000])},"
+                            f"{int(rng.integers(0, 5))},{score()}")
+    gt, det = directory / "gt.csv", directory / "det.csv"
+    gt.write_text("\n".join(gt_rows) + "\n")
+    det.write_text("\n".join(det_rows[i] for i in rng.permutation(len(det_rows))) + "\n")
+    return gt, det
+
+
+#: SHA-256 of each report on ``write_ava_fixture``'s files, recorded with
+#: the object-per-detection matcher that the frame index replaced; the
+#: reports must stay byte-identical to it.
+GOLDEN_REPORTS = {
+    "eval": (["eval"],
+            "4ad1d24b84b82652b156e0b45e58c029cd64ec3e218bf69ee6a1d89174952628"),
+    "eval_iou_0.3": (["eval", "--iou", "0.3"],
+                    "75f56cb8718343c4f021cbc24edae4428a1f9f6b932fa194356f3fff4dc41538"),
+    "sap": (["sap", "--trials", "7", "--seed", "4"],
+           "ec8252c830d45fabb72e91ad5c78ff6c8b25830de062ca2b0b36e0e51ec27de6"),
+    "sap_no_background": (["sap", "--trials", "7", "--seed", "4", "--no-background"],
+                         "dd6990f9c95a2aa0992def5ea99c85749e7975c493b07ebdb242abd7353e6f00"),
+    "sap_iou_0.3": (["sap", "--trials", "7", "--seed", "4", "--iou", "0.3"],
+                   "34d95667222ed34d64c4b4588b0b6d7dd146765c12b82a01e59dfa982a78a7f9"),
+    "sap_store_trials": (["sap", "--trials", "7", "--seed", "4", "--store-trials"],
+                        "94591eca4dd50be329376522d631cae669d82350778fe77aabba8f3b9c18c45d"),
+    "sap_all": (["sap", "--trials", "5", "--seed", "9", "--no-background", "--iou", "0.3",
+                 "--store-trials"],
+               "a499d015610b29bcf337a643871acf4d013332679ef32b371ca78572f5750ce5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_reports_are_byte_identical_to_golden(tmp_path, name):
+    argv, digest = GOLDEN_REPORTS[name]
+    gt, det = write_ava_fixture(tmp_path)
+    out = tmp_path / "report.json"
+    assert run(*argv, "--gt", gt, "--det", det, "--out", out, "--min-examples", 3) == 0
+    assert sha256_file(out) == digest

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sapeval.datasets import ZipfSpec, synthesize_dataset
 from sapeval.errors import ParseError
@@ -16,6 +17,7 @@ from sapeval.formats import (
 )
 
 from conftest import MICRO_DET, MICRO_GT
+from oracles import reference_read_detections
 
 
 class TestGroundTruthCsv:
@@ -60,13 +62,28 @@ class TestGroundTruthCsv:
         assert instances[0].box.x1 == pytest.approx(0.123457, abs=1e-12)
 
 
+def rows_of(columns):
+    """Detection columns as (video_id, timestamp, corners, category, score) rows."""
+    return [
+        (*columns.frames[f], tuple(b), c, s)
+        for f, b, c, s in zip(
+            columns.frame.tolist(), columns.boxes.tolist(),
+            columns.category.tolist(), columns.score.tolist(),
+        )
+    ]
+
+
 class TestDetectionsCsv:
     def test_round_trip_is_identity(self, tmp_path):
         path = tmp_path / "det.csv"
         path.write_text(serialize_detections(MICRO_DET))
         once = read_detections_csv(path)
+        assert rows_of(once) == [
+            (d.frame.video_id, d.frame.timestamp, d.box.as_tuple(), d.category, d.score)
+            for d in MICRO_DET
+        ]
         path.write_text(serialize_detections(once))
-        assert read_detections_csv(path) == once
+        assert rows_of(read_detections_csv(path)) == rows_of(once)
 
     def test_score_out_of_range(self, tmp_path):
         path = tmp_path / "det.csv"
@@ -77,7 +94,97 @@ class TestDetectionsCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "det.csv"
         path.write_text("")
-        assert read_detections_csv(path) == []
+        assert len(read_detections_csv(path)) == 0
+
+
+def micro_text(draw, micros):
+    """A number of millionths as CSV text: 6 decimals, shortest form, or
+    with extra digits that round away."""
+    plain = f"{micros // 10**6}.{micros % 10**6:06d}"
+    form = draw(st.sampled_from(["plain", "short", "extra"]))
+    if form == "short":
+        return repr(micros / 10**6)
+    if form == "extra" and micros < 10**6:
+        return plain + draw(st.text("0123456789", min_size=1, max_size=3))
+    return plain
+
+
+@st.composite
+def detection_lines(draw):
+    """Fields of one valid detection row."""
+    x1, y1 = draw(st.integers(0, 900_000)), draw(st.integers(0, 900_000))
+    x2 = draw(st.one_of(st.just(10**6), st.integers(x1 + 3, 999_999)))
+    y2 = draw(st.one_of(st.just(10**6), st.integers(y1 + 3, 999_999)))
+    timestamp = draw(st.integers(0, 3))
+    return [
+        draw(st.sampled_from(["v1", "v2", "clip 7"])),
+        draw(st.sampled_from([str(timestamp), f"0{timestamp}", f"+{timestamp}",
+                              f" {timestamp}", str(2**63 - 1), str(-(2**63))])),
+        *(micro_text(draw, v) for v in (x1, y1, x2, y2)),
+        str(draw(st.one_of(st.integers(0, 4), st.sampled_from([-3, 2**63 - 1, -(2**63)])))),
+        micro_text(draw, draw(st.one_of(st.integers(0, 10**6), st.sampled_from([0, 10**6])))),
+    ]
+
+
+def csv_text(draw, rows):
+    """Rows joined into a file, with blank lines between some of them and
+    sometimes no final newline."""
+    lines = []
+    for fields in rows:
+        lines.append(",".join(fields) + "\n")
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["\n", "  \n"])))
+    text = "".join(lines)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+CORRUPTIONS = ["fields", "video_id", "number", "inverted", "corner", "score", "int64"]
+
+
+def corrupt(draw, fields, kind):
+    fields = list(fields)
+    if kind == "fields":
+        fields = fields[:-1] if draw(st.booleans()) else fields + ["0.5"]
+    elif kind == "video_id":
+        fields[0] = ""
+    elif kind == "number":
+        fields[draw(st.integers(1, 7))] = draw(st.sampled_from(["x", "1.2.3", "", "0x1", "2.5e"]))
+    elif kind == "inverted":
+        fields[2], fields[4] = fields[4], fields[2]
+    elif kind == "corner":  # one corner past its own bound
+        i = draw(st.integers(2, 5))
+        fields[i] = {2: "-0.1", 3: "-0.000001", 4: "1.5", 5: "1.0000006"}[i]
+    elif kind == "score":
+        fields[7] = draw(st.sampled_from(["1.5", "-0.25", "nan", "1.0000006", "inf"]))
+    else:
+        fields[draw(st.sampled_from([1, 6]))] = str(draw(st.sampled_from([2**63, -(2**63) - 1])))
+    return fields
+
+
+class TestColumnarReaderMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_valid_files_give_reference_rows(self, tmp_path_factory, data):
+        rows = data.draw(st.lists(detection_lines(), max_size=12))
+        path = tmp_path_factory.mktemp("det") / "det.csv"
+        path.write_text(csv_text(data.draw, rows), encoding="utf-8")
+        assert rows_of(read_detections_csv(path)) == reference_read_detections(path)
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_files_give_reference_error(self, tmp_path_factory, kind, data):
+        rows = data.draw(st.lists(detection_lines(), min_size=1, max_size=8))
+        bad = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2, unique=True))
+        for i, row_kind in zip(bad, [kind, data.draw(st.sampled_from(CORRUPTIONS))]):
+            rows[i] = corrupt(data.draw, rows[i], row_kind)
+        path = tmp_path_factory.mktemp("det") / "det.csv"
+        path.write_text(csv_text(data.draw, rows), encoding="utf-8")
+        with pytest.raises(ParseError) as expected:
+            reference_read_detections(path)
+        with pytest.raises(ParseError) as err:
+            read_detections_csv(path)
+        assert (err.value.line, str(err.value)) == (expected.value.line, str(expected.value))
 
 
 class TestFeatureDatasetJsonl:

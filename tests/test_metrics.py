@@ -19,7 +19,7 @@ from sapeval.metrics import (
     roc_auc,
 )
 
-from conftest import MICRO_DET, MICRO_GT, box, det, make_pool, random_pool
+from conftest import MICRO_DET, MICRO_GT, box, det, gt, make_pool, random_pool
 from oracles import brute_force_ap
 
 
@@ -170,6 +170,18 @@ class TestFrameAp:
     def test_no_ground_truth_raises(self):
         with pytest.raises(NoPositives):
             frame_ap(MICRO_GT, MICRO_DET, 99)
+
+    def test_independent_of_ground_truth_order(self):
+        # d1 overlaps both boxes at IoU exactly 0.6 and claims the one with
+        # the lower instance id, A, which leaves B to d2
+        a = gt("v", 1, box(0.0, 0.0, 0.5, 0.5), {0}, 0)
+        b = gt("v", 1, box(0.25, 0.0, 0.75, 0.5), {0}, 1)
+        detections = [
+            det("v", 1, box(0.125, 0.0, 0.625, 0.5), 0, 0.9),
+            det("v", 1, b.box, 0, 0.8),
+        ]
+        assert frame_ap([a, b], detections, 0) == 1.0
+        assert frame_ap([b, a], detections, 0) == 1.0
 
 
 class TestMeanAp:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sapeval.errors import UnknownCategory
-from sapeval.metrics import average_precision_from_arrays
+from sapeval.boxes import DetectionColumns
+from sapeval.errors import NoPositives, UnknownCategory
+from sapeval.metrics import average_precision_from_arrays, frame_ap, frame_ap_from_index
 from sapeval.pools import (
     EvalPool,
     ExampleOrigin,
+    FrameIndex,
     build_eval_pool,
     label_space,
     pool_from_arrays,
@@ -15,7 +17,7 @@ from sapeval.pools import (
 from sapeval.sampling import SapConfig, mix_seed, sampled_ap
 
 from conftest import MICRO_DET, MICRO_GT, box, det, gt
-from oracles import reference_build_eval_pool, reference_pools_from_scores
+from oracles import reference_build_eval_pool, reference_frame_ap, reference_pools_from_scores
 
 BACKGROUND = ExampleOrigin.BACKGROUND_DETECTION
 
@@ -297,3 +299,94 @@ class TestColumnarMatchesReference:
             reference = reference_build_eval_pool(instances, detections, c, iou_threshold)
             p = build_eval_pool(instances, detections, c, iou_threshold)
             assert_matches_reference(p, reference, seed)
+
+
+# ------------------------------------------- frame index vs references
+
+# corners in eighths, so every IoU is computed exactly: overlaps land
+# exactly on the thresholds (1/2, and 3/10 as the nearest double) and two
+# boxes often tie on IoU with one detection
+EIGHTHS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4))
+# boxes and stray detections draw their frames independently, so some
+# frames have detections but no boxes
+FRAMES4 = st.sampled_from([("a", 0), ("a", 1), ("b", 0), ("c", 2)])
+
+
+def eighths_box(corners):
+    x, y, w, h = corners
+    return box(x / 8, y / 8, (x + w) / 8, (y + h) / 8)
+
+
+@st.composite
+def exact_detection_sets(draw):
+    gt_specs = draw(st.lists(
+        st.tuples(FRAMES4, EIGHTHS, st.frozensets(st.integers(0, 3), min_size=1, max_size=2)),
+        max_size=10,
+    ))
+    instances = draw(st.permutations([
+        gt(video, ts, eighths_box(corners), cats, i)
+        for i, ((video, ts), corners, cats) in enumerate(gt_specs)
+    ]))
+    detections = []
+    for where, (dx, dy), category, score in draw(st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 9), st.tuples(FRAMES4, EIGHTHS)),
+            st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+            st.integers(0, 3),
+            st.one_of(TIED_SCORES, st.floats(0.0, 1.0)),
+        ),
+        max_size=20,
+    )):
+        if isinstance(where, int):  # on an annotated box, maybe shifted
+            if where >= len(gt_specs):
+                continue
+            frame, (x, y, w, h), _ = gt_specs[where]
+            where = frame, (min(max(x + dx, 0), 4), min(max(y + dy, 0), 4), w, h)
+        (video, ts), corners = where
+        detections.append(det(video, ts, eighths_box(corners), category, score))
+    return instances, detections, draw(st.sampled_from([0.3, 0.5, 1.0]))
+
+
+def assert_index_matches_references(instances, detections, iou_threshold):
+    index = FrameIndex(instances, DetectionColumns.of(detections), iou_threshold)
+    for c in sorted(label_space(instances, detections)):
+        positives, negatives = reference_build_eval_pool(instances, detections, c, iou_threshold)
+        p = index.pool(c)
+        assert (side(p, True), side(p, False)) == (positives, negatives)
+        expected = reference_frame_ap(instances, detections, c, iou_threshold)
+        if expected is None:
+            with pytest.raises(NoPositives):
+                frame_ap_from_index(index, c)
+            continue
+        assert frame_ap_from_index(index, c) == pytest.approx(expected, abs=1e-12)
+        assert frame_ap(instances, detections, c, iou_threshold) == frame_ap_from_index(index, c)
+
+
+class TestFrameIndexMatchesReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_detection_sets())
+    def test_every_category(self, case):
+        assert_index_matches_references(*case)
+
+    @pytest.mark.parametrize("iou_threshold", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # two boxes at IoU 0.6 each with the first detection, then a
+            # detection on the second box
+            ([(0, 0, 4, 4), (2, 0, 4, 4)], [((1, 0, 4, 4), 0.9), ((2, 0, 4, 4), 0.8)]),
+            # IoU exactly 1/2 and exactly 3/10
+            ([(0, 0, 4, 4)], [((0, 0, 4, 2), 0.7)]),
+            ([(0, 0, 5, 2)], [((0, 0, 3, 1), 0.9), ((0, 1, 3, 1), 0.4)]),
+            # tied scores on one box, and a detection in a frame without boxes
+            ([(0, 0, 2, 2)], [((0, 0, 2, 2), 0.5), ((1, 0, 2, 2), 0.5), ((0, 0, 2, 2), 0.5)]),
+        ],
+        ids=["equal_iou_tie", "iou_one_half", "iou_three_tenths", "tied_scores"],
+    )
+    def test_hand_built(self, case, iou_threshold):
+        corners, detections = case
+        instances = [gt("v", 0, eighths_box(c), {0}, i) for i, c in enumerate(corners)]
+        dets = [det("v", 0, eighths_box(c), 0, s) for c, s in detections]
+        dets.append(det("w", 3, eighths_box((0, 0, 2, 2)), 0, 0.6))
+        for order in (instances, instances[::-1]):
+            assert_index_matches_references(order, dets, iou_threshold)
