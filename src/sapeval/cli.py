@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .benchmark import count_split
 from .charts import grouped_bar_chart
-from .datasets import ZipfSpec, HeadTailSplit, split_head_tail, synthesize_dataset, zipf_counts
+from .datasets import ZipfSpec, split_head_tail, synthesize_dataset, zipf_counts
 from .errors import (
     CategoryMismatch,
     DegeneratePool,
@@ -38,15 +38,17 @@ from .formats import (
     read_feature_dataset,
     read_ground_truth_csv,
     read_predictions,
+    read_split,
     serialize_feature_dataset,
 )
 from .manifest import write_atomic, write_manifest
-from .metrics import CategoryScore, average_precision, frame_ap_from_index, mean_ap, roc_auc
+from .metrics import CategoryScore, frame_ap_from_index, mean_ap, roc_auc
 from .pools import FrameIndex, pools_from_scores
 # not called here; perfbench/tracing.py wraps them under these names
-from .metrics import frame_ap  # noqa: F401
+from .metrics import average_precision, frame_ap  # noqa: F401
 from .pools import build_eval_pool  # noqa: F401
-from .sampling import SapConfig, mix_seed, msap, sampled_ap, stability_profile
+from .sampling import sampled_ap  # noqa: F401
+from .sampling import SapConfig, msap, stability_profile
 from .training import (
     ABLATION_VARIANTS,
     VARIANTS,
@@ -56,6 +58,7 @@ from .training import (
     evaluate_model,
     run_ablation,
     save_checkpoint,
+    score_pools,
 )
 
 EXIT_CONFIG = 2
@@ -95,6 +98,30 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+
+
+def _write_output(
+    args: argparse.Namespace, command: str, output: str, text: str, inputs: dict
+) -> None:
+    """Write ``text`` to ``--out`` and the run manifest to
+    ``<out>.manifest.json``, seeded with ``--seed`` if the command has one."""
+    write_atomic(args.out, text)
+    write_manifest(Path(str(args.out) + ".manifest.json"), command, _config_dict(args),
+                   inputs, {output: args.out}, getattr(args, "seed", None))
+
+
+def _detection_index(args: argparse.Namespace) -> tuple[FrameIndex, list[int]]:
+    """The frame index of ``--gt`` and ``--det`` and the ground truth's
+    categories, sorted."""
+    gt = read_ground_truth_csv(args.gt)
+    index = FrameIndex(gt, read_detections_csv(args.det), args.iou)
+    return index, sorted({c for inst in gt for c in inst.categories})
+
+
+def _sap_config(args: argparse.Namespace, include_background: bool = True) -> SapConfig:
+    if args.trials < 1:
+        raise ConfigError("--trials: must be at least 1")
+    return SapConfig(args.trials, args.seed, include_background)
 
 
 # ---------------------------------------------------------------- synth
@@ -147,10 +174,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if not 0.0 < args.iou <= 1.0:
         raise ConfigError("--iou: must lie in (0, 1]")
-    gt = read_ground_truth_csv(args.gt)
-    index = FrameIndex(gt, read_detections_csv(args.det), args.iou)
-
-    gt_categories = sorted({c for inst in gt for c in inst.categories})
+    index, gt_categories = _detection_index(args)
     records = []
     scores = []
     for category in gt_categories:
@@ -179,15 +203,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "eligible_categories": len(eligible),
         },
     }
-    write_atomic(args.out, _json_text(report))
-    write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        "eval",
-        _config_dict(args),
-        {"gt": args.gt, "det": args.det},
-        {"report": args.out},
-        None,
-    )
+    _write_output(args, "eval", "report", _json_text(report), {"gt": args.gt, "det": args.det})
     print(f"mAP {report['aggregate']['map']:.4f} over {len(eligible)} categories")
     return 0
 
@@ -212,68 +228,23 @@ def _load_pools(args: argparse.Namespace) -> tuple[dict[int, object], dict[str, 
         )
     if not (args.gt and args.det):
         raise ConfigError("need either --predictions or both --gt and --det")
-    gt = read_ground_truth_csv(args.gt)
-    index = FrameIndex(gt, read_detections_csv(args.det), args.iou)
-    categories = sorted({c for inst in gt for c in inst.categories})
-    return (
-        {c: index.pool(c) for c in categories},
-        {"gt": args.gt, "det": args.det},
-    )
+    index, categories = _detection_index(args)
+    return {c: index.pool(c) for c in categories}, {"gt": args.gt, "det": args.det}
 
 
 def cmd_sap(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError("--trials: must be at least 1")
+    sap_config = _sap_config(args, include_background=not args.no_background)
     pools, inputs = _load_pools(args)
-
-    records = []
-    results = []
-    for category in sorted(pools):
-        pool = pools[category]
-        if pool.n_pos == 0:
-            records.append(
-                {
-                    "category": category,
-                    "n_pos": 0,
-                    "ap": None,
-                    "sap_mean": None,
-                    "sap_std": None,
-                    "degenerate": None,
-                }
-            )
-            continue
-        config = SapConfig(
-            n_trials=args.trials,
-            seed=mix_seed(args.seed, 1000 + category),
-            include_background=not args.no_background,
-        )
-        result = sampled_ap(pool, config)
-        results.append(result)
-        record = {
-            "category": category,
-            "n_pos": result.n_pos,
-            "ap": average_precision(pool),
-            "sap_mean": result.mean,
-            "sap_std": result.std,
-            "degenerate": result.degenerate,
-        }
-        if args.store_trials:
-            record["trial_aps"] = list(result.trial_aps)
-        records.append(record)
-
+    evals = score_pools(pools, sap_config)
+    records = [
+        {k: v for k, v in e.to_dict(args.store_trials).items() if k != "n_neg"} for e in evals
+    ]
+    results = [e.sap for e in evals if e.sap is not None]
     report = {
         "categories": records,
         "aggregate": {"msap": msap(results, args.min_examples)},
     }
-    write_atomic(args.out, _json_text(report))
-    write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        "sap",
-        _config_dict(args),
-        inputs,
-        {"report": args.out},
-        args.seed,
-    )
+    _write_output(args, "sap", "report", _json_text(report), inputs)
     print(f"mSAP {report['aggregate']['msap']:.4f}")
     return 0
 
@@ -297,15 +268,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         include_background=not args.no_background,
     )
     lines = ["N,mean,std"] + [f"{p.n_trials},{p.mean!r},{p.std!r}" for p in points]
-    write_atomic(args.out, "\n".join(lines) + "\n")
-    write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        "stability",
-        _config_dict(args),
-        inputs,
-        {"profile": args.out},
-        args.seed,
-    )
+    _write_output(args, "stability", "profile", "\n".join(lines) + "\n", inputs)
     print(f"wrote {len(points)} trial counts to {args.out}")
     return 0
 
@@ -322,39 +285,24 @@ def cmd_split(args: argparse.Namespace) -> int:
         "tail": sorted(split.tail),
         "threshold": split.threshold,
     }
-    write_atomic(args.out, _json_text(payload))
-    write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        "split",
-        _config_dict(args),
-        {"train_ap": args.train_ap, "val_ap": args.val_ap},
-        {"split": args.out},
-        None,
-    )
+    inputs = {"train_ap": args.train_ap, "val_ap": args.val_ap}
+    _write_output(args, "split", "split", _json_text(payload), inputs)
     print(f"head {len(split.head)} / tail {len(split.tail)} categories")
     return 0
-
-
-def _load_split(path: str) -> HeadTailSplit:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return HeadTailSplit(
-        frozenset(int(c) for c in payload["head"]),
-        frozenset(int(c) for c in payload["tail"]),
-        float(payload.get("threshold", 0.0)),
-    )
 
 
 # ---------------------------------------------------------------- train
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    sap_config = _sap_config(args)
     data_dir = Path(args.data_dir)
     train = read_feature_dataset(data_dir / "train.jsonl")
     val = read_feature_dataset(data_dir / "val.jsonl", n_categories=train.n_categories)
 
     split = None
     if args.split:
-        split = _load_split(args.split)
+        split = read_split(args.split)
     elif args.auto_split:
         split = count_split(train)
     elif VARIANTS[args.variant].second_stage:
@@ -384,7 +332,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     history: list = []
     params = run_ablation(train, split, args.variant, config, history=history)
 
-    sap_config = SapConfig(n_trials=args.trials, seed=args.seed)
     report_train = evaluate_model(
         params, train, sap_config, split=split, min_examples=args.min_examples
     )
@@ -457,9 +404,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         agg = aggregates.get(group)
         if agg is None:
             continue
-        rows.append(
-            f"{group},{agg['msap']!r},{agg['map']!r},{agg['categories']},{agg['eligible']}"
-        )
+        try:
+            rows.append(
+                f"{group},{agg['msap']!r},{agg['map']!r},{agg['categories']},{agg['eligible']}"
+            )
+        except KeyError as exc:
+            raise ConfigError(f"--metrics: the {group} aggregate lacks {exc}") from None
     summary_path = out_dir / "summary.csv"
     write_atomic(summary_path, "\n".join(rows) + "\n")
     outputs["summary.csv"] = summary_path
@@ -529,6 +479,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ConfigError("manifest is not an object")
     command = manifest.get("command")
     (subcommands,) = (
         action.choices

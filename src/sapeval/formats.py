@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .boxes import BoundingBox, Detection, DetectionColumns, FrameKey, GroundTruthInstance
-from .datasets import Example, FeatureDataset
+from .datasets import Example, FeatureDataset, HeadTailSplit
 from .errors import ParseError
 
 
@@ -265,6 +265,17 @@ def serialize_predictions(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _json_scores(values: list) -> list:
+    """``values`` as floats if all are JSON numbers; ``ValueError`` for a
+    string, boolean or null, ``OverflowError`` for an integer beyond the
+    float range."""
+    kinds = {*map(type, values)}
+    if not kinds <= {float, int}:
+        bad = next(v for v in values if type(v) not in (float, int))
+        raise ValueError(f"score {bad!r} is not a number")
+    return [float(v) for v in values] if int in kinds else values
+
+
 def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]], np.ndarray]:
     """Returns (example ids, label sets, score matrix)."""
     path = str(path)
@@ -280,8 +291,8 @@ def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]],
                 record = json.loads(line)
                 ids.append(_json_int(record["id"], "id"))
                 labels.append(frozenset(_json_int(c, "label") for c in record["labels"]))
-                rows.append([float(v) for v in record["scores"]])
-            except (KeyError, TypeError, ValueError) as exc:
+                rows.append(_json_scores(record["scores"]))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
             if ids[-1] in seen:
                 raise ParseError(path, line_no, f"duplicate id {ids[-1]}")
@@ -295,12 +306,29 @@ def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]],
 
 def read_category_ap(path: str | Path) -> dict[int, float]:
     """Per-category AP map from either a plain ``{\"category\": ap}`` object
-    or a report JSON carrying a ``categories`` list."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(payload, dict) and "categories" in payload:
-        return {
-            int(c["category"]): float(c["ap"])
-            for c in payload["categories"]
-            if c.get("ap") is not None
-        }
-    return {int(k): float(v) for k, v in payload.items()}
+    or a report JSON carrying a ``categories`` list, whose records need a
+    ``category`` and an ``ap`` (null for a category that was not scored)."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(payload, dict) and "categories" in payload:
+            return {
+                _json_int(c["category"], "category"): float(c["ap"])
+                for c in payload["categories"]
+                if c["ap"] is not None
+            }
+        return {_int64(k, "category"): float(v) for k, v in payload.items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        raise ParseError(str(path), getattr(exc, "lineno", 0), f"bad AP file: {exc!r}") from None
+
+
+def read_split(path: str | Path) -> HeadTailSplit:
+    """Head/tail split as the ``split`` command writes it: integer ``head``
+    and ``tail`` lists and an optional ``threshold``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        head, tail = (frozenset(_json_int(c, "category") for c in payload[side])
+                      for side in ("head", "tail"))
+        threshold = float(payload.get("threshold", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        raise ParseError(str(path), getattr(exc, "lineno", 0), f"bad split: {exc!r}") from None
+    return HeadTailSplit(head, tail, threshold)

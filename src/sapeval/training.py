@@ -22,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .datasets import FeatureDataset, HeadTailSplit, oversample_balance
 from .errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
 from .manifest import write_atomic
 from .metrics import average_precision, mean_ap, CategoryScore
-from .pools import pools_from_scores
+from .pools import EvalPool, pools_from_scores
 from .sampling import SapConfig, SapResult, mix_seed, msap, sampled_ap
 
 #: Probabilities are kept this far from {0, 1} before any logarithm.
@@ -519,6 +519,24 @@ def _group_aggregate(
     }
 
 
+def score_pools(
+    pools: Mapping[int, EvalPool], sap_config: SapConfig
+) -> tuple[CategoryEvaluation, ...]:
+    """AP and sampled AP of each pool, in category order. A category
+    without positives carries null metrics. Category c's trials are seeded
+    with ``mix_seed(sap_config.seed, 1000 + c)``, so its result does not
+    depend on which other categories are scored."""
+    evals = []
+    for c, pool in sorted(pools.items()):
+        if pool.n_pos == 0:
+            evals.append(CategoryEvaluation(c, 0, pool.n_neg, None, None))
+            continue
+        trial_config = dataclasses.replace(sap_config, seed=mix_seed(sap_config.seed, 1000 + c))
+        sap = sampled_ap(pool, trial_config)
+        evals.append(CategoryEvaluation(c, pool.n_pos, pool.n_neg, average_precision(pool), sap))
+    return tuple(evals)
+
+
 def evaluate_model(
     params: ModelParams,
     dataset: FeatureDataset,
@@ -543,27 +561,10 @@ def evaluate_model(
     scores = np.vstack(
         [forward(params, x[i : i + batch_size]) for i in range(0, len(x), batch_size)]
     )
-    pools = pools_from_scores(scores, dataset.label_sets())
-    evals = []
-    for c in range(dataset.n_categories):
-        pool = pools[c]
-        if pool.n_pos == 0:
-            evals.append(CategoryEvaluation(c, 0, pool.n_neg, None, None))
-            continue
-        trial_config = SapConfig(
-            n_trials=sap_config.n_trials,
-            seed=mix_seed(sap_config.seed, 1000 + c),
-            include_background=sap_config.include_background,
-        )
-        evals.append(
-            CategoryEvaluation(
-                c,
-                pool.n_pos,
-                pool.n_neg,
-                average_precision(pool),
-                sampled_ap(pool, trial_config),
-            )
-        )
+    pools = pools_from_scores(
+        scores, dataset.label_sets(), categories=range(dataset.n_categories)
+    )
+    evals = score_pools(pools, sap_config)
 
     aggregates = {"all": _group_aggregate(evals, min_examples)}
     if split is not None:
@@ -573,7 +574,7 @@ def evaluate_model(
         aggregates["tail"] = _group_aggregate(
             [e for e in evals if e.category in split.tail], min_examples
         )
-    return EvalReport(tuple(evals), aggregates)
+    return EvalReport(evals, aggregates)
 
 
 def config_hash(config: TrainConfig) -> str:

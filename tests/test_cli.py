@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,37 @@ class TestSap:
         assert "preds.jsonl:2:" in err and message in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "scores,message",
+        [
+            ('["0.1", 0.5]', "score '0.1' is not a number"),
+            ("[0.1, true]", "score True is not a number"),
+            ("[null, 0.5]", "score None is not a number"),
+            (f"[{'9' * 400}, 0.5]", "int too large to convert to float"),
+        ],
+        ids=["string_score", "bool_score", "null_score", "huge_integer_score"],
+    )
+    def test_non_number_score_is_parse_error_with_line(self, tmp_path, capsys, scores, message):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": 0, "labels": [0, 1], "scores": [0.9, 0.2]}\n'
+                         f'{{"id": 1, "labels": [1], "scores": {scores}}}\n')
+        assert run("sap", "--predictions", preds, "--out", tmp_path / "x.json") == 3
+        err = capsys.readouterr().err
+        assert "preds.jsonl:2:" in err and message in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_integer_scores_read_as_floats(self, tmp_path):
+        reports = []
+        for name, scores in (("ints", "[1, 0]"), ("floats", "[1.0, 0.0]")):
+            preds = tmp_path / f"{name}.jsonl"
+            preds.write_text('{"id": 0, "labels": [0, 1], "scores": [0.9, 0.2]}\n'
+                             f'{{"id": 1, "labels": [1], "scores": {scores}}}\n'
+                             '{"id": 2, "labels": [], "scores": [0.3, 0.4]}\n')
+            out = tmp_path / f"{name}.json"
+            assert run("sap", "--predictions", preds, "--out", out, "--min-examples", 1) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_rare_random_category_ap_collapses_but_sap_does_not(self, tmp_path):
         # 32 positives out of ~94k with uniformly random scores: plain AP
         # lands at the positive ratio while the balanced metric stays near
@@ -291,6 +326,28 @@ class TestSplit:
             "split", "--train-ap", tmp_path / "train.json",
             "--val-ap", tmp_path / "val.json", "--out", tmp_path / "split.json",
         ) == 2
+
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"categories": [{"category": 1.7, "ap": 0.5}]}', "category 1.7 is not an integer"),
+            ('{"categories": [{"ap": 0.5}]}', "KeyError('category')"),
+            ('{"categories": [{"category": 1}]}', "KeyError('ap')"),
+            ('{"1.5": 0.5}', "invalid literal"),
+            ('{"0": 0.5,\n "1": }', "ap.json:2:"),
+        ],
+        ids=["float_category", "no_category", "no_ap", "float_key", "malformed_json"],
+    )
+    def test_bad_ap_file_is_parse_error(self, tmp_path, capsys, text, message):
+        (tmp_path / "train.json").write_text('{"0": 0.9, "1": 0.2}')
+        (tmp_path / "ap.json").write_text(text)
+        assert run(
+            "split", "--train-ap", tmp_path / "train.json",
+            "--val-ap", tmp_path / "ap.json", "--out", tmp_path / "split.json",
+        ) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "split.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +415,38 @@ class TestTrain:
         rc = self._train(data, tmp_path / "run", "--variant", "baseline_plain")
         assert rc == 3
         assert f"{name}:{line_no}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"head": [0, 1, 2]}', "KeyError('tail')"),
+            ('{"head": [0, 1.9], "tail": [2, 3, 4, 5]}', "category 1.9 is not an integer"),
+            ('{"head": [0, "1"], "tail": [2, 3, 4, 5]}', "category '1' is not an integer"),
+            ('[0, 1]', "bad split"),
+            ('{"head": [0, 1, 2],\n "tail": [3, 4, 5}', "split.json:2:"),
+        ],
+        ids=["no_tail", "float_category", "string_category", "list", "malformed_json"],
+    )
+    def test_bad_split_file_is_parse_error(self, synth_dir, tmp_path, capsys, text, message):
+        split_file = tmp_path / "split.json"
+        split_file.write_text(text)
+        out = tmp_path / "run"
+        assert self._train(synth_dir, out, "--split", split_file) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_trials_rejected_before_training(self, synth_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        import sapeval.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking --trials")
+
+        monkeypatch.setattr(sapeval.cli, "run_ablation", no_training)
+        out = tmp_path / "run"
+        assert self._train(synth_dir, out, "--variant", "baseline_plain", "--trials", 0) == 2
+        assert "--trials: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_writes_checkpoint_and_metrics(self, synth_dir, tmp_path):
         out = tmp_path / "run"
@@ -453,6 +542,12 @@ class TestRerunDeterminism:
             "store_trials, trials"
         ) in capsys.readouterr().err
 
+    def test_rerun_rejects_non_object_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps([{"command": "eval", "config": {}}]))
+        assert run("rerun", manifest) == 2
+        assert "manifest is not an object" in capsys.readouterr().err
+
     def test_rerun_rejects_missing_config(self, tmp_path, capsys):
         manifest = tmp_path / "run_manifest.json"
         manifest.write_text(json.dumps({"command": "eval"}))
@@ -478,6 +573,16 @@ class TestReportCompare:
             "--out-dir", report_dir,
         ) == 0
         assert (report_dir / "compare.svg").exists()
+
+
+    def test_aggregate_without_msap_exit_2(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(json.dumps({
+            "categories": [{"category": 0, "ap": 0.5, "sap_mean": 0.6}],
+            "aggregates": {"all": {"map": 0.5, "categories": 1, "eligible": 1}},
+        }))
+        assert run("report", "--metrics", metrics, "--out-dir", tmp_path / "out") == 2
+        assert "the all aggregate lacks 'msap'" in capsys.readouterr().err
 
 
 def write_ava_fixture(directory, seed=11):
@@ -554,3 +659,184 @@ def test_reports_are_byte_identical_to_golden(tmp_path, name):
     out = tmp_path / "report.json"
     assert run(*argv, "--gt", gt, "--det", det, "--out", out, "--min-examples", 3) == 0
     assert sha256_file(out) == digest
+
+
+def write_golden_inputs(directory, seed=13):
+    """Small seeded inputs for every command, written as text so they do
+    not depend on sapeval's serializers: a predictions JSONL (60 examples x
+    4 categories, scores in millionths, some tied, category 3 rare), the
+    AVA-shaped CSVs of ``write_ava_fixture``, a train/val feature dataset
+    over 6 Zipf-sized categories, a head/tail split, per-category AP files
+    in both accepted shapes, two metrics JSONs for ``report`` (the train
+    command's shape and a bare evaluation) and a dataset manifest with
+    category counts."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    paths = {}
+
+    def write(name, lines):
+        paths[name.split(".")[0]] = directory / name
+        (directory / name).write_text("\n".join(lines) + "\n")
+
+    records = []
+    for i in range(60):
+        labels = sorted({i % 3, *([3] if i % 11 == 0 else [])})
+        scores = [int(v) / 10**6 for v in rng.integers(0, 10**6 + 1, 4)]
+        scores[int(rng.integers(0, 4))] = float(rng.choice([0.25, 0.5, 0.75]))
+        records.append(json.dumps({"id": 100 + 7 * i, "labels": labels, "scores": scores}))
+    write("preds.jsonl", records)
+    paths["gt"], paths["det"] = write_ava_fixture(directory)
+
+    data = directory / "data"
+    data.mkdir()
+    paths["data"] = data
+    for split, scale in (("train", 1.0), ("val", 0.5)):
+        lines = []
+        for c, count in enumerate((40, 22, 12, 7, 4, 3)):
+            for _ in range(max(2, int(count * scale))):
+                center = [1.0 if d == c else 0.0 for d in range(6)]
+                features = [round(v + float(rng.normal(0, 0.4)), 4) for v in center]
+                labels = [c, *([int(rng.integers(0, 6))] if rng.random() < 0.1 else [])]
+                lines.append(json.dumps({"id": len(lines), "split": split,
+                                         "labels": list(dict.fromkeys(labels)),
+                                         "features": features}))
+        order = rng.permutation(len(lines))
+        (data / f"{split}.jsonl").write_text("\n".join(lines[i] for i in order) + "\n")
+    write("split.json", [json.dumps({"head": [0, 1, 2], "tail": [3, 4, 5], "threshold": 0.0})])
+
+    aps = [round(float(v), 4) for v in rng.random(12)]
+    write("train_ap.json", [json.dumps({str(c): aps[c] for c in range(6)})])
+    write("val_ap.json", [json.dumps({"categories": [
+        {"category": c, "n_pos": 3, "ap": aps[6 + c] if c != 4 else aps[4]} for c in range(6)
+    ] + [{"category": 6, "n_pos": 0, "ap": None}]})])
+
+    def evaluation():
+        categories = []
+        for c in range(6):
+            ap = float(rng.random())
+            sap = None if c == 5 else float(rng.random())
+            categories.append({"category": c, "n_pos": 6 - c, "n_neg": 30, "ap": ap,
+                               "sap_mean": sap, "sap_std": None if sap is None else 0.05,
+                               "degenerate": None if sap is None else False})
+        aggregates = {
+            group: {"msap": float(rng.random()), "map": float(rng.random()),
+                    "categories": n, "eligible": n - 1}
+            for group, n in (("all", 6), ("head", 3), ("tail", 3))
+        }
+        return {"categories": categories, "aggregates": aggregates}
+
+    write("metrics.json", [json.dumps({"variant": "two_stage",
+                                       "evaluation": {"train": evaluation(),
+                                                      "val": evaluation()}})])
+    write("compare.json", [json.dumps(evaluation())])
+    write("counts.json", [json.dumps({"zipf_counts": [40, 22, 12, 7, 4, 3]})])
+    return paths
+
+
+#: SHA-256 of every output of each command on ``write_golden_inputs``'s
+#: files, recorded with the per-command scoring, writing and loading code
+#: that one shared scorer, report writer and detection loader replaced.
+GOLDEN_OUTPUTS = {
+    "sap_predictions": (
+        ["sap", "--predictions", "{preds}", "--out", "{out}/sap.json", "--trials", "6",
+         "--seed", "3", "--min-examples", "2"],
+        {
+            "sap.json": "dc66bbaa248f7789d89fab5307cac5b63188e587d366e40d3e7064613158a59b",
+        }),
+    "sap_predictions_store_trials": (
+        ["sap", "--predictions", "{preds}", "--out", "{out}/sap.json", "--trials", "4",
+         "--seed", "8", "--min-examples", "5", "--store-trials"],
+        {
+            "sap.json": "a89c3a042ab1099ab133c26243b0f6f9ecba700c6e09a54647268a3c5af569f4",
+        }),
+    "stability_predictions": (
+        ["stability", "--predictions", "{preds}", "--category", "1", "--trials", "3,6",
+         "--repeats", "3", "--seed", "2", "--out", "{out}/profile.csv"],
+        {
+            "profile.csv": "cfaa4568b833e79d249e4692e7192dac4f7d60087432823d816d5b2478fd6944",
+        }),
+    "stability_detections": (
+        ["stability", "--gt", "{gt}", "--det", "{det}", "--category", "2", "--trials", "2,5",
+         "--repeats", "4", "--seed", "6", "--no-background", "--out", "{out}/profile.csv"],
+        {
+            "profile.csv": "2e3fe6e757ce940bb78b9284438ec64e941ef93793d50754c1f58f8770687a5b",
+        }),
+    "split": (
+        ["split", "--train-ap", "{train_ap}", "--val-ap", "{val_ap}", "--threshold", "0.1",
+         "--out", "{out}/split.json"],
+        {
+            "split.json": "e243114e019af1d22f3abd2eb52f6abaa5d1fd4c5d5ce9fbc3859548218e8a85",
+        }),
+    "synth": (
+        ["synth", "--out-dir", "{out}", "--categories", "5", "--max-count", "30",
+         "--min-count", "3", "--feature-dim", "4", "--multilabel-rate", "0.3", "--seed", "4"],
+        {
+            "train.jsonl": "f6f40bfbd2767d6f761db6d66ddd506f58cb9f17b678c8b6b77952e88e5d4fc0",
+            "val.jsonl": "9555c2d0c79bd6c977ed1d8b8b720e781bef379ffc9b2dd365b53a08c1b41b6c",
+            "test.jsonl": "1786e3e022ce9110d4f0a134a5d5b5d49b47e312d0209a3d05c53f04aa8db71a",
+            "dataset_manifest.json": "03fa41d06b7565915ff056bf0a03a6071c14f171aee698faa0ccc61c201df935",
+        }),
+    "train_two_stage": (
+        ["train", "--data-dir", "{data}", "--out-dir", "{out}", "--variant", "two_stage",
+         "--split", "{split}", "--seed", "1", "--hidden-dim", "8", "--embedding-dim", "4",
+         "--stage1-lr-start", "0.5", "--stage1-lr-end", "0.05", "--stage1-epochs", "3",
+         "--stage2-lr-start", "0.3", "--stage2-lr-end", "0.03", "--stage2-epochs", "2",
+         "--trials", "5"],
+        {
+            "metrics.json": "e6b75a3448aa64d0bf6ffb9457fc64418780b9ee202bb740a95e8ad87b85702e",
+            "checkpoint.json": "de528e1209f7df937c86d08c8126cddbae0353beec932d567dbb37db2ba46072",
+        }),
+    "train_naive_balanced": (
+        ["train", "--data-dir", "{data}", "--out-dir", "{out}", "--variant", "naive_balanced",
+         "--auto-split", "--seed", "3", "--hidden-dim", "8", "--embedding-dim", "4",
+         "--stage1-lr-start", "0.5", "--stage1-lr-end", "0.05", "--stage1-epochs", "2",
+         "--trials", "3", "--min-examples", "3"],
+        {
+            "metrics.json": "8747c7a0e8fd2d77ffa706de0aaf91119a55ebbe81e0f8ce801a17ea3bc4ce5f",
+            "checkpoint.json": "72d33309b4dcecb176d8e5ef3f54b298467f4650a51dcc550a2815193d77630e",
+        }),
+    "report": (
+        ["report", "--metrics", "{metrics}", "--compare", "{compare}", "--counts", "{counts}",
+         "--out-dir", "{out}"],
+        {
+            "summary.csv": "c0287e8357cb5e21174af894b89da4be40051e3e0feb701616936488dede89da",
+            "ap_vs_sap.svg": "96ddd786e72fbe7f3042074d84bd024e933af718ab78b5ab06be186c5d7f6de4",
+            "compare.svg": "833171a7e088b310634bef090df6cbf159ae5ee9147a074ff7ffd78b8d45524c",
+            "counts.svg": "d5d5cbb5e136b55cc94c34e24bdf71f411c752bb5a75b29cc2b4d29266ac749a",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_outputs_are_byte_identical_to_golden(tmp_path, name):
+    argv, expected = GOLDEN_OUTPUTS[name]
+    paths = write_golden_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    assert run(*(a.format(out=out, **paths) for a in argv)) == 0
+    assert digests(out / f for f in expected) == expected
+
+
+
+@pytest.mark.parametrize("name", ["sap_predictions", "stability_detections", "split"])
+def test_output_manifest_sits_next_to_the_output(tmp_path, name):
+    argv, expected = GOLDEN_OUTPUTS[name]
+    paths = write_golden_inputs(tmp_path / "in")
+    out = tmp_path / "out"
+    assert run(*(a.format(out=out, **paths) for a in argv)) == 0
+    (output,) = expected
+    manifest = json.loads((out / f"{output}.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert list(manifest["outputs"].values()) == [expected[output]]
+    assert manifest["seed"] == (int(argv[argv.index("--seed") + 1]) if "--seed" in argv else None)
+
+def test_tracer_finds_every_name_it_wraps():
+    """``perfbench/tracing.install`` wraps entry points by name in the module
+    that calls them (``cli.sampled_ap``, ``training.average_precision``, ...);
+    installing it fails if any of those names is gone."""
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install('check')"],
+        cwd=root / "perfbench", env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
