@@ -51,6 +51,8 @@ REFERENCE_FRACTIONS = (0.6, 0.2, 0.2)
 STAGE1_STEPS = 400
 STAGE2_STEPS = 500
 BATCH_SIZE = 128
+#: Share of the categories, most frequent first, in ``count_split``'s head.
+HEAD_FRACTION = 0.5
 
 DEFAULT_VARIANTS = (
     "baseline_plain",
@@ -66,11 +68,11 @@ def epochs_for_budget(n_examples: int, batch_size: int, budget_steps: int) -> in
     return max(1, round(budget_steps / batches))
 
 
-def count_split(dataset: FeatureDataset, head_fraction: float = 0.5) -> HeadTailSplit:
+def count_split(dataset: FeatureDataset) -> HeadTailSplit:
     """Head = the most frequent half of the categories in this split."""
     counts = dataset.contains_counts()
     order = np.argsort(-counts, kind="stable")
-    n_head = max(1, round(dataset.n_categories * head_fraction))
+    n_head = max(1, round(dataset.n_categories * HEAD_FRACTION))
     return HeadTailSplit(
         frozenset(int(c) for c in order[:n_head]),
         frozenset(int(c) for c in order[n_head:]),

@@ -29,7 +29,6 @@ from .errors import (
     NonFiniteLoss,
     NoPositives,
     ParseError,
-    TooManySubsets,
     UnknownCategory,
 )
 from .formats import (
@@ -41,7 +40,7 @@ from .formats import (
     read_split,
     serialize_feature_dataset,
 )
-from .manifest import write_atomic, write_manifest
+from .manifest import json_text, write_atomic, write_manifest
 from .metrics import CategoryScore, frame_ap_from_index, mean_ap, roc_auc
 from .pools import FrameIndex, pools_from_scores
 # not called here; perfbench/tracing.py wraps them under these names
@@ -54,10 +53,10 @@ from .training import (
     VARIANTS,
     StagePlan,
     TrainConfig,
+    checkpoint_text,
     config_hash,
     evaluate_model,
     run_ablation,
-    save_checkpoint,
     score_pools,
 )
 
@@ -68,10 +67,6 @@ EXIT_EMPTY = 4
 
 class ConfigError(Exception):
     pass
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
@@ -100,14 +95,22 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
 
 
-def _write_output(
-    args: argparse.Namespace, command: str, output: str, text: str, inputs: dict
+def _write_outputs(
+    args: argparse.Namespace, command: str, outputs: dict[str, tuple[Path, str]], inputs: dict
 ) -> None:
-    """Write ``text`` to ``--out`` and the run manifest to
-    ``<out>.manifest.json``, seeded with ``--seed`` if the command has one."""
-    write_atomic(args.out, text)
-    write_manifest(Path(str(args.out) + ".manifest.json"), command, _config_dict(args),
-                   inputs, {output: args.out}, getattr(args, "seed", None))
+    """Write each output's text to its path, then the run manifest, seeded
+    with ``--seed`` if the command has one: ``<out>.manifest.json`` beside
+    ``--out``, else ``report_manifest.json`` (``report``) or ``run_manifest.json``
+    in ``--out-dir``. Called once every output is computed: a failed command writes nothing."""
+    for path, text in outputs.values():
+        write_atomic(path, text)
+    if getattr(args, "out", None):
+        manifest = Path(str(args.out) + ".manifest.json")
+    else:
+        filename = "report_manifest.json" if command == "report" else "run_manifest.json"
+        manifest = Path(args.out_dir) / filename
+    write_manifest(manifest, command, _config_dict(args), inputs,
+                   {name: path for name, (path, _) in outputs.items()}, getattr(args, "seed", None))
 
 
 def _detection_index(args: argparse.Namespace) -> tuple[FrameIndex, list[int]]:
@@ -145,25 +148,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     datasets = synthesize_dataset(spec, fractions)
     out_dir = Path(args.out_dir)
-    outputs: dict[str, Path] = {}
-    for name, dataset in datasets.items():
-        path = out_dir / f"{name}.jsonl"
-        write_atomic(path, serialize_feature_dataset(dataset))
-        outputs[f"{name}.jsonl"] = path
-
+    outputs = {
+        f"{name}.jsonl": (out_dir / f"{name}.jsonl", serialize_feature_dataset(dataset))
+        for name, dataset in datasets.items()
+    }
     dataset_manifest = {
         "zipf_counts": zipf_counts(spec),
         "spec": dataclasses.asdict(spec),
         "fractions": list(fractions),
         "splits": {name: len(ds) for name, ds in datasets.items()},
     }
-    manifest_path = out_dir / "dataset_manifest.json"
-    write_atomic(manifest_path, _json_text(dataset_manifest))
-    outputs["dataset_manifest.json"] = manifest_path
-
-    write_manifest(
-        out_dir / "run_manifest.json", "synth", _config_dict(args), {}, outputs, args.seed
-    )
+    outputs["dataset_manifest.json"] = (out_dir / "dataset_manifest.json",
+                                        json_text(dataset_manifest))
+    _write_outputs(args, "synth", outputs, {})
     print(f"wrote {len(outputs)} files to {out_dir}")
     return 0
 
@@ -203,7 +200,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "eligible_categories": len(eligible),
         },
     }
-    _write_output(args, "eval", "report", _json_text(report), {"gt": args.gt, "det": args.det})
+    _write_outputs(args, "eval", {"report": (args.out, json_text(report))},
+                   {"gt": args.gt, "det": args.det})
     print(f"mAP {report['aggregate']['map']:.4f} over {len(eligible)} categories")
     return 0
 
@@ -217,11 +215,6 @@ def _load_pools(args: argparse.Namespace) -> tuple[dict[int, object], dict[str, 
         if args.gt or args.det:
             raise ConfigError("--predictions excludes --gt/--det")
         ids, labels, scores = read_predictions(args.predictions)
-        if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails both
-            raise ParseError(args.predictions, 0, "scores must lie in [0, 1]")
-        k = scores.shape[1]
-        if any(c < 0 or c >= k for label_set in labels for c in label_set):
-            raise ParseError(args.predictions, 0, f"labels must lie in [0, {k})")
         return (
             pools_from_scores(scores, labels, ids),
             {"predictions": args.predictions},
@@ -244,7 +237,7 @@ def cmd_sap(args: argparse.Namespace) -> int:
         "categories": records,
         "aggregate": {"msap": msap(results, args.min_examples)},
     }
-    _write_output(args, "sap", "report", _json_text(report), inputs)
+    _write_outputs(args, "sap", {"report": (args.out, json_text(report))}, inputs)
     print(f"mSAP {report['aggregate']['msap']:.4f}")
     return 0
 
@@ -268,7 +261,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         include_background=not args.no_background,
     )
     lines = ["N,mean,std"] + [f"{p.n_trials},{p.mean!r},{p.std!r}" for p in points]
-    _write_output(args, "stability", "profile", "\n".join(lines) + "\n", inputs)
+    _write_outputs(args, "stability", {"profile": (args.out, "\n".join(lines) + "\n")}, inputs)
     print(f"wrote {len(points)} trial counts to {args.out}")
     return 0
 
@@ -286,7 +279,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         "threshold": split.threshold,
     }
     inputs = {"train_ap": args.train_ap, "val_ap": args.val_ap}
-    _write_output(args, "split", "split", _json_text(payload), inputs)
+    _write_outputs(args, "split", {"split": (args.out, json_text(payload))}, inputs)
     print(f"head {len(split.head)} / tail {len(split.tail)} categories")
     return 0
 
@@ -346,9 +339,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         "config": dataclasses.asdict(config),
         "config_hash": config_hash(config),
     }
-    checkpoint_path = out_dir / "checkpoint.json"
-    save_checkpoint(checkpoint_path, params, config_payload)
-
     metrics = {
         "variant": args.variant,
         "seed": args.seed,
@@ -360,20 +350,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     if split is not None:
         metrics["head"] = sorted(split.head)
         metrics["tail"] = sorted(split.tail)
-    metrics_path = out_dir / "metrics.json"
-    write_atomic(metrics_path, _json_text(metrics))
-
     inputs = {"train.jsonl": data_dir / "train.jsonl", "val.jsonl": data_dir / "val.jsonl"}
     if args.split:
         inputs["split"] = args.split
-    write_manifest(
-        out_dir / "run_manifest.json",
-        "train",
-        _config_dict(args),
-        inputs,
-        {"checkpoint.json": checkpoint_path, "metrics.json": metrics_path},
-        args.seed,
-    )
+    _write_outputs(args, "train", {
+        "checkpoint.json": (out_dir / "checkpoint.json", checkpoint_text(params, config_payload)),
+        "metrics.json": (out_dir / "metrics.json", json_text(metrics)),
+    }, inputs)
     val_msap = report_val.aggregates["all"]["msap"]
     print(f"{args.variant}: val mSAP {val_msap if val_msap is None else round(val_msap, 4)}")
     return 0
@@ -382,23 +365,28 @@ def cmd_train(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- report
 
 
-def _evaluation_payload(payload: dict) -> dict:
-    if "evaluation" in payload:
-        return payload["evaluation"]["val"]
-    if "categories" in payload and "aggregates" in payload:
-        return payload
-    raise ConfigError("--metrics: no per-category evaluation found in file")
+def _evaluation(payload: dict) -> tuple[list[tuple], dict]:
+    """(category, AP, sampled AP) of each scored category, and the
+    aggregates, of a ``train`` metrics file's validation evaluation or of an
+    evaluation report."""
+    evaluation = payload["evaluation"]["val"] if "evaluation" in payload else payload
+    scored = [(c["category"], c["ap"], c["sap_mean"])
+              for c in evaluation["categories"] if c.get("sap_mean") is not None]
+    return scored, evaluation["aggregates"]
+
+
+def _report_input(flag: str, path: str, read):
+    """``read`` applied to the JSON in ``path``; a missing key or a value of
+    the wrong type is a ``ConfigError`` naming the flag, the file and the key."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return read(payload)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{flag}: {path}: {exc!r}") from None
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.metrics).read_text(encoding="utf-8"))
-    evaluation = _evaluation_payload(payload)
-    categories = evaluation["categories"]
-    aggregates = evaluation["aggregates"]
-
-    out_dir = Path(args.out_dir)
-    outputs: dict[str, Path] = {}
-
+    scored, aggregates = _report_input("--metrics", args.metrics, _evaluation)
     rows = ["group,msap,map,categories,eligible"]
     for group in ("all", "tail", "head"):
         agg = aggregates.get(group)
@@ -409,52 +397,40 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{group},{agg['msap']!r},{agg['map']!r},{agg['categories']},{agg['eligible']}"
             )
         except KeyError as exc:
-            raise ConfigError(f"--metrics: the {group} aggregate lacks {exc}") from None
-    summary_path = out_dir / "summary.csv"
-    write_atomic(summary_path, "\n".join(rows) + "\n")
-    outputs["summary.csv"] = summary_path
+            raise ConfigError(
+                f"--metrics: {args.metrics}: the {group} aggregate lacks {exc}"
+            ) from None
 
-    scored = [c for c in categories if c.get("sap_mean") is not None]
-    labels = [str(c["category"]) for c in scored]
+    out_dir = Path(args.out_dir)
     chart = grouped_bar_chart(
-        labels,
-        {
-            "AP": [c["ap"] for c in scored],
-            "sampled AP": [c["sap_mean"] for c in scored],
-        },
+        [str(c) for c, _, _ in scored],
+        {"AP": [ap for _, ap, _ in scored], "sampled AP": [sap for _, _, sap in scored]},
         title="AP vs sampled AP by category",
         y_label="score",
     )
-    chart_path = out_dir / "ap_vs_sap.svg"
-    write_atomic(chart_path, chart)
-    outputs["ap_vs_sap.svg"] = chart_path
-
+    outputs = {
+        "summary.csv": (out_dir / "summary.csv", "\n".join(rows) + "\n"),
+        "ap_vs_sap.svg": (out_dir / "ap_vs_sap.svg", chart),
+    }
     inputs = {"metrics": args.metrics}
     if args.compare:
-        other = _evaluation_payload(
-            json.loads(Path(args.compare).read_text(encoding="utf-8"))
-        )
-        other_by_cat = {
-            c["category"]: c for c in other["categories"] if c.get("sap_mean") is not None
-        }
-        shared = [c for c in scored if c["category"] in other_by_cat]
+        other, _ = _report_input("--compare", args.compare, _evaluation)
+        other_sap = {c: sap for c, _, sap in other}
+        shared = [(c, sap) for c, _, sap in scored if c in other_sap]
         compare_chart = grouped_bar_chart(
-            [str(c["category"]) for c in shared],
+            [str(c) for c, _ in shared],
             {
-                "this run": [c["sap_mean"] for c in shared],
-                "comparison": [other_by_cat[c["category"]]["sap_mean"] for c in shared],
+                "this run": [sap for _, sap in shared],
+                "comparison": [other_sap[c] for c, _ in shared],
             },
             title="sampled AP by category",
             y_label="sampled AP",
         )
-        compare_path = out_dir / "compare.svg"
-        write_atomic(compare_path, compare_chart)
-        outputs["compare.svg"] = compare_path
+        outputs["compare.svg"] = (out_dir / "compare.svg", compare_chart)
         inputs["compare"] = args.compare
 
     if args.counts:
-        dataset_manifest = json.loads(Path(args.counts).read_text(encoding="utf-8"))
-        counts = dataset_manifest["zipf_counts"]
+        counts = _report_input("--counts", args.counts, lambda manifest: manifest["zipf_counts"])
         counts_chart = grouped_bar_chart(
             [str(c) for c in range(len(counts))],
             {"examples": counts},
@@ -462,14 +438,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             y_label="examples",
             log_scale=True,
         )
-        counts_path = out_dir / "counts.svg"
-        write_atomic(counts_path, counts_chart)
-        outputs["counts.svg"] = counts_path
+        outputs["counts.svg"] = (out_dir / "counts.svg", counts_chart)
         inputs["counts"] = args.counts
 
-    write_manifest(
-        out_dir / "report_manifest.json", "report", _config_dict(args), inputs, outputs, None
-    )
+    _write_outputs(args, "report", outputs, inputs)
     print(f"wrote {', '.join(sorted(outputs))} to {out_dir}")
     return 0
 
@@ -628,7 +600,6 @@ def main(argv: list[str] | None = None) -> int:
         CategoryMismatch,
         UnknownCategory,
         InvalidCounts,
-        TooManySubsets,
         ValueError,
         FileNotFoundError,
     ) as exc:

@@ -25,10 +25,6 @@ class InvalidCounts(SapEvalError):
     """Count arguments violate 0 < n_pos <= n_total."""
 
 
-class TooManySubsets(SapEvalError):
-    """Exhaustive negative-subset enumeration would exceed the budget."""
-
-
 class EmptyCategory(SapEvalError):
     """A category in the label space has no examples."""
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -265,19 +266,20 @@ def serialize_predictions(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _json_scores(values: list) -> list:
+def _json_numbers(values: list, what: str) -> list:
     """``values`` as floats if all are JSON numbers; ``ValueError`` for a
     string, boolean or null, ``OverflowError`` for an integer beyond the
     float range."""
     kinds = {*map(type, values)}
     if not kinds <= {float, int}:
         bad = next(v for v in values if type(v) not in (float, int))
-        raise ValueError(f"score {bad!r} is not a number")
+        raise ValueError(f"{what} {bad!r} is not a number")
     return [float(v) for v in values] if int in kinds else values
 
 
 def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]], np.ndarray]:
-    """Returns (example ids, label sets, score matrix)."""
+    """Returns (example ids, label sets, score matrix). Scores must lie in
+    [0, 1] and labels in [0, K) for K scores per record."""
     path = str(path)
     ids: list[int] = []
     labels: list[frozenset[int]] = []
@@ -291,7 +293,7 @@ def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]],
                 record = json.loads(line)
                 ids.append(_json_int(record["id"], "id"))
                 labels.append(frozenset(_json_int(c, "label") for c in record["labels"]))
-                rows.append(_json_scores(record["scores"]))
+                rows.append(_json_numbers(record["scores"], "score"))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
             if ids[-1] in seen:
@@ -301,23 +303,45 @@ def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]],
                 raise ParseError(path, line_no, "inconsistent score vector length")
     if not ids:
         raise ParseError(path, 0, "no prediction records")
-    return ids, labels, np.asarray(rows, dtype=np.float64)
+    scores = np.asarray(rows, dtype=np.float64)
+    # row extremes (NaN propagates): no matrix-sized mask while ``rows`` lives
+    bad_scores = ~((scores.min(axis=1, initial=0.0) >= 0.0)
+                   & (scores.max(axis=1, initial=1.0) <= 1.0))
+    if bad_scores.any():
+        raise ParseError(path, _record_line(path, int(bad_scores.argmax())),
+                         "scores must lie in [0, 1]")
+    k = scores.shape[1]
+    flat = np.fromiter(chain.from_iterable(labels), dtype=np.int64)
+    if ((flat < 0) | (flat >= k)).any():
+        row = next(i for i, s in enumerate(labels) if any(c < 0 or c >= k for c in s))
+        raise ParseError(path, _record_line(path, row), f"labels must lie in [0, {k})")
+    return ids, labels, scores
+
+
+def _record_line(path: str, row: int) -> int:
+    """Line number of record ``row`` of a JSON-lines file, blank lines skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [n for n, line in enumerate(fh, start=1) if line.strip()][row]
 
 
 def read_category_ap(path: str | Path) -> dict[int, float]:
     """Per-category AP map from either a plain ``{\"category\": ap}`` object
     or a report JSON carrying a ``categories`` list, whose records need a
-    ``category`` and an ``ap`` (null for a category that was not scored)."""
+    ``category`` and an ``ap`` (null for a category that was not scored).
+    APs must be JSON numbers, and no category may appear twice."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if isinstance(payload, dict) and "categories" in payload:
-            return {
-                _json_int(c["category"], "category"): float(c["ap"])
-                for c in payload["categories"]
-                if c["ap"] is not None
-            }
-        return {_int64(k, "category"): float(v) for k, v in payload.items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+            pairs = [(_json_int(c["category"], "category"), c["ap"]) for c in payload["categories"]]
+            scored = [(c, ap) for c, ap in pairs if ap is not None]
+        else:
+            pairs = scored = [(_int64(k, "category"), v) for k, v in payload.items()]
+        categories = [c for c, _ in pairs]
+        if len(set(categories)) < len(categories):
+            twice = next(c for c in categories if categories.count(c) > 1)
+            raise ValueError(f"category {twice} listed twice")
+        return dict(zip([c for c, _ in scored], _json_numbers([ap for _, ap in scored], "AP")))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(path), getattr(exc, "lineno", 0), f"bad AP file: {exc!r}") from None
 
 

@@ -40,8 +40,9 @@ def write_atomic(path: str | Path, content: str) -> None:
         raise
 
 
-def write_json_atomic(path: str | Path, payload) -> None:
-    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+def json_text(payload) -> str:
+    """``payload`` as the indented, key-sorted JSON every output uses."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 def build_manifest(
@@ -73,5 +74,5 @@ def write_manifest(
     seed: int | None,
 ) -> dict:
     manifest = build_manifest(command, config, inputs, outputs, seed)
-    write_json_atomic(path, manifest)
+    write_atomic(path, json_text(manifest))
     return manifest

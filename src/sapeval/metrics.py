@@ -1,6 +1,6 @@
-"""Ranking metrics over evaluation pools: precision/recall, average
-precision, detection-protocol AP, mean AP, ROC-AUC, and the analytic
-baseline a random scorer converges to.
+"""Ranking metrics over evaluation pools: average precision,
+detection-protocol AP, mean AP, ROC-AUC, and the analytic baseline a
+random scorer converges to.
 
 Ranking is always by descending score with ties broken by ascending
 example id, so every metric here is reproducible bit-for-bit.
@@ -23,17 +23,6 @@ DEFAULT_MIN_EXAMPLES = 25
 
 
 @dataclass(frozen=True, slots=True)
-class PrPoint:
-    """One point on the stepwise precision/recall curve."""
-
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-
-
-@dataclass(frozen=True, slots=True)
 class CategoryScore:
     """A per-category metric value plus the pool sizes behind it."""
 
@@ -41,16 +30,6 @@ class CategoryScore:
     value: float
     n_pos: int
     n_neg: int
-
-
-def _ranked_positive_flags(
-    scores: np.ndarray, is_positive: np.ndarray, ids: np.ndarray | None
-) -> np.ndarray:
-    """Positive flags in rank order (descending score, ascending id)."""
-    if ids is None:
-        ids = np.arange(len(scores))
-    order = np.lexsort((ids, -scores))
-    return is_positive[order]
 
 
 def average_precision_from_arrays(
@@ -65,7 +44,10 @@ def average_precision_from_arrays(
     n_pos = int(is_positive.sum())
     if n_pos == 0:
         raise NoPositives("average precision needs at least one positive example")
-    return _ranked_ap(_ranked_positive_flags(scores, is_positive, ids), n_pos)
+    if ids is None:
+        ids = np.arange(len(scores))
+    # rank order: descending score, ascending id
+    return _ranked_ap(is_positive[np.lexsort((ids, -scores))], n_pos)
 
 
 def _ranked_ap(flags: np.ndarray, n_pos: int) -> float:
@@ -78,25 +60,6 @@ def _ranked_ap(flags: np.ndarray, n_pos: int) -> float:
 
 def average_precision(pool: EvalPool) -> float:
     return average_precision_from_arrays(pool.scores, pool.is_positive, pool.ids)
-
-
-def precision_recall_curve(pool: EvalPool) -> tuple[PrPoint, ...]:
-    """The stepwise PR curve, one point per ranked example."""
-    n_pos = pool.n_pos
-    if n_pos == 0:
-        raise NoPositives("PR curve needs at least one positive example")
-    ranked = _ranked_positive_flags(pool.scores, pool.is_positive, pool.ids)
-    points = []
-    tp = fp = 0
-    for flag in ranked:
-        if flag:
-            tp += 1
-        else:
-            fp += 1
-        points.append(
-            PrPoint(tp, fp, n_pos - tp, tp / (tp + fp), tp / n_pos)
-        )
-    return tuple(points)
 
 
 def frame_ap(

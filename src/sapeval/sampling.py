@@ -6,21 +6,18 @@ averaged. Balancing removes the dependence of AP on the positive/negative
 ratio, so a rare category and a frequent one with the same recognition
 quality score the same.
 
-Also here: the exact small-pool oracle (mean AP over every negative
-subset), the across-category mean, and the estimator-stability profile as
-a function of the trial count.
+Also here: the across-category mean, and the estimator-stability profile
+as a function of the trial count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NoEligibleCategories, NoPositives, TooManySubsets
+from .errors import NoEligibleCategories, NoPositives
 from .metrics import average_precision_from_arrays
 from .pools import EvalPool, ExampleOrigin
 
@@ -66,13 +63,6 @@ class SapResult:
     degenerate: bool
 
 
-def _trial_ap(pool: EvalPool, rows: np.ndarray) -> float:
-    """AP over the pool entries at ``rows``."""
-    return average_precision_from_arrays(
-        pool.scores[rows], pool.is_positive[rows], pool.ids[rows]
-    )
-
-
 def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
     """Mean AP over ``config.n_trials`` balanced negative subsamples.
 
@@ -97,7 +87,9 @@ def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
         else:
             rng = np.random.default_rng(mix_seed(config.seed, i))
             picked = negatives[rng.choice(n_neg, size=n_pos, replace=False)]
-        trial_aps.append(_trial_ap(pool, np.concatenate([positives, picked])))
+        rows = np.concatenate([positives, picked])
+        trial_aps.append(average_precision_from_arrays(
+            pool.scores[rows], pool.is_positive[rows], pool.ids[rows]))
 
     aps = np.array(trial_aps, dtype=np.float64)
     if float(aps.min()) == float(aps.max()):
@@ -113,27 +105,6 @@ def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
         n_pos=n_pos,
         degenerate=degenerate,
     )
-
-
-def sap_exact_small(pool: EvalPool, max_subsets: int = 500_000) -> float:
-    """Exact expected sampled AP: mean AP over every negative subset of size
-    |positives|. Only feasible for small pools; the trial-based estimator
-    must converge to this value."""
-    if pool.n_pos == 0:
-        raise NoPositives(f"category {pool.category} has no positive examples")
-    positives, negatives = np.flatnonzero(pool.is_positive), np.flatnonzero(~pool.is_positive)
-    n_pos, n_neg = len(positives), len(negatives)
-    if n_neg <= n_pos:
-        return _trial_ap(pool, np.concatenate([positives, negatives]))
-    n_subsets = math.comb(n_neg, n_pos)
-    if n_subsets > max_subsets:
-        raise TooManySubsets(
-            f"C({n_neg}, {n_pos}) = {n_subsets} subsets exceed budget {max_subsets}"
-        )
-    total = 0.0
-    for subset in combinations(negatives, n_pos):
-        total += _trial_ap(pool, np.concatenate([positives, subset]))
-    return total / n_subsets
 
 
 def msap(

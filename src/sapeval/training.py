@@ -28,13 +28,14 @@ import numpy as np
 
 from .datasets import FeatureDataset, HeadTailSplit, oversample_balance
 from .errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
-from .manifest import write_atomic
 from .metrics import average_precision, mean_ap, CategoryScore
 from .pools import EvalPool, pools_from_scores
 from .sampling import SapConfig, SapResult, mix_seed, msap, sampled_ap
 
 #: Probabilities are kept this far from {0, 1} before any logarithm.
 PROB_EPS = 1e-7
+#: Rows scored per forward pass in ``evaluate_model``.
+EVAL_BATCH_SIZE = 4096
 
 
 class Variant(NamedTuple):
@@ -543,7 +544,6 @@ def evaluate_model(
     sap_config: SapConfig = SapConfig(),
     split: HeadTailSplit | None = None,
     min_examples: int = 1,
-    batch_size: int = 4096,
 ) -> EvalReport:
     """Score a dataset and report AP and sampled AP per category, with
     unweighted aggregates over all categories and, when a split is given,
@@ -559,7 +559,7 @@ def evaluate_model(
         )
     x = dataset.feature_matrix()
     scores = np.vstack(
-        [forward(params, x[i : i + batch_size]) for i in range(0, len(x), batch_size)]
+        [forward(params, x[i : i + EVAL_BATCH_SIZE]) for i in range(0, len(x), EVAL_BATCH_SIZE)]
     )
     pools = pools_from_scores(
         scores, dataset.label_sets(), categories=range(dataset.n_categories)
@@ -582,7 +582,8 @@ def config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def save_checkpoint(path: str | Path, params: ModelParams, training: dict) -> None:
+def checkpoint_text(params: ModelParams, training: dict) -> str:
+    """The checkpoint file's text: weights, dims and training record."""
     payload = {
         "format_version": 1,
         "dims": params.dims,
@@ -592,7 +593,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, training: dict) -> No
         },
         "training": training,
     }
-    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
+    return json.dumps(payload, indent=1, sort_keys=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:

@@ -45,6 +45,12 @@ def random_pool(rng, n_pos, n_total, category=0):
     return pool_from_arrays(category, scores, flags)
 
 
+def pool_sides(pool):
+    """Positive and negative scores of a ``make_pool`` or ``random_pool``
+    pool, for the enumeration oracles; its positives have the lower ids."""
+    return list(pool.scores[pool.is_positive]), list(pool.scores[~pool.is_positive])
+
+
 def box(x1, y1, x2, y2):
     return BoundingBox(x1, y1, x2, y2)
 

@@ -19,12 +19,12 @@ from sapeval.metrics import (
     roc_auc,
 )
 from sapeval.pools import pool_from_arrays
-from sapeval.sampling import SapConfig, sampled_ap, sap_exact_small, stability_profile
+from sapeval.sampling import SapConfig, sampled_ap, stability_profile
 from sapeval.training import bce_loss, focal_loss, model_loss
 from sapeval.formats import serialize_detections, serialize_ground_truth
 
-from conftest import MICRO_DET, MICRO_GT, make_pool, random_pool
-from oracles import exact_expected_random_ap
+from conftest import MICRO_DET, MICRO_GT, make_pool, pool_sides, random_pool
+from oracles import exact_expected_random_ap, exhaustive_sampled_ap
 from test_training import finite_difference_grads, tiny_problem
 
 POOL_TOTAL = 93994
@@ -84,8 +84,7 @@ def test_criterion_02_sap_frequency_invariance():
 
 
 def test_criterion_03_sap_oracle_equivalence():
-    fixture = make_pool([0.9, 0.4], [0.8, 0.3, 0.1])
-    exact = sap_exact_small(fixture)
+    exact = exhaustive_sampled_ap([0.9, 0.4], [0.8, 0.3, 0.1])
     assert exact == pytest.approx(8 / 9, abs=1e-12)
     assert round(exact, 4) == 0.8889
 
@@ -95,7 +94,7 @@ def test_criterion_03_sap_oracle_equivalence():
         n_neg = int(rng.integers(1, 9))
         pool = random_pool(rng, n_pos, n_pos + n_neg)
         estimate = sampled_ap(pool, SapConfig(n_trials=10_000, seed=trial)).mean
-        assert abs(estimate - sap_exact_small(pool)) <= 0.01
+        assert abs(estimate - exhaustive_sampled_ap(*pool_sides(pool))) <= 0.01
 
 
 def test_criterion_04_sap_equals_ap_when_balanced():

@@ -209,7 +209,8 @@ class TestSap:
         preds.write_text('{"id": 0, "labels": [0, 1], "scores": [0.9, 0.2]}\n' + record + "\n")
         extra = ("--category", 0) if command == "stability" else ()
         assert run(command, "--predictions", preds, "--out", tmp_path / "x.out", *extra) == 3
-        assert "must lie in" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "preds.jsonl:2:" in err and "must lie in" in err
         assert not (tmp_path / "x.out").exists()
 
     @pytest.mark.parametrize(
@@ -336,8 +337,17 @@ class TestSplit:
             ('{"categories": [{"category": 1}]}', "KeyError('ap')"),
             ('{"1.5": 0.5}', "invalid literal"),
             ('{"0": 0.5,\n "1": }', "ap.json:2:"),
+            ('{"0": true, "1": 0.25}', "AP True is not a number"),
+            ('{"0": 0.5, "1": "0.25"}', "AP '0.25' is not a number"),
+            ('{"categories": [{"category": 0, "ap": 0.5}, {"category": 1, "ap": "0.25"}]}',
+             "AP '0.25' is not a number"),
+            ('{"categories": [{"category": 0, "ap": 0.5}, {"category": 0, "ap": null}]}',
+             "category 0 listed twice"),
+            ('{"0": 0.5, "00": 0.7}', "category 0 listed twice"),
         ],
-        ids=["float_category", "no_category", "no_ap", "float_key", "malformed_json"],
+        ids=["float_category", "no_category", "no_ap", "float_key", "malformed_json",
+             "bool_ap", "string_ap", "string_ap_in_report", "duplicate_category",
+             "duplicate_key"],
     )
     def test_bad_ap_file_is_parse_error(self, tmp_path, capsys, text, message):
         (tmp_path / "train.json").write_text('{"0": 0.9, "1": 0.2}')
@@ -583,6 +593,45 @@ class TestReportCompare:
         }))
         assert run("report", "--metrics", metrics, "--out-dir", tmp_path / "out") == 2
         assert "the all aggregate lacks 'msap'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,payload,message",
+        [
+            ("--metrics", {"evaluation": {"train": {}}}, "KeyError('val')"),
+            ("--metrics", {"categories": [{"ap": 0.5, "sap_mean": 0.6}], "aggregates": {}},
+             "KeyError('category')"),
+            ("--metrics", {"categories": [{"category": 0, "sap_mean": 0.6}], "aggregates": {}},
+             "KeyError('ap')"),
+            ("--metrics", {"categories": [], "aggregates": {"all": {"map": 0.5}}},
+             "the all aggregate lacks 'msap'"),
+            ("--compare", {"evaluation": {"train": {}}}, "KeyError('val')"),
+            ("--counts", {"spec": {}}, "KeyError('zipf_counts')"),
+        ],
+        ids=["no_val", "no_category", "no_ap", "no_msap", "compare_no_val", "no_zipf_counts"],
+    )
+    def test_malformed_report_input_exit_2(self, tmp_path, capsys, flag, payload, message):
+        good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"
+        good.write_text(json.dumps(REPORT_EVALUATION))
+        bad.write_text(json.dumps(payload))
+        files = {"--metrics": good, flag: bad}
+        assert run("report", *(a for item in files.items() for a in item), "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: {bad}: " in err and message in err
+        assert not list(out.rglob("*"))
+
+    def test_missing_counts_file_writes_nothing(self, tmp_path):
+        metrics, out = tmp_path / "metrics.json", tmp_path / "out"
+        metrics.write_text(json.dumps(REPORT_EVALUATION))
+        assert run("report", "--metrics", metrics, "--counts", tmp_path / "missing.json",
+                   "--out-dir", out) == 2
+        assert not list(out.rglob("*"))
+
+
+#: A one-category evaluation that ``report`` accepts.
+REPORT_EVALUATION = {
+    "categories": [{"category": 0, "ap": 0.5, "sap_mean": 0.6}],
+    "aggregates": {"all": {"msap": 0.6, "map": 0.5, "categories": 1, "eligible": 1}},
+}
 
 
 def write_ava_fixture(directory, seed=11):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +243,21 @@ class TestPredictions:
         with pytest.raises(ParseError) as err:
             read_predictions(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ('{"id": 1, "labels": [0], "scores": [0.1, 1.5]}', "scores must lie in [0, 1]"),
+            ('{"id": 1, "labels": [0, 2], "scores": [0.1, 0.5]}', "labels must lie in [0, 2)"),
+        ],
+        ids=["score", "label"],
+    )
+    def test_range_error_gives_the_record_line(self, tmp_path, record, message):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": 0, "labels": [1], "scores": [0.9, 0.2]}\n\n' + record + "\n")
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            read_predictions(path)
+        assert err.value.line == 3
 
     def test_empty_predictions(self, tmp_path):
         path = tmp_path / "preds.jsonl"

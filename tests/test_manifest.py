@@ -1,7 +1,7 @@
 import hashlib
 import json
 
-from sapeval.manifest import build_manifest, sha256_file, write_atomic, write_json_atomic
+from sapeval.manifest import build_manifest, json_text, sha256_file, write_atomic
 
 
 def test_write_atomic_leaves_no_temp_files(tmp_path):
@@ -22,8 +22,9 @@ def test_sha256_matches_hashlib(tmp_path):
 def test_json_atomic_round_trip(tmp_path):
     path = tmp_path / "payload.json"
     payload = {"b": [1, 2.5], "a": {"nested": None}}
-    write_json_atomic(path, payload)
+    write_atomic(path, json_text(payload))
     assert json.loads(path.read_text()) == payload
+    assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 def test_build_manifest_fields(tmp_path):

@@ -14,7 +14,6 @@ from sapeval.metrics import (
     average_precision_from_arrays,
     frame_ap,
     mean_ap,
-    precision_recall_curve,
     random_baseline_ap,
     roc_auc,
 )
@@ -125,18 +124,6 @@ class TestAveragePrecision:
         assert average_precision(reverse) == pytest.approx(
             brute_force_ap([(0.2, True), (0.1, True), (0.9, False), (0.8, False)])
         )
-
-
-class TestPrCurve:
-    def test_curve_matches_ap(self):
-        pool = make_pool([0.9, 0.7], [0.8])
-        points = precision_recall_curve(pool)
-        assert len(points) == 3
-        tp_points = [p for i, p in enumerate(points) if i in (0, 2)]
-        ap = sum(p.precision for p in tp_points) / pool.n_pos
-        assert ap == pytest.approx(average_precision(pool))
-        assert points[-1].recall == 1.0
-        assert points[0].fn == 1
 
 
 class TestFrameAp:

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from sapeval.errors import NoEligibleCategories, NoPositives, TooManySubsets
+from sapeval.errors import NoEligibleCategories, NoPositives
 from sapeval.metrics import average_precision
 from sapeval.pools import EvalPool, ExampleOrigin
 from sapeval.sampling import (
@@ -10,11 +12,10 @@ from sapeval.sampling import (
     mix_seed,
     msap,
     sampled_ap,
-    sap_exact_small,
     stability_profile,
 )
 
-from conftest import make_pool, random_pool
+from conftest import make_pool, pool_sides, random_pool
 from oracles import exhaustive_sampled_ap
 
 FIXTURE = make_pool([0.9, 0.4], [0.8, 0.3, 0.1])  # exact expectation 8/9
@@ -133,32 +134,32 @@ class TestSampledAp:
 
 
 class TestExactOracle:
+    """``oracles.exhaustive_sampled_ap``, the exact expected SAP that the
+    trial estimator is held to."""
+
     def test_committed_fixture_value(self):
-        assert sap_exact_small(FIXTURE) == pytest.approx(8 / 9, abs=1e-12)
+        assert exhaustive_sampled_ap(*pool_sides(FIXTURE)) == pytest.approx(8 / 9, abs=1e-12)
 
     def test_matches_independent_enumeration(self, rng):
+        # the library's AP averaged over every balanced subset
         for _ in range(10):
             n_pos = int(rng.integers(1, 4))
             n_neg = int(rng.integers(n_pos, 8))
             pos = list(rng.random(n_pos))
             neg = list(rng.random(n_neg))
-            pool = make_pool(pos, neg)
-            assert sap_exact_small(pool) == pytest.approx(
-                exhaustive_sampled_ap(pos, neg), abs=1e-12
+            library = np.mean(
+                [average_precision(make_pool(pos, subset)) for subset in combinations(neg, n_pos)]
             )
+            assert library == pytest.approx(exhaustive_sampled_ap(pos, neg), abs=1e-12)
 
     def test_equal_sides_equal_plain_ap(self, rng):
         pool = random_pool(rng, 4, 8)
-        assert sap_exact_small(pool) == average_precision(pool)
+        assert exhaustive_sampled_ap(*pool_sides(pool)) == pytest.approx(
+            average_precision(pool), abs=1e-12
+        )
 
     def test_perfect_pool(self):
-        pool = make_pool([0.9, 0.8], [0.3, 0.2, 0.1])
-        assert sap_exact_small(pool) == 1.0
-
-    def test_budget_guard(self):
-        pool = random_pool(np.random.default_rng(0), 10, 60)
-        with pytest.raises(TooManySubsets):
-            sap_exact_small(pool, max_subsets=1000)
+        assert exhaustive_sampled_ap([0.9, 0.8], [0.3, 0.2, 0.1]) == 1.0
 
     def test_sampled_estimator_converges_to_oracle(self, rng):
         # the acceptance suite runs the full 50-pool version at 10k trials
@@ -166,7 +167,7 @@ class TestExactOracle:
             n_pos = int(rng.integers(1, 5))
             n_neg = int(rng.integers(n_pos + 1, 9))
             pool = random_pool(rng, n_pos, n_pos + n_neg)
-            exact = sap_exact_small(pool)
+            exact = exhaustive_sampled_ap(*pool_sides(pool))
             estimate = sampled_ap(pool, SapConfig(n_trials=5000, seed=2)).mean
             assert estimate == pytest.approx(exact, abs=0.01)
 

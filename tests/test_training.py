@@ -13,6 +13,7 @@ from sapeval.training import (
     StagePlan,
     TrainConfig,
     bce_loss,
+    checkpoint_text,
     evaluate_model,
     focal_loss,
     forward,
@@ -21,7 +22,6 @@ from sapeval.training import (
     load_checkpoint,
     model_loss,
     run_ablation,
-    save_checkpoint,
     sgd_train,
 )
 
@@ -505,7 +505,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_params(4, 6, 3, 5, seed=8)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, params, {"variant": "two_stage", "seed": 8})
+        path.write_text(checkpoint_text(params, {"variant": "two_stage", "seed": 8}))
         loaded, training = load_checkpoint(path)
         for field in dataclasses.fields(params):
             assert np.array_equal(
@@ -516,7 +516,7 @@ class TestCheckpoint:
 
     def test_unknown_format_version_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, init_params(4, 6, 3, 5, seed=8), {})
+        path.write_text(checkpoint_text(init_params(4, 6, 3, 5, seed=8), {}))
         payload = json.loads(path.read_text())
         payload["format_version"] = 2
         path.write_text(json.dumps(payload))
@@ -525,7 +525,7 @@ class TestCheckpoint:
 
     def test_weight_shape_disagreeing_with_dims_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, init_params(4, 6, 3, 5, seed=8), {})
+        path.write_text(checkpoint_text(init_params(4, 6, 3, 5, seed=8), {}))
         payload = json.loads(path.read_text())
         payload["weights"]["b1"] = payload["weights"]["b1"][:-1]
         path.write_text(json.dumps(payload))
