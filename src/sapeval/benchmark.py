@@ -141,7 +141,7 @@ def run_benchmark(
     split = count_split(train)
 
     n_train = len(train)
-    n_head_examples = sum(1 for e in train.examples if e.label_set & split.head)
+    n_head_examples = int(train.targets[:, sorted(split.head)].any(axis=1).sum())
     n_balanced = len(oversample_balance(train, seed=mix_seed(seed, 2)))
 
     result = BenchmarkResult(seed=seed, split=split)

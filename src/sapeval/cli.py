@@ -49,7 +49,6 @@ from .pools import build_eval_pool  # noqa: F401
 from .sampling import sampled_ap  # noqa: F401
 from .sampling import SapConfig, msap, stability_profile
 from .training import (
-    ABLATION_VARIANTS,
     VARIANTS,
     StagePlan,
     TrainConfig,
@@ -365,14 +364,25 @@ def cmd_train(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- report
 
 
-def _evaluation(payload: dict) -> tuple[list[tuple], dict]:
-    """(category, AP, sampled AP) of each scored category, and the
-    aggregates, of a ``train`` metrics file's validation evaluation or of an
-    evaluation report."""
+def _evaluation(payload: dict) -> tuple[list[tuple], list[str]]:
+    """(category, AP, sampled AP) of each scored category, and the lines of
+    the summary CSV of the aggregates, of a ``train`` metrics file's
+    validation evaluation or of an evaluation report."""
     evaluation = payload["evaluation"]["val"] if "evaluation" in payload else payload
     scored = [(c["category"], c["ap"], c["sap_mean"])
               for c in evaluation["categories"] if c.get("sap_mean") is not None]
-    return scored, evaluation["aggregates"]
+    rows = ["group,msap,map,categories,eligible"]
+    for group in ("all", "tail", "head"):
+        agg = evaluation["aggregates"].get(group)
+        if agg is None:
+            continue
+        try:
+            rows.append(
+                f"{group},{agg['msap']!r},{agg['map']!r},{agg['categories']},{agg['eligible']}"
+            )
+        except KeyError as exc:
+            raise KeyError(f"the {group} aggregate lacks {exc}") from None
+    return scored, rows
 
 
 def _report_input(flag: str, path: str, read):
@@ -386,20 +396,7 @@ def _report_input(flag: str, path: str, read):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    scored, aggregates = _report_input("--metrics", args.metrics, _evaluation)
-    rows = ["group,msap,map,categories,eligible"]
-    for group in ("all", "tail", "head"):
-        agg = aggregates.get(group)
-        if agg is None:
-            continue
-        try:
-            rows.append(
-                f"{group},{agg['msap']!r},{agg['map']!r},{agg['categories']},{agg['eligible']}"
-            )
-        except KeyError as exc:
-            raise ConfigError(
-                f"--metrics: {args.metrics}: the {group} aggregate lacks {exc}"
-            ) from None
+    scored, rows = _report_input("--metrics", args.metrics, _evaluation)
 
     out_dir = Path(args.out_dir)
     chart = grouped_bar_chart(
@@ -544,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one schema variant on a feature dataset")
     p.add_argument("--data-dir", required=True, help="directory with train.jsonl/val.jsonl")
-    p.add_argument("--variant", choices=ABLATION_VARIANTS, default="two_stage",
+    p.add_argument("--variant", choices=VARIANTS, default="two_stage",
                    help="training schema to run")
     p.add_argument("--out-dir", required=True, help="checkpoint/metrics output directory")
     p.add_argument("--split", help="head/tail split JSON (from the split command)")

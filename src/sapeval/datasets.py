@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -57,54 +58,44 @@ class ZipfSpec:
             raise ValueError("multilabel_rate must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class Example:
-    """One feature vector with its labels; the first label is the category
-    whose cluster generated the features."""
-
-    example_id: int
-    features: np.ndarray
-    labels: tuple[int, ...]
-
-    @property
-    def primary(self) -> int:
-        return self.labels[0]
-
-    @property
-    def label_set(self) -> frozenset[int]:
-        return frozenset(self.labels)
-
-
-@dataclass
+@dataclass(eq=False)
 class FeatureDataset:
-    """Feature vectors with multi-hot labels for one split."""
+    """One split's examples as columns: row i of ``ids``, ``features``
+    (n x d) and ``labels`` is example i, whose label tuple lists its
+    generating (primary) category first. ``targets`` is the read-only
+    n x K multi-hot matrix of those labels, built once."""
 
-    examples: list[Example]
+    ids: np.ndarray
+    features: np.ndarray
+    labels: Sequence[tuple[int, ...]]
     split: str
     n_categories: int
+    targets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.features = np.asarray(self.features, dtype=np.float64)
+        n = len(self.labels)
+        if not len(self.ids) == len(self.features) == n:
+            raise ValueError("ids, features and labels must have one row per example")
+        lengths = [len(labels) for labels in self.labels]
+        if 0 in lengths:
+            raise ValueError("every example needs a label")
+        rows = np.repeat(np.arange(n), lengths)
+        cols = np.fromiter(chain.from_iterable(self.labels), dtype=np.int64, count=len(rows))
+        # fancy-index assignment would wrap a label of -1 to the last column
+        if ((cols < 0) | (cols >= self.n_categories)).any():
+            raise ValueError(f"labels must lie in [0, {self.n_categories})")
+        self.targets = np.zeros((n, self.n_categories), dtype=bool)
+        self.targets[rows, cols] = True
+        self.targets.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([e.features for e in self.examples])
-
-    def label_sets(self) -> list[frozenset[int]]:
-        return [e.label_set for e in self.examples]
+        return len(self.labels)
 
     def contains_counts(self) -> np.ndarray:
         """Per-category count of examples carrying each label."""
-        counts = np.zeros(self.n_categories, dtype=np.int64)
-        for e in self.examples:
-            for c in e.labels:
-                counts[c] += 1
-        return counts
-
-    def primary_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n_categories, dtype=np.int64)
-        for e in self.examples:
-            counts[e.primary] += 1
-        return counts
+        return self.targets.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -196,13 +187,14 @@ def synthesize_dataset(
     means = _cluster_means(spec, rng)
     weights = np.asarray(counts, dtype=np.float64)
 
-    per_split: dict[str, list[Example]] = {name: [] for name in split_names}
-    next_id = 0
+    # ids number the examples in generation order: category by category,
+    # and within one, its permuted examples split by split
+    blocks, labels, split_codes = [], [], []
     for k, count in enumerate(counts):
         features = means[k] + spec.cluster_spread * rng.normal(
             size=(count, spec.feature_dim)
         )
-        labels: list[tuple[int, ...]] = []
+        category_labels: list[tuple[int, ...]] = []
         for _ in range(count):
             extra: tuple[int, ...] = ()
             if spec.multilabel_rate > 0 and rng.random() < spec.multilabel_rate:
@@ -210,7 +202,7 @@ def synthesize_dataset(
                 w[k] = 0.0
                 if w.sum() > 0:
                     extra = (int(rng.choice(spec.n_categories, p=w / w.sum())),)
-            labels.append((k, *extra))
+            category_labels.append((k, *extra))
 
         if count < len(split_names):
             warnings.warn(
@@ -219,20 +211,19 @@ def synthesize_dataset(
                 stacklevel=2,
             )
         order = rng.permutation(count)
+        blocks.append(features[order])
+        labels.extend(category_labels[i] for i in order)
         sizes = _split_sizes(count, split_fractions)
-        cursor = 0
-        for name, size in zip(split_names, sizes):
-            for i in order[cursor : cursor + size]:
-                per_split[name].append(
-                    Example(next_id, features[i].astype(np.float64), labels[i])
-                )
-                next_id += 1
-            cursor += size
+        split_codes.append(np.repeat(np.arange(len(split_names)), sizes))
 
-    return {
-        name: FeatureDataset(examples, name, spec.n_categories)
-        for name, examples in per_split.items()
-    }
+    features, codes = np.concatenate(blocks), np.concatenate(split_codes)
+    datasets = {}
+    for code, name in enumerate(split_names):
+        ids = np.flatnonzero(codes == code)
+        datasets[name] = FeatureDataset(
+            ids, features[ids], [labels[i] for i in ids], name, spec.n_categories
+        )
+    return datasets
 
 
 def oversample_balance(dataset: FeatureDataset, seed: int = 0) -> list[int]:
@@ -246,24 +237,19 @@ def oversample_balance(dataset: FeatureDataset, seed: int = 0) -> list[int]:
     shuffled by ``seed``.
     """
     contains = dataset.contains_counts()
-    for c in range(dataset.n_categories):
-        if contains[c] == 0:
-            raise EmptyCategory(f"category {c} has no examples in split {dataset.split!r}")
+    empty = np.flatnonzero(contains == 0)
+    if len(empty):
+        raise EmptyCategory(f"category {empty[0]} has no examples in split {dataset.split!r}")
 
-    groups: dict[int, list[int]] = {}
-    for i, example in enumerate(dataset.examples):
-        rarest = min(example.labels, key=lambda c: (contains[c], c))
-        groups.setdefault(rarest, []).append(i)
-
-    target = max(len(g) for g in groups.values())
-    indices: list[int] = []
-    for c in sorted(groups):
-        group = groups[c]
-        copies = -(-target // len(group))  # ceil
-        indices.extend((group * copies)[:target])
+    # rarest label of each example: least count, then lowest category
+    rarest = np.where(dataset.targets, contains, np.iinfo(np.int64).max).argmin(axis=1)
+    sizes = np.bincount(rarest, minlength=dataset.n_categories)
+    groups = np.split(np.argsort(rarest, kind="stable"), np.cumsum(sizes)[:-1])
+    target = sizes.max()
+    indices = np.concatenate([np.resize(group, target) for group in groups if len(group)])
 
     rng = np.random.default_rng(mix_seed(seed, 1))
-    return [indices[i] for i in rng.permutation(len(indices))]
+    return indices[rng.permutation(len(indices))].tolist()
 
 
 def split_head_tail(

@@ -24,6 +24,7 @@ has one entry per category.
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from itertools import chain
 from pathlib import Path
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .boxes import BoundingBox, Detection, DetectionColumns, FrameKey, GroundTruthInstance
-from .datasets import Example, FeatureDataset, HeadTailSplit
+from .datasets import FeatureDataset, HeadTailSplit
 from .errors import ParseError
 
 
@@ -202,50 +203,61 @@ def serialize_detections(detections: DetectionColumns | Sequence[Detection]) -> 
 
 def serialize_feature_dataset(dataset: FeatureDataset) -> str:
     lines = [
-        json.dumps(
-            {
-                "id": e.example_id,
-                "split": dataset.split,
-                "labels": list(e.labels),
-                "features": [float(v) for v in e.features],
-            }
+        json.dumps({"id": i, "split": dataset.split, "labels": list(labels), "features": row})
+        for i, labels, row in zip(
+            dataset.ids.tolist(), dataset.labels, dataset.features.tolist()
         )
-        for e in dataset.examples
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def read_feature_dataset(path: str | Path, n_categories: int | None = None) -> FeatureDataset:
+    """Feature JSON lines as a dataset. A record needs at least one label,
+    no label twice, and finite features as many as the first record's. Of
+    several bad records, the error names the first."""
     path = str(path)
-    examples = []
-    split = ""
-    max_label = -1
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                example = Example(
-                    _json_int(record["id"], "id"),
-                    np.asarray(record["features"], dtype=np.float64),
-                    tuple(_json_int(c, "label") for c in record["labels"]),
-                )
-                split = str(record["split"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad record: {exc}") from None
-            if not example.labels:
-                raise ParseError(path, line_no, "example has no labels")
-            if min(example.labels) < 0:
-                raise ParseError(path, line_no, "negative label")
-            if n_categories is not None and max(example.labels) >= n_categories:
-                raise ParseError(path, line_no, f"label beyond the {n_categories} categories")
-            if examples and example.features.shape != examples[0].features.shape:
-                raise ParseError(path, line_no, "feature length differs from the first record's")
-            max_label = max(max_label, *example.labels)
-            examples.append(example)
-    k = n_categories if n_categories is not None else max_label + 1
-    return FeatureDataset(examples, split, k)
+    ids: list[int] = []
+    labels: list[tuple[int, ...]] = []
+    rows: list[list[float]] = []
+    split, error = "", None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    example_id = _json_int(record["id"], "id")
+                    row = _json_numbers(record["features"], "feature")
+                    example_labels = tuple(_json_int(c, "label") for c in record["labels"])
+                    split = str(record["split"])
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(path, line_no, f"bad record: {exc}") from None
+                if not example_labels:
+                    raise ParseError(path, line_no, "example has no labels")
+                if len(set(example_labels)) < len(example_labels):
+                    raise ParseError(path, line_no, f"repeated label in {list(example_labels)}")
+                if min(example_labels) < 0:
+                    raise ParseError(path, line_no, "negative label")
+                if n_categories is not None and max(example_labels) >= n_categories:
+                    raise ParseError(path, line_no, f"label beyond the {n_categories} categories")
+                if rows and len(row) != len(rows[0]):
+                    raise ParseError(path, line_no, "feature length differs from the first record's")
+                ids.append(example_id)
+                labels.append(example_labels)
+                rows.append(row)
+    except ParseError as exc:
+        error = exc  # raised after the finiteness check: an earlier bad line wins
+    if not rows:
+        raise error or ParseError(path, 0, "no feature records")
+    features = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ParseError(path, _record_line(path, int(finite.argmin())), "non-finite feature")
+    if error:
+        raise error
+    k = n_categories if n_categories is not None else max(map(max, labels)) + 1
+    return FeatureDataset(ids, features, labels, split, k)
 
 
 def serialize_predictions(
@@ -279,42 +291,54 @@ def _json_numbers(values: list, what: str) -> list:
 
 def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]], np.ndarray]:
     """Returns (example ids, label sets, score matrix). Scores must lie in
-    [0, 1] and labels in [0, K) for K scores per record."""
+    [0, 1] and labels in [0, K) for K scores per record. Of several bad
+    records, the error names the first."""
     path = str(path)
     ids: list[int] = []
     labels: list[frozenset[int]] = []
     rows: list[list[float]] = []
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                ids.append(_json_int(record["id"], "id"))
-                labels.append(frozenset(_json_int(c, "label") for c in record["labels"]))
-                rows.append(_json_numbers(record["scores"], "score"))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(path, line_no, f"bad record: {exc}") from None
-            if ids[-1] in seen:
-                raise ParseError(path, line_no, f"duplicate id {ids[-1]}")
-            seen.add(ids[-1])
-            if rows and len(rows[-1]) != len(rows[0]):
-                raise ParseError(path, line_no, "inconsistent score vector length")
-    if not ids:
-        raise ParseError(path, 0, "no prediction records")
+    error = None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    example_id = _json_int(record["id"], "id")
+                    label_set = frozenset(_json_int(c, "label") for c in record["labels"])
+                    row = _json_numbers(record["scores"], "score")
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(path, line_no, f"bad record: {exc}") from None
+                if example_id in seen:
+                    raise ParseError(path, line_no, f"duplicate id {example_id}")
+                if rows and len(row) != len(rows[0]):
+                    raise ParseError(path, line_no, "inconsistent score vector length")
+                seen.add(example_id)
+                ids.append(example_id)
+                labels.append(label_set)
+                rows.append(row)
+    except ParseError as exc:
+        error = exc  # raised after the range checks: an earlier bad line wins
+    if not rows:
+        raise error or ParseError(path, 0, "no prediction records")
     scores = np.asarray(rows, dtype=np.float64)
+    k = scores.shape[1]
     # row extremes (NaN propagates): no matrix-sized mask while ``rows`` lives
     bad_scores = ~((scores.min(axis=1, initial=0.0) >= 0.0)
                    & (scores.max(axis=1, initial=1.0) <= 1.0))
-    if bad_scores.any():
-        raise ParseError(path, _record_line(path, int(bad_scores.argmax())),
-                         "scores must lie in [0, 1]")
-    k = scores.shape[1]
     flat = np.fromiter(chain.from_iterable(labels), dtype=np.int64)
-    if ((flat < 0) | (flat >= k)).any():
-        row = next(i for i, s in enumerate(labels) if any(c < 0 or c >= k for c in s))
-        raise ParseError(path, _record_line(path, row), f"labels must lie in [0, {k})")
+    bad_labels = np.zeros_like(bad_scores)
+    if ((flat < 0) | (flat >= k)).any():  # only then are the records checked one by one
+        bad_labels[:] = [any(c < 0 or c >= k for c in s) for s in labels]
+    bad = bad_scores | bad_labels
+    if bad.any():
+        row = int(bad.argmax())
+        message = "scores must lie in [0, 1]" if bad_scores[row] else f"labels must lie in [0, {k})"
+        raise ParseError(path, _record_line(path, row), message)
+    if error:
+        raise error
     return ids, labels, scores
 
 
@@ -328,7 +352,7 @@ def read_category_ap(path: str | Path) -> dict[int, float]:
     """Per-category AP map from either a plain ``{\"category\": ap}`` object
     or a report JSON carrying a ``categories`` list, whose records need a
     ``category`` and an ``ap`` (null for a category that was not scored).
-    APs must be JSON numbers, and no category may appear twice."""
+    APs must be finite JSON numbers, and no category may appear twice."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if isinstance(payload, dict) and "categories" in payload:
@@ -340,7 +364,11 @@ def read_category_ap(path: str | Path) -> dict[int, float]:
         if len(set(categories)) < len(categories):
             twice = next(c for c in categories if categories.count(c) > 1)
             raise ValueError(f"category {twice} listed twice")
-        return dict(zip([c for c, _ in scored], _json_numbers([ap for _, ap in scored], "AP")))
+        aps = _json_numbers([ap for _, ap in scored], "AP")
+        non_finite = [ap for ap in aps if not math.isfinite(ap)]
+        if non_finite:
+            raise ValueError(f"AP {non_finite[0]} is not finite")
+        return dict(zip([c for c, _ in scored], aps))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(path), getattr(exc, "lineno", 0), f"bad AP file: {exc!r}") from None
 

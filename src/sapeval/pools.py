@@ -67,8 +67,8 @@ class EvalPool:
         n = len(self.scores)
         if not len(self.ids) == len(self.is_positive) == len(self.origin) == n:
             raise ValueError("pool arrays must have equal lengths")
-        if (self.scores < UNDETECTED_SCORE).any():
-            raise ValueError(f"score below sentinel {UNDETECTED_SCORE}")
+        if not (self.scores >= UNDETECTED_SCORE).all():  # NaN fails too
+            raise ValueError(f"score below sentinel {UNDETECTED_SCORE} or NaN")
         if ((self.origin < 0) | (self.origin > max(ExampleOrigin))).any():
             raise ValueError("origin codes must be ExampleOrigin members")
         if (self.is_positive & (self.origin == ExampleOrigin.BACKGROUND_DETECTION)).any():

@@ -22,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +57,6 @@ VARIANTS = {
     "stage2_finetune_all": Variant("head", True, {"stage2_freeze": False}),
     "stage2_unbalanced": Variant("head", True, {"stage2_balance": False}),
 }
-
-ABLATION_VARIANTS = tuple(VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -294,16 +292,6 @@ def model_loss(
     )
 
 
-def labels_to_multihot(
-    label_sets: Sequence[Iterable[int]], n_categories: int
-) -> np.ndarray:
-    y = np.zeros((len(label_sets), n_categories), dtype=np.float64)
-    for i, labels in enumerate(label_sets):
-        for c in labels:
-            y[i, c] = 1.0
-    return y
-
-
 def sgd_train(
     params: ModelParams,
     features: np.ndarray,
@@ -381,7 +369,7 @@ def resolve_variant(
     train on (``all``, ``head`` or ``balanced``; None without a second
     stage)."""
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {ABLATION_VARIANTS}")
+        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
     stage1, second_stage, overrides = VARIANTS[variant]
     config = dataclasses.replace(config, **overrides)
     stage2 = ("balanced" if config.stage2_balance else "all") if second_stage else None
@@ -390,15 +378,15 @@ def resolve_variant(
 
 def _example_rows(
     dataset: FeatureDataset, example_set: str, split: HeadTailSplit, seed: int
-) -> list[int] | slice:
+) -> list[int] | np.ndarray | slice:
     if example_set == "balanced":
         return oversample_balance(dataset, seed=mix_seed(seed, 2))
     if example_set == "all":
         return slice(None)
     if not split.head:
         raise EmptyHead("split has no head categories")
-    rows = [i for i, e in enumerate(dataset.examples) if e.label_set & split.head]
-    if not rows:
+    rows = np.flatnonzero(dataset.targets[:, sorted(split.head)].any(axis=1))
+    if not len(rows):
         raise EmptyHead("no training examples carry a head category")
     return rows
 
@@ -424,8 +412,7 @@ def run_ablation(
             raise CategoryMismatch(
                 "head/tail split does not cover the dataset's categories"
             )
-    x = dataset.feature_matrix()
-    y = labels_to_multihot([e.labels for e in dataset.examples], dataset.n_categories)
+    x, y = dataset.features, dataset.targets
 
     def train_stage(stage, params, example_set, plan, **options):
         rows = _example_rows(dataset, example_set, split, config.seed)
@@ -557,12 +544,12 @@ def evaluate_model(
             f"model scores {params.head_w.shape[0]} categories, "
             f"dataset has {dataset.n_categories}"
         )
-    x = dataset.feature_matrix()
+    x = dataset.features
     scores = np.vstack(
         [forward(params, x[i : i + EVAL_BATCH_SIZE]) for i in range(0, len(x), EVAL_BATCH_SIZE)]
     )
     pools = pools_from_scores(
-        scores, dataset.label_sets(), categories=range(dataset.n_categories)
+        scores, dataset.labels, categories=range(dataset.n_categories)
     )
     evals = score_pools(pools, sap_config)
 

@@ -225,3 +225,35 @@ def reference_read_detections(path):
                 raise ParseError(str(path), line_no, str(exc)) from None
             rows.append((fields[0], timestamp, (x1, y1, x2, y2), category, score))
     return rows
+
+
+def reference_oversample_balance(labels, n_categories, seed=0):
+    """Oversampled row indices of a dataset with these label tuples, one
+    example at a time: each example joins the group of its rarest label
+    (least count, then lowest category), each group is repeated whole to
+    the largest group's size and trimmed to it, and the concatenation in
+    category order is shuffled by ``seed``."""
+    from sapeval.errors import EmptyCategory
+    from sapeval.sampling import mix_seed
+
+    contains = [0] * n_categories
+    for example_labels in labels:
+        for c in example_labels:
+            contains[c] += 1
+    if 0 in contains:
+        raise EmptyCategory(f"category {contains.index(0)} has no examples")
+
+    groups: dict[int, list[int]] = {}
+    for i, example_labels in enumerate(labels):
+        rarest = min(example_labels, key=lambda c: (contains[c], c))
+        groups.setdefault(rarest, []).append(i)
+
+    target = max(len(g) for g in groups.values())
+    indices: list[int] = []
+    for c in sorted(groups):
+        group = groups[c]
+        copies = -(-target // len(group))  # ceil
+        indices.extend((group * copies)[:target])
+
+    rng = np.random.default_rng(mix_seed(seed, 1))
+    return [indices[i] for i in rng.permutation(len(indices))]

@@ -255,6 +255,31 @@ class TestSap:
         assert "preds.jsonl:2:" in err and message in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "line2,message",
+        [
+            ('{"id": 1, "labels": [0], "scores": [0.1, 1.5]}', "scores must lie in [0, 1]"),
+            ('{"id": 1, "labels": [2], "scores": [0.1, 0.5]}', "labels must lie in [0, 2)"),
+        ],
+        ids=["score", "label"],
+    )
+    @pytest.mark.parametrize(
+        "line3",
+        [
+            '{"id": 1, "labels": [1], "scores": [0.1, 0.5]}',
+            '{"id": 2, "labels": [1], "scores": [0.1]}',
+            '{"id": 2, "labels": [1.5], "scores": [0.1, 0.5]}',
+        ],
+        ids=["duplicate_id", "short_scores", "bad_record"],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, capsys, line2, message, line3):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": 0, "labels": [0, 1], "scores": [0.9, 0.2]}\n'
+                         f"{line2}\n{line3}\n")
+        assert run("sap", "--predictions", preds, "--out", tmp_path / "x.json") == 3
+        err = capsys.readouterr().err
+        assert "preds.jsonl:2:" in err and message in err
+
     def test_integer_scores_read_as_floats(self, tmp_path):
         reports = []
         for name, scores in (("ints", "[1, 0]"), ("floats", "[1.0, 0.0]")):
@@ -344,10 +369,14 @@ class TestSplit:
             ('{"categories": [{"category": 0, "ap": 0.5}, {"category": 0, "ap": null}]}',
              "category 0 listed twice"),
             ('{"0": 0.5, "00": 0.7}', "category 0 listed twice"),
+            ('{"0": NaN, "1": 0.5}', "AP nan is not finite"),
+            ('{"0": 0.5, "1": Infinity}', "AP inf is not finite"),
+            ('{"categories": [{"category": 0, "ap": -Infinity}, {"category": 1, "ap": 0.5}]}',
+             "AP -inf is not finite"),
         ],
         ids=["float_category", "no_category", "no_ap", "float_key", "malformed_json",
              "bool_ap", "string_ap", "string_ap_in_report", "duplicate_category",
-             "duplicate_key"],
+             "duplicate_key", "nan_ap", "infinite_ap", "negative_infinite_ap_in_report"],
     )
     def test_bad_ap_file_is_parse_error(self, tmp_path, capsys, text, message):
         (tmp_path / "train.json").write_text('{"0": 0.9, "1": 0.2}')
@@ -404,10 +433,17 @@ class TestTrain:
             ("train.jsonl", 4, lambda r: r.update(features=r["features"][:-1])),
             ("train.jsonl", 2, lambda r: r.update(labels=[r["labels"][0] + 0.7])),
             ("val.jsonl", 3, lambda r: r.update(id=float(r["id"]))),
+            ("train.jsonl", 2, lambda r: r.update(labels=[r["labels"][0]] * 2)),
+            ("train.jsonl", 3, lambda r: r["features"].__setitem__(0, float("nan"))),
+            ("val.jsonl", 3, lambda r: r["features"].__setitem__(1, float("nan"))),
+            ("val.jsonl", 2, lambda r: r["features"].__setitem__(2, float("-inf"))),
+            ("train.jsonl", 1, lambda r: r.update(features=[r["features"]])),
+            ("val.jsonl", 2, lambda r: r["features"].__setitem__(0, "0.5")),
         ],
         ids=[
             "negative_label", "label_beyond_categories", "short_features",
-            "non_integer_label", "non_integer_id",
+            "non_integer_label", "non_integer_id", "repeated_label", "nan_train_feature",
+            "nan_val_feature", "infinite_val_feature", "nested_features", "string_feature",
         ],
     )
     def test_bad_feature_record_is_parse_error_with_line(
@@ -425,6 +461,28 @@ class TestTrain:
         rc = self._train(data, tmp_path / "run", "--variant", "baseline_plain")
         assert rc == 3
         assert f"{name}:{line_no}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["train.jsonl", "val.jsonl"])
+    def test_empty_feature_file_is_parse_error(self, synth_dir, tmp_path, capsys, name):
+        data = tmp_path / "data"
+        data.mkdir()
+        for part in ("train.jsonl", "val.jsonl"):
+            (data / part).write_text("" if part == name else (synth_dir / part).read_text())
+        assert self._train(data, tmp_path / "run", "--variant", "baseline_plain") == 3
+        assert f"{name}:0: no feature records" in capsys.readouterr().err
+
+    def test_repeated_label_is_not_counted_twice(self, tmp_path, capsys):
+        # counted twice, category 1 would outnumber category 0 and lead the head
+        data = tmp_path / "data"
+        data.mkdir()
+        records = [(i, [0]) for i in range(3)] + [(3, [1, 1]), (4, [1, 1])]
+        (data / "train.jsonl").write_text("".join(
+            json.dumps({"id": i, "split": "train", "labels": labels, "features": [0.1 * i]}) + "\n"
+            for i, labels in records
+        ))
+        (data / "val.jsonl").write_text((data / "train.jsonl").read_text())
+        assert self._train(data, tmp_path / "run", "--variant", "two_stage", "--auto-split") == 3
+        assert "train.jsonl:4: repeated label" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text,message",
@@ -606,8 +664,11 @@ class TestReportCompare:
              "the all aggregate lacks 'msap'"),
             ("--compare", {"evaluation": {"train": {}}}, "KeyError('val')"),
             ("--counts", {"spec": {}}, "KeyError('zipf_counts')"),
+            ("--metrics", {"categories": [], "aggregates": []}, "AttributeError"),
+            ("--metrics", {"categories": [], "aggregates": {"all": [0.5]}}, "TypeError"),
         ],
-        ids=["no_val", "no_category", "no_ap", "no_msap", "compare_no_val", "no_zipf_counts"],
+        ids=["no_val", "no_category", "no_ap", "no_msap", "compare_no_val", "no_zipf_counts",
+             "aggregates_list", "aggregate_list"],
     )
     def test_malformed_report_input_exit_2(self, tmp_path, capsys, flag, payload, message):
         good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"

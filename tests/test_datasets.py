@@ -17,6 +17,8 @@ from sapeval.datasets import (
 )
 from sapeval.errors import CategoryMismatch, EmptyCategory
 
+from oracles import reference_oversample_balance
+
 
 class TestZipfSpec:
     def test_validation(self):
@@ -67,6 +69,12 @@ class TestZipfCounts:
         assert all(1 <= c <= max_count for c in counts)
 
 
+def primary_counts(dataset):
+    """Per-category count of examples whose first (generating) label it is."""
+    primary = [labels[0] for labels in dataset.labels]
+    return np.bincount(primary, minlength=dataset.n_categories)
+
+
 SMALL_SPEC = ZipfSpec(
     n_categories=6,
     exponent=1.0,
@@ -85,15 +93,14 @@ class TestSynthesize:
         b = synthesize_dataset(SMALL_SPEC)
         for name in a:
             assert len(a[name]) == len(b[name])
-            for ea, eb in zip(a[name].examples, b[name].examples):
-                assert ea.example_id == eb.example_id
-                assert ea.labels == eb.labels
-                assert np.array_equal(ea.features, eb.features)
+            assert np.array_equal(a[name].ids, b[name].ids)
+            assert a[name].labels == b[name].labels
+            assert np.array_equal(a[name].features, b[name].features)
 
     def test_primary_counts_match_zipf(self):
         datasets = synthesize_dataset(SMALL_SPEC)
         totals = sum(
-            (ds.primary_counts() for ds in datasets.values()),
+            (primary_counts(ds) for ds in datasets.values()),
             start=np.zeros(SMALL_SPEC.n_categories, dtype=np.int64),
         )
         assert totals.tolist() == zipf_counts(SMALL_SPEC)
@@ -105,15 +112,13 @@ class TestSynthesize:
         datasets = synthesize_dataset(spec)
         train = datasets["train"]
         # nearest cluster mean classifies every example perfectly
-        means = {}
-        for e in train.examples:
-            means.setdefault(e.primary, []).append(e.features)
-        centroids = {c: np.mean(v, axis=0) for c, v in means.items()}
-        for e in train.examples:
+        primary = np.array([labels[0] for labels in train.labels])
+        centroids = {c: train.features[primary == c].mean(axis=0) for c in set(primary)}
+        for features, c in zip(train.features, primary):
             best = min(
-                centroids, key=lambda c: np.linalg.norm(e.features - centroids[c])
+                centroids, key=lambda k: np.linalg.norm(features - centroids[k])
             )
-            assert best == e.primary
+            assert best == c
 
     def test_every_split_covered_when_count_permits(self):
         datasets = synthesize_dataset(SMALL_SPEC, (0.5, 0.25, 0.25))
@@ -122,7 +127,7 @@ class TestSynthesize:
             if count < 3:
                 continue
             for ds in datasets.values():
-                assert ds.primary_counts()[k] >= 1
+                assert primary_counts(ds)[k] >= 1
 
     def test_small_category_warns(self):
         spec = dataclasses.replace(SMALL_SPEC, n_categories=12, exponent=2.2)
@@ -138,43 +143,38 @@ class TestSynthesize:
 
     def test_multilabel_examples_have_primary_first(self):
         datasets = synthesize_dataset(SMALL_SPEC)
-        multi = [
-            e
-            for ds in datasets.values()
-            for e in ds.examples
-            if len(e.labels) > 1
-        ]
+        multi = [labels for ds in datasets.values() for labels in ds.labels if len(labels) > 1]
         assert multi  # rate 0.2 over ~250 examples
-        for e in multi:
-            assert e.primary == e.labels[0]
-            assert len(set(e.labels)) == len(e.labels)
+        for labels in multi:
+            assert len(set(labels)) == len(labels)
+        # ids follow generation order, which runs cluster by cluster
+        for ds in datasets.values():
+            primary = [ds.labels[i][0] for i in np.argsort(ds.ids)]
+            assert primary == sorted(primary)
 
     def test_reference_scale_imbalance(self):
         spec = ZipfSpec()  # the reference shape
         counts = zipf_counts(spec)
         datasets = synthesize_dataset(spec, (0.6, 0.2, 0.2))
-        train_counts = datasets["train"].primary_counts()
+        train_counts = primary_counts(datasets["train"])
         # the formula bottoms out near max_count/K^s, far above min_count
         assert counts[0] / counts[-1] >= 30
         assert train_counts.max() / train_counts.min() >= 30
 
 
 def _dataset(label_lists, n_categories):
-    from sapeval.datasets import Example
-
-    examples = [
-        Example(i, np.zeros(2), tuple(labels)) for i, labels in enumerate(label_lists)
-    ]
-    return FeatureDataset(examples, "train", n_categories)
+    n = len(label_lists)
+    labels = [tuple(labels) for labels in label_lists]
+    return FeatureDataset(np.arange(n), np.zeros((n, 2)), labels, "train", n_categories)
 
 
 class TestOversampleBalance:
     def test_tail_duplicated_to_head_count(self):
         dataset = _dataset([(0,)] * 100 + [(1,)] * 10, 2)
         indices = oversample_balance(dataset, seed=0)
-        per_category = Counter(dataset.examples[i].labels[0] for i in indices)
+        per_category = Counter(dataset.labels[i][0] for i in indices)
         assert per_category[0] == 100 and per_category[1] == 100
-        multiplicity = Counter(i for i in indices if dataset.examples[i].labels[0] == 1)
+        multiplicity = Counter(i for i in indices if dataset.labels[i][0] == 1)
         assert all(v == 10 for v in multiplicity.values())
 
     def test_balanced_input_is_identity_multiset(self):
@@ -194,10 +194,6 @@ class TestOversampleBalance:
         # the example carrying {0, 1} must balance as a category-1 example
         dataset = _dataset([(0,)] * 9 + [(0, 1), (1,)], 2)
         indices = oversample_balance(dataset, seed=3)
-        counted = Counter()
-        for i in indices:
-            rarest = dataset.examples[i].labels[-1]
-            counted[i] += 1
         # group sizes: cat0 -> 9 singles, cat1 -> 2 examples; target 9
         assert len(indices) == 18
         assert sum(1 for i in indices if i >= 9) == 9
@@ -227,6 +223,66 @@ class TestOversampleBalance:
         for c, n in enumerate(sizes):
             copies = {counts[i] for i, lab in enumerate(labels) if lab[0] == c}
             assert max(copies) - min(copies) <= 1
+
+
+@st.composite
+def label_tuples(draw, max_categories=6):
+    """(label tuples, K): 1-3 distinct labels per example from a few
+    categories, so counts tie often."""
+    k = draw(st.integers(1, max_categories))
+    labels = draw(st.lists(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=3, unique=True).map(tuple),
+        min_size=1, max_size=40,
+    ))
+    return labels, k
+
+
+class TestColumnarMatchesReference:
+    @given(label_tuples(), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_oversample_balance_equals_reference(self, data, seed):
+        labels, k = data
+        dataset = _dataset(labels, k)
+        try:
+            expected = reference_oversample_balance(labels, k, seed)
+        except EmptyCategory:
+            with pytest.raises(EmptyCategory):
+                oversample_balance(dataset, seed=seed)
+            return
+        assert oversample_balance(dataset, seed=seed) == expected
+
+    @given(label_tuples())
+    @settings(max_examples=200, deadline=None)
+    def test_targets_and_counts_equal_a_per_example_loop(self, data):
+        labels, k = data
+        dataset = _dataset(labels, k)
+        targets = np.zeros((len(labels), k), dtype=bool)
+        counts = [0] * k
+        for i, example_labels in enumerate(labels):
+            for c in example_labels:
+                targets[i, c] = True
+                counts[c] += 1
+        assert np.array_equal(dataset.targets, targets)
+        assert dataset.contains_counts().tolist() == counts
+        assert not dataset.targets.flags.writeable
+
+    def test_reference_splits_equal_reference(self):
+        spec = ZipfSpec(seed=3)
+        train = synthesize_dataset(spec, (0.6, 0.2, 0.2))["train"]
+        assert oversample_balance(train, seed=7) == reference_oversample_balance(
+            train.labels, train.n_categories, 7
+        )
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [([(0,), (-1,)], r"labels must lie in \[0, 2\)"),
+         ([(0,), (2,)], r"labels must lie in \[0, 2\)"),
+         ([(0,), ()], "every example needs a label")],
+        ids=["negative", "beyond", "none"],
+    )
+    def test_bad_labels_raise(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            _dataset(labels, 2)
 
 
 class TestSplitHeadTail:

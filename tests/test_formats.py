@@ -205,12 +205,27 @@ class TestFeatureDatasetJsonl:
         path.write_text(text)
         loaded = read_feature_dataset(path, n_categories=4)
         assert len(loaded) == len(train)
-        for a, b in zip(train.examples, loaded.examples):
-            assert a.example_id == b.example_id
-            assert a.labels == b.labels
-            assert np.array_equal(a.features, b.features)
+        assert np.array_equal(loaded.ids, train.ids)
+        assert loaded.labels == train.labels
+        assert np.array_equal(loaded.features, train.features)
+        assert np.array_equal(loaded.targets, train.targets)
         # serialize(parse(x)) == x byte for byte
         assert serialize_feature_dataset(loaded) == text
+
+    @pytest.mark.parametrize(
+        "later",
+        ['{"id": 9, "split": "train", "labels": [-1], "features": [0.0, 1.0]}',
+         '{"id": 9, "split": "train", "labels": [0], "features": [0.0]}'],
+        ids=["negative_label", "short_features"],
+    )
+    def test_non_finite_feature_before_a_bad_line_is_reported(self, tmp_path, later):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"id": 0, "split": "train", "labels": [0], "features": [0.0, 1.0]}\n\n'
+                        '{"id": 1, "split": "train", "labels": [1], "features": [Infinity, 1.0]}\n'
+                        f"{later}\n")
+        with pytest.raises(ParseError, match="non-finite feature") as err:
+            read_feature_dataset(path)
+        assert err.value.line == 3
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -258,6 +273,18 @@ class TestPredictions:
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             read_predictions(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("first", ["label", "score"])
+    def test_first_range_error_is_reported(self, tmp_path, first):
+        bad = {"label": '{"id": 1, "labels": [2], "scores": [0.1, 0.5]}',
+               "score": '{"id": 1, "labels": [0], "scores": [0.1, -0.5]}'}
+        second = bad["score" if first == "label" else "label"].replace('"id": 1', '"id": 2')
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": 0, "labels": [1], "scores": [0.9, 0.2]}\n'
+                        f'{bad[first]}\n{second}\n')
+        with pytest.raises(ParseError, match=f"{first}s must lie in") as err:
+            read_predictions(path)
+        assert err.value.line == 2
 
     def test_empty_predictions(self, tmp_path):
         path = tmp_path / "preds.jsonl"

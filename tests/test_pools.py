@@ -46,6 +46,10 @@ class TestEvalPool:
         with pytest.raises(ValueError):
             raw_pool([0.5, -1.5], [0, 1], [True, False], [0, 0])
 
+    def test_rejects_nan_score(self):
+        with pytest.raises(ValueError, match="NaN"):
+            raw_pool([0.5, np.nan], [0, 1], [True, False], [0, 0])
+
     def test_sentinel_allowed(self):
         raw_pool([-1.0], [0], [True], [ExampleOrigin.UNMATCHED_GT])
 

@@ -9,7 +9,7 @@ from sapeval.datasets import HeadTailSplit, ZipfSpec, synthesize_dataset
 from sapeval.errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
 from sapeval.sampling import SapConfig
 from sapeval.training import (
-    ABLATION_VARIANTS,
+    VARIANTS,
     StagePlan,
     TrainConfig,
     bce_loss,
@@ -18,7 +18,6 @@ from sapeval.training import (
     focal_loss,
     forward,
     init_params,
-    labels_to_multihot,
     load_checkpoint,
     model_loss,
     run_ablation,
@@ -200,8 +199,7 @@ class TestSgdTrain:
     def test_deterministic(self):
         datasets, _ = synthetic_split()
         train = datasets["train"]
-        x = train.feature_matrix()
-        y = labels_to_multihot([e.labels for e in train.examples], train.n_categories)
+        x, y = train.features, train.targets
         params = init_params(8, 12, 6, train.n_categories, seed=1)
         plan = StagePlan(0.5, 0.05, "step", 3)
         a = sgd_train(params, x, y, plan, seed=11)
@@ -221,8 +219,7 @@ class TestSgdTrain:
             seed=2,
         )
         train = synthesize_dataset(spec, (0.8, 0.1, 0.1))["train"]
-        x = train.feature_matrix()
-        y = labels_to_multihot([e.labels for e in train.examples], 4)
+        x, y = train.features, train.targets
         params = init_params(6, 16, 8, 4, seed=0)
         history = []
         sgd_train(
@@ -233,8 +230,7 @@ class TestSgdTrain:
     def test_masked_categories_untouched(self):
         datasets, split = synthetic_split()
         train = datasets["train"]
-        x = train.feature_matrix()
-        y = labels_to_multihot([e.labels for e in train.examples], train.n_categories)
+        x, y = train.features, train.targets
         params = init_params(8, 12, 6, train.n_categories, seed=4)
         before = params.copy()
         mask = sorted(split.head)
@@ -264,10 +260,7 @@ class TestSgdTrain:
         # training in which extractor updates are discarded
         datasets, _ = synthetic_split()
         train = datasets["train"]
-        x = train.feature_matrix()[:64]
-        y = labels_to_multihot(
-            [e.labels for e in train.examples[:64]], train.n_categories
-        )
+        x, y = train.features[:64], train.targets[:64]
         params = init_params(8, 12, 6, train.n_categories, seed=6)
         plan = StagePlan(0.3, 0.03, "linear", 2)
         head_only = sgd_train(params, x, y, plan, batch_size=16, seed=7, head_only=True)
@@ -403,7 +396,7 @@ class TestRunAblation:
             stage1=StagePlan(0.5, 0.05, "step", 2),
             stage2=StagePlan(0.5, 0.05, "linear", 1),
         )
-        for variant in ABLATION_VARIANTS:
+        for variant in VARIANTS:
             a = run_ablation(datasets["train"], split, variant, config)
             b = run_ablation(datasets["train"], split, variant, config)
             for field in dataclasses.fields(a):
@@ -413,8 +406,9 @@ class TestRunAblation:
 
     def test_unknown_variant(self):
         datasets, split = synthetic_split()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             run_ablation(datasets["train"], split, "mystery", TrainConfig())
+        assert all(variant in str(err.value) for variant in VARIANTS)
 
     def test_two_stage_needs_split(self):
         datasets, _ = synthetic_split()
@@ -461,8 +455,7 @@ class TestEvaluateModel:
         )
         datasets = synthesize_dataset(spec, (0.7, 0.15, 0.15))
         train, val = datasets["train"], datasets["val"]
-        x = train.feature_matrix()
-        y = labels_to_multihot([e.labels for e in train.examples], 4)
+        x, y = train.features, train.targets
         params = init_params(6, 16, 8, 4, seed=0)
         params = sgd_train(params, x, y, StagePlan(2.0, 0.2, "step", 60), seed=0)
         report = evaluate_model(params, val, SapConfig(n_trials=10, seed=0))
