@@ -1,7 +1,7 @@
 """Balanced-sample average precision metrics and head-to-tail transfer
 training for long-tail detection and classification."""
 
-from .boxes import BoundingBox, Detection, DetectionColumns, FrameKey, GroundTruthInstance
+from .boxes import DetectionColumns, GroundTruthColumns
 from .boxes import iou, match_detections
 from .datasets import (
     FeatureDataset,

@@ -1,75 +1,42 @@
 """Box-level data model and detection-to-ground-truth matching.
 
-Boxes use normalized corner coordinates in [0, 1]. A frame is identified
-by (video_id, timestamp) and ground truth is multi-label: one annotated
-box may carry several category ids. Detections come one object per box
-(``Detection``) or as parallel columns (``DetectionColumns``), which is
-what the detection CSV reader returns.
+A box is four normalized corners ``(x1, y1, x2, y2)`` with
+0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1, and a key frame is a
+``(video_id, timestamp)`` pair. Both sides of the detection protocol are
+parallel columns, which is what the CSV readers in ``formats`` return:
+``GroundTruthColumns`` holds one row per annotated box, its multi-label
+categories as flat (row, category) pairs; ``DetectionColumns`` holds one
+row per detection, a box scored for a single category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Axis-aligned box with normalized corners, x1 < x2 and y1 < y2."""
+@dataclass(frozen=True, eq=False)
+class GroundTruthColumns:
+    """Annotated boxes as parallel columns, one row per box.
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+    ``frames`` lists each frame's (video_id, timestamp) once and ``frame``
+    holds each row's index into it; ``boxes`` is (n, 4) with corners
+    x1, y1, x2, y2 and ``ids`` the int64 instance ids. The labels are the
+    pairs (``label_row[j]``, ``label_category[j]``), sorted, each pair
+    once; every row has at least one.
+    """
 
-    def __post_init__(self):
-        if not (0.0 <= self.x1 < self.x2 <= 1.0 and 0.0 <= self.y1 < self.y2 <= 1.0):
-            raise ValueError(f"invalid box corners: {self!r}")
+    frames: tuple[tuple[str, int], ...]
+    frame: np.ndarray
+    boxes: np.ndarray
+    ids: np.ndarray
+    label_row: np.ndarray
+    label_category: np.ndarray
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return self.x1, self.y1, self.x2, self.y2
-
-
-@dataclass(frozen=True, slots=True)
-class FrameKey:
-    """Key frame identifier: a video id plus an integer timestamp in seconds."""
-
-    video_id: str
-    timestamp: int
-
-
-@dataclass(frozen=True, slots=True)
-class GroundTruthInstance:
-    """One annotated box with its (non-empty) set of category labels."""
-
-    frame: FrameKey
-    box: BoundingBox
-    categories: frozenset[int]
-    instance_id: int
-
-    def __post_init__(self):
-        if not self.categories:
-            raise ValueError("ground-truth instance needs at least one category")
-
-
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """One predicted box for a single category, scored in [0, 1]."""
-
-    frame: FrameKey
-    box: BoundingBox
-    category: int
-    score: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"detection score {self.score} outside [0, 1]")
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,32 +57,18 @@ class DetectionColumns:
     def __len__(self) -> int:
         return len(self.score)
 
-    @classmethod
-    def of(cls, detections: DetectionColumns | Iterable[Detection]) -> DetectionColumns:
-        """``detections`` as columns; columns pass through unchanged."""
-        if isinstance(detections, cls):
-            return detections
-        detections = list(detections)
-        codes: dict[tuple[str, int], int] = {}
-        frame = [codes.setdefault((d.frame.video_id, d.frame.timestamp), len(codes))
-                 for d in detections]
-        return cls(
-            tuple(codes),
-            np.array(frame, dtype=np.int64),
-            np.array([d.box.as_tuple() for d in detections], dtype=np.float64).reshape(-1, 4),
-            np.array([d.category for d in detections], dtype=np.int64),
-            np.array([d.score for d in detections], dtype=np.float64),
-        )
 
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint, 1 when identical."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection-over-union of two (x1, y1, x2, y2) boxes; 0 when
+    disjoint, 1 when identical."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = min(ax2, bx2) - max(ax1, bx1)
+    iy = min(ay2, by2) - max(ay1, by1)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,11 +98,13 @@ class MatchResult:
 
 
 def match_detections(
-    detections: Sequence[Detection],
-    ground_truth: Sequence[BoundingBox],
+    scores: Sequence[float],
+    boxes: Sequence[Sequence[float]],
+    gt_boxes: Sequence[Sequence[float]],
     iou_threshold: float = 0.5,
 ) -> MatchResult:
-    """Greedily match detections to ground-truth boxes, one-to-one.
+    """Greedily match scored detection boxes to ground-truth boxes of one
+    frame, one-to-one; boxes are (x1, y1, x2, y2) corners.
 
     Detections are processed in descending score order (stable on ties).
     Each claims the still-unmatched box it overlaps most, provided the IoU
@@ -159,21 +114,21 @@ def match_detections(
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1]")
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     overlap = paired_iou(  # (detections by rank) x boxes
-        np.reshape([detections[i].box.as_tuple() for i in order], (-1, 1, 4)),
-        np.reshape([box.as_tuple() for box in ground_truth], (1, -1, 4)),
+        np.reshape(np.asarray(boxes, dtype=np.float64), (-1, 1, 4))[order],
+        np.reshape(np.asarray(gt_boxes, dtype=np.float64), (1, -1, 4)),
     )
+    n_gt = overlap.shape[1]
     claimed = _greedy_match(
-        overlap, np.zeros(len(order), dtype=np.int64), np.ones((1, len(ground_truth)), bool),
-        iou_threshold,
+        overlap, np.zeros(len(order), dtype=np.int64), np.ones((1, n_gt), bool), iou_threshold
     )
-    is_tp = [False] * len(order)
-    gt_match = [-1] * len(ground_truth)
-    for i, g in zip(order, claimed.tolist()):
-        if g >= 0:
-            is_tp[i], gt_match[g] = True, i
-    return MatchResult(tuple(is_tp), tuple(gt_match))
+    hit = claimed >= 0
+    is_tp = np.zeros(len(order), dtype=bool)
+    is_tp[order[hit]] = True
+    gt_match = np.full(n_gt, -1)
+    gt_match[claimed[hit]] = order[hit]
+    return MatchResult(tuple(is_tp.tolist()), tuple(gt_match.tolist()))
 
 
 def _greedy_match(

@@ -117,7 +117,7 @@ def _detection_index(args: argparse.Namespace) -> tuple[FrameIndex, list[int]]:
     categories, sorted."""
     gt = read_ground_truth_csv(args.gt)
     index = FrameIndex(gt, read_detections_csv(args.det), args.iou)
-    return index, sorted({c for inst in gt for c in inst.categories})
+    return index, sorted(set(gt.label_category.tolist()))
 
 
 def _sap_config(args: argparse.Namespace, include_background: bool = True) -> SapConfig:

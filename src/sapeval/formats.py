@@ -5,9 +5,11 @@ Ground-truth CSV (UTF-8, no header), one row per (box, label) pair::
     video_id,timestamp,x1,y1,x2,y2,category_id
 
 Rows sharing (video_id, timestamp, x1, y1, x2, y2) merge into one
-multi-label instance. Detection CSV adds a trailing ``score`` column and is
-read into ``DetectionColumns``: each line streams straight into flat
-arrays, and the rows are checked as arrays once the file is read.
+multi-label box. Detection CSV adds a trailing ``score`` column. One
+streaming reader reads both, into ``GroundTruthColumns`` and
+``DetectionColumns``: each line goes straight into flat arrays, and the
+rows are checked as arrays once the file is read; only a file that fails
+that check is read again line by line, for the first bad line's error.
 Coordinates and scores are written as 6-decimal fixed point and quantized
 to that grid on read, so parse -> serialize -> parse is the identity.
 Timestamps and category ids must fit in int64.
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import BoundingBox, Detection, DetectionColumns, FrameKey, GroundTruthInstance
+from .boxes import DetectionColumns, GroundTruthColumns
 from .datasets import FeatureDataset, HeadTailSplit
 from .errors import ParseError
 
@@ -60,138 +62,124 @@ def _int64(value: str | int, what: str) -> int:
     return value
 
 
-def _parse_row(path: str, line_no: int, line: str, n_fields: int) -> list[str]:
-    fields = line.rstrip("\n").split(",")
-    if len(fields) != n_fields:
-        raise ParseError(path, line_no, f"expected {n_fields} fields, got {len(fields)}")
-    return fields
+def read_ground_truth_csv(path: str | Path) -> GroundTruthColumns:
+    """Ground-truth CSV as columns, one row per annotated box. Rows with
+    equal frame and quantized corners merge into one multi-label box,
+    compared by value (``-0`` and ``0`` are one corner, ``1`` and ``01``
+    one timestamp), keeping the corners of its first row; instance ids
+    number the boxes in order of first appearance."""
+    frames, frame, boxes, category = _read_box_csv(str(path), 7)
+    # lexsort is stable, so each run of equal keys starts at its first row
+    order = np.lexsort((*boxes.T[::-1], frame))
+    key_frame, key_boxes = frame[order], boxes[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (key_frame[1:] != key_frame[:-1]) | (key_boxes[1:] != key_boxes[:-1]).any(axis=1)
+    first = np.sort(order[starts])
+    instance = np.empty(len(order), dtype=np.int64)
+    instance[order] = np.searchsorted(first, order[starts])[np.cumsum(starts) - 1]
+    labels = np.unique(np.stack([instance, category], axis=1), axis=0)
+    return GroundTruthColumns(frames, frame[first], boxes[first], np.arange(len(first)),
+                              labels[:, 0], labels[:, 1])
 
 
-def _parse_common(path: str, line_no: int, fields: list[str]):
-    video_id = fields[0]
-    if not video_id:
-        raise ParseError(path, line_no, "empty video_id")
-    try:
-        timestamp = _int64(fields[1], "timestamp")
-        coords = tuple(_q6(float(v)) for v in fields[2:6])
-    except ValueError as exc:
-        raise ParseError(path, line_no, str(exc)) from None
-    try:
-        box = BoundingBox(*coords)
-    except ValueError as exc:
-        raise ParseError(path, line_no, str(exc)) from None
-    return FrameKey(video_id, timestamp), box
-
-
-def read_ground_truth_csv(path: str | Path) -> list[GroundTruthInstance]:
-    path = str(path)
-    merged: dict[tuple, set[int]] = {}
-    order: list[tuple] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = _parse_row(path, line_no, line, 7)
-            frame, box = _parse_common(path, line_no, fields)
-            try:
-                category = _int64(fields[6], "category")
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            key = (frame, box)
-            if key not in merged:
-                merged[key] = set()
-                order.append(key)
-            merged[key].add(category)
-    return [
-        GroundTruthInstance(frame, box, frozenset(merged[(frame, box)]), i)
-        for i, (frame, box) in enumerate(order)
+def serialize_ground_truth(gt: GroundTruthColumns) -> str:
+    """One line per label of each box, boxes in row order."""
+    rows = gt.label_row
+    lines = [
+        ",".join([*map(str, gt.frames[f]), *map(_fmt6, box), str(c)])
+        for f, box, c in zip(
+            gt.frame[rows].tolist(), gt.boxes[rows].tolist(), gt.label_category.tolist()
+        )
     ]
-
-
-def serialize_ground_truth(instances: Sequence[GroundTruthInstance]) -> str:
-    lines = []
-    for inst in instances:
-        for category in sorted(inst.categories):
-            lines.append(
-                ",".join(
-                    [
-                        inst.frame.video_id,
-                        str(inst.frame.timestamp),
-                        *(_fmt6(v) for v in inst.box.as_tuple()),
-                        str(category),
-                    ]
-                )
-            )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def read_detections_csv(path: str | Path) -> DetectionColumns:
-    """Detection CSV as columns. A bad row makes the columnar read fail;
-    the file is then checked line by line, which raises the ``ParseError``
-    of the first bad line."""
-    path = str(path)
+    """Detection CSV as columns, one row per line."""
+    frames, frame, values, category = _read_box_csv(str(path), 8)
+    return DetectionColumns(frames, frame, np.ascontiguousarray(values[:, :4]), category,
+                            values[:, 4].copy())
+
+
+def _read_box_csv(path: str, n_fields: int):
+    """The rows of a box CSV, ground truth (7 fields) or detections (8,
+    the last a score), as frames, per-row frame codes, an (n, 4 or 5)
+    array of the corners and the score, and categories. Each line streams
+    straight into flat arrays, checked as arrays once the file is read. A
+    bad row makes that fail; the file is then checked line by line, which
+    raises the ``ParseError`` of the first bad line."""
     try:
-        return _detection_columns(path)
+        return _box_columns(path, n_fields)
     except (ValueError, OverflowError):
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
-                    _check_detection_row(path, line_no, line)
+                    _check_box_row(path, line_no, line, n_fields)
         raise
 
 
-def _detection_columns(path: str) -> DetectionColumns:
+def _box_columns(path: str, n_fields: int):
     """Raises ``ValueError`` or ``OverflowError`` for a file where
-    ``_check_detection_row`` raises ``ParseError`` on some line."""
+    ``_check_box_row`` raises ``ParseError`` on some line."""
     raw_frames: dict[tuple[str, str], int] = {}
-    frame, category, boxes, score = array("q"), array("q"), array("d"), array("d")
+    frame, category, values = array("q"), array("q"), array("d")
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            try:
-                video_id, timestamp, x1, y1, x2, y2, c, s = line.split(",")
-            except ValueError:
+            fields = line.split(",")
+            if len(fields) != n_fields:
                 if line.strip():
-                    raise
+                    raise ValueError("wrong field count")
                 continue
-            frame.append(raw_frames.setdefault((video_id, timestamp), len(raw_frames)))
-            boxes.extend((float(x1), float(y1), float(x2), float(y2)))
-            category.append(int(c))  # OverflowError beyond int64
-            score.append(float(s))
+            frame.append(raw_frames.setdefault((fields[0], fields[1]), len(raw_frames)))
+            category.append(int(fields.pop(6)))  # OverflowError beyond int64
+            values.extend(map(float, fields[2:]))
     if not all(video_id for video_id, _ in raw_frames):
         raise ValueError("empty video_id")
     # one code per (video_id, timestamp) value: "7" and "07" are one frame
     frames: dict[tuple[str, int], int] = {}
     codes = [frames.setdefault((v, _int64(t, "timestamp")), len(frames)) for v, t in raw_frames]
-    box_array, score_array = np.frombuffer(boxes).reshape(-1, 4), np.frombuffer(score)
+    flat = np.frombuffer(values)
     # a float np.round leaves unchanged is one round(value, 6) leaves
     # unchanged; only values with more than 6 decimals go through round
-    for column in (box_array.reshape(-1), score_array):
-        with np.errstate(over="ignore", invalid="ignore"):
-            off_grid = np.flatnonzero(np.round(column, 6) != column)
-        column[off_grid] = [_q6(v) for v in column[off_grid].tolist()]
-    x1, y1, x2, y2 = box_array.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        off_grid = np.flatnonzero(np.round(flat, 6) != flat)
+    flat[off_grid] = [_q6(v) for v in flat[off_grid].tolist()]
+    values = flat.reshape(-1, n_fields - 3)
+    x1, y1, x2, y2 = values.T[:4]
+    score = values[:, 4:]
     if not ((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
-            & (0.0 <= score_array) & (score_array <= 1.0)).all():
+            & ((0.0 <= score) & (score <= 1.0)).all(axis=1)).all():
         raise ValueError("invalid box corners or score")
     frame_codes = np.array(codes, dtype=np.int64)[np.frombuffer(frame, dtype=np.int64)]
-    return DetectionColumns(tuple(frames), frame_codes, box_array,
-                            np.frombuffer(category, dtype=np.int64), score_array)
+    return tuple(frames), frame_codes, values, np.frombuffer(category, dtype=np.int64)
 
 
-def _check_detection_row(path: str, line_no: int, line: str) -> None:
-    fields = _parse_row(path, line_no, line, 8)
-    _parse_common(path, line_no, fields)
+def _check_box_row(path: str, line_no: int, line: str, n_fields: int) -> None:
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != n_fields:
+        raise ParseError(path, line_no, f"expected {n_fields} fields, got {len(fields)}")
+    if not fields[0]:
+        raise ParseError(path, line_no, "empty video_id")
     try:
-        _int64(fields[6], "category")
-        score = _q6(float(fields[7]))
+        _int64(fields[1], "timestamp")
+        x1, y1, x2, y2 = (_q6(float(v)) for v in fields[2:6])
     except ValueError as exc:
         raise ParseError(path, line_no, str(exc)) from None
-    if not 0.0 <= score <= 1.0:
-        raise ParseError(path, line_no, f"detection score {score} outside [0, 1]")
+    if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
+        # the message names the box type of earlier releases, as scripts may match it
+        raise ParseError(path, line_no, f"invalid box corners: BoundingBox("
+                                        f"x1={x1!r}, y1={y1!r}, x2={x2!r}, y2={y2!r})")
+    try:
+        _int64(fields[6], "category")
+        scores = [_q6(float(v)) for v in fields[7:]]
+    except ValueError as exc:
+        raise ParseError(path, line_no, str(exc)) from None
+    for score in scores:
+        if not 0.0 <= score <= 1.0:
+            raise ParseError(path, line_no, f"detection score {score} outside [0, 1]")
 
 
-def serialize_detections(detections: DetectionColumns | Sequence[Detection]) -> str:
-    d = DetectionColumns.of(detections)
+def serialize_detections(d: DetectionColumns) -> str:
     lines = [
         ",".join([*map(str, d.frames[f]), *map(_fmt6, box), str(c), _fmt6(score)])
         for f, box, c, score in zip(
@@ -212,14 +200,16 @@ def serialize_feature_dataset(dataset: FeatureDataset) -> str:
 
 
 def read_feature_dataset(path: str | Path, n_categories: int | None = None) -> FeatureDataset:
-    """Feature JSON lines as a dataset. A record needs at least one label,
-    no label twice, and finite features as many as the first record's. Of
-    several bad records, the error names the first."""
+    """Feature JSON lines as a dataset. A record needs an id no earlier
+    record has, the first record's split, at least one label, no label
+    twice, and finite features as many as the first record's. Of several
+    bad records, the error names the first."""
     path = str(path)
     ids: list[int] = []
     labels: list[tuple[int, ...]] = []
     rows: list[list[float]] = []
-    split, error = "", None
+    seen: set[int] = set()
+    split, error = None, None
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -230,9 +220,14 @@ def read_feature_dataset(path: str | Path, n_categories: int | None = None) -> F
                     example_id = _json_int(record["id"], "id")
                     row = _json_numbers(record["features"], "feature")
                     example_labels = tuple(_json_int(c, "label") for c in record["labels"])
-                    split = str(record["split"])
+                    record_split = str(record["split"])
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ParseError(path, line_no, f"bad record: {exc}") from None
+                if example_id in seen:
+                    raise ParseError(path, line_no, f"duplicate id {example_id}")
+                if split is not None and record_split != split:
+                    raise ParseError(path, line_no, f"split {record_split!r} differs from "
+                                                    f"the first record's {split!r}")
                 if not example_labels:
                     raise ParseError(path, line_no, "example has no labels")
                 if len(set(example_labels)) < len(example_labels):
@@ -243,6 +238,8 @@ def read_feature_dataset(path: str | Path, n_categories: int | None = None) -> F
                     raise ParseError(path, line_no, f"label beyond the {n_categories} categories")
                 if rows and len(row) != len(rows[0]):
                     raise ParseError(path, line_no, "feature length differs from the first record's")
+                seen.add(example_id)
+                split = record_split
                 ids.append(example_id)
                 labels.append(example_labels)
                 rows.append(row)

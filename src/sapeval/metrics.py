@@ -9,11 +9,11 @@ example id, so every metric here is reproducible bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .boxes import Detection, DetectionColumns, GroundTruthInstance
+from .boxes import DetectionColumns, GroundTruthColumns
 # not called here; perfbench/tracing.py wraps it under this name
 from .boxes import match_detections  # noqa: F401
 from .errors import DegeneratePool, InvalidCounts, NoEligibleCategories, NoPositives
@@ -63,8 +63,8 @@ def average_precision(pool: EvalPool) -> float:
 
 
 def frame_ap(
-    ground_truth: Sequence[GroundTruthInstance],
-    detections: DetectionColumns | Sequence[Detection],
+    ground_truth: GroundTruthColumns,
+    detections: DetectionColumns,
     category: int,
     iou_threshold: float = 0.5,
 ) -> float:

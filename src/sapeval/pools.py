@@ -12,7 +12,8 @@ each side, because sampled AP draws negatives by index: example order in
 classification mode; in detection mode, annotated boxes in sorted frame
 order, then background detections in sorted order.
 
-Detection mode goes through one ``FrameIndex`` per input: frames grouped
+Detection mode goes through one ``FrameIndex`` per input, built from the
+ground-truth and detection columns the CSV readers return: frames grouped
 once, every detection's IoU with its frame's boxes computed once, and the
 greedy match run per category on those arrays. ``build_eval_pool`` and
 ``metrics.frame_ap`` are one-category views of it.
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boxes import Detection, DetectionColumns, GroundTruthInstance, _greedy_match, paired_iou
+from .boxes import DetectionColumns, GroundTruthColumns, _greedy_match, paired_iou
 # not called here; perfbench/tracing.py counts calls under this name
 from .boxes import iou  # noqa: F401
 from .errors import UnknownCategory
@@ -86,15 +87,6 @@ class EvalPool:
         return len(self.is_positive) - self.n_pos
 
 
-def label_space(
-    ground_truth: Iterable[GroundTruthInstance],
-    detections: DetectionColumns | Iterable[Detection],
-) -> set[int]:
-    cats = {c for gt in ground_truth for c in gt.categories}
-    cats.update(DetectionColumns.of(detections).category.tolist())
-    return cats
-
-
 class FrameIndex:
     """Annotated boxes and detections grouped by frame once, so that every
     category is matched on the same prepared arrays.
@@ -108,28 +100,27 @@ class FrameIndex:
 
     def __init__(
         self,
-        ground_truth: Sequence[GroundTruthInstance],
-        detections: DetectionColumns | Sequence[Detection],
+        ground_truth: GroundTruthColumns,
+        detections: DetectionColumns,
         iou_threshold: float = 0.5,
     ):
         if not 0.0 < iou_threshold <= 1.0:
             raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1]")
         self.iou_threshold = iou_threshold
-        dets = DetectionColumns.of(detections)
-        self.categories = label_space(ground_truth, dets)
-        gt_frames = [(g.frame.video_id, g.frame.timestamp) for g in ground_truth]
-        number = {key: i for i, key in enumerate(sorted(set(gt_frames).union(dets.frames)))}
+        gt, dets = ground_truth, detections
+        self.categories = set(np.union1d(gt.label_category, dets.category).tolist())
+        number = {key: i for i, key in enumerate(sorted(set(gt.frames).union(dets.frames)))}
 
-        box_frame = np.array([number[key] for key in gt_frames], dtype=np.int64)
-        ids = np.array([g.instance_id for g in ground_truth], dtype=np.int64)
-        order = np.lexsort((ids, box_frame))
-        self.gts = [ground_truth[i] for i in order.tolist()]
-        self.ids, box_frame = ids[order], box_frame[order]
+        box_frame = np.array([number[key] for key in gt.frames], dtype=np.int64)[gt.frame]
+        order = np.lexsort((gt.ids, box_frame))
+        self.ids, box_frame = gt.ids[order], box_frame[order]
+        # each label's box position, for the boxes labeled with a category
+        self.label_at, self.label_category = np.argsort(order)[gt.label_row], gt.label_category
         slot = np.arange(len(order)) - np.searchsorted(box_frame, box_frame)
         self.at = np.full((len(number), slot.max(initial=-1) + 1), -1)  # box position; -1 pads
         self.at[box_frame, slot] = np.arange(len(order))
         corners = np.zeros((*self.at.shape, 4))
-        corners[box_frame, slot] = np.reshape([g.box.as_tuple() for g in self.gts], (-1, 4))
+        corners[box_frame, slot] = gt.boxes[order]
 
         det_frame = np.array([number[key] for key in dets.frames], dtype=np.int64)[dets.frame]
         order = np.lexsort((*dets.boxes.T[::-1], -dets.score, det_frame, dets.category))
@@ -144,7 +135,9 @@ class FrameIndex:
                      np.searchsorted(self.category, category, "right"))
 
     def _labeled(self, category: int) -> np.ndarray:
-        return np.fromiter((category in g.categories for g in self.gts), bool, len(self.gts))
+        labeled = np.zeros(len(self.ids), dtype=bool)
+        labeled[self.label_at[self.label_category == category]] = True
+        return labeled
 
     def pool(self, category: int) -> EvalPool:
         """``build_eval_pool``'s pool for ``category``."""
@@ -155,9 +148,9 @@ class FrameIndex:
         slot = _greedy_match(self.iou[rows], frame, self.at >= 0, self.iou_threshold)
         hit = slot >= 0
         claimed = self.at[frame[hit], slot[hit]]
-        scores = np.full(len(self.gts), UNDETECTED_SCORE)
+        scores = np.full(len(self.ids), UNDETECTED_SCORE)
         scores[claimed] = score[hit]
-        origin = np.full(len(self.gts), ExampleOrigin.UNMATCHED_GT, dtype=np.int8)
+        origin = np.full(len(self.ids), ExampleOrigin.UNMATCHED_GT, dtype=np.int8)
         origin[claimed] = ExampleOrigin.MATCHED_GT
         # background: unclaimed and overlapping no box at the threshold,
         # sorted by (frame, score, corners)
@@ -185,8 +178,8 @@ class FrameIndex:
 
 
 def build_eval_pool(
-    ground_truth: Sequence[GroundTruthInstance],
-    detections: DetectionColumns | Sequence[Detection],
+    ground_truth: GroundTruthColumns,
+    detections: DetectionColumns,
     category: int,
     iou_threshold: float = 0.5,
 ) -> EvalPool:

@@ -401,17 +401,16 @@ def run_ablation(
     """Train one of the compared schemata; all variants share the config and
     seed so their results are directly comparable.
 
-    Single-stage variants ignore ``split``; the others require one that
-    covers the dataset's categories.
+    Two-stage variants require a ``split``; single-stage ones train
+    without it. A given split must cover the dataset's categories exactly,
+    whatever the variant.
     """
     config, stage1_set, stage2_set = resolve_variant(variant, config)
-    if stage2_set is not None:
-        if split is None:
+    if split is None:
+        if stage2_set is not None:
             raise EmptyHead(f"variant {variant!r} needs a head/tail split")
-        if split.categories != frozenset(range(dataset.n_categories)):
-            raise CategoryMismatch(
-                "head/tail split does not cover the dataset's categories"
-            )
+    elif split.categories != frozenset(range(dataset.n_categories)):
+        raise CategoryMismatch("head/tail split does not cover the dataset's categories")
     x, y = dataset.features, dataset.targets
 
     def train_stage(stage, params, example_set, plan, **options):

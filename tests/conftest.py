@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for name, status in sorted(lines):
             terminalreporter.write_line(f"{status}  {name}")
 
-from sapeval.boxes import BoundingBox, Detection, FrameKey, GroundTruthInstance
+from sapeval.boxes import DetectionColumns, GroundTruthColumns
 from sapeval.pools import pool_from_arrays
 
 
@@ -51,16 +52,76 @@ def pool_sides(pool):
     return list(pool.scores[pool.is_positive]), list(pool.scores[~pool.is_positive])
 
 
+# Test-local box records, one object per annotated box or detection, which
+# the oracles read; ``gt_columns`` and ``det_columns`` turn them into the
+# columns the library takes.
+
+
+class Box(NamedTuple):
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+
+class Frame(NamedTuple):
+    video_id: str
+    timestamp: int
+
+
+class GtRecord(NamedTuple):
+    frame: Frame
+    box: Box
+    categories: frozenset
+    instance_id: int
+
+
+class DetRecord(NamedTuple):
+    frame: Frame
+    box: Box
+    category: int
+    score: float
+
+
 def box(x1, y1, x2, y2):
-    return BoundingBox(x1, y1, x2, y2)
+    return Box(x1, y1, x2, y2)
 
 
 def gt(video, ts, b, cats, instance_id):
-    return GroundTruthInstance(FrameKey(video, ts), b, frozenset(cats), instance_id)
+    return GtRecord(Frame(video, ts), b, frozenset(cats), instance_id)
 
 
 def det(video, ts, b, cat, score):
-    return Detection(FrameKey(video, ts), b, cat, score)
+    return DetRecord(Frame(video, ts), b, cat, score)
+
+
+def _frame_codes(records):
+    codes = {}
+    frame = [codes.setdefault(tuple(r.frame), len(codes)) for r in records]
+    return tuple(codes), np.array(frame, dtype=np.int64)
+
+
+def _corners(records):
+    return np.array([r.box for r in records], dtype=np.float64).reshape(-1, 4)
+
+
+def gt_columns(records):
+    """``GtRecord`` objects as ``GroundTruthColumns``, one row each."""
+    frames, frame = _frame_codes(records)
+    pairs = np.array(sorted((i, c) for i, r in enumerate(records) for c in r.categories),
+                     dtype=np.int64).reshape(-1, 2)
+    ids = np.array([r.instance_id for r in records], dtype=np.int64)
+    return GroundTruthColumns(frames, frame, _corners(records), ids, pairs[:, 0], pairs[:, 1])
+
+
+def det_columns(records):
+    """``DetRecord`` objects as ``DetectionColumns``, one row each."""
+    frames, frame = _frame_codes(records)
+    return DetectionColumns(
+        frames, frame, _corners(records),
+        np.array([r.category for r in records], dtype=np.int64),
+        np.array([r.score for r in records], dtype=np.float64),
+    )
 
 
 # The 3-frame micro-fixture used across detection tests. For category 0 it

@@ -121,7 +121,7 @@ def reference_build_eval_pool(ground_truth, detections, category, iou_threshold=
     positives, negatives, background = [], [], []
     for frame in sorted(frames):
         gts = sorted(frames[frame][0], key=lambda g: g.instance_id)
-        dets = sorted(frames[frame][1], key=lambda d: (-d.score, d.box.as_tuple()))
+        dets = sorted(frames[frame][1], key=lambda d: (-d.score, tuple(d.box)))
         claimed = [None] * len(gts)
         for d in dets:
             best, best_iou = None, 0.0
@@ -132,7 +132,7 @@ def reference_build_eval_pool(ground_truth, detections, category, iou_threshold=
             if best is not None:
                 claimed[best] = d
             elif all(_box_iou(d.box, g.box) < iou_threshold for g in gts):
-                background.append((frame, d.score, d.box.as_tuple()))
+                background.append((frame, d.score, tuple(d.box)))
         for g, d in zip(gts, claimed):
             positive = category in g.categories
             entry = (
@@ -169,7 +169,7 @@ def reference_frame_ap(ground_truth, detections, category, iou_threshold=0.5):
         boxes = sorted((g for g in labeled if frame_of(g) == frame), key=lambda g: g.instance_id)
         claimed = [False] * len(boxes)
         for d in sorted((d for d in ours if frame_of(d) == frame),
-                        key=lambda d: (-d.score, d.box.as_tuple())):
+                        key=lambda d: (-d.score, tuple(d.box))):
             best, best_iou = None, 0.0
             for j, g in enumerate(boxes):
                 overlap = _box_iou(d.box, g.box)
@@ -187,10 +187,11 @@ def reference_frame_ap(ground_truth, detections, category, iou_threshold=0.5):
     return total / len(labeled)
 
 
-def reference_read_detections(path):
-    """Detection CSV rows as ``(video_id, timestamp, corners, category,
-    score)``, parsed one line at a time. Raises ``ParseError`` at the first
-    bad line, checking in field order: field count, video id, timestamp
+def _reference_box_lines(path, n_fields):
+    """``(video_id, timestamp, corners, category, scores)`` of each
+    non-blank line of a box CSV with ``n_fields`` fields, the scores
+    the fields after the category. Raises ``ParseError`` at the first bad
+    line, checking in field order: field count, video id, timestamp
     (integer, int64), corners (numbers quantized to 6 decimals, then box
     validity), category (integer, int64), score (number, then [0, 1])."""
     from sapeval.errors import ParseError
@@ -201,15 +202,14 @@ def reference_read_detections(path):
             raise ValueError(f"{what} {value} outside int64")
         return value
 
-    rows = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split(",")
             try:
-                if len(fields) != 8:
-                    raise ValueError(f"expected 8 fields, got {len(fields)}")
+                if len(fields) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
                 if not fields[0]:
                     raise ValueError("empty video_id")
                 timestamp = int64(fields[1], "timestamp")
@@ -218,13 +218,37 @@ def reference_read_detections(path):
                     raise ValueError(f"invalid box corners: BoundingBox("
                                      f"x1={x1!r}, y1={y1!r}, x2={x2!r}, y2={y2!r})")
                 category = int64(fields[6], "category")
-                score = round(float(fields[7]), 6)
-                if not 0.0 <= score <= 1.0:
-                    raise ValueError(f"detection score {score} outside [0, 1]")
+                scores = [round(float(v), 6) for v in fields[7:]]
+                for score in scores:
+                    if not 0.0 <= score <= 1.0:
+                        raise ValueError(f"detection score {score} outside [0, 1]")
             except ValueError as exc:
                 raise ParseError(str(path), line_no, str(exc)) from None
-            rows.append((fields[0], timestamp, (x1, y1, x2, y2), category, score))
-    return rows
+            yield fields[0], timestamp, (x1, y1, x2, y2), category, scores
+
+
+def reference_read_detections(path):
+    """Detection CSV rows as ``(video_id, timestamp, corners, category,
+    score)``, parsed one line at a time by ``_reference_box_lines``."""
+    return [
+        (video_id, timestamp, corners, category, score)
+        for video_id, timestamp, corners, category, (score,) in _reference_box_lines(path, 8)
+    ]
+
+
+def reference_read_ground_truth(path):
+    """Ground-truth CSV as ``(video_id, timestamp, corners, categories,
+    instance id)`` rows, one per box, parsed one line at a time by
+    ``_reference_box_lines``. Rows with equal (video_id, timestamp,
+    corners) values merge, keeping the first row's corners; ids count the
+    boxes in order of first appearance."""
+    boxes = {}
+    for video_id, timestamp, corners, category, _ in _reference_box_lines(path, 7):
+        boxes.setdefault((video_id, timestamp, corners), (corners, set()))[1].add(category)
+    return [
+        (video_id, timestamp, corners, frozenset(categories), i)
+        for i, ((video_id, timestamp, _), (corners, categories)) in enumerate(boxes.items())
+    ]
 
 
 def reference_oversample_balance(labels, n_categories, seed=0):

@@ -23,7 +23,7 @@ from sapeval.sampling import SapConfig, sampled_ap, stability_profile
 from sapeval.training import bce_loss, focal_loss, model_loss
 from sapeval.formats import serialize_detections, serialize_ground_truth
 
-from conftest import MICRO_DET, MICRO_GT, make_pool, pool_sides, random_pool
+from conftest import MICRO_DET, MICRO_GT, det_columns, gt_columns, make_pool, pool_sides, random_pool
 from oracles import exact_expected_random_ap, exhaustive_sampled_ap
 from test_training import finite_difference_grads, tiny_problem
 
@@ -124,13 +124,14 @@ def test_criterion_06_ap_fixtures_and_invariance():
     from conftest import box, det
 
     missing_one = [det("v1", 1, box(0.1, 0.1, 0.3, 0.3), 0, 0.9)]
-    assert frame_ap(MICRO_GT, missing_one, 0) == pytest.approx(0.5, abs=1e-12)
+    micro_gt = gt_columns(MICRO_GT)
+    assert frame_ap(micro_gt, det_columns(missing_one), 0) == pytest.approx(0.5, abs=1e-12)
     stray_first = [
         det("v1", 1, box(0.7, 0.7, 0.9, 0.9), 0, 0.95),
         det("v1", 1, box(0.1, 0.1, 0.3, 0.3), 0, 0.9),
         det("v1", 2, box(0.2, 0.2, 0.4, 0.4), 0, 0.7),
     ]
-    assert frame_ap(MICRO_GT, stray_first, 0) == pytest.approx(
+    assert frame_ap(micro_gt, det_columns(stray_first), 0) == pytest.approx(
         (0.5 + 2 / 3) / 2, abs=1e-12
     )
 
@@ -209,8 +210,8 @@ def test_criterion_09_cli_determinism(tmp_path):
 
     gt = tmp_path / "gt.csv"
     det = tmp_path / "det.csv"
-    gt.write_text(serialize_ground_truth(MICRO_GT))
-    det.write_text(serialize_detections(MICRO_DET))
+    gt.write_text(serialize_ground_truth(gt_columns(MICRO_GT)))
+    det.write_text(serialize_detections(det_columns(MICRO_DET)))
     for command, out_name, extra in (
         ("eval", "eval.json", ["--min-examples", "1"]),
         ("sap", "sap.json", ["--min-examples", "1", "--trials", "7", "--seed", "3"]),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sapeval.boxes import BoundingBox, match_detections, iou, paired_iou
+from sapeval.boxes import match_detections, iou, paired_iou
 
-from conftest import box, det
+from conftest import box
 from oracles import grid_iou
 
 
@@ -17,24 +17,9 @@ def valid_boxes():
         if x2 - x1 < 1e-3 or y2 - y1 < 1e-3:
             x1, x2 = 0.0, max(x2, 1e-3)
             y1, y2 = 0.0, max(y2, 1e-3)
-        return BoundingBox(x1, y1, x2, y2)
+        return box(x1, y1, x2, y2)
 
     return st.composite(build)()
-
-
-class TestBoundingBox:
-    def test_rejects_inverted_corners(self):
-        with pytest.raises(ValueError):
-            BoundingBox(0.5, 0.1, 0.2, 0.3)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            BoundingBox(-0.1, 0.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            BoundingBox(0.0, 0.0, 1.2, 0.5)
-
-    def test_area(self):
-        assert box(0.0, 0.0, 0.5, 0.25).area == pytest.approx(0.125)
 
 
 class TestIou:
@@ -78,27 +63,23 @@ class TestIou:
 
     @given(st.lists(st.tuples(valid_boxes(), valid_boxes()), max_size=5))
     def test_paired_iou_is_bitwise_iou(self, pairs):
-        a = np.reshape([p[0].as_tuple() for p in pairs], (-1, 4))
-        b = np.reshape([p[1].as_tuple() for p in pairs], (-1, 4))
+        a = np.reshape([p[0] for p in pairs], (-1, 4))
+        b = np.reshape([p[1] for p in pairs], (-1, 4))
         assert paired_iou(a, b).tolist() == [iou(*p) for p in pairs]
 
 
 class TestMatchDetections:
     def test_single_match(self):
         g = [box(0.1, 0.1, 0.3, 0.3)]
-        d = [det("v", 1, box(0.12, 0.1, 0.32, 0.3), 0, 0.75)]
-        result = match_detections(d, g, 0.5)
+        result = match_detections([0.75], [box(0.12, 0.1, 0.32, 0.3)], g, 0.5)
         assert result.is_true_positive == (True,)
         assert result.gt_match == (0,)
 
     def test_duplicate_detection_is_fp(self):
         # two detections on one box: the higher-scored one wins
         g = [box(0.1, 0.1, 0.3, 0.3)]
-        d = [
-            det("v", 1, box(0.1, 0.1, 0.3, 0.3), 0, 0.9),
-            det("v", 1, box(0.11, 0.1, 0.31, 0.3), 0, 0.8),
-        ]
-        result = match_detections(d, g, 0.5)
+        d = [box(0.1, 0.1, 0.3, 0.3), box(0.11, 0.1, 0.31, 0.3)]
+        result = match_detections([0.9, 0.8], d, g, 0.5)
         assert result.is_true_positive == (True, False)
         assert result.gt_match == (0,)
 
@@ -106,36 +87,37 @@ class TestMatchDetections:
         # overlap just below the threshold stays unmatched; match at equality
         a = box(0.0, 0.0, 0.2, 0.2)
         b = box(0.1, 0.0, 0.3, 0.2)  # IoU = 1/3
-        assert not match_detections([det("v", 1, b, 0, 0.9)], [a], 0.5).is_true_positive[0]
-        assert match_detections([det("v", 1, b, 0, 0.9)], [a], 1 / 3).is_true_positive[0]
+        assert not match_detections([0.9], [b], [a], 0.5).is_true_positive[0]
+        assert match_detections([0.9], [b], [a], 1 / 3).is_true_positive[0]
 
     def test_empty_inputs(self):
-        assert match_detections([], [], 0.5).is_true_positive == ()
-        result = match_detections([], [box(0.1, 0.1, 0.2, 0.2)], 0.5)
+        assert match_detections([], [], [], 0.5).is_true_positive == ()
+        result = match_detections([], [], [box(0.1, 0.1, 0.2, 0.2)], 0.5)
         assert result.gt_match == (-1,)
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            match_detections([], [], 0.0)
+            match_detections([], [], [], 0.0)
 
     @given(st.permutations(range(5)))
     def test_permutation_invariant_with_distinct_scores(self, order):
         g = [box(0.1, 0.1, 0.3, 0.3), box(0.5, 0.5, 0.7, 0.7)]
-        dets = [
-            det("v", 1, box(0.1, 0.1, 0.3, 0.3), 0, 0.9),
-            det("v", 1, box(0.12, 0.1, 0.32, 0.3), 0, 0.7),
-            det("v", 1, box(0.5, 0.5, 0.7, 0.7), 0, 0.8),
-            det("v", 1, box(0.52, 0.5, 0.72, 0.7), 0, 0.3),
-            det("v", 1, box(0.0, 0.8, 0.1, 0.9), 0, 0.5),
+        scores = [0.9, 0.7, 0.8, 0.3, 0.5]
+        boxes = [
+            box(0.1, 0.1, 0.3, 0.3),
+            box(0.12, 0.1, 0.32, 0.3),
+            box(0.5, 0.5, 0.7, 0.7),
+            box(0.52, 0.5, 0.72, 0.7),
+            box(0.0, 0.8, 0.1, 0.9),
         ]
-        base = match_detections(dets, g, 0.5)
-        shuffled = [dets[i] for i in order]
-        result = match_detections(shuffled, g, 0.5)
+        base = match_detections(scores, boxes, g, 0.5)
+        shuffled = [scores[i] for i in order]
+        result = match_detections(shuffled, [boxes[i] for i in order], g, 0.5)
         # same detections flagged TP regardless of input order
-        base_tp = {dets[i].score for i in range(5) if base.is_true_positive[i]}
-        perm_tp = {shuffled[i].score for i in range(5) if result.is_true_positive[i]}
+        base_tp = {scores[i] for i in range(5) if base.is_true_positive[i]}
+        perm_tp = {shuffled[i] for i in range(5) if result.is_true_positive[i]}
         assert base_tp == perm_tp
         # each box claimed by the same detection (scores are distinct)
-        assert [dets[d].score if d >= 0 else None for d in base.gt_match] == [
-            shuffled[d].score if d >= 0 else None for d in result.gt_match
+        assert [scores[d] if d >= 0 else None for d in base.gt_match] == [
+            shuffled[d] if d >= 0 else None for d in result.gt_match
         ]

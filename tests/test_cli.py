@@ -12,15 +12,15 @@ from sapeval.formats import serialize_detections, serialize_ground_truth, serial
 from sapeval.manifest import sha256_file
 from sapeval.training import VARIANTS
 
-from conftest import MICRO_DET, MICRO_GT
+from conftest import MICRO_DET, MICRO_GT, DetRecord, det_columns, gt_columns
 
 
 @pytest.fixture
 def detection_files(tmp_path):
     gt = tmp_path / "gt.csv"
     det = tmp_path / "det.csv"
-    gt.write_text(serialize_ground_truth(MICRO_GT))
-    det.write_text(serialize_detections(MICRO_DET))
+    gt.write_text(serialize_ground_truth(gt_columns(MICRO_GT)))
+    det.write_text(serialize_detections(det_columns(MICRO_DET)))
     return gt, det
 
 
@@ -63,15 +63,13 @@ class TestSynth:
 
 class TestEval:
     def test_perfect_detections_give_map_one(self, tmp_path):
-        from sapeval.boxes import Detection
-
         gt = tmp_path / "gt.csv"
-        gt.write_text(serialize_ground_truth(MICRO_GT))
+        gt.write_text(serialize_ground_truth(gt_columns(MICRO_GT)))
         perfect = [
-            Detection(g.frame, g.box, c, 1.0) for g in MICRO_GT for c in g.categories
+            DetRecord(g.frame, g.box, c, 1.0) for g in MICRO_GT for c in g.categories
         ]
         det = tmp_path / "det.csv"
-        det.write_text(serialize_detections(perfect))
+        det.write_text(serialize_detections(det_columns(perfect)))
         out = tmp_path / "report.json"
         assert run("eval", "--gt", gt, "--det", det, "--out", out, "--min-examples", 1) == 0
         report = json.loads(out.read_text())
@@ -461,6 +459,34 @@ class TestTrain:
         rc = self._train(data, tmp_path / "run", "--variant", "baseline_plain")
         assert rc == 3
         assert f"{name}:{line_no}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,message",
+        [("id", "duplicate id"), ("split", "split 'val' differs from the first record's 'train'")],
+    )
+    def test_record_disagreeing_with_earlier_ones_is_parse_error(
+        self, synth_dir, tmp_path, capsys, field, message
+    ):
+        # line 3 repeats line 1's id, or names another split
+        data = tmp_path / "data"
+        data.mkdir()
+        records = [json.loads(line) for line in (synth_dir / "train.jsonl").read_text().splitlines()]
+        records[2][field] = records[0]["id"] if field == "id" else "val"
+        (data / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        (data / "val.jsonl").write_text((synth_dir / "val.jsonl").read_text())
+        assert self._train(data, tmp_path / "run", "--variant", "baseline_plain") == 3
+        assert f"train.jsonl:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_split_beyond_the_categories_rejected_for_every_variant(
+        self, synth_dir, tmp_path, capsys, variant
+    ):
+        split_file = tmp_path / "split.json"
+        split_file.write_text('{"head": [0, 1, 2, 99], "tail": [3, 4, 5]}')
+        out = tmp_path / "run"
+        assert self._train(synth_dir, out, "--variant", variant, "--split", split_file) == 2
+        assert "does not cover the dataset's categories" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["train.jsonl", "val.jsonl"])
     def test_empty_feature_file_is_parse_error(self, synth_dir, tmp_path, capsys, name):

@@ -18,18 +18,35 @@ from sapeval.formats import (
     serialize_predictions,
 )
 
-from conftest import MICRO_DET, MICRO_GT
-from oracles import reference_read_detections
+from conftest import MICRO_DET, MICRO_GT, det_columns, gt_columns
+from oracles import reference_read_detections, reference_read_ground_truth
+
+
+def gt_rows(columns):
+    """Ground-truth columns as (video_id, timestamp, corners, categories,
+    instance id) rows."""
+    labels = [set() for _ in range(len(columns))]
+    for row, c in zip(columns.label_row.tolist(), columns.label_category.tolist()):
+        labels[row].add(c)
+    return [
+        (*columns.frames[f], tuple(b), frozenset(cats), i)
+        for f, b, cats, i in zip(
+            columns.frame.tolist(), columns.boxes.tolist(), labels, columns.ids.tolist()
+        )
+    ]
 
 
 class TestGroundTruthCsv:
     def test_round_trip_is_identity(self, tmp_path):
         path = tmp_path / "gt.csv"
-        path.write_text(serialize_ground_truth(MICRO_GT))
+        path.write_text(serialize_ground_truth(gt_columns(MICRO_GT)))
         once = read_ground_truth_csv(path)
+        assert gt_rows(once) == [
+            (g.frame.video_id, g.frame.timestamp, tuple(g.box), g.categories, g.instance_id)
+            for g in MICRO_GT
+        ]
         path.write_text(serialize_ground_truth(once))
-        twice = read_ground_truth_csv(path)
-        assert once == twice
+        assert gt_rows(read_ground_truth_csv(path)) == gt_rows(once)
 
     def test_multilabel_rows_merge(self, tmp_path):
         path = tmp_path / "gt.csv"
@@ -38,10 +55,10 @@ class TestGroundTruthCsv:
             "v,1,0.100000,0.100000,0.300000,0.300000,7\n"
             "v,1,0.500000,0.500000,0.700000,0.700000,4\n"
         )
-        instances = read_ground_truth_csv(path)
+        instances = gt_rows(read_ground_truth_csv(path))
         assert len(instances) == 2
-        assert instances[0].categories == {4, 7}
-        assert instances[0].instance_id != instances[1].instance_id
+        assert instances[0][3] == {4, 7}
+        assert instances[0][4] != instances[1][4]
 
     def test_field_count_error_carries_line_number(self, tmp_path):
         path = tmp_path / "gt.csv"
@@ -61,7 +78,23 @@ class TestGroundTruthCsv:
         path = tmp_path / "gt.csv"
         path.write_text("v,1,0.12345678,0.1,0.3,0.3,0\n")
         instances = read_ground_truth_csv(path)
-        assert instances[0].box.x1 == pytest.approx(0.123457, abs=1e-12)
+        assert instances.boxes[0, 0] == pytest.approx(0.123457, abs=1e-12)
+
+    def test_rejects_inverted_corners(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("v,1,0.1,0.1,0.3,0.3,0\nv,1,0.5,0.1,0.2,0.3,0\n")
+        with pytest.raises(ParseError) as err:
+            read_ground_truth_csv(path)
+        assert err.value.line == 2
+        assert "invalid box corners: BoundingBox(x1=0.5, y1=0.1, x2=0.2, y2=0.3)" in str(err.value)
+
+    def test_rejects_out_of_range(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        for corners in ("-0.1,0.0,0.5,0.5", "0.0,0.0,1.2,0.5"):
+            path.write_text(f"v,1,{corners},0\n")
+            with pytest.raises(ParseError, match="invalid box corners") as err:
+                read_ground_truth_csv(path)
+            assert err.value.line == 1
 
 
 def rows_of(columns):
@@ -78,10 +111,10 @@ def rows_of(columns):
 class TestDetectionsCsv:
     def test_round_trip_is_identity(self, tmp_path):
         path = tmp_path / "det.csv"
-        path.write_text(serialize_detections(MICRO_DET))
+        path.write_text(serialize_detections(det_columns(MICRO_DET)))
         once = read_detections_csv(path)
         assert rows_of(once) == [
-            (d.frame.video_id, d.frame.timestamp, d.box.as_tuple(), d.category, d.score)
+            (d.frame.video_id, d.frame.timestamp, tuple(d.box), d.category, d.score)
             for d in MICRO_DET
         ]
         path.write_text(serialize_detections(once))
@@ -150,7 +183,7 @@ def corrupt(draw, fields, kind):
     elif kind == "video_id":
         fields[0] = ""
     elif kind == "number":
-        fields[draw(st.integers(1, 7))] = draw(st.sampled_from(["x", "1.2.3", "", "0x1", "2.5e"]))
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(["x", "1.2.3", "", "0x1", "2.5e"]))
     elif kind == "inverted":
         fields[2], fields[4] = fields[4], fields[2]
     elif kind == "corner":  # one corner past its own bound
@@ -186,6 +219,67 @@ class TestColumnarReaderMatchesReference:
             reference_read_detections(path)
         with pytest.raises(ParseError) as err:
             read_detections_csv(path)
+        assert (err.value.line, str(err.value)) == (expected.value.line, str(expected.value))
+
+
+def corner_text(draw, micros):
+    """``micro_text``, or for a zero corner a form that reads as zero by
+    value only: a negative zero or a digit below the grid."""
+    if micros == 0 and draw(st.booleans()):
+        return draw(st.sampled_from(["-0", "-0.0", "0.0000001", "-0.0000004"]))
+    return micro_text(draw, micros)
+
+
+@st.composite
+def ground_truth_lines(draw):
+    """Fields of one valid ground-truth row, drawn from few boxes, frames
+    and labels so that rows often merge, sometimes only by value."""
+    x1, y1 = draw(st.sampled_from([0, 250_000])), draw(st.sampled_from([0, 250_000]))
+    x2, y2 = draw(st.sampled_from([500_000, 10**6])), draw(st.sampled_from([500_000, 10**6]))
+    timestamp = draw(st.integers(0, 2))
+    return [
+        draw(st.sampled_from(["v1", "v2"])),
+        draw(st.sampled_from([str(timestamp), f"0{timestamp}", f"+{timestamp}", f" {timestamp}"])),
+        *(corner_text(draw, v) for v in (x1, y1, x2, y2)),
+        str(draw(st.integers(0, 2))),
+    ]
+
+
+GT_LINES = st.one_of(ground_truth_lines(), detection_lines().map(lambda fields: fields[:7]))
+
+
+def exact(rows):
+    """Reader rows with corners as text, so that -0.0 and 0.0 differ."""
+    return [(*row[:2], tuple(map(repr, row[2])), *row[3:]) for row in rows]
+
+
+class TestGroundTruthReaderMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_valid_files_give_reference_boxes(self, tmp_path_factory, data):
+        rows = data.draw(st.lists(GT_LINES, max_size=14))
+        path = tmp_path_factory.mktemp("gt") / "gt.csv"
+        path.write_text(csv_text(data.draw, rows), encoding="utf-8")
+        columns = read_ground_truth_csv(path)
+        assert exact(gt_rows(columns)) == exact(reference_read_ground_truth(path))
+        pairs = list(zip(columns.label_row.tolist(), columns.label_category.tolist()))
+        assert pairs == sorted(set(pairs))  # each (box, label) once, sorted
+
+    @pytest.mark.parametrize("kind", [k for k in CORRUPTIONS if k != "score"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_files_give_reference_error(self, tmp_path_factory, kind, data):
+        rows = data.draw(st.lists(GT_LINES, min_size=1, max_size=8))
+        bad = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2, unique=True))
+        second = data.draw(st.sampled_from([k for k in CORRUPTIONS if k != "score"]))
+        for i, row_kind in zip(bad, [kind, second]):
+            rows[i] = corrupt(data.draw, rows[i], row_kind)
+        path = tmp_path_factory.mktemp("gt") / "gt.csv"
+        path.write_text(csv_text(data.draw, rows), encoding="utf-8")
+        with pytest.raises(ParseError) as expected:
+            reference_read_ground_truth(path)
+        with pytest.raises(ParseError) as err:
+            read_ground_truth_csv(path)
         assert (err.value.line, str(err.value)) == (expected.value.line, str(expected.value))
 
 

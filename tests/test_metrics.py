@@ -18,7 +18,7 @@ from sapeval.metrics import (
     roc_auc,
 )
 
-from conftest import MICRO_DET, MICRO_GT, box, det, gt, make_pool, random_pool
+from conftest import MICRO_DET, MICRO_GT, box, det, det_columns, gt, gt_columns, make_pool, random_pool
 from oracles import brute_force_ap
 
 
@@ -126,6 +126,10 @@ class TestAveragePrecision:
         )
 
 
+def frame_ap_of(instances, detections, category):
+    return frame_ap(gt_columns(instances), det_columns(detections), category)
+
+
 class TestFrameAp:
     def test_perfect_detector_on_micro_fixture(self):
         perfect = [
@@ -134,11 +138,11 @@ class TestFrameAp:
             for c in g.categories
         ]
         for category in (0, 1, 2):
-            assert frame_ap(MICRO_GT, perfect, category) == 1.0
+            assert frame_ap_of(MICRO_GT, perfect, category) == 1.0
 
     def test_missing_one_of_two_positives(self):
         detections = [det("v1", 1, box(0.1, 0.1, 0.3, 0.3), 0, 0.9)]
-        assert frame_ap(MICRO_GT, detections, 0) == pytest.approx(0.5)
+        assert frame_ap_of(MICRO_GT, detections, 0) == pytest.approx(0.5)
 
     def test_stray_box_ranked_first(self):
         detections = [
@@ -147,16 +151,16 @@ class TestFrameAp:
             det("v1", 2, box(0.2, 0.2, 0.4, 0.4), 0, 0.7),
         ]
         # ranks: FP, TP (prec 1/2), TP (prec 2/3)
-        assert frame_ap(MICRO_GT, detections, 0) == pytest.approx(
+        assert frame_ap_of(MICRO_GT, detections, 0) == pytest.approx(
             (0.5 + 2 / 3) / 2, abs=1e-12
         )
 
     def test_empty_detections_score_zero(self):
-        assert frame_ap(MICRO_GT, [], 0) == 0.0
+        assert frame_ap_of(MICRO_GT, [], 0) == 0.0
 
     def test_no_ground_truth_raises(self):
         with pytest.raises(NoPositives):
-            frame_ap(MICRO_GT, MICRO_DET, 99)
+            frame_ap_of(MICRO_GT, MICRO_DET, 99)
 
     def test_independent_of_ground_truth_order(self):
         # d1 overlaps both boxes at IoU exactly 0.6 and claims the one with
@@ -167,8 +171,8 @@ class TestFrameAp:
             det("v", 1, box(0.125, 0.0, 0.625, 0.5), 0, 0.9),
             det("v", 1, b.box, 0, 0.8),
         ]
-        assert frame_ap([a, b], detections, 0) == 1.0
-        assert frame_ap([b, a], detections, 0) == 1.0
+        assert frame_ap_of([a, b], detections, 0) == 1.0
+        assert frame_ap_of([b, a], detections, 0) == 1.0
 
 
 class TestMeanAp:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sapeval.boxes import DetectionColumns
 from sapeval.errors import NoPositives, UnknownCategory
 from sapeval.metrics import average_precision_from_arrays, frame_ap, frame_ap_from_index
 from sapeval.pools import (
@@ -10,13 +9,12 @@ from sapeval.pools import (
     ExampleOrigin,
     FrameIndex,
     build_eval_pool,
-    label_space,
     pool_from_arrays,
     pools_from_scores,
 )
 from sapeval.sampling import SapConfig, mix_seed, sampled_ap
 
-from conftest import MICRO_DET, MICRO_GT, box, det, gt
+from conftest import MICRO_DET, MICRO_GT, box, det, det_columns, gt, gt_columns
 from oracles import reference_build_eval_pool, reference_frame_ap, reference_pools_from_scores
 
 BACKGROUND = ExampleOrigin.BACKGROUND_DETECTION
@@ -35,6 +33,14 @@ def side(pool, positive):
             pool.scores[mask], pool.ids[mask], pool.is_positive[mask], pool.origin[mask]
         )
     ]
+
+
+def pool_of(instances, detections, category, iou_threshold=0.5):
+    return build_eval_pool(gt_columns(instances), det_columns(detections), category, iou_threshold)
+
+
+def categories_of(instances, detections):
+    return sorted({c for g in instances for c in g.categories} | {d.category for d in detections})
 
 
 def backgrounds(pool):
@@ -92,7 +98,7 @@ class TestBuildEvalPool:
             det("v", 1, box(0.5, 0.5, 0.7, 0.7), 1, 1.0),
             det("v", 2, box(0.2, 0.2, 0.4, 0.4), 0, 1.0),
         ]
-        p = build_eval_pool(instances, detections, 0)
+        p = pool_of(instances, detections, 0)
         positive = p.is_positive
         assert p.scores[positive].tolist() == [1.0, 1.0]
         assert (p.origin[positive] == ExampleOrigin.MATCHED_GT).all()
@@ -102,27 +108,27 @@ class TestBuildEvalPool:
     def test_stray_detection_becomes_background_negative(self):
         instances = [gt("v", 1, box(0.1, 0.1, 0.3, 0.3), {0}, 0)]
         detections = [det("v", 1, box(0.6, 0.6, 0.8, 0.8), 0, 0.7)]
-        p = build_eval_pool(instances, detections, 0)
+        p = pool_of(instances, detections, 0)
         assert backgrounds(p) == [0.7]
         assert not p.is_positive[p.origin == BACKGROUND].any()
 
     def test_micro_fixture_pool_sizes(self):
         # category 0: gt0 and gt2 positive; gt1, gt3, gt4 negative; one stray
-        p = build_eval_pool(MICRO_GT, MICRO_DET, 0)
+        p = pool_of(MICRO_GT, MICRO_DET, 0)
         assert (p.n_pos, p.n_neg) == (2, 4)
         assert sorted(p.scores[p.is_positive].tolist()) == [0.7, 0.9]
         assert backgrounds(p) == [0.4]
 
     def test_micro_fixture_other_category(self):
         # category 2 has one positive (gt0) never detected as 2
-        p = build_eval_pool(MICRO_GT, MICRO_DET, 2)
+        p = pool_of(MICRO_GT, MICRO_DET, 2)
         assert p.n_pos == 1
         assert p.scores[p.is_positive].tolist() == [-1.0]
         assert p.origin[p.is_positive].tolist() == [ExampleOrigin.UNMATCHED_GT]
 
     def test_positive_count_independent_of_detections(self):
         for detections in ([], MICRO_DET, MICRO_DET * 1):
-            p = build_eval_pool(MICRO_GT, detections, 0)
+            p = pool_of(MICRO_GT, detections, 0)
             assert p.n_pos == 2
 
     def test_cross_category_confusion_scores_negative(self):
@@ -133,21 +139,21 @@ class TestBuildEvalPool:
             gt("v", 1, box(0.5, 0.5, 0.7, 0.7), {1}, 1),
         ]
         detections = [det("v", 1, box(0.5, 0.5, 0.7, 0.7), 0, 0.8)]
-        p = build_eval_pool(instances, detections, 0)
+        p = pool_of(instances, detections, 0)
         assert p.n_pos == 1 and p.scores[p.is_positive].tolist() == [-1.0]
         assert p.scores[~p.is_positive].tolist() == [0.8]
         assert p.origin[~p.is_positive].tolist() == [ExampleOrigin.MATCHED_GT]
 
     def test_unknown_category(self):
         with pytest.raises(UnknownCategory):
-            build_eval_pool(MICRO_GT, MICRO_DET, 99)
+            pool_of(MICRO_GT, MICRO_DET, 99)
 
     def test_invalid_iou_threshold(self):
         with pytest.raises(ValueError):
-            build_eval_pool(MICRO_GT, MICRO_DET, 0, iou_threshold=0.0)
+            pool_of(MICRO_GT, MICRO_DET, 0, iou_threshold=0.0)
 
     def test_detection_contributes_at_most_one_entry(self):
-        p = build_eval_pool(MICRO_GT, MICRO_DET, 0)
+        p = pool_of(MICRO_GT, MICRO_DET, 0)
         det_scores = [d.score for d in MICRO_DET if d.category == 0]
         pool_scores = [s for s in p.scores.tolist() if s >= 0]
         assert all(pool_scores.count(s) <= det_scores.count(s) for s in pool_scores)
@@ -299,9 +305,9 @@ class TestColumnarMatchesReference:
     @given(detection_sets(), st.integers(0, 2**32))
     def test_build_eval_pool(self, case, seed):
         instances, detections, iou_threshold = case
-        for c in sorted(label_space(instances, detections)):
+        for c in categories_of(instances, detections):
             reference = reference_build_eval_pool(instances, detections, c, iou_threshold)
-            p = build_eval_pool(instances, detections, c, iou_threshold)
+            p = pool_of(instances, detections, c, iou_threshold)
             assert_matches_reference(p, reference, seed)
 
 
@@ -352,8 +358,9 @@ def exact_detection_sets(draw):
 
 
 def assert_index_matches_references(instances, detections, iou_threshold):
-    index = FrameIndex(instances, DetectionColumns.of(detections), iou_threshold)
-    for c in sorted(label_space(instances, detections)):
+    gts, dets = gt_columns(instances), det_columns(detections)
+    index = FrameIndex(gts, dets, iou_threshold)
+    for c in categories_of(instances, detections):
         positives, negatives = reference_build_eval_pool(instances, detections, c, iou_threshold)
         p = index.pool(c)
         assert (side(p, True), side(p, False)) == (positives, negatives)
@@ -363,7 +370,7 @@ def assert_index_matches_references(instances, detections, iou_threshold):
                 frame_ap_from_index(index, c)
             continue
         assert frame_ap_from_index(index, c) == pytest.approx(expected, abs=1e-12)
-        assert frame_ap(instances, detections, c, iou_threshold) == frame_ap_from_index(index, c)
+        assert frame_ap(gts, dets, c, iou_threshold) == frame_ap_from_index(index, c)
 
 
 class TestFrameIndexMatchesReferences:
