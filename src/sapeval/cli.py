@@ -213,11 +213,8 @@ def _load_pools(args: argparse.Namespace) -> tuple[dict[int, object], dict[str, 
     if args.predictions:
         if args.gt or args.det:
             raise ConfigError("--predictions excludes --gt/--det")
-        ids, labels, scores = read_predictions(args.predictions)
-        return (
-            pools_from_scores(scores, labels, ids),
-            {"predictions": args.predictions},
-        )
+        ids, targets, scores = read_predictions(args.predictions)
+        return pools_from_scores(scores, targets, ids), {"predictions": args.predictions}
     if not (args.gt and args.det):
         raise ConfigError("need either --predictions or both --gt and --det")
     index, categories = _detection_index(args)
@@ -289,8 +286,8 @@ def cmd_split(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     sap_config = _sap_config(args)
     data_dir = Path(args.data_dir)
-    train = read_feature_dataset(data_dir / "train.jsonl")
-    val = read_feature_dataset(data_dir / "val.jsonl", n_categories=train.n_categories)
+    train = read_feature_dataset(data_dir / "train.jsonl", "train")
+    val = read_feature_dataset(data_dir / "val.jsonl", "val", n_categories=train.n_categories)
 
     split = None
     if args.split:

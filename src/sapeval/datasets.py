@@ -52,10 +52,32 @@ class ZipfSpec:
             raise ValueError("exponent must be non-negative")
         if not 1 <= self.min_count <= self.max_count:
             raise ValueError("need max_count >= min_count >= 1")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be at least 1")
         if self.cluster_spread <= 0:
             raise ValueError("cluster_spread must be positive")
         if not 0.0 <= self.multilabel_rate < 1.0:
             raise ValueError("multilabel_rate must lie in [0, 1)")
+
+
+def label_pairs(labels: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The example row and the label of every (example, label) pair, in
+    example order, as two int64 arrays."""
+    lengths = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+    rows = np.repeat(np.arange(len(labels)), lengths)
+    return rows, np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=len(rows))
+
+
+def multi_hot(labels: Sequence[Sequence[int]], n_categories: int) -> np.ndarray:
+    """The n x K bool matrix of per-example label tuples: row i is true at
+    example i's labels, which must lie in [0, K)."""
+    rows, cols = label_pairs(labels)
+    # fancy-index assignment would wrap a label of -1 to the last column
+    if ((cols < 0) | (cols >= n_categories)).any():
+        raise ValueError(f"labels must lie in [0, {n_categories})")
+    targets = np.zeros((len(labels), n_categories), dtype=bool)
+    targets[rows, cols] = True
+    return targets
 
 
 @dataclass(eq=False)
@@ -75,19 +97,11 @@ class FeatureDataset:
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float64)
-        n = len(self.labels)
-        if not len(self.ids) == len(self.features) == n:
+        if not len(self.ids) == len(self.features) == len(self.labels):
             raise ValueError("ids, features and labels must have one row per example")
-        lengths = [len(labels) for labels in self.labels]
-        if 0 in lengths:
+        if not all(self.labels):
             raise ValueError("every example needs a label")
-        rows = np.repeat(np.arange(n), lengths)
-        cols = np.fromiter(chain.from_iterable(self.labels), dtype=np.int64, count=len(rows))
-        # fancy-index assignment would wrap a label of -1 to the last column
-        if ((cols < 0) | (cols >= self.n_categories)).any():
-            raise ValueError(f"labels must lie in [0, {self.n_categories})")
-        self.targets = np.zeros((n, self.n_categories), dtype=bool)
-        self.targets[rows, cols] = True
+        self.targets = multi_hot(self.labels, self.n_categories)
         self.targets.flags.writeable = False
 
     def __len__(self) -> int:

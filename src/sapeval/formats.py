@@ -18,9 +18,14 @@ Feature datasets are JSON lines, one record per example::
 
     {"id": int, "split": str, "labels": [int, ...], "features": [float, ...]}
 
-The first label is the example's generating (primary) category. Prediction
-files are JSON lines of ``{"id", "labels", "scores"}`` where ``scores``
-has one entry per category.
+Every record of a feature file names that file's split, and the first
+label is the example's generating (primary) category. Prediction files
+are JSON lines of ``{"id", "labels", "scores"}`` where ``scores`` has one
+entry per category. One loop reads both kinds of JSON lines and holds the
+rules they share: int64 ids, no id twice, integer labels, no label twice,
+and rows of equal width. Each reader then checks its own rules as one row
+mask per rule, and the first bad line's error is raised. Labels leave
+both readers as an n x K multi-hot matrix.
 """
 
 from __future__ import annotations
@@ -28,14 +33,13 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .boxes import DetectionColumns, GroundTruthColumns
-from .datasets import FeatureDataset, HeadTailSplit
+from .datasets import FeatureDataset, HeadTailSplit, label_pairs, multi_hot
 from .errors import ParseError
 
 
@@ -199,78 +203,44 @@ def serialize_feature_dataset(dataset: FeatureDataset) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_feature_dataset(path: str | Path, n_categories: int | None = None) -> FeatureDataset:
-    """Feature JSON lines as a dataset. A record needs an id no earlier
-    record has, the first record's split, at least one label, no label
-    twice, and finite features as many as the first record's. Of several
-    bad records, the error names the first."""
+def read_feature_dataset(path: str | Path, split: str,
+                         n_categories: int | None = None) -> FeatureDataset:
+    """Feature JSON lines as the dataset of ``split``. Besides the rules of
+    ``_read_records``, a record needs ``split`` as its split, at least one
+    label, no negative label (nor one at or beyond ``n_categories`` when
+    given), and finite features. Of several bad records, the error names
+    the first."""
     path = str(path)
-    ids: list[int] = []
-    labels: list[tuple[int, ...]] = []
-    rows: list[list[float]] = []
-    seen: set[int] = set()
-    split, error = None, None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    example_id = _json_int(record["id"], "id")
-                    row = _json_numbers(record["features"], "feature")
-                    example_labels = tuple(_json_int(c, "label") for c in record["labels"])
-                    record_split = str(record["split"])
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise ParseError(path, line_no, f"bad record: {exc}") from None
-                if example_id in seen:
-                    raise ParseError(path, line_no, f"duplicate id {example_id}")
-                if split is not None and record_split != split:
-                    raise ParseError(path, line_no, f"split {record_split!r} differs from "
-                                                    f"the first record's {split!r}")
-                if not example_labels:
-                    raise ParseError(path, line_no, "example has no labels")
-                if len(set(example_labels)) < len(example_labels):
-                    raise ParseError(path, line_no, f"repeated label in {list(example_labels)}")
-                if min(example_labels) < 0:
-                    raise ParseError(path, line_no, "negative label")
-                if n_categories is not None and max(example_labels) >= n_categories:
-                    raise ParseError(path, line_no, f"label beyond the {n_categories} categories")
-                if rows and len(row) != len(rows[0]):
-                    raise ParseError(path, line_no, "feature length differs from the first record's")
-                seen.add(example_id)
-                split = record_split
-                ids.append(example_id)
-                labels.append(example_labels)
-                rows.append(row)
-    except ParseError as exc:
-        error = exc  # raised after the finiteness check: an earlier bad line wins
-    if not rows:
-        raise error or ParseError(path, 0, "no feature records")
-    features = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise ParseError(path, _record_line(path, int(finite.argmin())), "non-finite feature")
-    if error:
-        raise error
-    k = n_categories if n_categories is not None else max(map(max, labels)) + 1
+    ids, labels, features, splits, error = _read_records(
+        path, "features", "feature length differs from the first record's", "split"
+    )
+    rows, cols = label_pairs(labels)
+    limit = np.inf if n_categories is None else n_categories
+    _raise_first(path, error, [
+        (np.array([s != split for s in splits], dtype=bool),
+         lambda row: f"split {splits[row]!r}, expected {split!r}"),
+        (np.bincount(rows, minlength=len(labels)) == 0, "example has no labels"),
+        (np.bincount(rows[cols < 0], minlength=len(labels)) > 0, "negative label"),
+        (np.bincount(rows[cols >= limit], minlength=len(labels)) > 0,
+         f"label beyond the {n_categories} categories"),
+        (~np.isfinite(features).all(axis=1), "non-finite feature"),
+    ])
+    if not labels:
+        raise ParseError(path, 0, "no feature records")
+    k = n_categories if n_categories is not None else int(cols.max()) + 1
     return FeatureDataset(ids, features, labels, split, k)
 
 
-def serialize_predictions(
-    example_ids: Sequence[int],
-    label_sets: Sequence[Sequence[int]],
-    scores: np.ndarray,
-) -> str:
+def serialize_predictions(example_ids: Sequence[int], targets: np.ndarray,
+                          scores: np.ndarray) -> str:
+    """One record per example, its labels the true columns of ``targets``."""
     lines = [
-        json.dumps(
-            {
-                "id": int(example_ids[i]),
-                "labels": sorted(int(c) for c in label_sets[i]),
-                "scores": [float(v) for v in scores[i]],
-            }
+        json.dumps({"id": i, "labels": np.flatnonzero(t).tolist(), "scores": row})
+        for i, t, row in zip(
+            np.asarray(example_ids, dtype=np.int64).tolist(),
+            np.asarray(targets, dtype=bool),
+            np.asarray(scores, dtype=np.float64).tolist(),
         )
-        for i in range(len(example_ids))
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -286,16 +256,37 @@ def _json_numbers(values: list, what: str) -> list:
     return [float(v) for v in values] if int in kinds else values
 
 
-def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]], np.ndarray]:
-    """Returns (example ids, label sets, score matrix). Scores must lie in
-    [0, 1] and labels in [0, K) for K scores per record. Of several bad
-    records, the error names the first."""
+def read_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (example ids, n x K multi-hot targets, n x K scores).
+    Besides the rules of ``_read_records``, scores must lie in [0, 1] and
+    labels in [0, K). Of several bad records, the error names the first."""
     path = str(path)
-    ids: list[int] = []
-    labels: list[frozenset[int]] = []
-    rows: list[list[float]] = []
-    seen: set[int] = set()
-    error = None
+    ids, labels, scores, _, error = _read_records(path, "scores",
+                                                  "inconsistent score vector length")
+    k = scores.shape[1]
+    rows, cols = label_pairs(labels)
+    _raise_first(path, error, [
+        # row extremes (NaN propagates): no matrix-sized mask
+        (~((scores.min(axis=1, initial=0.0) >= 0.0) & (scores.max(axis=1, initial=1.0) <= 1.0)),
+         "scores must lie in [0, 1]"),
+        (np.bincount(rows[(cols < 0) | (cols >= k)], minlength=len(labels)) > 0,
+         f"labels must lie in [0, {k})"),
+    ])
+    if not labels:
+        raise ParseError(path, 0, "no prediction records")
+    return ids, multi_hot(labels, k), scores
+
+
+def _read_records(path: str, key: str, width_message: str, extra: str | None = None):
+    """The records of a JSON-lines file of examples, read up to the first
+    one that breaks a rule every such file shares: an int64 ``id`` no
+    earlier record has, integer ``labels`` with no label twice, and JSON
+    numbers under ``key``, as many as the first record's (else the error
+    says ``width_message``). Returns the int64 ids, the label tuples, the
+    rows under ``key`` as a float matrix, each record's ``extra`` field
+    (None without one), and the deferred ``ParseError`` of the line where
+    reading stopped (None if none did)."""
+    ids, labels, rows, extras, seen, error = [], [], [], [], set(), None
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -304,39 +295,41 @@ def read_predictions(path: str | Path) -> tuple[list[int], list[frozenset[int]],
                 try:
                     record = json.loads(line)
                     example_id = _json_int(record["id"], "id")
-                    label_set = frozenset(_json_int(c, "label") for c in record["labels"])
-                    row = _json_numbers(record["scores"], "score")
+                    example_labels = tuple(_json_int(c, "label") for c in record["labels"])
+                    row = _json_numbers(record[key], key[:-1])  # "score" or "feature"
+                    value = record[extra] if extra else None
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ParseError(path, line_no, f"bad record: {exc}") from None
                 if example_id in seen:
                     raise ParseError(path, line_no, f"duplicate id {example_id}")
+                if len(set(example_labels)) < len(example_labels):
+                    raise ParseError(path, line_no, f"repeated label in {list(example_labels)}")
                 if rows and len(row) != len(rows[0]):
-                    raise ParseError(path, line_no, "inconsistent score vector length")
+                    raise ParseError(path, line_no, width_message)
                 seen.add(example_id)
                 ids.append(example_id)
-                labels.append(label_set)
+                labels.append(example_labels)
                 rows.append(row)
+                extras.append(value)
     except ParseError as exc:
-        error = exc  # raised after the range checks: an earlier bad line wins
-    if not rows:
-        raise error or ParseError(path, 0, "no prediction records")
-    scores = np.asarray(rows, dtype=np.float64)
-    k = scores.shape[1]
-    # row extremes (NaN propagates): no matrix-sized mask while ``rows`` lives
-    bad_scores = ~((scores.min(axis=1, initial=0.0) >= 0.0)
-                   & (scores.max(axis=1, initial=1.0) <= 1.0))
-    flat = np.fromiter(chain.from_iterable(labels), dtype=np.int64)
-    bad_labels = np.zeros_like(bad_scores)
-    if ((flat < 0) | (flat >= k)).any():  # only then are the records checked one by one
-        bad_labels[:] = [any(c < 0 or c >= k for c in s) for s in labels]
-    bad = bad_scores | bad_labels
-    if bad.any():
-        row = int(bad.argmax())
-        message = "scores must lie in [0, 1]" if bad_scores[row] else f"labels must lie in [0, {k})"
-        raise ParseError(path, _record_line(path, row), message)
+        error = exc  # raised after the row checks: an earlier bad line wins
+    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, 0))
+    return np.array(ids, dtype=np.int64), labels, matrix, extras, error
+
+
+def _raise_first(path: str, error: ParseError | None, checks: list) -> None:
+    """Raise the ``ParseError`` of the first row that any of ``checks``,
+    (row mask, message) pairs, flags, with the message of the first check
+    flagging it, a string or a function of the row; failing that, raise
+    ``error``, whose line follows every row read."""
+    flagged = np.any([mask for mask, _ in checks], axis=0)
+    if flagged.any():
+        row = int(flagged.argmax())
+        message = next(message for mask, message in checks if mask[row])
+        raise ParseError(path, _record_line(path, row),
+                         message if isinstance(message, str) else message(row))
     if error:
         raise error
-    return ids, labels, scores
 
 
 def _record_line(path: str, row: int) -> int:

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -199,33 +198,25 @@ def build_eval_pool(
 
 def pools_from_scores(
     scores: np.ndarray,
-    labels: Sequence[frozenset[int] | set[int]],
+    targets: np.ndarray,
     example_ids: Sequence[int] | None = None,
-    categories: Iterable[int] | None = None,
 ) -> dict[int, EvalPool]:
-    """Classification-mode pools from an (examples x categories) score matrix.
+    """Classification-mode pools, one per column of an (examples x
+    categories) score matrix.
 
-    Each example is a positive for every category in its label set and a
-    negative for the rest; no box matching is involved. Labels outside the
-    matrix's columns are ignored.
+    ``targets`` is the multi-hot label matrix of the same shape: each
+    example is a positive where it is true and a negative elsewhere; no
+    box matching is involved.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != len(labels):
-        raise ValueError("scores must be (n_examples, n_categories) aligned with labels")
+    targets = np.asarray(targets, dtype=bool)
+    if scores.ndim != 2 or scores.shape != targets.shape:
+        raise ValueError("scores and targets must be (n_examples, n_categories) of one shape")
     n, k = scores.shape
     ids = np.arange(n) if example_ids is None else np.asarray(example_ids, dtype=np.int64)
-    cats = list(categories) if categories is not None else list(range(k))
-    for c in cats:
-        if not 0 <= c < k:
-            raise UnknownCategory(f"category {c} outside score matrix with {k} columns")
-    rows = np.repeat(np.arange(n), [len(s) for s in labels])
-    cols = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=len(rows))
-    inside = (cols >= 0) & (cols < k)
-    members = np.zeros((k, n), dtype=bool)
-    members[cols[inside], rows[inside]] = True
-    by_category = np.ascontiguousarray(scores.T)
+    by_category, members = np.ascontiguousarray(scores.T), np.ascontiguousarray(targets.T)
     origin = np.full(n, ExampleOrigin.MATCHED_GT, dtype=np.int8)
-    return {c: EvalPool(c, by_category[c], ids, members[c], origin) for c in cats}
+    return {c: EvalPool(c, by_category[c], ids, members[c], origin) for c in range(k)}
 
 
 def pool_from_arrays(

@@ -104,6 +104,8 @@ class TrainConfig:
     stage2_warm_start: bool = False
 
     def __post_init__(self):
+        if self.hidden_dim < 1 or self.embedding_dim < 1:
+            raise ValueError("hidden_dim and embedding_dim must be at least 1")
         if self.loss not in ("bce", "focal"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.focal_gamma < 0:
@@ -547,9 +549,7 @@ def evaluate_model(
     scores = np.vstack(
         [forward(params, x[i : i + EVAL_BATCH_SIZE]) for i in range(0, len(x), EVAL_BATCH_SIZE)]
     )
-    pools = pools_from_scores(
-        scores, dataset.labels, categories=range(dataset.n_categories)
-    )
+    pools = pools_from_scores(scores[:, : dataset.n_categories], dataset.targets)
     evals = score_pools(pools, sap_config)
 
     aggregates = {"all": _group_aggregate(evals, min_examples)}

@@ -80,8 +80,9 @@ def _box_iou(a, b) -> float:
     return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
 
 
-def reference_pools_from_scores(scores, labels, example_ids=None):
-    """Classification pools built one example at a time.
+def reference_pools_from_scores(scores, targets, example_ids=None):
+    """Classification pools built one example at a time from a score
+    matrix and the multi-hot label matrix of the same shape.
 
     Returns ``{category: (positives, negatives)}``, each side a list of
     ``(score, id, is_positive, origin name)`` tuples in example order.
@@ -92,7 +93,7 @@ def reference_pools_from_scores(scores, labels, example_ids=None):
     for c in range(k):
         sides = ([], [])
         for i in range(n):
-            positive = c in labels[i]
+            positive = bool(targets[i][c])
             sides[0 if positive else 1].append(
                 (float(scores[i][c]), ids[i], positive, "MATCHED_GT")
             )
@@ -249,6 +250,119 @@ def reference_read_ground_truth(path):
         (video_id, timestamp, corners, frozenset(categories), i)
         for i, ((video_id, timestamp, _), (corners, categories)) in enumerate(boxes.items())
     ]
+
+
+def _reference_record_faults(record, key, split, n_categories, first):
+    """Every fault of one parsed JSON-lines record, in the order the
+    readers report them, and its id, labels and row (None where a field
+    does not parse). ``first`` is the (id set, width) of the good records
+    before it, or None for the first record."""
+    import math
+
+    def integer(value, what):
+        if type(value) is not int:
+            return f"bad record: {what} {value!r} is not an integer"
+        if not -(2**63) <= value < 2**63:
+            return f"bad record: {what} {value} outside int64"
+        return None
+
+    faults, example_id, labels, row = [], None, None, None
+    if "id" not in record:
+        faults.append("bad record: 'id'")
+    elif integer(record["id"], "id"):
+        faults.append(integer(record["id"], "id"))
+    else:
+        example_id = record["id"]
+    if "labels" not in record:
+        faults.append("bad record: 'labels'")
+    else:
+        bad = [integer(c, "label") for c in record["labels"] if integer(c, "label")]
+        if bad:
+            faults.append(bad[0])
+        else:
+            labels = tuple(record["labels"])
+    what = key[:-1]
+    if key not in record:
+        faults.append(f"bad record: '{key}'")
+    else:
+        bad = [v for v in record[key] if type(v) not in (int, float)]
+        if bad:
+            faults.append(f"bad record: {what} {bad[0]!r} is not a number")
+        else:
+            try:
+                row = [float(v) for v in record[key]]
+            except OverflowError as exc:
+                faults.append(f"bad record: {exc}")
+    if split is not None and "split" not in record:
+        faults.append("bad record: 'split'")
+    seen, width = first if first else (set(), None)
+    if example_id is not None and example_id in seen:
+        faults.append(f"duplicate id {example_id}")
+    if labels is not None and len(set(labels)) < len(labels):
+        faults.append(f"repeated label in {list(labels)}")
+    if row is not None and width is not None and len(row) != width:
+        faults.append("inconsistent score vector length" if split is None
+                      else "feature length differs from the first record's")
+    if split is None:
+        if row is not None and not all(0.0 <= v <= 1.0 for v in row):
+            faults.append("scores must lie in [0, 1]")
+        k = width if first else None if row is None else len(row)
+        if labels is not None and k is not None and any(c < 0 or c >= k for c in labels):
+            faults.append(f"labels must lie in [0, {k})")
+    else:
+        if "split" in record and record["split"] != split:
+            faults.append(f"split {record['split']!r}, expected {split!r}")
+        if labels is not None and not labels:
+            faults.append("example has no labels")
+        if labels is not None and any(c < 0 for c in labels):
+            faults.append("negative label")
+        if labels is not None and n_categories is not None and any(c >= n_categories for c in labels):
+            faults.append(f"label beyond the {n_categories} categories")
+        if row is not None and not all(math.isfinite(v) for v in row):
+            faults.append("non-finite feature")
+    return faults, example_id, labels, row
+
+
+def reference_read_jsonl(path, key, split=None, n_categories=None):
+    """Ids, label tuples and rows of a predictions file (``key``
+    "scores") or a feature file (``key`` "features", whose records must
+    name ``split``), read one line at a time. At the first record with a
+    fault, raises ``ParseError`` with its first fault's message; the
+    error's ``faults`` lists all of that record's faults. The faults:
+    a field that does not parse (int64 id, integer labels, numbers), an
+    id seen before, a label twice, a row wider or narrower than the first
+    record's; for predictions a score outside [0, 1] or a label outside
+    [0, K) for the first record's width K; for features another split,
+    no labels, a negative label, one at or beyond ``n_categories``, or a
+    non-finite feature."""
+    import json
+
+    from sapeval.errors import ParseError
+
+    ids, labels, rows = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                faults = [f"bad record: {exc}"]
+            else:
+                first = (set(ids), len(rows[0])) if rows else None
+                faults, example_id, example_labels, row = _reference_record_faults(
+                    record, key, split, n_categories, first
+                )
+            if faults:
+                error = ParseError(str(path), line_no, faults[0])
+                error.faults = faults
+                raise error
+            ids.append(example_id)
+            labels.append(example_labels)
+            rows.append(row)
+    if not rows:
+        raise ParseError(str(path), 0, f"no {'prediction' if split is None else 'feature'} records")
+    return ids, labels, rows
 
 
 def reference_oversample_balance(labels, n_categories, seed=0):

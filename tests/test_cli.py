@@ -50,6 +50,12 @@ class TestSynth:
         ) == 2
         assert "--fractions" in capsys.readouterr().err
 
+    def test_zero_feature_dim_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", out, "--feature-dim", 0) == 2
+        assert "feature_dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_digests_match_files(self, tmp_path):
         out = tmp_path / "data"
         assert run(
@@ -167,9 +173,9 @@ class TestSap:
     def test_classification_mode(self, tmp_path):
         rng = np.random.default_rng(3)
         scores = rng.random((40, 3))
-        labels = [[int(i % 3)] for i in range(40)]
+        targets = np.arange(40)[:, None] % 3 == np.arange(3)
         preds = tmp_path / "preds.jsonl"
-        preds.write_text(serialize_predictions(list(range(40)), labels, scores))
+        preds.write_text(serialize_predictions(list(range(40)), targets, scores))
         out = tmp_path / "sap.json"
         assert run(
             "sap", "--predictions", preds, "--out", out, "--trials", 10,
@@ -221,8 +227,10 @@ class TestSap:
             ('{"id": 0, "labels": [1], "scores": [0.1, 0.5]}', "duplicate id 0"),
             ('{"id": 100000000000000000000000, "labels": [1], "scores": [0.1, 0.5]}',
              "id 100000000000000000000000 outside int64"),
+            ('{"id": 1, "labels": [1, 1], "scores": [0.1, 0.5]}', "repeated label in [1, 1]"),
         ],
-        ids=["float_label", "bool_label", "float_id", "string_id", "duplicate_id", "int64_id"],
+        ids=["float_label", "bool_label", "float_id", "string_id", "duplicate_id", "int64_id",
+             "repeated_label"],
     )
     def test_bad_prediction_id_or_label_is_parse_error_with_line(
         self, tmp_path, capsys, record, message
@@ -297,9 +305,9 @@ class TestSap:
         rng = np.random.default_rng(2)
         n_total, n_pos = 93994, 32
         scores = rng.random((n_total, 1))
-        labels = [[0] if i < n_pos else [] for i in range(n_total)]
+        targets = (np.arange(n_total) < n_pos)[:, None]
         preds = tmp_path / "preds.jsonl"
-        preds.write_text(serialize_predictions(list(range(n_total)), labels, scores))
+        preds.write_text(serialize_predictions(list(range(n_total)), targets, scores))
         out = tmp_path / "sap.json"
         assert run(
             "sap", "--predictions", preds, "--out", out,
@@ -462,12 +470,12 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "field,message",
-        [("id", "duplicate id"), ("split", "split 'val' differs from the first record's 'train'")],
+        [("id", "duplicate id"), ("split", "split 'val', expected 'train'")],
     )
     def test_record_disagreeing_with_earlier_ones_is_parse_error(
         self, synth_dir, tmp_path, capsys, field, message
     ):
-        # line 3 repeats line 1's id, or names another split
+        # line 3 repeats line 1's id, or names another split than the file's
         data = tmp_path / "data"
         data.mkdir()
         records = [json.loads(line) for line in (synth_dir / "train.jsonl").read_text().splitlines()]
@@ -476,6 +484,31 @@ class TestTrain:
         (data / "val.jsonl").write_text((synth_dir / "val.jsonl").read_text())
         assert self._train(data, tmp_path / "run", "--variant", "baseline_plain") == 3
         assert f"train.jsonl:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value,message", [("val", "split 'val', expected 'train'"), (5, "split 5, expected")]
+    )
+    def test_every_record_must_name_the_files_split(
+        self, synth_dir, tmp_path, capsys, value, message
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        records = [json.loads(line) for line in (synth_dir / "train.jsonl").read_text().splitlines()]
+        for record in records:
+            record["split"] = value
+        (data / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        (data / "val.jsonl").write_text((synth_dir / "val.jsonl").read_text())
+        out = tmp_path / "run"
+        assert self._train(data, out, "--variant", "baseline_plain") == 3
+        assert f"train.jsonl:1: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--hidden-dim", "--embedding-dim"])
+    def test_zero_model_width_exit_2(self, synth_dir, tmp_path, capsys, flag):
+        out = tmp_path / "run"
+        assert self._train(synth_dir, out, "--variant", "baseline_plain", flag, 0) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_split_beyond_the_categories_rejected_for_every_variant(

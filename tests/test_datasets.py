@@ -30,6 +30,9 @@ class TestZipfSpec:
             ZipfSpec(cluster_spread=0.0)
         with pytest.raises(ValueError):
             ZipfSpec(multilabel_rate=1.0)
+        # a zero-length cluster mean has norm 0, which the generator would redraw forever
+        with pytest.raises(ValueError, match="feature_dim"):
+            ZipfSpec(feature_dim=0)
 
     def test_zero_exponent_allowed(self):
         ZipfSpec(exponent=0.0)

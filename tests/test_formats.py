@@ -1,3 +1,5 @@
+import json
+import math
 import re
 
 import numpy as np
@@ -19,7 +21,7 @@ from sapeval.formats import (
 )
 
 from conftest import MICRO_DET, MICRO_GT, det_columns, gt_columns
-from oracles import reference_read_detections, reference_read_ground_truth
+from oracles import reference_read_detections, reference_read_ground_truth, reference_read_jsonl
 
 
 def gt_rows(columns):
@@ -297,7 +299,7 @@ class TestFeatureDatasetJsonl:
         path = tmp_path / "train.jsonl"
         text = serialize_feature_dataset(train)
         path.write_text(text)
-        loaded = read_feature_dataset(path, n_categories=4)
+        loaded = read_feature_dataset(path, "train", n_categories=4)
         assert len(loaded) == len(train)
         assert np.array_equal(loaded.ids, train.ids)
         assert loaded.labels == train.labels
@@ -318,14 +320,14 @@ class TestFeatureDatasetJsonl:
                         '{"id": 1, "split": "train", "labels": [1], "features": [Infinity, 1.0]}\n'
                         f"{later}\n")
         with pytest.raises(ParseError, match="non-finite feature") as err:
-            read_feature_dataset(path)
+            read_feature_dataset(path, "train")
         assert err.value.line == 3
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": 0, "split": "train", "labels": [0]}\n')
         with pytest.raises(ParseError) as err:
-            read_feature_dataset(path)
+            read_feature_dataset(path, "train")
         assert err.value.line == 1
 
 
@@ -333,15 +335,15 @@ class TestPredictions:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         scores = rng.random((6, 3))
-        labels = [sorted({int(rng.integers(0, 3))}) for _ in range(6)]
-        text = serialize_predictions(list(range(6)), labels, scores)
+        targets = rng.random((6, 3)) < 0.4
+        text = serialize_predictions(list(range(6)), targets, scores)
         path = tmp_path / "preds.jsonl"
         path.write_text(text)
-        ids, label_sets, matrix = read_predictions(path)
-        assert ids == list(range(6))
-        assert [sorted(s) for s in label_sets] == labels
+        ids, read_targets, matrix = read_predictions(path)
+        assert ids.tolist() == list(range(6))
+        assert np.array_equal(read_targets, targets)
         assert np.array_equal(matrix, scores)
-        assert serialize_predictions(ids, [sorted(s) for s in label_sets], matrix) == text
+        assert serialize_predictions(ids, read_targets, matrix) == text
 
     def test_inconsistent_widths(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -385,6 +387,151 @@ class TestPredictions:
         path.write_text("")
         with pytest.raises(ParseError):
             read_predictions(path)
+
+
+KEYS = {"predictions": "scores", "features": "features"}
+
+
+@st.composite
+def jsonl_records(draw, kind):
+    """Two to eight valid records of a predictions or feature file with K
+    scores or features each, and K."""
+    k = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.one_of(st.integers(-5, 50), st.sampled_from([2**63 - 1, -(2**63)])),
+                        min_size=2, max_size=8, unique=True))
+    if kind == "predictions":
+        values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+    else:
+        values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-9, 9))
+    records = []
+    for example_id in ids:
+        record = {
+            "id": example_id,
+            "labels": draw(st.lists(st.integers(0, k - 1), unique=True,
+                                    min_size=kind == "features", max_size=k)),
+            KEYS[kind]: draw(st.lists(values, min_size=k, max_size=k)),
+        }
+        if kind == "features":
+            record["split"] = "train"
+        records.append(record)
+    return records, k
+
+
+def jsonl_text(draw, records):
+    """Records as JSON lines (a string record is written as it is), with
+    blank lines between some of them and sometimes no final newline."""
+    return csv_text(draw, [[r if isinstance(r, str) else json.dumps(r)] for r in records])
+
+
+JSONL_CORRUPTIONS = {
+    "predictions": ["type", "missing", "not_json", "duplicate_id", "width", "score",
+                    "label_range", "repeated_label"],
+    "features": ["type", "missing", "not_json", "duplicate_id", "width", "non_finite",
+                 "label_range", "repeated_label", "split", "no_labels"],
+}
+
+
+def corrupt_record(draw, records, i, file_kind, kind, k):
+    """A copy of record ``i`` of a ``file_kind`` file with one fault of
+    ``kind``, or the text of a line that is not JSON."""
+    key = KEYS[file_kind]
+    record = json.loads(json.dumps(records[i]))
+    if kind == "type":
+        field, value = draw(st.sampled_from([
+            ("id", 1.5), ("id", "7"), ("id", True), ("id", 2**63), ("id", -(2**63) - 1),
+            ("labels", [0.5]), ("labels", ["1"]), ("labels", [2**64]),
+            (key, ["0.5"]), (key, [None]), (key, [True]), (key, [10**400]),
+        ]))
+        record[field] = value if field == "id" else record[field] + value
+    elif kind == "missing":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif kind == "not_json":
+        return json.dumps(record)[:-1]
+    elif kind == "duplicate_id":
+        record["id"] = records[draw(st.sampled_from([j for j in range(len(records)) if j != i]))]["id"]
+    elif kind == "width":
+        record[key] = record[key][:-1] if draw(st.booleans()) else record[key] + [0.5]
+    elif kind in ("score", "non_finite"):
+        record[key][draw(st.integers(0, k - 1))] = draw(st.sampled_from(
+            [1.5, -0.25, 1.0000001, math.nan, math.inf] if kind == "score"
+            else [math.nan, math.inf, -math.inf]
+        ))
+    elif kind == "label_range":
+        record["labels"].insert(draw(st.integers(0, len(record["labels"]))),
+                                draw(st.sampled_from([-1, k, k + 3])))
+    elif kind == "repeated_label":
+        record["labels"] = record["labels"] + record["labels"][:1] if record["labels"] else [0, 0]
+    elif kind == "split":
+        record["split"] = draw(st.sampled_from(["val", "Train", 5, None, ["train"]]))
+    else:
+        record["labels"] = []
+    return record
+
+
+def read_with(reader, path):
+    """``("ok", result)`` or ``("error", line, message, faults)``."""
+    try:
+        return "ok", reader(path)
+    except ParseError as exc:
+        return "error", exc.line, str(exc), getattr(exc, "faults", None)
+
+
+class TestJsonlReaderMatchesReference:
+    @staticmethod
+    def readers(kind, n_categories):
+        """The library's reader and the reference's, with comparable results."""
+        if kind == "predictions":
+            def library(path):
+                ids, targets, scores = read_predictions(path)
+                return (ids.tolist(), [tuple(np.flatnonzero(t)) for t in targets],
+                        scores.tolist())
+
+            def reference(path):
+                ids, labels, rows = reference_read_jsonl(path, "scores")
+                return ids, [tuple(sorted(t)) for t in labels], rows
+        else:
+            def library(path):
+                d = read_feature_dataset(path, "train", n_categories)
+                return d.ids.tolist(), d.labels, d.features.tolist(), d.split, d.n_categories
+
+            def reference(path):
+                ids, labels, rows = reference_read_jsonl(path, "features", "train", n_categories)
+                k = n_categories if n_categories is not None else max(map(max, labels)) + 1
+                return ids, labels, rows, "train", k
+        return library, reference
+
+    @pytest.mark.parametrize("kind", sorted(KEYS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_valid_files_give_reference_records(self, tmp_path_factory, kind, data):
+        records, k = data.draw(jsonl_records(kind))
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        path.write_text(jsonl_text(data.draw, records), encoding="utf-8")
+        library, reference = self.readers(kind, data.draw(st.sampled_from([None, k])))
+        assert library(path) == reference(path)
+
+    @pytest.mark.parametrize(
+        "kind,corruption", [(kind, c) for kind in sorted(KEYS) for c in JSONL_CORRUPTIONS[kind]]
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_files_give_reference_error(self, tmp_path_factory, kind, corruption, data):
+        """The first bad line is the reference's; so is the message when
+        that record has a single fault. A corruption can also leave a
+        valid file (a label of K when K is inferred), read the same way."""
+        records, k = data.draw(jsonl_records(kind))
+        bad = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=2,
+                                 unique=True))
+        kinds = [corruption, data.draw(st.sampled_from(JSONL_CORRUPTIONS[kind]))]
+        corrupted = list(records)
+        for i, record_kind in zip(bad, kinds):
+            corrupted[i] = corrupt_record(data.draw, records, i, kind, record_kind, k)
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        path.write_text(jsonl_text(data.draw, corrupted), encoding="utf-8")
+        library, reference = self.readers(kind, data.draw(st.sampled_from([None, k])))
+        expected, result = read_with(reference, path), read_with(library, path)
+        several_faults = expected[0] == "error" and len(expected[3]) > 1
+        assert result[:2 if several_faults else 3] == expected[:2 if several_faults else 3]
 
 
 class TestCategoryAp:

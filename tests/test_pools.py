@@ -162,19 +162,15 @@ class TestBuildEvalPool:
 class TestPoolsFromScores:
     def test_multi_label_memberships(self):
         scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.7]])
-        labels = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
-        pools = pools_from_scores(scores, labels)
+        targets = np.array([[True, False], [False, True], [True, True]])
+        pools = pools_from_scores(scores, targets)
         assert pools[0].n_pos == 2 and pools[0].n_neg == 1
         assert pools[1].n_pos == 2 and pools[1].n_neg == 1
         assert set(pools[0].ids[pools[0].is_positive].tolist()) == {0, 2}
 
-    def test_unknown_category_raises(self):
-        with pytest.raises(UnknownCategory):
-            pools_from_scores(np.zeros((2, 2)), [frozenset({0})] * 2, categories=[5])
-
     def test_duplicate_example_ids_raise(self):
         with pytest.raises(ValueError):
-            pools_from_scores(np.zeros((2, 1)), [frozenset({0})] * 2, [7, 7])
+            pools_from_scores(np.zeros((2, 1)), np.ones((2, 1), dtype=bool), [7, 7])
 
     def test_pool_from_arrays_round_trip(self):
         p = pool_from_arrays(3, [0.5, 0.25], [True, False])
@@ -231,14 +227,11 @@ def score_matrices(draw):
     scores = np.array(draw(st.lists(
         st.one_of(TIED_SCORES, st.floats(0.0, 1.0)), min_size=n * k, max_size=n * k
     ))).reshape(n, k)
-    # labels beyond the columns (k, -1) are ignored by both builders
-    labels = draw(st.lists(
-        st.frozensets(st.integers(-1, k), max_size=3), min_size=n, max_size=n
-    ))
+    targets = np.array(draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))).reshape(n, k)
     ids = draw(st.one_of(
         st.none(), st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True)
     ))
-    return scores, labels, ids
+    return scores, targets, ids
 
 
 # corners on a coarse grid so that boxes often coincide or overlap near the
@@ -294,9 +287,9 @@ class TestColumnarMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(score_matrices(), st.integers(0, 2**32))
     def test_pools_from_scores(self, case, seed):
-        scores, labels, ids = case
-        reference = reference_pools_from_scores(scores, labels, ids)
-        pools = pools_from_scores(scores, labels, ids)
+        scores, targets, ids = case
+        reference = reference_pools_from_scores(scores, targets, ids)
+        pools = pools_from_scores(scores, targets, ids)
         assert sorted(pools) == sorted(reference)
         for c, p in pools.items():
             assert_matches_reference(p, reference[c], seed)
