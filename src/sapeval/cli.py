@@ -81,12 +81,15 @@ def _parse_fractions(text: str) -> tuple[float, ...]:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated distinct positive integers; an empty entry is an error."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"{flag}: cannot parse {text!r}") from None
-    if not values or min(values) < 1:
+    if min(values) < 1:
         raise ConfigError(f"{flag}: needs positive integers")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{flag}: repeats a count in {text!r}")
     return values
 
 

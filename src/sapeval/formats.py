@@ -81,9 +81,12 @@ def read_ground_truth_csv(path: str | Path) -> GroundTruthColumns:
     first = np.sort(order[starts])
     instance = np.empty(len(order), dtype=np.int64)
     instance[order] = np.searchsorted(first, order[starts])[np.cumsum(starts) - 1]
-    labels = np.unique(np.stack([instance, category], axis=1), axis=0)
+    pairs = np.lexsort((category, instance))
+    label_row, label_category = instance[pairs], category[pairs]
+    distinct = np.ones(len(pairs), dtype=bool)
+    distinct[1:] = (label_row[1:] != label_row[:-1]) | (label_category[1:] != label_category[:-1])
     return GroundTruthColumns(frames, frame[first], boxes[first], np.arange(len(first)),
-                              labels[:, 0], labels[:, 1])
+                              label_row[distinct], label_category[distinct])
 
 
 def serialize_ground_truth(gt: GroundTruthColumns) -> str:

@@ -46,16 +46,32 @@ def average_precision_from_arrays(
         raise NoPositives("average precision needs at least one positive example")
     if ids is None:
         ids = np.arange(len(scores))
-    # rank order: descending score, ascending id
-    return _ranked_ap(is_positive[np.lexsort((ids, -scores))], n_pos)
+    return _ranked_ap(is_positive[rank_order(scores, ids)], n_pos)
+
+
+def rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row indices by descending score, ties by ascending id, then by row:
+    the order of ``np.lexsort((ids, -scores))`` for scores without NaN.
+
+    One unstable sort of the scores, then a sort of the tied rows alone,
+    which costs far less than a lexsort when few scores tie.
+    """
+    key = -scores
+    order = np.argsort(key)
+    ranked = key[order]
+    same = ranked[1:] == ranked[:-1]
+    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    rows = order[tied]
+    order[tied] = rows[np.lexsort((rows, ids[rows], ranked[tied]))]
+    return order
 
 
 def _ranked_ap(flags: np.ndarray, n_pos: int) -> float:
     """Mean over ``n_pos`` positives of the precision at each positive flag
     of a ranked list."""
-    cum_tp = np.cumsum(flags)
-    ranks = np.arange(1, len(flags) + 1)
-    return float((cum_tp[flags] / ranks[flags]).sum() / n_pos)
+    ranks = np.flatnonzero(flags) + 1
+    # the k-th positive flag has k true positives at or above its rank
+    return float((np.arange(1, len(ranks) + 1) / ranks).sum() / n_pos)
 
 
 def average_precision(pool: EvalPool) -> float:

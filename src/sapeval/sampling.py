@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NoEligibleCategories, NoPositives
-from .metrics import average_precision_from_arrays
+# not called here; perfbench/tracing.py wraps it under this name
+from .metrics import average_precision_from_arrays  # noqa: F401
+from .metrics import _ranked_ap, rank_order
 from .pools import EvalPool, ExampleOrigin
 
 _MASK64 = (1 << 64) - 1
@@ -71,25 +73,47 @@ def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
     positive set the result is flagged degenerate and every trial simply
     uses all negatives.
     """
+    return _sampled_ap(pool.category, _rank(pool, config.include_background), config)
+
+
+def _rank(pool: EvalPool, include_background: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The pool's positive flags in rank order (descending score, ascending
+    id), and the rank of each negative a trial may draw, in pool order.
+
+    Ids are unique, so any subset of the pool ranks in this order: a trial
+    is a mask over it, with no sort of its own.
+    """
     if pool.n_pos == 0:
         raise NoPositives(f"category {pool.category} has no positive examples")
+    order = rank_order(pool.scores, pool.ids)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
     negative = ~pool.is_positive
-    if not config.include_background:
+    if not include_background:
         negative &= pool.origin != ExampleOrigin.BACKGROUND_DETECTION
-    positives, negatives = np.flatnonzero(pool.is_positive), np.flatnonzero(negative)
-    n_pos, n_neg = len(positives), len(negatives)
+    return pool.is_positive[order], rank[negative]
+
+
+def _sampled_ap(
+    category: int, ranking: tuple[np.ndarray, np.ndarray], config: SapConfig
+) -> SapResult:
+    """``sampled_ap`` of a pool ranked by ``_rank`` with
+    ``config.include_background``."""
+    flags, negative_ranks = ranking
+    n_pos, n_neg = int(flags.sum()), len(negative_ranks)
     degenerate = n_neg < n_pos
 
     trial_aps = []
     for i in range(config.n_trials):
         if degenerate or n_neg == n_pos:
-            picked = negatives
+            picked = negative_ranks
         else:
             rng = np.random.default_rng(mix_seed(config.seed, i))
-            picked = negatives[rng.choice(n_neg, size=n_pos, replace=False)]
-        rows = np.concatenate([positives, picked])
-        trial_aps.append(average_precision_from_arrays(
-            pool.scores[rows], pool.is_positive[rows], pool.ids[rows]))
+            picked = negative_ranks[rng.choice(n_neg, size=n_pos, replace=False)]
+        # the positives and this trial's negatives, in rank order
+        keep = flags.copy()
+        keep[picked] = True
+        trial_aps.append(_ranked_ap(np.compress(keep, flags), n_pos))
 
     aps = np.array(trial_aps, dtype=np.float64)
     if float(aps.min()) == float(aps.max()):
@@ -98,7 +122,7 @@ def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
     else:
         mean, std = float(aps.mean()), float(aps.std())
     return SapResult(
-        category=pool.category,
+        category=category,
         trial_aps=tuple(float(a) for a in aps),
         mean=mean,
         std=std,
@@ -139,17 +163,19 @@ def stability_profile(
     """How the sampled-AP estimate spreads as the trial count grows.
 
     For each N, the metric is recomputed ``repeats`` times with independent
-    derived seeds; the mean and std of those estimates show how many trials
-    are enough for a stable score.
+    derived seeds, all over one ranking of the pool; the mean and std of
+    those estimates show how many trials are enough for a stable score.
     """
     if not trial_counts:
         raise ValueError("trial_counts must be non-empty")
+    ranking = _rank(pool, include_background)
     points = []
     for j, n_trials in enumerate(trial_counts):
         estimates = np.array(
             [
-                sampled_ap(
-                    pool,
+                _sampled_ap(
+                    pool.category,
+                    ranking,
                     SapConfig(
                         n_trials=n_trials,
                         seed=mix_seed(mix_seed(seed, j), r),

@@ -71,6 +71,46 @@ def exhaustive_sampled_ap(positives, negatives) -> float:
     return total / count
 
 
+def reference_sampled_ap(pool, config) -> dict:
+    """``sampled_ap`` one trial at a time: the library's seeded draws
+    (``mix_seed``, ``rng.choice``) over the pool's positives and eligible
+    negatives, each trial's rows ranked by Python ``sorted`` on
+    (-score, id), and its precisions summed in one float64 array.
+
+    Returns the ``SapResult`` fields other than the category.
+    """
+    from sapeval.pools import ExampleOrigin
+    from sapeval.sampling import mix_seed
+
+    rows = list(zip(pool.scores.tolist(), pool.ids.tolist(), pool.is_positive.tolist(),
+                    pool.origin.tolist()))
+    positives = [r for r in rows if r[2]]
+    negatives = [r for r in rows if not r[2] and (
+        config.include_background or r[3] != ExampleOrigin.BACKGROUND_DETECTION)]
+    n_pos, n_neg = len(positives), len(negatives)
+    assert n_pos > 0
+    trial_aps = []
+    for i in range(config.n_trials):
+        picked = negatives
+        if n_neg > n_pos:
+            rng = np.random.default_rng(mix_seed(config.seed, i))
+            picked = [negatives[j] for j in rng.choice(n_neg, size=n_pos, replace=False)]
+        ranked = sorted(positives + picked, key=lambda r: (-r[0], r[1]))
+        precisions, tp = [], 0
+        for rank, row in enumerate(ranked, start=1):
+            if row[2]:
+                tp += 1
+                precisions.append(tp / rank)
+        trial_aps.append(float(np.array(precisions, dtype=np.float64).sum() / n_pos))
+    aps = np.array(trial_aps, dtype=np.float64)
+    if aps.min() == aps.max():
+        mean, std = trial_aps[0], 0.0
+    else:
+        mean, std = float(aps.mean()), float(aps.std())
+    return {"trial_aps": tuple(trial_aps), "mean": mean, "std": std, "n_pos": n_pos,
+            "degenerate": n_neg < n_pos}
+
+
 def _box_iou(a, b) -> float:
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
     iy = min(a.y2, b.y2) - max(a.y1, b.y1)

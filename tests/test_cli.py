@@ -337,6 +337,17 @@ class TestStability:
             "--out", tmp_path / "x.csv",
         ) == 2
 
+    @pytest.mark.parametrize("trials", ["5,,10", "5,5", "0", "x"])
+    def test_bad_trial_list_exit_2(self, detection_files, tmp_path, capsys, trials):
+        gt, det = detection_files
+        out = tmp_path / "x.csv"
+        assert run(
+            "stability", "--gt", gt, "--det", det, "--category", 0,
+            "--trials", trials, "--out", out,
+        ) == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSplit:
     def test_known_gaps(self, tmp_path):

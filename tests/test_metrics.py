@@ -15,6 +15,7 @@ from sapeval.metrics import (
     frame_ap,
     mean_ap,
     random_baseline_ap,
+    rank_order,
     roc_auc,
 )
 
@@ -115,6 +116,16 @@ class TestAveragePrecision:
         ap = average_precision_from_arrays(scores, flags)
         assert 0.0 <= ap <= 1.0
         assert ap >= flags.mean() - 0.1
+
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+                              | st.floats(-1.0, 1.0), st.integers(-3, 3)), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_order_sorts_by_score_then_id_then_row(self, rows):
+        # tied scores, -0.0 beside 0.0, and repeated ids
+        scores = np.array([s for s, _ in rows], dtype=np.float64)
+        ids = np.array([i for _, i in rows], dtype=np.int64)
+        expected = sorted(range(len(rows)), key=lambda r: (-rows[r][0], rows[r][1], r))
+        assert rank_order(scores, ids).tolist() == expected
 
     def test_reversed_perfect_ranking_minimizes(self):
         perfect = make_pool([0.9, 0.8], [0.2, 0.1])

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sapeval.errors import NoEligibleCategories, NoPositives
 from sapeval.metrics import average_precision
@@ -16,7 +17,7 @@ from sapeval.sampling import (
 )
 
 from conftest import make_pool, pool_sides, random_pool
-from oracles import exhaustive_sampled_ap
+from oracles import exhaustive_sampled_ap, reference_sampled_ap
 
 FIXTURE = make_pool([0.9, 0.4], [0.8, 0.3, 0.1])  # exact expectation 8/9
 
@@ -131,6 +132,68 @@ class TestSampledAp:
             [average_precision(p) for p in rare_pools]
         )
         assert ap_ratio > 10
+
+
+@st.composite
+def sap_pools(draw):
+    """A shuffled pool with tied scores and background rows, and whether
+    background rows are eligible negatives. The eligible negatives are
+    fewer than, as many as or more than the positives."""
+    include_background = draw(st.booleans())
+    n_pos = draw(st.integers(1, 8))
+    n_background = draw(st.integers(0, 4))
+    eligible = {"fewer": draw(st.integers(0, n_pos - 1)) if n_pos > 1 else 0,
+                "equal": n_pos,
+                "more": draw(st.integers(n_pos + 1, 3 * n_pos + 4))}[
+        draw(st.sampled_from(["fewer", "equal", "more"]))]
+    if include_background:
+        n_background = min(n_background, eligible)
+        n_matched = eligible - n_background
+    else:
+        n_matched = eligible
+    n = n_pos + n_matched + n_background
+    score = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    scores = draw(st.lists(score, min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(-100, 10**6), min_size=n, max_size=n, unique=True))
+    is_positive = [True] * n_pos + [False] * (n_matched + n_background)
+    origin = [ExampleOrigin.MATCHED_GT] * (n_pos + n_matched) + [
+        ExampleOrigin.BACKGROUND_DETECTION] * n_background
+    order = draw(st.permutations(range(n)))
+    pool = EvalPool(0, scores=[scores[i] for i in order], ids=[ids[i] for i in order],
+                    is_positive=[is_positive[i] for i in order],
+                    origin=[origin[i] for i in order])
+    return pool, include_background
+
+
+class TestMatchesReference:
+    """``sampled_ap`` and ``stability_profile`` rank a pool once and take
+    each trial as a mask over that ranking; the reference re-ranks every
+    trial. Results must agree bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sap_pools(), st.integers(1, 6), st.integers(0, 2**64 - 1))
+    def test_sampled_ap(self, drawn, n_trials, seed):
+        pool, include_background = drawn
+        config = SapConfig(n_trials=n_trials, seed=seed, include_background=include_background)
+        result = sampled_ap(pool, config)
+        expected = reference_sampled_ap(pool, config)
+        assert {k: getattr(result, k) for k in expected} == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(sap_pools(), st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+           st.integers(2, 3), st.integers(0, 2**64 - 1))
+    def test_stability_profile(self, drawn, trial_counts, repeats, seed):
+        pool, include_background = drawn
+        points = stability_profile(pool, trial_counts, repeats=repeats, seed=seed,
+                                   include_background=include_background)
+        for j, (n_trials, point) in enumerate(zip(trial_counts, points)):
+            estimates = np.array([
+                reference_sampled_ap(pool, SapConfig(n_trials, mix_seed(mix_seed(seed, j), r),
+                                                     include_background))["mean"]
+                for r in range(repeats)
+            ])
+            assert (point.n_trials, point.mean, point.std) == (
+                n_trials, float(estimates.mean()), float(estimates.std()))
 
 
 class TestExactOracle:
