@@ -30,7 +30,9 @@ from .training import (
     TrainConfig,
     evaluate_model,
     resolve_variant,
-    run_ablation,
+    stage1_key,
+    train_stage1,
+    train_stage2,
 )
 
 #: The dataset shape used throughout the benchmark.
@@ -146,9 +148,18 @@ def run_benchmark(
 
     result = BenchmarkResult(seed=seed, split=split)
     sap_config = SapConfig(n_trials=sap_trials, seed=seed)
+    stage1: dict = {}
     for variant in variants:
-        config = variant_config(variant, seed, n_train, n_head_examples, n_balanced)
-        params = run_ablation(train, split, variant, config)
+        # run_ablation's two stages, with each distinct stage 1 trained once
+        config, stage1_set, stage2_set = resolve_variant(
+            variant, variant_config(variant, seed, n_train, n_head_examples, n_balanced)
+        )
+        key = stage1_key(config, stage1_set)
+        if key not in stage1:
+            stage1[key] = train_stage1(train, split, config, stage1_set)
+        params = stage1[key].copy()
+        if stage2_set is not None:
+            params = train_stage2(train, split, config, stage2_set, params)
         result.reports[variant] = evaluate_model(
             params, val, sap_config, split=split, min_examples=1
         )

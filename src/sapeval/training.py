@@ -12,7 +12,9 @@ set with the extractor frozen, and the config fields it overrides.
 ``two_stage`` is the head-to-tail transfer schema; ``baseline_plain``,
 ``naive_balanced`` and ``focal`` are its single-stage baselines, and
 ``stage1_all``, ``stage2_finetune_all`` and ``stage2_unbalanced`` its
-ablations.
+ablations. :func:`run_ablation` is :func:`train_stage1` followed by
+:func:`train_stage2`; variants with equal :func:`stage1_key` train the same
+stage 1, which the reference benchmark trains once and shares.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -177,12 +178,9 @@ def reinit_head(params: ModelParams, seed: int) -> ModelParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp only ever sees -|z|, so it cannot overflow
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def embed(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -205,6 +203,30 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return head_probabilities(params, embed(params, features))
 
 
+def _bce_terms(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry binary cross-entropy of probabilities already clipped to
+    [PROB_EPS, 1 - PROB_EPS], and its derivative in the probabilities."""
+    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p)), (p - y) / (p * (1.0 - p))
+
+
+def _focal_terms(
+    p: np.ndarray, y: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_bce_terms` of the focusing loss."""
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
+    p_t = np.where(y > 0.5, p, 1.0 - p)
+    focus = (1.0 - p_t) ** gamma
+    dl_dpt = gamma * (1.0 - p_t) ** (gamma - 1.0) * np.log(p_t) - focus / p_t
+    return -focus * np.log(p_t), np.where(y > 0.5, dl_dpt, -dl_dpt)
+
+
+def _mean_loss(probabilities, targets, terms, *args) -> tuple[float, np.ndarray]:
+    p = np.clip(np.asarray(probabilities, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    entries, slope = terms(p, np.asarray(targets, dtype=np.float64), *args)
+    return float(np.mean(entries)), slope / p.size
+
+
 def bce_loss(
     probabilities: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -212,11 +234,7 @@ def bce_loss(
 
     Returns the loss and its gradient with respect to the probabilities.
     """
-    p = np.clip(np.asarray(probabilities, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    y = np.asarray(targets, dtype=np.float64)
-    loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
-    dloss = (p - y) / (p * (1.0 - p)) / p.size
-    return loss, dloss
+    return _mean_loss(probabilities, targets, _bce_terms)
 
 
 def focal_loss(
@@ -225,40 +243,66 @@ def focal_loss(
     """Focusing loss: cross-entropy scaled by (1 - p_t)^gamma, which
     down-weights well-classified entries. Reduces exactly to
     :func:`bce_loss` at gamma = 0."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    p = np.clip(np.asarray(probabilities, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    y = np.asarray(targets, dtype=np.float64)
-    p_t = np.where(y > 0.5, p, 1.0 - p)
-    focus = (1.0 - p_t) ** gamma
-    loss = float(np.mean(-focus * np.log(p_t)))
-    dl_dpt = gamma * (1.0 - p_t) ** (gamma - 1.0) * np.log(p_t) - focus / p_t
-    dloss = np.where(y > 0.5, dl_dpt, -dl_dpt) / p.size
-    return loss, dloss
+    return _mean_loss(probabilities, targets, _focal_terms, gamma)
 
 
 def head_gradient(
     probabilities: np.ndarray,
     targets: np.ndarray,
-    columns: Sequence[int] | None,
+    columns: np.ndarray | None,
     loss: str,
     gamma: float,
 ) -> tuple[float, np.ndarray]:
-    """Loss over the given category columns (all when None) and its
-    gradient with respect to the head logits, zero outside the columns."""
-    cols = np.arange(probabilities.shape[1]) if columns is None else np.asarray(
-        sorted(columns), dtype=np.intp
-    )
-    p_used, y_used = probabilities[:, cols], targets[:, cols]
+    """Loss over the given category columns (all when None; distinct
+    ``intp`` indices, as :func:`_mask_columns` returns them) and its
+    gradient with respect to the head logits, zero outside the columns.
+
+    ``probabilities`` come from :func:`head_probabilities`, already clipped.
+    """
+    if columns is None:
+        p_used, y_used = probabilities, targets
+    else:
+        p_used, y_used = probabilities[:, columns], targets[:, columns]
     if loss == "bce":
-        value, dloss_used = bce_loss(p_used, y_used)
+        entries, slope = _bce_terms(p_used, y_used)
     elif loss == "focal":
-        value, dloss_used = focal_loss(p_used, y_used, gamma)
+        entries, slope = _focal_terms(p_used, y_used, gamma)
     else:
         raise ValueError(f"unknown loss {loss!r}")
+    # summed down the columns, the order np.mean reads a column gather in:
+    # the loss is bce_loss (focal_loss) of the gathered columns to the bit
+    value = float(np.asfortranarray(entries).sum() / entries.size)
+    dz_used = slope / entries.size * p_used * (1.0 - p_used)
+    if columns is None:
+        return value, dz_used
     dz = np.zeros_like(probabilities)
-    dz[:, cols] = dloss_used * p_used * (1.0 - p_used)
+    dz[:, columns] = dz_used
     return value, dz
+
+
+def _mask_columns(
+    category_mask: Sequence[int] | None, n_categories: int
+) -> np.ndarray | None:
+    """A category mask as sorted ``intp`` columns (None stays None).
+
+    Raises ValueError for an empty mask, and for an entry that is not an
+    integer, lies outside ``[0, n_categories)`` or repeats.
+    """
+    if category_mask is None:
+        return None
+    entries = list(category_mask)
+    if not entries:
+        raise ValueError("category_mask selects no category")
+    for c in entries:
+        if isinstance(c, (bool, np.bool_)) or not isinstance(c, (int, np.integer)):
+            raise ValueError(f"category_mask entry {c!r} is not an integer")
+        if not 0 <= c < n_categories:
+            raise ValueError(f"category_mask entry {c} is outside [0, {n_categories})")
+    columns = np.array(sorted(entries), dtype=np.intp)
+    repeated = columns[1:][columns[1:] == columns[:-1]]
+    if len(repeated):
+        raise ValueError(f"category_mask repeats entry {repeated[0]}")
+    return columns
 
 
 def model_loss(
@@ -272,14 +316,32 @@ def model_loss(
     """Loss over a batch plus analytic gradients for all parameters.
 
     With a category mask, the loss averages over the masked categories only
-    and every other category receives an exactly zero gradient.
+    and every other category receives an exactly zero gradient; the mask is
+    checked as :func:`sgd_train` checks it.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    return _backprop(
+        params,
+        np.atleast_2d(np.asarray(features, dtype=np.float64)),
+        np.atleast_2d(np.asarray(targets, dtype=np.float64)),
+        loss,
+        gamma,
+        _mask_columns(category_mask, params.head_w.shape[0]),
+    )
+
+
+def _backprop(
+    params: ModelParams,
+    features: np.ndarray,
+    y: np.ndarray,
+    loss: str,
+    gamma: float,
+    columns: np.ndarray | None,
+) -> LossValue:
+    """:func:`model_loss` of 2-D float64 arrays and checked columns."""
     hidden = np.tanh(features @ params.w1 + params.b1)
     embeddings = hidden @ params.w2 + params.b2
     probs = head_probabilities(params, embeddings)
-    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    value, dz = head_gradient(probs, y, category_mask, loss, gamma)
+    value, dz = head_gradient(probs, y, columns, loss, gamma)
 
     g_head_w = dz.T @ embeddings
     g_head_b = dz.sum(axis=0)
@@ -316,6 +378,7 @@ def sgd_train(
     targets = np.asarray(targets, dtype=np.float64)
     if len(features) == 0:
         raise ValueError("training set is empty")
+    columns = _mask_columns(category_mask, targets.shape[1])
     params = params.copy()
     cached = embed(params, features) if head_only else None
 
@@ -332,16 +395,12 @@ def sgd_train(
             if head_only:
                 e_batch = cached[rows]
                 value, dz = head_gradient(
-                    head_probabilities(params, e_batch),
-                    targets[rows],
-                    category_mask,
-                    loss,
-                    gamma,
+                    head_probabilities(params, e_batch), targets[rows], columns, loss, gamma
                 )
                 grads = {"head_w": dz.T @ e_batch, "head_b": dz.sum(axis=0)}
             else:
-                result = model_loss(
-                    params, features[rows], targets[rows], loss, gamma, category_mask
+                result = _backprop(
+                    params, features[rows], targets[rows], loss, gamma, columns
                 )
                 value, grads = result.value, vars(result.grads)
             if not np.isfinite(value):
@@ -393,6 +452,82 @@ def _example_rows(
     return rows
 
 
+#: The :class:`TrainConfig` fields that only a second stage reads.
+_STAGE2_FIELDS = ("stage2", "stage2_freeze", "stage2_balance", "stage2_warm_start")
+
+
+def stage1_key(config: TrainConfig, stage1_set: str) -> tuple:
+    """Everything :func:`train_stage1` reads besides the dataset and the
+    split: on the same dataset and split, equal keys train bitwise-equal
+    stage-1 weights."""
+    defaults = TrainConfig()
+    return stage1_set, dataclasses.replace(
+        config, **{name: getattr(defaults, name) for name in _STAGE2_FIELDS}
+    )
+
+
+def _train_stage(stage, params, dataset, split, example_set, config, plan, history, **options):
+    rows = _example_rows(dataset, example_set, split, config.seed)
+    stage_history: list = []
+    params = sgd_train(
+        params,
+        dataset.features[rows],
+        dataset.targets[rows],
+        plan,
+        batch_size=config.batch_size,
+        seed=mix_seed(config.seed, 2 * stage - 1),  # 2 seeds the balancer
+        loss=config.loss,
+        gamma=config.focal_gamma,
+        history=stage_history,
+        **options,
+    )
+    if history is not None:
+        history.extend({"stage": stage, **h} for h in stage_history)
+    return params
+
+
+def train_stage1(
+    dataset: FeatureDataset,
+    split: HeadTailSplit | None,
+    config: TrainConfig,
+    example_set: str,
+    history: list | None = None,
+) -> ModelParams:
+    """Stage 1: a fresh model trained on ``example_set`` (``all``, ``head``
+    or ``balanced``); on ``head`` the loss covers the head categories only."""
+    params = init_params(
+        dataset.features.shape[1],
+        config.hidden_dim,
+        config.embedding_dim,
+        dataset.n_categories,
+        seed=config.seed,
+    )
+    head_mask = sorted(split.head) if example_set == "head" else None
+    return _train_stage(
+        1, params, dataset, split, example_set, config, config.stage1, history,
+        category_mask=head_mask,
+    )
+
+
+def train_stage2(
+    dataset: FeatureDataset,
+    split: HeadTailSplit | None,
+    config: TrainConfig,
+    example_set: str,
+    params: ModelParams,
+    history: list | None = None,
+) -> ModelParams:
+    """Stage 2: retrain the head of the stage-1 ``params`` (left unchanged)
+    on ``example_set``; the head starts fresh unless ``stage2_warm_start``,
+    and the extractor is frozen while ``stage2_freeze``."""
+    if not config.stage2_warm_start:
+        params = reinit_head(params, seed=config.seed)
+    return _train_stage(
+        2, params, dataset, split, example_set, config, config.stage2, history,
+        head_only=config.stage2_freeze,
+    )
+
+
 def run_ablation(
     dataset: FeatureDataset,
     split: HeadTailSplit | None,
@@ -413,43 +548,10 @@ def run_ablation(
             raise EmptyHead(f"variant {variant!r} needs a head/tail split")
     elif split.categories != frozenset(range(dataset.n_categories)):
         raise CategoryMismatch("head/tail split does not cover the dataset's categories")
-    x, y = dataset.features, dataset.targets
-
-    def train_stage(stage, params, example_set, plan, **options):
-        rows = _example_rows(dataset, example_set, split, config.seed)
-        stage_history: list = []
-        params = sgd_train(
-            params,
-            x[rows],
-            y[rows],
-            plan,
-            batch_size=config.batch_size,
-            seed=mix_seed(config.seed, 2 * stage - 1),  # 2 seeds the balancer
-            loss=config.loss,
-            gamma=config.focal_gamma,
-            history=stage_history,
-            **options,
-        )
-        if history is not None:
-            history.extend({"stage": stage, **h} for h in stage_history)
-        return params
-
-    params = init_params(
-        x.shape[1],
-        config.hidden_dim,
-        config.embedding_dim,
-        dataset.n_categories,
-        seed=config.seed,
-    )
-    head_mask = sorted(split.head) if stage1_set == "head" else None
-    params = train_stage(1, params, stage1_set, config.stage1, category_mask=head_mask)
+    params = train_stage1(dataset, split, config, stage1_set, history)
     if stage2_set is None:
         return params
-    if not config.stage2_warm_start:
-        params = reinit_head(params, seed=config.seed)
-    return train_stage(
-        2, params, stage2_set, config.stage2, head_only=config.stage2_freeze
-    )
+    return train_stage2(dataset, split, config, stage2_set, params, history)
 
 
 @dataclass(frozen=True)
@@ -580,19 +682,3 @@ def checkpoint_text(params: ModelParams, training: dict) -> str:
         "training": training,
     }
     return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    """Weights and training record of a checkpoint; rejects any format
-    version but 1 and weights whose shapes disagree with the stored dims."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != 1:
-        raise ValueError(f"{path}: unsupported checkpoint format_version {version!r}")
-    template = init_params(**payload["dims"])
-    weights = {}
-    for f in dataclasses.fields(ModelParams):
-        weights[f.name] = np.asarray(payload["weights"][f.name], dtype=np.float64)
-        if weights[f.name].shape != getattr(template, f.name).shape:
-            raise DimMismatch(f"{path}: {f.name} shape disagrees with dims {payload['dims']}")
-    return ModelParams(**weights), payload.get("training", {})

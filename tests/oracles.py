@@ -435,3 +435,38 @@ def reference_oversample_balance(labels, n_categories, seed=0):
 
     rng = np.random.default_rng(mix_seed(seed, 1))
     return [indices[i] for i in rng.permutation(len(indices))]
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function evaluated branch by branch: ``1 / (1 + e^-z)``
+    where z >= 0, ``e^z / (1 + e^z)`` elsewhere, each over its own gather."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def load_checkpoint(path):
+    """Weights and training record of a ``checkpoint.json``; rejects any
+    format version but 1 and weights whose shapes disagree with the stored
+    dims."""
+    import dataclasses
+    import json
+    from pathlib import Path
+
+    from sapeval.errors import DimMismatch
+    from sapeval.training import ModelParams, init_params
+
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    version = payload.get("format_version")
+    if version != 1:
+        raise ValueError(f"{path}: unsupported checkpoint format_version {version!r}")
+    template = init_params(**payload["dims"])
+    weights = {}
+    for f in dataclasses.fields(ModelParams):
+        weights[f.name] = np.asarray(payload["weights"][f.name], dtype=np.float64)
+        if weights[f.name].shape != getattr(template, f.name).shape:
+            raise DimMismatch(f"{path}: {f.name} shape disagrees with dims {payload['dims']}")
+    return ModelParams(**weights), payload.get("training", {})

@@ -1,10 +1,20 @@
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sapeval import benchmark, training
+from sapeval.benchmark import (
+    DEFAULT_VARIANTS,
+    REFERENCE_FRACTIONS,
+    REFERENCE_SPEC,
+    count_split,
+    run_benchmark,
+)
 from sapeval.datasets import HeadTailSplit, ZipfSpec, synthesize_dataset
 from sapeval.errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
 from sapeval.sampling import SapConfig
@@ -12,17 +22,23 @@ from sapeval.training import (
     VARIANTS,
     StagePlan,
     TrainConfig,
+    _sigmoid,
     bce_loss,
     checkpoint_text,
     evaluate_model,
     focal_loss,
     forward,
+    head_gradient,
     init_params,
-    load_checkpoint,
     model_loss,
+    resolve_variant,
     run_ablation,
     sgd_train,
+    train_stage1,
+    train_stage2,
 )
+
+from oracles import load_checkpoint, masked_sigmoid
 
 
 def finite_difference_grads(params, x, y, loss, gamma, mask, step=1e-5):
@@ -79,6 +95,32 @@ class TestForward:
         with pytest.raises(DimMismatch):
             forward(params, np.ones((2, 9)))
 
+    #: zeros, the largest finite magnitudes, the smallest subnormals and
+    #: logits past +-745, where exp(-|z|) underflows to zero
+    EDGE_LOGITS = [0.0, -0.0, 1e308, -1e308, 745.2, -745.2, 800.0, -800.0, 5e-324, -5e-324]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(EDGE_LOGITS),
+                st.floats(745.0, 1e308) | st.floats(-1e308, -745.0),
+                st.floats(-2.3e-308, 2.3e-308),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=70,
+        )
+    )
+    @example(EDGE_LOGITS)
+    def test_sigmoid_is_bitwise_the_masked_form(self, logits):
+        z = np.array(logits, dtype=np.float64)
+        for shaped in (z, z.reshape(-1, 1), z.reshape(1, -1)):
+            assert _sigmoid(shaped).shape == shaped.shape
+            assert np.array_equal(
+                _sigmoid(shaped).view(np.uint64), masked_sigmoid(shaped).view(np.uint64)
+            )
+
 
 class TestLosses:
     def test_bce_zero_at_exact_prediction(self):
@@ -119,6 +161,35 @@ class TestLosses:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             focal_loss(np.array([[0.5]]), np.array([[1.0]]), gamma=-1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 25),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["bce", "focal"]),
+        st.booleans(),
+    )
+    def test_head_gradient_is_bitwise_the_loss_of_the_column_gather(
+        self, batch, n_categories, seed, loss, masked
+    ):
+        rng = np.random.default_rng(seed)
+        params = init_params(3, 4, 5, n_categories, seed=seed % 1000)
+        p = forward(params, rng.normal(size=(batch, 3)))
+        y = (rng.random((batch, n_categories)) < 0.3).astype(float)
+        columns = np.flatnonzero(rng.random(n_categories) < 0.5) if masked else None
+        used = np.arange(n_categories) if columns is None else columns
+        if not len(used):
+            return
+        if loss == "bce":
+            value, dloss = bce_loss(p[:, used], y[:, used])
+        else:
+            value, dloss = focal_loss(p[:, used], y[:, used], 1.5)
+        dz = np.zeros_like(p)
+        dz[:, used] = dloss * p[:, used] * (1.0 - p[:, used])
+        got_value, got_dz = head_gradient(p, y, columns, loss, 1.5)
+        assert got_value == value
+        assert np.array_equal(got_dz, dz)
 
 
 class TestGradients:
@@ -276,10 +347,53 @@ class TestSgdTrain:
         with pytest.raises(NonFiniteLoss):
             sgd_train(params, x, y, StagePlan(0.1, 0.01, "step", 3), seed=0)
 
+    def test_negative_focal_gamma_rejected(self):
+        params, x, y = tiny_problem()
+        with pytest.raises(ValueError, match="gamma"):
+            sgd_train(params, x, y, StagePlan(0.1, 0.01), loss="focal", gamma=-0.5)
+
     def test_empty_dataset(self):
         params = init_params(3, 4, 3, 2, seed=0)
         with pytest.raises(ValueError):
             sgd_train(params, np.zeros((0, 3)), np.zeros((0, 2)), StagePlan(0.1, 0.01))
+
+
+class TestCategoryMask:
+    def train(self, mask):
+        params, x, y = tiny_problem(seed=2, n=8, dims=(5, 7, 4, 3))
+        return sgd_train(params, x, y, StagePlan(0.3, 0.03, "step", 2), batch_size=4,
+                         category_mask=mask)
+
+    @pytest.mark.parametrize("mask", [[0, 1.0], [0.5], [True], ["1"]])
+    def test_non_integer_entry_rejected(self, mask):
+        with pytest.raises(ValueError, match="not an integer"):
+            self.train(mask)
+
+    @pytest.mark.parametrize("mask", [[-1], [0, 3], [2**63]])
+    def test_entry_outside_categories_rejected(self, mask):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            self.train(mask)
+
+    @pytest.mark.parametrize("mask,entry", [([1, 1], 1), ([2, 0, 2], 2)])
+    def test_repeated_entry_rejected(self, mask, entry):
+        with pytest.raises(ValueError, match=f"repeats entry {entry}"):
+            self.train(mask)
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ValueError, match="selects no category"):
+            self.train([])
+
+    def test_order_and_integer_type_do_not_matter(self):
+        trained = self.train([0, 2])
+        for mask in ((2, 0), np.array([2, 0]), [np.int32(0), np.int64(2)], {0, 2}):
+            other = self.train(mask)
+            for field in dataclasses.fields(trained):
+                assert np.array_equal(getattr(other, field.name), getattr(trained, field.name))
+
+    def test_model_loss_checks_its_mask_too(self):
+        params, x, y = tiny_problem()
+        with pytest.raises(ValueError, match="outside"):
+            model_loss(params, x, y, category_mask=[-1])
 
 
 class TestTwoStage:
@@ -439,6 +553,92 @@ class TestRunAblation:
         frozen = run_ablation(datasets["train"], split, "two_stage", config)
         tuned = run_ablation(datasets["train"], split, "stage2_finetune_all", config)
         assert not np.array_equal(frozen.w1, tuned.w1)
+
+
+class TestSharedStage1:
+    @pytest.mark.parametrize(
+        "variants,n_calls",
+        [
+            # two_stage and stage2_unbalanced share their head-only stage 1
+            (DEFAULT_VARIANTS, 5),
+            # so do stage2_finetune_all, and baseline_plain and stage1_all
+            (tuple(VARIANTS), 8),
+        ],
+    )
+    def test_run_benchmark_trains_each_stage1_once(self, monkeypatch, variants, n_calls):
+        calls, configs, trained = [], [], []
+        real_sgd, real_config = training.sgd_train, benchmark.variant_config
+
+        def counting_sgd(*args, **kwargs):
+            calls.append(args)
+            return real_sgd(*args, **kwargs)
+
+        def recording_config(*args, **kwargs):
+            configs.append(real_config(*args, **kwargs))
+            return configs[-1]
+
+        monkeypatch.setattr(training, "sgd_train", counting_sgd)
+        monkeypatch.setattr(benchmark, "variant_config", recording_config)
+        monkeypatch.setattr(
+            benchmark, "evaluate_model", lambda params, *a, **k: trained.append(params)
+        )
+        run_benchmark(0, variants)
+        assert len(calls) == n_calls
+
+        train = synthesize_dataset(dataclasses.replace(REFERENCE_SPEC, seed=0),
+                                   REFERENCE_FRACTIONS)["train"]
+        split = count_split(train)
+        for variant, config, params in zip(variants, configs, trained, strict=True):
+            alone = run_ablation(train, split, variant, config)
+            for field in dataclasses.fields(alone):
+                assert np.array_equal(
+                    getattr(params, field.name), getattr(alone, field.name)
+                ), variant
+
+    def test_history_records_both_stages(self):
+        datasets, split = synthetic_split()
+        config = TrainConfig(
+            seed=3,
+            hidden_dim=12,
+            embedding_dim=6,
+            stage1=StagePlan(0.5, 0.05, "step", 3),
+            stage2=StagePlan(0.5, 0.05, "linear", 2),
+        )
+        history: list = []
+        params = run_ablation(datasets["train"], split, "two_stage", config, history=history)
+        assert [list(h) for h in history] == [["stage", "epoch", "loss", "lr"]] * 5
+        assert [(h["stage"], h["epoch"]) for h in history] == [
+            (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)
+        ]
+        assert all(math.isfinite(h["loss"]) for h in history)
+
+        staged: list = []
+        config, stage1_set, stage2_set = resolve_variant("two_stage", config)
+        stage1 = train_stage1(datasets["train"], split, config, stage1_set, staged)
+        kept = stage1.copy()
+        composed = train_stage2(datasets["train"], split, config, stage2_set, stage1, staged)
+        assert staged == history
+        for field in dataclasses.fields(params):
+            assert np.array_equal(getattr(composed, field.name), getattr(params, field.name))
+            assert np.array_equal(getattr(stage1, field.name), getattr(kept, field.name))
+
+
+#: SHA-256 of ``run_benchmark(0)``'s report dicts, trial APs included,
+#: recorded while every variant still trained its own stage 1.
+RUN_BENCHMARK_0_DIGEST = "fa5828e75eaad6a86812ce7c5ffae770195668e52e867e71f4acd3a5cff6664d"
+
+
+def test_run_benchmark_reports_are_pinned():
+    result = run_benchmark(0)
+    payload = {
+        variant: {
+            "categories": [c.to_dict(store_trials=True) for c in report.categories],
+            "aggregates": report.aggregates,
+        }
+        for variant, report in result.reports.items()
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == RUN_BENCHMARK_0_DIGEST
 
 
 class TestEvaluateModel:
