@@ -5,14 +5,17 @@ Ground-truth CSV (UTF-8, no header), one row per (box, label) pair::
     video_id,timestamp,x1,y1,x2,y2,category_id
 
 Rows sharing (video_id, timestamp, x1, y1, x2, y2) merge into one
-multi-label box. Detection CSV adds a trailing ``score`` column. One
-streaming reader reads both, into ``GroundTruthColumns`` and
-``DetectionColumns``: each line goes straight into flat arrays, and the
-rows are checked as arrays once the file is read; only a file that fails
-that check is read again line by line, for the first bad line's error.
-Coordinates and scores are written as 6-decimal fixed point and quantized
-to that grid on read, so parse -> serialize -> parse is the identity.
-Timestamps and category ids must fit in int64.
+multi-label box. Detection CSV adds a trailing ``score`` column. numpy's
+C parser reads both, into ``GroundTruthColumns`` and
+``DetectionColumns``, and the rows are checked as arrays. A file the C
+parser rejects, or whose rows fail that check, is read again line by line
+with Python's ``int`` and ``float``: that reader raises the first bad
+line's error, or reads a valid file the C parser cannot (``1_0``,
+non-ASCII digits, whitespace-only lines). Coordinates and scores are
+written as 6-decimal fixed point and quantized to that grid on read, so
+parse -> serialize -> parse is the identity. Timestamps and category ids
+must fit in int64. In every line-based file, invalid UTF-8 is a parse
+error at the line that holds it.
 
 Feature datasets are JSON lines, one record per example::
 
@@ -30,11 +33,12 @@ both readers as an n x K multi-hot matrix.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from array import array
+import re
+import warnings
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -45,10 +49,6 @@ from .errors import ParseError
 
 def _q6(value: float) -> float:
     return round(value, 6)
-
-
-def _fmt6(value: float) -> str:
-    return f"{value:.6f}"
 
 
 def _json_int(value, what: str) -> int:
@@ -72,15 +72,8 @@ def read_ground_truth_csv(path: str | Path) -> GroundTruthColumns:
     compared by value (``-0`` and ``0`` are one corner, ``1`` and ``01``
     one timestamp), keeping the corners of its first row; instance ids
     number the boxes in order of first appearance."""
-    frames, frame, boxes, category = _read_box_csv(str(path), 7)
-    # lexsort is stable, so each run of equal keys starts at its first row
-    order = np.lexsort((*boxes.T[::-1], frame))
-    key_frame, key_boxes = frame[order], boxes[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (key_frame[1:] != key_frame[:-1]) | (key_boxes[1:] != key_boxes[:-1]).any(axis=1)
-    first = np.sort(order[starts])
-    instance = np.empty(len(order), dtype=np.int64)
-    instance[order] = np.searchsorted(first, order[starts])[np.cumsum(starts) - 1]
+    frames, frame, boxes, category, _ = _read_box_csv(str(path), 7)
+    first, instance = _first_appearance(frame, *boxes.T)
     pairs = np.lexsort((category, instance))
     label_row, label_category = instance[pairs], category[pairs]
     distinct = np.ones(len(pairs), dtype=bool)
@@ -89,87 +82,130 @@ def read_ground_truth_csv(path: str | Path) -> GroundTruthColumns:
                               label_row[distinct], label_category[distinct])
 
 
-def serialize_ground_truth(gt: GroundTruthColumns) -> str:
-    """One line per label of each box, boxes in row order."""
-    rows = gt.label_row
-    lines = [
-        ",".join([*map(str, gt.frames[f]), *map(_fmt6, box), str(c)])
-        for f, box, c in zip(
-            gt.frame[rows].tolist(), gt.boxes[rows].tolist(), gt.label_category.tolist()
-        )
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def read_detections_csv(path: str | Path) -> DetectionColumns:
     """Detection CSV as columns, one row per line."""
-    frames, frame, values, category = _read_box_csv(str(path), 8)
-    return DetectionColumns(frames, frame, np.ascontiguousarray(values[:, :4]), category,
-                            values[:, 4].copy())
+    return DetectionColumns(*_read_box_csv(str(path), 8))
+
+
+_BOX_FIELDS = [("video", "i8"), ("timestamp", "i8"), ("box", "f8", (4,)), ("category", "i8")]
+#: a box CSV row by its field count; the C parser checks the count
+_BOX_ROWS = {7: np.dtype(_BOX_FIELDS), 8: np.dtype([*_BOX_FIELDS, ("score", "f8")])}
+#: the controls the C parser strips around a number as whitespace, and
+#: ``int`` and ``float`` do not
+_C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _read_box_csv(path: str, n_fields: int):
     """The rows of a box CSV, ground truth (7 fields) or detections (8,
-    the last a score), as frames, per-row frame codes, an (n, 4 or 5)
-    array of the corners and the score, and categories. Each line streams
-    straight into flat arrays, checked as arrays once the file is read. A
-    bad row makes that fail; the file is then checked line by line, which
-    raises the ``ParseError`` of the first bad line."""
+    the last a score): the frames, each (video_id, timestamp) once in
+    order of first appearance, each row's index into them, the (n, 4)
+    corners, the categories, and the scores (None for ground truth).
+
+    numpy's C parser reads the file into structured rows, the video ids
+    turned into codes as it goes. If it fails, or its rows fail
+    ``_checked_columns``, the file is read line by line by
+    ``_check_box_row``: that raises the first bad line's ``ParseError``,
+    or returns the rows of a valid file the C parser rejects (``1_0``,
+    non-ASCII digits, whitespace-only lines)."""
+    videos = _Codes()
     try:
-        return _box_columns(path, n_fields)
-    except (ValueError, OverflowError):
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    _check_box_row(path, line_no, line, n_fields)
-        raise
+        if _holds_c_only_space(path):
+            raise ValueError("control characters the C parser would strip")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file warns
+            rows = np.loadtxt(path, _BOX_ROWS[n_fields], delimiter=",", comments=None,
+                              encoding="utf-8", ndmin=1, converters={0: videos.__getitem__})
+        return _checked_columns(rows, videos)
+    except (ValueError, OverflowError, Warning):  # UnicodeDecodeError too
+        videos = _Codes()
+        rows = []
+        for line_no, line in _lines(path):
+            if line.strip():
+                video, *row = _check_box_row(path, line_no, line, n_fields)
+                rows.append((videos[video], *row))
+        return _checked_columns(np.array(rows, _BOX_ROWS[n_fields]), videos)
 
 
-def _box_columns(path: str, n_fields: int):
-    """Raises ``ValueError`` or ``OverflowError`` for a file where
-    ``_check_box_row`` raises ``ParseError`` on some line."""
-    raw_frames: dict[tuple[str, str], int] = {}
-    frame, category, values = array("q"), array("q"), array("d")
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            fields = line.split(",")
-            if len(fields) != n_fields:
-                if line.strip():
-                    raise ValueError("wrong field count")
-                continue
-            frame.append(raw_frames.setdefault((fields[0], fields[1]), len(raw_frames)))
-            category.append(int(fields.pop(6)))  # OverflowError beyond int64
-            values.extend(map(float, fields[2:]))
-    if not all(video_id for video_id, _ in raw_frames):
+class _Codes(dict):
+    """Strings to int codes: a string not seen before gets the next code,
+    so codes number the strings in order of first appearance."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
+
+
+def _holds_c_only_space(path: str) -> bool:
+    """Whether the file holds a byte of ``_C_ONLY_SPACE``, read in chunks."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if any(control in chunk for control in _C_ONLY_SPACE):
+                return True
+    return False
+
+
+def _checked_columns(rows: np.ndarray, videos: dict[str, int]):
+    """``_read_box_csv``'s columns of structured rows whose videos are
+    codes into ``videos``, corners and scores quantized. ``ValueError``
+    for an empty video id, a bad box or a score outside [0, 1]. Every
+    column is a copy, so that the rows can go."""
+    if "" in videos:
         raise ValueError("empty video_id")
-    # one code per (video_id, timestamp) value: "7" and "07" are one frame
-    frames: dict[tuple[str, int], int] = {}
-    codes = [frames.setdefault((v, _int64(t, "timestamp")), len(frames)) for v, t in raw_frames]
-    flat = np.frombuffer(values)
+    boxes = _quantized(rows["box"])
+    score = _quantized(rows["score"]) if "score" in rows.dtype.names else None
+    x1, y1, x2, y2 = boxes.T
+    valid = (0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
+    if score is not None:
+        valid &= (0.0 <= score) & (score <= 1.0)
+    if not valid.all():
+        raise ValueError("invalid box corners or score")
+    # one frame per (video_id, timestamp) value: "7" and "07" are one frame
+    first, frame = _first_appearance(rows["video"], rows["timestamp"])
+    names = list(videos)
+    frames = tuple(zip([names[v] for v in rows["video"][first].tolist()],
+                       rows["timestamp"][first].tolist()))
+    return frames, frame, boxes, rows["category"].copy(), score
+
+
+def _quantized(values: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``values``, each one as ``round(value, 6)``."""
+    values = np.array(values, dtype=np.float64, order="C")
+    flat = values.reshape(-1)
     # a float np.round leaves unchanged is one round(value, 6) leaves
     # unchanged; only values with more than 6 decimals go through round
     with np.errstate(over="ignore", invalid="ignore"):
         off_grid = np.flatnonzero(np.round(flat, 6) != flat)
     flat[off_grid] = [_q6(v) for v in flat[off_grid].tolist()]
-    values = flat.reshape(-1, n_fields - 3)
-    x1, y1, x2, y2 = values.T[:4]
-    score = values[:, 4:]
-    if not ((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
-            & ((0.0 <= score) & (score <= 1.0)).all(axis=1)).all():
-        raise ValueError("invalid box corners or score")
-    frame_codes = np.array(codes, dtype=np.int64)[np.frombuffer(frame, dtype=np.int64)]
-    return tuple(frames), frame_codes, values, np.frombuffer(category, dtype=np.int64)
+    return values
 
 
-def _check_box_row(path: str, line_no: int, line: str, n_fields: int) -> None:
+def _first_appearance(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by equal values in every key column: each group's
+    first row, ascending, and each row's group, groups numbered in order
+    of first appearance."""
+    order = np.lexsort(keys[::-1])  # stable: each run of equal keys starts at its first row
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    first = np.sort(order[starts])
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.searchsorted(first, order[starts])[np.cumsum(starts) - 1]
+    return first, group
+
+
+def _check_box_row(path: str, line_no: int, line: str, n_fields: int) -> tuple:
+    """The values of one box CSV line: video id, timestamp, quantized
+    corners, category and any scores; ``ParseError`` for a bad line."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != n_fields:
         raise ParseError(path, line_no, f"expected {n_fields} fields, got {len(fields)}")
     if not fields[0]:
         raise ParseError(path, line_no, "empty video_id")
     try:
-        _int64(fields[1], "timestamp")
-        x1, y1, x2, y2 = (_q6(float(v)) for v in fields[2:6])
+        timestamp = _int64(fields[1], "timestamp")
+        x1, y1, x2, y2 = corners = tuple(_q6(float(v)) for v in fields[2:6])
     except ValueError as exc:
         raise ParseError(path, line_no, str(exc)) from None
     if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
@@ -177,23 +213,14 @@ def _check_box_row(path: str, line_no: int, line: str, n_fields: int) -> None:
         raise ParseError(path, line_no, f"invalid box corners: BoundingBox("
                                         f"x1={x1!r}, y1={y1!r}, x2={x2!r}, y2={y2!r})")
     try:
-        _int64(fields[6], "category")
+        category = _int64(fields[6], "category")
         scores = [_q6(float(v)) for v in fields[7:]]
     except ValueError as exc:
         raise ParseError(path, line_no, str(exc)) from None
     for score in scores:
         if not 0.0 <= score <= 1.0:
             raise ParseError(path, line_no, f"detection score {score} outside [0, 1]")
-
-
-def serialize_detections(d: DetectionColumns) -> str:
-    lines = [
-        ",".join([*map(str, d.frames[f]), *map(_fmt6, box), str(c), _fmt6(score)])
-        for f, box, c, score in zip(
-            d.frame.tolist(), d.boxes.tolist(), d.category.tolist(), d.score.tolist()
-        )
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return fields[0], timestamp, corners, category, *scores
 
 
 def serialize_feature_dataset(dataset: FeatureDataset) -> str:
@@ -232,20 +259,6 @@ def read_feature_dataset(path: str | Path, split: str,
         raise ParseError(path, 0, "no feature records")
     k = n_categories if n_categories is not None else int(cols.max()) + 1
     return FeatureDataset(ids, features, labels, split, k)
-
-
-def serialize_predictions(example_ids: Sequence[int], targets: np.ndarray,
-                          scores: np.ndarray) -> str:
-    """One record per example, its labels the true columns of ``targets``."""
-    lines = [
-        json.dumps({"id": i, "labels": np.flatnonzero(t).tolist(), "scores": row})
-        for i, t, row in zip(
-            np.asarray(example_ids, dtype=np.int64).tolist(),
-            np.asarray(targets, dtype=bool),
-            np.asarray(scores, dtype=np.float64).tolist(),
-        )
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _json_numbers(values: list, what: str) -> list:
@@ -291,29 +304,28 @@ def _read_records(path: str, key: str, width_message: str, extra: str | None = N
     reading stopped (None if none did)."""
     ids, labels, rows, extras, seen, error = [], [], [], [], set(), None
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    example_id = _json_int(record["id"], "id")
-                    example_labels = tuple(_json_int(c, "label") for c in record["labels"])
-                    row = _json_numbers(record[key], key[:-1])  # "score" or "feature"
-                    value = record[extra] if extra else None
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise ParseError(path, line_no, f"bad record: {exc}") from None
-                if example_id in seen:
-                    raise ParseError(path, line_no, f"duplicate id {example_id}")
-                if len(set(example_labels)) < len(example_labels):
-                    raise ParseError(path, line_no, f"repeated label in {list(example_labels)}")
-                if rows and len(row) != len(rows[0]):
-                    raise ParseError(path, line_no, width_message)
-                seen.add(example_id)
-                ids.append(example_id)
-                labels.append(example_labels)
-                rows.append(row)
-                extras.append(value)
+        for line_no, line in _lines(path):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                example_id = _json_int(record["id"], "id")
+                example_labels = tuple(_json_int(c, "label") for c in record["labels"])
+                row = _json_numbers(record[key], key[:-1])  # "score" or "feature"
+                value = record[extra] if extra else None
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(path, line_no, f"bad record: {exc}") from None
+            if example_id in seen:
+                raise ParseError(path, line_no, f"duplicate id {example_id}")
+            if len(set(example_labels)) < len(example_labels):
+                raise ParseError(path, line_no, f"repeated label in {list(example_labels)}")
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(path, line_no, width_message)
+            seen.add(example_id)
+            ids.append(example_id)
+            labels.append(example_labels)
+            rows.append(row)
+            extras.append(value)
     except ParseError as exc:
         error = exc  # raised after the row checks: an earlier bad line wins
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, 0))
@@ -337,8 +349,33 @@ def _raise_first(path: str, error: ParseError | None, checks: list) -> None:
 
 def _record_line(path: str, row: int) -> int:
     """Line number of record ``row`` of a JSON-lines file, blank lines skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return [n for n, line in enumerate(fh, start=1) if line.strip()][row]
+    numbers = (n for n, line in _lines(path) if line.strip())
+    return next(itertools.islice(numbers, row, None))
+
+
+#: what an undecodable byte becomes under ``errors="surrogateescape"``
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _lines(path: str):
+    """(line number, line) of each line of a UTF-8 text file. Invalid
+    UTF-8 is the ``ParseError`` of the first line holding it, raised once
+    every line before it has been yielded: only then is the file read
+    again, with undecodable bytes escaped, to find that line."""
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                yield line_no, line
+        return
+    except UnicodeDecodeError:
+        pass
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in itertools.islice(enumerate(fh, start=1), line_no, None):
+            if bad := _UNDECODED.search(line):
+                byte = ord(bad.group()) - 0xDC00
+                raise ParseError(path, n, f"invalid UTF-8 byte 0x{byte:02x}")
+            yield n, line
 
 
 def read_category_ap(path: str | Path) -> dict[int, float]:

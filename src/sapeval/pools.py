@@ -93,8 +93,10 @@ class FrameIndex:
     Frames are numbered in sorted (video_id, timestamp) order. Annotated
     boxes are sorted by (frame, instance id), the pool's order, and laid
     out in a padded (frame, slot) table. Detections are sorted by
-    (category, frame, descending score, corners), stably, and ``iou``
-    holds each one's IoU with every slot of its own frame (0 for padding).
+    (category, frame, descending score, corners), stably, in two sorts
+    (``_detection_order``, the pattern of ``metrics.rank_order``), and
+    ``iou`` holds each one's IoU with every slot of its own frame (0 for
+    padding).
     """
 
     def __init__(
@@ -122,7 +124,7 @@ class FrameIndex:
         corners[box_frame, slot] = gt.boxes[order]
 
         det_frame = np.array([number[key] for key in dets.frames], dtype=np.int64)[dets.frame]
-        order = np.lexsort((*dets.boxes.T[::-1], -dets.score, det_frame, dets.category))
+        order = _detection_order(dets.category, det_frame, dets.score, dets.boxes)
         self.category, self.frame = dets.category[order], det_frame[order]
         self.score, self.boxes = dets.score[order], dets.boxes[order]
         self.iou = np.zeros((len(order), self.at.shape[1]))
@@ -174,6 +176,26 @@ class FrameIndex:
         available = (self.at >= 0) & labeled[self.at]
         claimed = _greedy_match(self.iou[rows], self.frame[rows], available, self.iou_threshold)
         return self.score[rows], claimed >= 0, int(labeled.sum())
+
+
+def _detection_order(category: np.ndarray, frame: np.ndarray, score: np.ndarray,
+                     boxes: np.ndarray) -> np.ndarray:
+    """The order of ``np.lexsort((*boxes.T[::-1], -score, frame, category))``.
+
+    One sort by the first three keys, then a sort of only the rows tied on
+    all three, by (run, corners, row), which costs far less than a 7-key
+    lexsort when few rows tie.
+    """
+    keys = (category, frame, -score)
+    order = np.lexsort(keys[::-1])
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        same &= ranked[1:] == ranked[:-1]
+    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    rows, run = order[tied], np.cumsum(np.r_[True, ~same])[tied]
+    order[tied] = rows[np.lexsort((rows, *boxes[rows].T[::-1], run))]
+    return order
 
 
 def build_eval_pool(

@@ -1,6 +1,7 @@
+import json
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -122,6 +123,51 @@ def det_columns(records):
         np.array([r.category for r in records], dtype=np.int64),
         np.array([r.score for r in records], dtype=np.float64),
     )
+
+
+# Writers of the CSV and prediction formats, in the 6-decimal fixed point
+# the readers quantize to, for tests that need input files.
+
+
+def _fmt6(value: float) -> str:
+    return f"{value:.6f}"
+
+
+def serialize_ground_truth(gt: GroundTruthColumns) -> str:
+    """One line per label of each box, boxes in row order."""
+    rows = gt.label_row
+    lines = [
+        ",".join([*map(str, gt.frames[f]), *map(_fmt6, corners), str(c)])
+        for f, corners, c in zip(
+            gt.frame[rows].tolist(), gt.boxes[rows].tolist(), gt.label_category.tolist()
+        )
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def serialize_detections(d: DetectionColumns) -> str:
+    """One line per detection, in row order."""
+    lines = [
+        ",".join([*map(str, d.frames[f]), *map(_fmt6, corners), str(c), _fmt6(score)])
+        for f, corners, c, score in zip(
+            d.frame.tolist(), d.boxes.tolist(), d.category.tolist(), d.score.tolist()
+        )
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def serialize_predictions(example_ids: Sequence[int], targets: np.ndarray,
+                          scores: np.ndarray) -> str:
+    """One record per example, its labels the true columns of ``targets``."""
+    lines = [
+        json.dumps({"id": i, "labels": np.flatnonzero(t).tolist(), "scores": row})
+        for i, t, row in zip(
+            np.asarray(example_ids, dtype=np.int64).tolist(),
+            np.asarray(targets, dtype=bool),
+            np.asarray(scores, dtype=np.float64).tolist(),
+        )
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # The 3-frame micro-fixture used across detection tests. For category 0 it

@@ -21,9 +21,18 @@ from sapeval.metrics import (
 from sapeval.pools import pool_from_arrays
 from sapeval.sampling import SapConfig, sampled_ap, stability_profile
 from sapeval.training import bce_loss, focal_loss, model_loss
-from sapeval.formats import serialize_detections, serialize_ground_truth
 
-from conftest import MICRO_DET, MICRO_GT, det_columns, gt_columns, make_pool, pool_sides, random_pool
+from conftest import (
+    MICRO_DET,
+    MICRO_GT,
+    det_columns,
+    gt_columns,
+    make_pool,
+    pool_sides,
+    random_pool,
+    serialize_detections,
+    serialize_ground_truth,
+)
 from oracles import exact_expected_random_ap, exhaustive_sampled_ap
 from test_training import finite_difference_grads, tiny_problem
 

@@ -8,11 +8,19 @@ import numpy as np
 import pytest
 
 from sapeval.cli import main
-from sapeval.formats import serialize_detections, serialize_ground_truth, serialize_predictions
 from sapeval.manifest import sha256_file
 from sapeval.training import VARIANTS
 
-from conftest import MICRO_DET, MICRO_GT, DetRecord, det_columns, gt_columns
+from conftest import (
+    MICRO_DET,
+    MICRO_GT,
+    DetRecord,
+    det_columns,
+    gt_columns,
+    serialize_detections,
+    serialize_ground_truth,
+    serialize_predictions,
+)
 
 
 @pytest.fixture
@@ -347,6 +355,28 @@ class TestStability:
         ) == 2
         assert "--trials" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is a parse error (exit 3) naming its line."""
+
+    @pytest.mark.parametrize("which", ["gt", "det"])
+    def test_detection_csv(self, detection_files, tmp_path, capsys, which):
+        files = dict(zip(("gt", "det"), detection_files))
+        path = files[which]
+        path.write_bytes(path.read_bytes() + b"v\xff,1,0.1,0.1,0.3,0.3,0,0.5\n")
+        lines = len(path.read_bytes().splitlines())
+        assert run("eval", "--gt", files["gt"], "--det", files["det"],
+                   "--out", tmp_path / "x.json") == 3
+        assert f"{which}.csv:{lines}: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+    def test_predictions(self, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_bytes(b'{"id": 0, "labels": [0], "scores": [0.5]}\n'
+                          b'{"id": 1, "labels": [0], "scores": [0.5]} \xfe\n')
+        assert run("sap", "--predictions", preds, "--out", tmp_path / "x.json") == 3
+        assert "preds.jsonl:2: invalid UTF-8 byte 0xfe" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestSplit:

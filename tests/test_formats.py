@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sapeval import formats
 from sapeval.datasets import ZipfSpec, synthesize_dataset
 from sapeval.errors import ParseError
 from sapeval.formats import (
@@ -14,14 +15,20 @@ from sapeval.formats import (
     read_feature_dataset,
     read_ground_truth_csv,
     read_predictions,
-    serialize_detections,
     serialize_feature_dataset,
+)
+
+from conftest import (
+    MICRO_DET,
+    MICRO_GT,
+    det_columns,
+    gt_columns,
+    serialize_detections,
     serialize_ground_truth,
     serialize_predictions,
 )
-
-from conftest import MICRO_DET, MICRO_GT, det_columns, gt_columns
 from oracles import reference_read_detections, reference_read_ground_truth, reference_read_jsonl
+from test_cli import write_ava_fixture
 
 
 def gt_rows(columns):
@@ -283,6 +290,159 @@ class TestGroundTruthReaderMatchesReference:
         with pytest.raises(ParseError) as err:
             read_ground_truth_csv(path)
         assert (err.value.line, str(err.value)) == (expected.value.line, str(expected.value))
+
+
+# ------------------------------------- box CSV grammar at the C parser's edges
+
+ROW = "v,1,0.1,0.1,0.3,0.3,0"
+
+#: detection files, each read by the C parser or falling back to the line
+#: reader; either way the rows or the first error must be the reference's
+DETECTION_GRAMMAR = {
+    "underscore_category": "v,1,0.1,0.1,0.3,0.3,1_0,0.5\n",
+    "underscore_score": "v,1,0.1,0.1,0.3,0.3,0,0.5_0\n",
+    "arabic_indic_timestamp": "v,١,0.1,0.1,0.3,0.3,0,0.5\n",
+    "full_width_category": "v,1,0.1,0.1,0.3,0.3,７,0.5\n",
+    "full_width_score": "v,1,0.1,0.1,0.3,0.3,0,０.５\n",
+    "whitespace_only_line": f"{ROW},0.5\n  \n\t\nw,2,0.1,0.1,0.3,0.3,1,0.25\n",
+    "hash_in_video_id": "v#1,1,0.1,0.1,0.3,0.3,0,0.5\n",
+    "hash_after_score": f"{ROW},0.5\n{ROW},0.5 # note\n",
+    "hash_glued_to_score": f"{ROW},0.5#\n",
+    "crlf": f"{ROW},0.5\r\nw,2,0.1,0.1,0.3,0.3,1,0.25\r\n",
+    "cr_only": f"{ROW},0.5\rw,2,0.1,0.1,0.3,0.3,1,0.25\r",
+    "quoted_video_id": '"v 1",1,0.1,0.1,0.3,0.3,0,0.5\n',
+    "quoted_comma": '"v,1",1,0.1,0.1,0.3,0.3,0,0.5\n',
+    "long_video_id": f"{'v' * 65}x,1,0.1,0.1,0.3,0.3,0,0.5\n{'v' * 65}y,1,0.1,0.1,0.3,0.3,0,0.5\n",
+    "bom": f"\ufeff{ROW},0.5\nv,1,0.1,0.1,0.3,0.3,1,0.5\n",
+    "trailing_comma": f"{ROW},0.5\n{ROW},0.5,\n",
+    "unit_separator_in_number": f"{ROW},0.5\x1f\n",
+    "unit_separator_in_video_id": "v\x1c1,1,0.1,0.1,0.3,0.3,0,0.5\n",
+    "empty": "",
+    "blank_only": "\n\n\n",
+    "spaces_only": "  \n \n",
+}
+
+#: ground-truth files: the detection cases less the score
+GROUND_TRUTH_GRAMMAR = {
+    "underscore_category": "v,1,0.1,0.1,0.3,0.3,1_0\n",
+    "arabic_indic_timestamp": "v,١,0.1,0.1,0.3,0.3,0\n",
+    "full_width_category": "v,1,0.1,0.1,0.3,0.3,７\n",
+    "full_width_corner": "v,1,０.1,0.1,0.3,0.3,0\n",
+    "whitespace_only_line": f"{ROW}\n  \n\t\n{ROW[:-1]}2\n",
+    "hash_in_video_id": "v#1,1,0.1,0.1,0.3,0.3,0\n",
+    "hash_after_category": f"{ROW}\n{ROW} # note\n",
+    "crlf": f"{ROW}\r\nw,2,0.1,0.1,0.3,0.3,1\r\n",
+    "cr_only": f"{ROW}\rw,2,0.1,0.1,0.3,0.3,1\r",
+    "quoted_video_id": '"v 1",1,0.1,0.1,0.3,0.3,0\n',
+    "long_video_id": f"{'v' * 65}x,1,0.1,0.1,0.3,0.3,0\n{'v' * 65}y,1,0.1,0.1,0.3,0.3,0\n",
+    "bom": f"\ufeff{ROW}\n{ROW[:-1]}1\n",
+    "trailing_comma": f"{ROW}\n{ROW},\n",
+    "unit_separator_in_number": f"{ROW}\x1e\n",
+    "empty": "",
+    "blank_only": "\n\n\n",
+}
+
+
+def expect_reference(path, read, reference, rows):
+    """``read(path)`` gives ``reference(path)``'s rows, or its first error."""
+    try:
+        expected = reference(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+    else:
+        assert rows(read(path)) == expected
+
+
+class TestBoxCsvGrammar:
+    @pytest.mark.parametrize("name", sorted(DETECTION_GRAMMAR))
+    def test_detections_read_as_reference(self, tmp_path, name):
+        path = tmp_path / "det.csv"
+        path.write_bytes(DETECTION_GRAMMAR[name].encode("utf-8"))
+        expect_reference(path, read_detections_csv, reference_read_detections, rows_of)
+
+    @pytest.mark.parametrize("name", sorted(GROUND_TRUTH_GRAMMAR))
+    def test_ground_truth_reads_as_reference(self, tmp_path, name):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(GROUND_TRUTH_GRAMMAR[name].encode("utf-8"))
+        expect_reference(path, read_ground_truth_csv,
+                         lambda p: exact(reference_read_ground_truth(p)),
+                         lambda columns: exact(gt_rows(columns)))
+
+    def test_valid_edge_cases_are_read(self, tmp_path):
+        """The cases the line reader must accept, not merely match."""
+        path = tmp_path / "det.csv"
+        for name in ("underscore_category", "full_width_category", "whitespace_only_line",
+                     "hash_in_video_id", "quoted_video_id", "long_video_id", "bom",
+                     "unit_separator_in_video_id"):
+            path.write_bytes(DETECTION_GRAMMAR[name].encode("utf-8"))
+            assert len(read_detections_csv(path)) > 0, name
+        for name in ("empty", "blank_only", "spaces_only"):
+            path.write_bytes(DETECTION_GRAMMAR[name].encode("utf-8"))
+            assert len(read_detections_csv(path)) == 0, name
+
+
+class TestFastPaths:
+    """The golden CSVs must come through the C parser: with the line reader
+    broken, a fast path that always fell back would fail here."""
+
+    def test_golden_csvs_need_no_line_reader(self, tmp_path, monkeypatch):
+        gt, det = write_ava_fixture(tmp_path)
+        expected = (exact(reference_read_ground_truth(gt)), reference_read_detections(det))
+
+        def line_reader_called(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(formats, "_check_box_row", line_reader_called)
+        assert exact(gt_rows(read_ground_truth_csv(gt))) == expected[0]
+        assert rows_of(read_detections_csv(det)) == expected[1]
+
+
+class TestInvalidUtf8:
+    @pytest.mark.parametrize("read,good", [
+        (read_detections_csv, f"{ROW},0.5"), (read_ground_truth_csv, ROW)],
+        ids=["detections", "ground_truth"])
+    def test_box_csv_names_the_line(self, tmp_path, read, good):
+        path = tmp_path / "boxes.csv"
+        # past the first read buffer, so the bad byte is met mid-file
+        path.write_bytes(f"{good}\n".encode() * 2000 + b"v\xff,1,0.1,0.1,0.3,0.3,0\n")
+        with pytest.raises(ParseError, match="invalid UTF-8 byte 0xff") as err:
+            read(path)
+        assert err.value.line == 2001
+
+    def test_box_csv_earlier_bad_line_wins(self, tmp_path):
+        path = tmp_path / "det.csv"
+        path.write_bytes(f"{ROW},0.5\nv,1\n{ROW},0.5\n\xe9\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="expected 8 fields") as err:
+            read_detections_csv(path)
+        assert err.value.line == 2
+
+    def test_predictions_name_the_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        good = '{"id": %d, "labels": [0], "scores": [0.5, 0.25]}\n'
+        path.write_bytes("".join(good % i for i in range(500)).encode()
+                         + b'{"id": 500, "labels": [0], "scores": [0.5, 0.25]}\xc3\n')
+        with pytest.raises(ParseError, match="invalid UTF-8 byte 0xc3") as err:
+            read_predictions(path)
+        assert err.value.line == 501
+
+    def test_predictions_earlier_bad_row_wins(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(b'{"id": 0, "labels": [0], "scores": [0.5, 0.25]}\n'
+                         b'{"id": 1, "labels": [0], "scores": [1.5, 0.25]}\n'
+                         b'{"id": 2, "labels": [0], "scores": [0.5, 0.25]}\n\xff\n')
+        with pytest.raises(ParseError, match=r"scores must lie in \[0, 1\]") as err:
+            read_predictions(path)
+        assert err.value.line == 2
+
+    def test_feature_file_names_the_line(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_bytes(b'{"id": 0, "split": "train", "labels": [0], "features": [1.0]}\n'
+                         b'{"id": 1, "split": "tr\xffain", "labels": [0], "features": [1.0]}\n')
+        with pytest.raises(ParseError, match="invalid UTF-8") as err:
+            read_feature_dataset(path, "train")
+        assert err.value.line == 2
 
 
 class TestFeatureDatasetJsonl:

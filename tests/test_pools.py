@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sapeval.boxes import DetectionColumns
 from sapeval.errors import NoPositives, UnknownCategory
 from sapeval.metrics import average_precision_from_arrays, frame_ap, frame_ap_from_index
 from sapeval.pools import (
@@ -394,3 +395,32 @@ class TestFrameIndexMatchesReferences:
         dets.append(det("w", 3, eighths_box((0, 0, 2, 2)), 0, 0.6))
         for order in (instances, instances[::-1]):
             assert_index_matches_references(order, dets, iou_threshold)
+
+
+# ------------------------------------------- frame index detection order
+
+#: few values, so rows often tie on every sort key; both zeros among them,
+#: so rows tied by value still differ in their sign bits, and the order
+#: of fully tied rows shows
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 0.25])
+TIED_DET_ROW = st.tuples(
+    st.integers(0, 2), st.integers(0, 2), st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+    SIGNED_ZEROS, SIGNED_ZEROS, st.sampled_from([0.5, 0.75]), st.sampled_from([0.5, 0.75]),
+)
+
+
+class TestFrameIndexDetectionOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TIED_DET_ROW, max_size=40))
+    def test_equals_seven_key_lexsort(self, rows):
+        frames = (("b", 0), ("a", 1), ("a", 0))  # codes in another order than the frames
+        table = np.array(rows, dtype=np.float64).reshape(-1, 7)
+        code, category = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+        score, boxes = table[:, 2].copy(), table[:, 3:].copy()
+        dets = DetectionColumns(frames, code, boxes, category, score)
+        index = FrameIndex(gt_columns([gt("a", 0, box(0.0, 0.0, 0.5, 0.5), {0}, 0)]), dets)
+        frame = np.array([2, 1, 0])[code]  # sorted frame numbers
+        order = np.lexsort((*boxes.T[::-1], -score, frame, category))
+        for got, expected in ((index.category, category), (index.frame, frame),
+                              (index.score, score), (index.boxes, boxes)):
+            assert got.tobytes() == expected[order].tobytes()
