@@ -13,7 +13,7 @@ from .datasets import (
     zipf_counts,
 )
 from .metrics import (
-    CategoryScore,
+    CategoryEvaluation,
     average_precision,
     frame_ap,
     mean_ap,

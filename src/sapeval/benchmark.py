@@ -16,21 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import (
-    FeatureDataset,
-    HeadTailSplit,
-    ZipfSpec,
-    oversample_balance,
-    synthesize_dataset,
-)
-from .sampling import SapConfig, mix_seed
+from .datasets import FeatureDataset, HeadTailSplit, ZipfSpec, synthesize_dataset
+# not called here; perfbench/tracing.py wraps it under this name
+from .datasets import oversample_balance  # noqa: F401
+from .sampling import SapConfig
 from .training import (
     EvalReport,
     StagePlan,
     TrainConfig,
+    _example_rows,
     evaluate_model,
     resolve_variant,
     stage1_key,
+    stage1_mask,
     train_stage1,
     train_stage2,
 )
@@ -141,10 +139,8 @@ def run_benchmark(
     splits = synthesize_dataset(spec, REFERENCE_FRACTIONS)
     train, val = splits["train"], splits["val"]
     split = count_split(train)
-
-    n_train = len(train)
-    n_head_examples = int(train.targets[:, sorted(split.head)].any(axis=1).sum())
-    n_balanced = len(oversample_balance(train, seed=mix_seed(seed, 2)))
+    # each example set built once; its size sets the variants' epochs
+    rows = {name: _example_rows(train, name, split, seed) for name in ("all", "head", "balanced")}
 
     result = BenchmarkResult(seed=seed, split=split)
     sap_config = SapConfig(n_trials=sap_trials, seed=seed)
@@ -152,14 +148,16 @@ def run_benchmark(
     for variant in variants:
         # run_ablation's two stages, with each distinct stage 1 trained once
         config, stage1_set, stage2_set = resolve_variant(
-            variant, variant_config(variant, seed, n_train, n_head_examples, n_balanced)
+            variant,
+            variant_config(variant, seed, len(train), len(rows["head"]), len(rows["balanced"])),
         )
         key = stage1_key(config, stage1_set)
         if key not in stage1:
-            stage1[key] = train_stage1(train, split, config, stage1_set)
+            mask = stage1_mask(split, stage1_set)
+            stage1[key] = train_stage1(train, rows[stage1_set], config, mask)
         params = stage1[key].copy()
         if stage2_set is not None:
-            params = train_stage2(train, split, config, stage2_set, params)
+            params = train_stage2(train, rows[stage2_set], config, params)
         result.reports[variant] = evaluate_model(
             params, val, sap_config, split=split, min_examples=1
         )

@@ -41,7 +41,7 @@ from .formats import (
     serialize_feature_dataset,
 )
 from .manifest import json_text, write_atomic, write_manifest
-from .metrics import CategoryScore, frame_ap_from_index, mean_ap, roc_auc
+from .metrics import CategoryEvaluation, _eligible, frame_ap_from_index, mean_ap, roc_auc
 from .pools import FrameIndex, pools_from_scores
 # not called here; perfbench/tracing.py wraps them under these names
 from .metrics import average_precision, frame_ap  # noqa: F401
@@ -174,8 +174,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not 0.0 < args.iou <= 1.0:
         raise ConfigError("--iou: must lie in (0, 1]")
     index, gt_categories = _detection_index(args)
-    records = []
-    scores = []
+    evals, rows = [], []
     for category in gt_categories:
         pool = index.pool(category)
         ap = frame_ap_from_index(index, category)
@@ -183,22 +182,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             auc = roc_auc(pool)
         except DegeneratePool:
             auc = None
-        records.append(
-            {
-                "category": category,
-                "n_pos": pool.n_pos,
-                "n_neg": pool.n_neg,
-                "ap": ap,
-                "roc_auc": auc,
-            }
-        )
-        scores.append(CategoryScore(category, ap, pool.n_pos, pool.n_neg))
+        evals.append(CategoryEvaluation(category, pool.n_pos, pool.n_neg, ap, None))
+        rows.append({"category": category, "n_pos": pool.n_pos, "n_neg": pool.n_neg,
+                     "ap": ap, "roc_auc": auc})
 
-    eligible = [s for s in scores if s.n_pos >= args.min_examples]
+    eligible = _eligible(evals, args.min_examples)
     report = {
-        "categories": records,
+        "categories": rows,
         "aggregate": {
-            "map": mean_ap(scores, args.min_examples),
+            "map": mean_ap(eligible, args.min_examples),
             "eligible_categories": len(eligible),
         },
     }
@@ -231,10 +223,9 @@ def cmd_sap(args: argparse.Namespace) -> int:
     records = [
         {k: v for k, v in e.to_dict(args.store_trials).items() if k != "n_neg"} for e in evals
     ]
-    results = [e.sap for e in evals if e.sap is not None]
     report = {
         "categories": records,
-        "aggregate": {"msap": msap(results, args.min_examples)},
+        "aggregate": {"msap": msap(evals, args.min_examples)},
     }
     _write_outputs(args, "sap", {"report": (args.out, json_text(report))}, inputs)
     print(f"mSAP {report['aggregate']['msap']:.4f}")

@@ -21,6 +21,10 @@ from .errors import CategoryMismatch, EmptyCategory
 from .sampling import mix_seed
 
 
+#: The splits ``synthesize_dataset`` returns, in the order of its fractions.
+SPLIT_NAMES = ("train", "val", "test")
+
+
 class EmptySplitWarning(UserWarning):
     """A category has too few examples to appear in every split."""
 
@@ -182,17 +186,17 @@ def _split_sizes(count: int, fractions: Sequence[float]) -> list[int]:
 def synthesize_dataset(
     spec: ZipfSpec,
     split_fractions: Sequence[float] = (0.7, 0.15, 0.15),
-    split_names: Sequence[str] = ("train", "val", "test"),
 ) -> dict[str, FeatureDataset]:
-    """Generate Zipf-imbalanced Gaussian-cluster data, stratified per split.
+    """Generate Zipf-imbalanced Gaussian-cluster data, stratified per split:
+    one fraction, and one dataset, for each of :data:`SPLIT_NAMES`.
 
     Deterministic for a given spec: the same seed reproduces the datasets
     bit-for-bit. Categories whose count is below the number of splits are
     flagged with :class:`EmptySplitWarning` and simply missing from some
     splits.
     """
-    if len(split_fractions) != len(split_names):
-        raise ValueError("split_fractions and split_names must align")
+    if len(split_fractions) != len(SPLIT_NAMES):
+        raise ValueError(f"split_fractions needs one fraction for each of {SPLIT_NAMES}")
     if abs(sum(split_fractions) - 1.0) > 1e-9 or min(split_fractions) <= 0:
         raise ValueError("split fractions must be positive and sum to 1")
 
@@ -218,9 +222,9 @@ def synthesize_dataset(
                     extra = (int(rng.choice(spec.n_categories, p=w / w.sum())),)
             category_labels.append((k, *extra))
 
-        if count < len(split_names):
+        if count < len(SPLIT_NAMES):
             warnings.warn(
-                f"category {k} has {count} examples for {len(split_names)} splits",
+                f"category {k} has {count} examples for {len(SPLIT_NAMES)} splits",
                 EmptySplitWarning,
                 stacklevel=2,
             )
@@ -228,11 +232,11 @@ def synthesize_dataset(
         blocks.append(features[order])
         labels.extend(category_labels[i] for i in order)
         sizes = _split_sizes(count, split_fractions)
-        split_codes.append(np.repeat(np.arange(len(split_names)), sizes))
+        split_codes.append(np.repeat(np.arange(len(SPLIT_NAMES)), sizes))
 
     features, codes = np.concatenate(blocks), np.concatenate(split_codes)
     datasets = {}
-    for code, name in enumerate(split_names):
+    for code, name in enumerate(SPLIT_NAMES):
         ids = np.flatnonzero(codes == code)
         datasets[name] = FeatureDataset(
             ids, features[ids], [labels[i] for i in ids], name, spec.n_categories

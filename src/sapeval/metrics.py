@@ -1,6 +1,7 @@
 """Ranking metrics over evaluation pools: average precision,
-detection-protocol AP, mean AP, ROC-AUC, and the analytic baseline a
-random scorer converges to.
+detection-protocol AP, ROC-AUC, and the analytic baseline a random scorer
+converges to; the per-category scoring record and the mean AP over the
+categories eligible to count.
 
 Ranking is always by descending score with ties broken by ascending
 example id, so every metric here is reproducible bit-for-bit.
@@ -9,7 +10,7 @@ example id, so every metric here is reproducible bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -19,17 +20,51 @@ from .boxes import match_detections  # noqa: F401
 from .errors import DegeneratePool, InvalidCounts, NoEligibleCategories, NoPositives
 from .pools import EvalPool, FrameIndex
 
+if TYPE_CHECKING:
+    from .sampling import SapResult
+
 DEFAULT_MIN_EXAMPLES = 25
 
 
-@dataclass(frozen=True, slots=True)
-class CategoryScore:
-    """A per-category metric value plus the pool sizes behind it."""
+@dataclass(frozen=True)
+class CategoryEvaluation:
+    """One category's scores: its pool sizes, its AP and its sampled AP.
+    A category without positives has neither (None); ``eval`` reports the
+    detection-protocol AP and no sampled AP."""
 
     category: int
-    value: float
     n_pos: int
     n_neg: int
+    ap: float | None
+    sap: SapResult | None
+
+    def to_dict(self, store_trials: bool = False) -> dict:
+        record: dict = {
+            "category": self.category,
+            "n_pos": self.n_pos,
+            "n_neg": self.n_neg,
+            "ap": self.ap,
+            "sap_mean": self.sap.mean if self.sap else None,
+            "sap_std": self.sap.std if self.sap else None,
+            "degenerate": self.sap.degenerate if self.sap else None,
+        }
+        if store_trials and self.sap:
+            record["trial_aps"] = list(self.sap.trial_aps)
+        return record
+
+
+def _eligible(
+    records: Iterable[CategoryEvaluation], min_examples: int
+) -> list[CategoryEvaluation]:
+    """The records an across-category mean covers: those with an AP and at
+    least ``min_examples`` positives. Raises NoEligibleCategories when
+    there are none."""
+    eligible = [r for r in records if r.ap is not None and r.n_pos >= min_examples]
+    if not eligible:
+        raise NoEligibleCategories(
+            f"no category has {min_examples} or more positive examples"
+        )
+    return eligible
 
 
 def average_precision_from_arrays(
@@ -104,15 +139,10 @@ def frame_ap_from_index(index: FrameIndex, category: int) -> float:
 
 
 def mean_ap(
-    scores: Iterable[CategoryScore], min_examples: int = DEFAULT_MIN_EXAMPLES
+    records: Iterable[CategoryEvaluation], min_examples: int = DEFAULT_MIN_EXAMPLES
 ) -> float:
-    """Unweighted mean over categories with at least ``min_examples`` positives."""
-    eligible = [s.value for s in scores if s.n_pos >= min_examples]
-    if not eligible:
-        raise NoEligibleCategories(
-            f"no category has {min_examples} or more positive examples"
-        )
-    return float(np.mean(eligible))
+    """Unweighted mean AP over the records ``_eligible`` keeps."""
+    return float(np.mean([r.ap for r in _eligible(records, min_examples)]))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

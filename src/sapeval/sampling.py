@@ -6,8 +6,9 @@ averaged. Balancing removes the dependence of AP on the positive/negative
 ratio, so a rare category and a frequent one with the same recognition
 quality score the same.
 
-Also here: the across-category mean, and the estimator-stability profile
-as a function of the trial count.
+A result also carries the plain AP of the whole pool, read off the same
+ranking, so a pool is ranked once for both. Also here: the across-category
+mean, and the estimator-stability profile as a function of the trial count.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NoEligibleCategories, NoPositives
+from .errors import NoPositives
 # not called here; perfbench/tracing.py wraps it under this name
 from .metrics import average_precision_from_arrays  # noqa: F401
-from .metrics import _ranked_ap, rank_order
+from .metrics import CategoryEvaluation, _eligible, _ranked_ap, rank_order
 from .pools import EvalPool, ExampleOrigin
 
 _MASK64 = (1 << 64) - 1
@@ -55,7 +56,8 @@ class SapConfig:
 
 @dataclass(frozen=True)
 class SapResult:
-    """Per-trial APs for one category with their mean and population std."""
+    """Per-trial APs for one category with their mean and population std,
+    and the AP of the whole pool."""
 
     category: int
     trial_aps: tuple[float, ...]
@@ -63,6 +65,7 @@ class SapResult:
     std: float
     n_pos: int
     degenerate: bool
+    ap: float
 
 
 def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
@@ -71,9 +74,14 @@ def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
     Fully determined by (pool, config): trial i samples with a seed derived
     from ``config.seed`` and i. When the negative pool is smaller than the
     positive set the result is flagged degenerate and every trial simply
-    uses all negatives.
+    uses all negatives. ``ap`` is ``metrics.average_precision(pool)`` to
+    the bit, taken from the trials' ranking.
     """
-    return _sampled_ap(pool.category, _rank(pool, config.include_background), config)
+    ranking = flags, negative_ranks = _rank(pool, config.include_background)
+    n_pos = int(flags.sum())
+    trial_aps, mean, std = _trials(ranking, config)
+    return SapResult(pool.category, trial_aps, mean, std, n_pos,
+                     degenerate=len(negative_ranks) < n_pos, ap=_ranked_ap(flags, n_pos))
 
 
 def _rank(pool: EvalPool, include_background: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -94,18 +102,17 @@ def _rank(pool: EvalPool, include_background: bool) -> tuple[np.ndarray, np.ndar
     return pool.is_positive[order], rank[negative]
 
 
-def _sampled_ap(
-    category: int, ranking: tuple[np.ndarray, np.ndarray], config: SapConfig
-) -> SapResult:
-    """``sampled_ap`` of a pool ranked by ``_rank`` with
-    ``config.include_background``."""
+def _trials(
+    ranking: tuple[np.ndarray, np.ndarray], config: SapConfig
+) -> tuple[tuple[float, ...], float, float]:
+    """The trial APs of a pool ranked by ``_rank`` with
+    ``config.include_background``, their mean and their population std."""
     flags, negative_ranks = ranking
     n_pos, n_neg = int(flags.sum()), len(negative_ranks)
-    degenerate = n_neg < n_pos
 
     trial_aps = []
     for i in range(config.n_trials):
-        if degenerate or n_neg == n_pos:
+        if n_neg <= n_pos:
             picked = negative_ranks
         else:
             rng = np.random.default_rng(mix_seed(config.seed, i))
@@ -121,27 +128,13 @@ def _sampled_ap(
         mean, std = float(aps[0]), 0.0
     else:
         mean, std = float(aps.mean()), float(aps.std())
-    return SapResult(
-        category=category,
-        trial_aps=tuple(float(a) for a in aps),
-        mean=mean,
-        std=std,
-        n_pos=n_pos,
-        degenerate=degenerate,
-    )
+    return tuple(float(a) for a in aps), mean, std
 
 
-def msap(
-    results: Iterable[SapResult], min_examples: int = 1
-) -> float:
-    """Unweighted mean of per-category sampled-AP means over categories with
-    at least ``min_examples`` positives."""
-    eligible = [r.mean for r in results if r.n_pos >= min_examples]
-    if not eligible:
-        raise NoEligibleCategories(
-            f"no category has {min_examples} or more positive examples"
-        )
-    return float(np.mean(eligible))
+def msap(records: Iterable[CategoryEvaluation], min_examples: int = 1) -> float:
+    """Unweighted mean sampled AP over the records ``metrics._eligible``
+    keeps."""
+    return float(np.mean([r.sap.mean for r in _eligible(records, min_examples)]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,20 +164,11 @@ def stability_profile(
     ranking = _rank(pool, include_background)
     points = []
     for j, n_trials in enumerate(trial_counts):
-        estimates = np.array(
-            [
-                _sampled_ap(
-                    pool.category,
-                    ranking,
-                    SapConfig(
-                        n_trials=n_trials,
-                        seed=mix_seed(mix_seed(seed, j), r),
-                        include_background=include_background,
-                    ),
-                ).mean
-                for r in range(repeats)
-            ]
-        )
+        estimates = np.array([
+            _trials(ranking, SapConfig(n_trials, mix_seed(mix_seed(seed, j), r),
+                                       include_background))[1]
+            for r in range(repeats)
+        ])
         points.append(
             StabilityPoint(int(n_trials), float(estimates.mean()), float(estimates.std()))
         )

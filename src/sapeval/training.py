@@ -13,8 +13,11 @@ set with the extractor frozen, and the config fields it overrides.
 ``naive_balanced`` and ``focal`` are its single-stage baselines, and
 ``stage1_all``, ``stage2_finetune_all`` and ``stage2_unbalanced`` its
 ablations. :func:`run_ablation` is :func:`train_stage1` followed by
-:func:`train_stage2`; variants with equal :func:`stage1_key` train the same
-stage 1, which the reference benchmark trains once and shares.
+:func:`train_stage2`, each handed the rows of its example set; variants
+with equal :func:`stage1_key` train the same stage 1, which the reference
+benchmark trains once and shares, as it builds each example set once.
+:func:`score_pools` scores each pool, ranked once, into one
+:class:`~sapeval.metrics.CategoryEvaluation`.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .datasets import FeatureDataset, HeadTailSplit, oversample_balance
-from .errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
-from .metrics import average_precision, mean_ap, CategoryScore
+from .errors import CategoryMismatch, DimMismatch, EmptyHead, NoEligibleCategories, NonFiniteLoss
+from .metrics import CategoryEvaluation, _eligible, mean_ap
+# not called here; perfbench/tracing.py wraps it under this name
+from .metrics import average_precision  # noqa: F401
 from .pools import EvalPool, pools_from_scores
-from .sampling import SapConfig, SapResult, mix_seed, msap, sampled_ap
+from .sampling import SapConfig, mix_seed, msap, sampled_ap
 
 #: Probabilities are kept this far from {0, 1} before any logarithm.
 PROB_EPS = 1e-7
@@ -438,8 +443,11 @@ def resolve_variant(
 
 
 def _example_rows(
-    dataset: FeatureDataset, example_set: str, split: HeadTailSplit, seed: int
+    dataset: FeatureDataset, example_set: str, split: HeadTailSplit | None, seed: int
 ) -> list[int] | np.ndarray | slice:
+    """The dataset rows of ``example_set``: every row (``all``), the rows
+    carrying a head category (``head``), or the oversampled balanced
+    multiset seeded by ``mix_seed(seed, 2)`` (``balanced``)."""
     if example_set == "balanced":
         return oversample_balance(dataset, seed=mix_seed(seed, 2))
     if example_set == "all":
@@ -466,8 +474,7 @@ def stage1_key(config: TrainConfig, stage1_set: str) -> tuple:
     )
 
 
-def _train_stage(stage, params, dataset, split, example_set, config, plan, history, **options):
-    rows = _example_rows(dataset, example_set, split, config.seed)
+def _train_stage(stage, params, dataset, rows, config, plan, history, **options):
     stage_history: list = []
     params = sgd_train(
         params,
@@ -486,15 +493,21 @@ def _train_stage(stage, params, dataset, split, example_set, config, plan, histo
     return params
 
 
+def stage1_mask(split: HeadTailSplit | None, stage1_set: str) -> list[int] | None:
+    """The categories stage 1's loss covers on ``stage1_set``: the head
+    categories on ``head``, every category (None) on the others."""
+    return sorted(split.head) if stage1_set == "head" else None
+
+
 def train_stage1(
     dataset: FeatureDataset,
-    split: HeadTailSplit | None,
+    rows: list[int] | np.ndarray | slice,
     config: TrainConfig,
-    example_set: str,
+    category_mask: Sequence[int] | None = None,
     history: list | None = None,
 ) -> ModelParams:
-    """Stage 1: a fresh model trained on ``example_set`` (``all``, ``head``
-    or ``balanced``); on ``head`` the loss covers the head categories only."""
+    """Stage 1: a fresh model trained on the dataset rows ``rows``, its loss
+    over the categories of ``category_mask`` (all when None)."""
     params = init_params(
         dataset.features.shape[1],
         config.hidden_dim,
@@ -502,28 +515,27 @@ def train_stage1(
         dataset.n_categories,
         seed=config.seed,
     )
-    head_mask = sorted(split.head) if example_set == "head" else None
     return _train_stage(
-        1, params, dataset, split, example_set, config, config.stage1, history,
-        category_mask=head_mask,
+        1, params, dataset, rows, config, config.stage1, history,
+        category_mask=category_mask,
     )
 
 
 def train_stage2(
     dataset: FeatureDataset,
-    split: HeadTailSplit | None,
+    rows: list[int] | np.ndarray | slice,
     config: TrainConfig,
-    example_set: str,
     params: ModelParams,
     history: list | None = None,
 ) -> ModelParams:
     """Stage 2: retrain the head of the stage-1 ``params`` (left unchanged)
-    on ``example_set``; the head starts fresh unless ``stage2_warm_start``,
-    and the extractor is frozen while ``stage2_freeze``."""
+    on the dataset rows ``rows``; the head starts fresh unless
+    ``stage2_warm_start``, and the extractor is frozen while
+    ``stage2_freeze``."""
     if not config.stage2_warm_start:
         params = reinit_head(params, seed=config.seed)
     return _train_stage(
-        2, params, dataset, split, example_set, config, config.stage2, history,
+        2, params, dataset, rows, config, config.stage2, history,
         head_only=config.stage2_freeze,
     )
 
@@ -548,33 +560,12 @@ def run_ablation(
             raise EmptyHead(f"variant {variant!r} needs a head/tail split")
     elif split.categories != frozenset(range(dataset.n_categories)):
         raise CategoryMismatch("head/tail split does not cover the dataset's categories")
-    params = train_stage1(dataset, split, config, stage1_set, history)
+    rows = _example_rows(dataset, stage1_set, split, config.seed)
+    params = train_stage1(dataset, rows, config, stage1_mask(split, stage1_set), history)
     if stage2_set is None:
         return params
-    return train_stage2(dataset, split, config, stage2_set, params, history)
-
-
-@dataclass(frozen=True)
-class CategoryEvaluation:
-    category: int
-    n_pos: int
-    n_neg: int
-    ap: float | None
-    sap: SapResult | None
-
-    def to_dict(self, store_trials: bool = False) -> dict:
-        record: dict = {
-            "category": self.category,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "ap": self.ap,
-            "sap_mean": self.sap.mean if self.sap else None,
-            "sap_std": self.sap.std if self.sap else None,
-            "degenerate": self.sap.degenerate if self.sap else None,
-        }
-        if store_trials and self.sap:
-            record["trial_aps"] = list(self.sap.trial_aps)
-        return record
+    rows = _example_rows(dataset, stage2_set, split, config.seed)
+    return train_stage2(dataset, rows, config, params, history)
 
 
 @dataclass(frozen=True)
@@ -595,16 +586,15 @@ class EvalReport:
 def _group_aggregate(
     evals: Sequence[CategoryEvaluation], min_examples: int
 ) -> dict:
-    sap_results = [e.sap for e in evals if e.sap is not None]
-    ap_scores = [
-        CategoryScore(e.category, e.ap, e.n_pos, e.n_neg)
-        for e in evals
-        if e.ap is not None
-    ]
-    eligible = [r for r in sap_results if r.n_pos >= min_examples]
+    """mSAP and mAP of a category group, both None when no record is
+    eligible."""
+    try:
+        eligible = _eligible(evals, min_examples)
+    except NoEligibleCategories:
+        return {"msap": None, "map": None, "categories": len(evals), "eligible": 0}
     return {
-        "msap": msap(sap_results, min_examples) if eligible else None,
-        "map": mean_ap(ap_scores, min_examples) if eligible else None,
+        "msap": msap(eligible, min_examples),
+        "map": mean_ap(eligible, min_examples),
         "categories": len(evals),
         "eligible": len(eligible),
     }
@@ -613,10 +603,10 @@ def _group_aggregate(
 def score_pools(
     pools: Mapping[int, EvalPool], sap_config: SapConfig
 ) -> tuple[CategoryEvaluation, ...]:
-    """AP and sampled AP of each pool, in category order. A category
-    without positives carries null metrics. Category c's trials are seeded
-    with ``mix_seed(sap_config.seed, 1000 + c)``, so its result does not
-    depend on which other categories are scored."""
+    """AP and sampled AP of each pool, from one ranking of it, in category
+    order. A category without positives carries null metrics. Category c's
+    trials are seeded with ``mix_seed(sap_config.seed, 1000 + c)``, so its
+    result does not depend on which other categories are scored."""
     evals = []
     for c, pool in sorted(pools.items()):
         if pool.n_pos == 0:
@@ -624,7 +614,7 @@ def score_pools(
             continue
         trial_config = dataclasses.replace(sap_config, seed=mix_seed(sap_config.seed, 1000 + c))
         sap = sampled_ap(pool, trial_config)
-        evals.append(CategoryEvaluation(c, pool.n_pos, pool.n_neg, average_precision(pool), sap))
+        evals.append(CategoryEvaluation(c, pool.n_pos, pool.n_neg, sap.ap, sap))
     return tuple(evals)
 
 

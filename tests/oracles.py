@@ -77,7 +77,8 @@ def reference_sampled_ap(pool, config) -> dict:
     negatives, each trial's rows ranked by Python ``sorted`` on
     (-score, id), and its precisions summed in one float64 array.
 
-    Returns the ``SapResult`` fields other than the category.
+    Returns the ``SapResult`` fields other than the category and the
+    whole-pool AP.
     """
     from sapeval.pools import ExampleOrigin
     from sapeval.sampling import mix_seed

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -325,6 +326,26 @@ class TestSap:
         assert record["ap"] == pytest.approx(0.00034, abs=0.001)
         assert 0.4 <= record["sap_mean"] <= 0.65
 
+    def test_min_examples_zero_skips_a_category_without_positives(self, tmp_path):
+        # category 1 has no positive: listed with null metrics, never averaged
+        rng = np.random.default_rng(6)
+        targets = np.zeros((30, 3), dtype=bool)
+        targets[:, 0] = np.arange(30) % 2 == 0
+        targets[:, 2] = np.arange(30) % 7 == 0
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(serialize_predictions(list(range(30)), targets, rng.random((30, 3))))
+        out = tmp_path / "sap.json"
+        assert run(
+            "sap", "--predictions", preds, "--out", out, "--trials", 5, "--min-examples", 0,
+        ) == 0
+        report = json.loads(out.read_text())
+        empty = report["categories"][1]
+        assert empty == {"category": 1, "n_pos": 0, "ap": None, "sap_mean": None,
+                         "sap_std": None, "degenerate": None}
+        scored = [c["sap_mean"] for c in report["categories"] if c["n_pos"]]
+        assert len(scored) == 2
+        assert report["aggregate"]["msap"] == float(np.mean(scored))
+
 
 class TestStability:
     def test_csv_shape(self, detection_files, tmp_path):
@@ -583,6 +604,36 @@ class TestTrain:
         (data / "val.jsonl").write_text((data / "train.jsonl").read_text())
         assert self._train(data, tmp_path / "run", "--variant", "two_stage", "--auto-split") == 3
         assert "train.jsonl:4: repeated label" in capsys.readouterr().err
+
+    def test_min_examples_zero_aggregates_cover_scored_categories(self, synth_dir, tmp_path):
+        # validation without category 5: at --min-examples 0 it is listed
+        # with null metrics and left out of every aggregate
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.jsonl").write_text((synth_dir / "train.jsonl").read_text())
+        (data / "val.jsonl").write_text("".join(
+            line + "\n" for line in (synth_dir / "val.jsonl").read_text().splitlines()
+            if 5 not in json.loads(line)["labels"]
+        ))
+        out = tmp_path / "run"
+        assert self._train(
+            data, out, "--variant", "two_stage", "--auto-split", "--min-examples", 0
+        ) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        groups = {"all": range(6), "head": metrics["head"], "tail": metrics["tail"]}
+        for name, evaluation in metrics["evaluation"].items():
+            by_category = {c["category"]: c for c in evaluation["categories"]}
+            assert (by_category[5]["ap"] is None) == (name == "val")
+            for group, members in groups.items():
+                scored = [by_category[c] for c in members if by_category[c]["n_pos"]]
+                assert all(c["ap"] is not None for c in scored)
+                assert evaluation["aggregates"][group] == {
+                    "msap": float(np.mean([c["sap_mean"] for c in scored])),
+                    "map": float(np.mean([c["ap"] for c in scored])),
+                    "categories": len(members),
+                    "eligible": len(scored),
+                }, (name, group)
+        assert 5 in metrics["tail"]
 
     @pytest.mark.parametrize(
         "text,message",
@@ -1050,3 +1101,33 @@ def test_tracer_finds_every_name_it_wraps():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_import_kept_for_the_tracer_is_wrapped():
+    """A ``noqa: F401`` import in ``src/sapeval`` is kept only for
+    ``perfbench/tracing.install`` to wrap; each such name must carry
+    ``__wrapped__`` once the tracer is installed."""
+    root = Path(__file__).resolve().parents[1]
+    kept = []
+    for path in sorted((root / "src" / "sapeval").glob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if "noqa: F401" in line:
+                (node,) = ast.parse(line.strip()).body
+                assert isinstance(node, ast.ImportFrom), line
+                kept += [(path.stem, alias.asname or alias.name) for alias in node.names]
+    assert kept
+    check = (
+        "import importlib, sys, tracing\n"
+        "tracing.install('check')\n"
+        f"for module, name in {kept!r}:\n"
+        "    if not hasattr(getattr(importlib.import_module('sapeval.' + module), name),"
+        " '__wrapped__'):\n"
+        "        print(f'{module}.{name}')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", check],
+        cwd=root / "perfbench", env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "", f"kept for the tracer but not wrapped: {result.stdout.split()}"

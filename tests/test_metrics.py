@@ -9,7 +9,7 @@ from sapeval.errors import (
     NoPositives,
 )
 from sapeval.metrics import (
-    CategoryScore,
+    CategoryEvaluation,
     average_precision,
     average_precision_from_arrays,
     frame_ap,
@@ -186,26 +186,38 @@ class TestFrameAp:
         assert frame_ap_of([b, a], detections, 0) == 1.0
 
 
+def scored(category, ap, n_pos, n_neg=0):
+    """A record with an AP and no sampled AP, as ``sapeval eval`` builds it."""
+    return CategoryEvaluation(category, n_pos, n_neg, ap, None)
+
+
 class TestMeanAp:
     def test_single_category(self):
-        scores = [CategoryScore(0, 0.42, 30, 100)]
+        scores = [scored(0, 0.42, 30, 100)]
         assert mean_ap(scores) == pytest.approx(0.42)
 
     def test_two_eligible(self):
-        scores = [CategoryScore(0, 0.2, 30, 0), CategoryScore(1, 0.8, 40, 0)]
+        scores = [scored(0, 0.2, 30), scored(1, 0.8, 40)]
         assert mean_ap(scores) == pytest.approx(0.5)
 
     def test_eligibility_filter(self):
-        scores = [CategoryScore(0, 0.2, 30, 0), CategoryScore(1, 0.9, 3, 0)]
+        scores = [scored(0, 0.2, 30), scored(1, 0.9, 3)]
         assert mean_ap(scores, min_examples=25) == pytest.approx(0.2)
 
     def test_identical_values_mean_is_value(self):
-        scores = [CategoryScore(c, 0.478, 60, 0) for c in range(60)]
+        scores = [scored(c, 0.478, 60) for c in range(60)]
         assert mean_ap(scores) == pytest.approx(0.478)
 
     def test_no_eligible(self):
         with pytest.raises(NoEligibleCategories):
-            mean_ap([CategoryScore(0, 0.5, 3, 0)], min_examples=25)
+            mean_ap([scored(0, 0.5, 3)], min_examples=25)
+
+    def test_record_without_ap_never_counts(self):
+        # a category without positives carries no AP, even at min_examples 0
+        records = [scored(0, 0.3, 5), CategoryEvaluation(1, 0, 9, None, None)]
+        assert mean_ap(records, min_examples=0) == 0.3
+        with pytest.raises(NoEligibleCategories):
+            mean_ap(records[1:], min_examples=0)
 
 
 class TestRocAuc:

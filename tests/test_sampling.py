@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sapeval.errors import NoEligibleCategories, NoPositives
-from sapeval.metrics import average_precision
+from sapeval.metrics import CategoryEvaluation, average_precision
 from sapeval.pools import EvalPool, ExampleOrigin
 from sapeval.sampling import (
     SapConfig,
@@ -179,6 +179,14 @@ class TestMatchesReference:
         expected = reference_sampled_ap(pool, config)
         assert {k: getattr(result, k) for k in expected} == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(sap_pools(), st.integers(1, 3), st.integers(0, 2**64 - 1))
+    def test_reported_ap_is_average_precision(self, drawn, n_trials, seed):
+        # the AP read off the trials' ranking, bit for bit
+        pool, include_background = drawn
+        config = SapConfig(n_trials=n_trials, seed=seed, include_background=include_background)
+        assert sampled_ap(pool, config).ap.hex() == average_precision(pool).hex()
+
     @settings(max_examples=60, deadline=None)
     @given(sap_pools(), st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
            st.integers(2, 3), st.integers(0, 2**64 - 1))
@@ -237,7 +245,8 @@ class TestExactOracle:
 
 class TestMsap:
     def _result(self, category, mean, n_pos):
-        return SapResult(category, (mean,), mean, 0.0, n_pos, False)
+        sap = SapResult(category, (mean,), mean, 0.0, n_pos, False, mean)
+        return CategoryEvaluation(category, n_pos, n_pos, mean, sap)
 
     def test_single_category(self):
         assert msap([self._result(0, 0.7, 50)]) == pytest.approx(0.7)

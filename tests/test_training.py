@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sapeval import benchmark, training
+from sapeval import benchmark, metrics, sampling, training
 from sapeval.benchmark import (
     DEFAULT_VARIANTS,
     REFERENCE_FRACTIONS,
@@ -614,13 +614,49 @@ class TestSharedStage1:
 
         staged: list = []
         config, stage1_set, stage2_set = resolve_variant("two_stage", config)
-        stage1 = train_stage1(datasets["train"], split, config, stage1_set, staged)
+        head_rows = training._example_rows(datasets["train"], stage1_set, split, config.seed)
+        stage1 = train_stage1(datasets["train"], head_rows, config, sorted(split.head), staged)
         kept = stage1.copy()
-        composed = train_stage2(datasets["train"], split, config, stage2_set, stage1, staged)
+        balanced_rows = training._example_rows(datasets["train"], stage2_set, split, config.seed)
+        composed = train_stage2(datasets["train"], balanced_rows, config, stage1, staged)
         assert staged == history
         for field in dataclasses.fields(params):
             assert np.array_equal(getattr(composed, field.name), getattr(params, field.name))
             assert np.array_equal(getattr(stage1, field.name), getattr(kept, field.name))
+
+
+class TestRunBenchmarkCalls:
+    """``run_benchmark(5)`` traced by name: what it builds and ranks."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        calls = {"rank_order": 0, "oversample_balance": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in ((metrics, "rank_order"), (sampling, "rank_order"),
+                                 (benchmark, "oversample_balance"),
+                                 (training, "oversample_balance")):
+                patch.setattr(module, name, counting(module, name))
+            result = run_benchmark(5)
+        calls["pools"] = sum(c.n_pos > 0 for r in result.reports.values() for c in r.categories)
+        return calls
+
+    def test_each_pool_is_ranked_once(self, calls):
+        # 4 variants x 20 validation categories, every one with positives
+        assert calls["pools"] == 80
+        assert calls["rank_order"] == 80
+
+    def test_balanced_set_is_built_once(self, calls):
+        assert calls["oversample_balance"] == 1
 
 
 #: SHA-256 of ``run_benchmark(0)``'s report dicts, trial APs included,
