@@ -72,14 +72,16 @@ def label_pairs(labels: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     return rows, np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=len(rows))
 
 
-def multi_hot(labels: Sequence[Sequence[int]], n_categories: int) -> np.ndarray:
-    """The n x K bool matrix of per-example label tuples: row i is true at
+def multi_hot(pairs: tuple[np.ndarray, np.ndarray], n_examples: int, n_categories: int,
+              order: str = "C") -> np.ndarray:
+    """The n x K bool matrix of ``label_pairs``' (example row, label)
+    pairs, in ``order``: "C" row-major, "F" category-major. Row i is true at
     example i's labels, which must lie in [0, K)."""
-    rows, cols = label_pairs(labels)
+    rows, cols = pairs
     # fancy-index assignment would wrap a label of -1 to the last column
     if ((cols < 0) | (cols >= n_categories)).any():
         raise ValueError(f"labels must lie in [0, {n_categories})")
-    targets = np.zeros((len(labels), n_categories), dtype=bool)
+    targets = np.zeros((n_examples, n_categories), dtype=bool, order=order)
     targets[rows, cols] = True
     return targets
 
@@ -105,7 +107,7 @@ class FeatureDataset:
             raise ValueError("ids, features and labels must have one row per example")
         if not all(self.labels):
             raise ValueError("every example needs a label")
-        self.targets = multi_hot(self.labels, self.n_categories)
+        self.targets = multi_hot(label_pairs(self.labels), len(self.labels), self.n_categories)
         self.targets.flags.writeable = False
 
     def __len__(self) -> int:

@@ -26,9 +26,13 @@ label is the example's generating (primary) category. Prediction files
 are JSON lines of ``{"id", "labels", "scores"}`` where ``scores`` has one
 entry per category. One loop reads both kinds of JSON lines and holds the
 rules they share: int64 ids, no id twice, integer labels, no label twice,
-and rows of equal width. Each reader then checks its own rules as one row
-mask per rule, and the first bad line's error is raised. Labels leave
-both readers as an n x K multi-hot matrix.
+and rows of equal width. It writes each record's row, as it reads it,
+into one float64 matrix sized from the file's line count, holding no
+list of rows: category-major for predictions, so that the classification
+pools are views of it, row-major for features, which training gathers by
+row. Each reader then checks its own rules as one row mask per rule, and
+the first bad line's error is raised. Labels leave both readers as an
+n x K multi-hot matrix, category-major for predictions.
 """
 
 from __future__ import annotations
@@ -273,14 +277,16 @@ def _json_numbers(values: list, what: str) -> list:
 
 
 def read_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (example ids, n x K multi-hot targets, n x K scores).
-    Besides the rules of ``_read_records``, scores must lie in [0, 1] and
-    labels in [0, K). Of several bad records, the error names the first."""
+    """Returns (example ids, n x K multi-hot targets, n x K scores), the
+    two matrices category-major, so that each category's column is
+    contiguous. Besides the rules of ``_read_records``, scores must lie in
+    [0, 1] and labels in [0, K). Of several bad records, the error names
+    the first."""
     path = str(path)
     ids, labels, scores, _, error = _read_records(path, "scores",
-                                                  "inconsistent score vector length")
+                                                  "inconsistent score vector length", order="F")
     k = scores.shape[1]
-    rows, cols = label_pairs(labels)
+    rows, cols = pairs = label_pairs(labels)
     _raise_first(path, error, [
         # row extremes (NaN propagates): no matrix-sized mask
         (~((scores.min(axis=1, initial=0.0) >= 0.0) & (scores.max(axis=1, initial=1.0) <= 1.0)),
@@ -290,19 +296,25 @@ def read_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ])
     if not labels:
         raise ParseError(path, 0, "no prediction records")
-    return ids, multi_hot(labels, k), scores
+    return ids, multi_hot(pairs, len(labels), k, order="F"), scores
 
 
-def _read_records(path: str, key: str, width_message: str, extra: str | None = None):
+def _read_records(path: str, key: str, width_message: str, extra: str | None = None,
+                  order: str = "C"):
     """The records of a JSON-lines file of examples, read up to the first
     one that breaks a rule every such file shares: an int64 ``id`` no
     earlier record has, integer ``labels`` with no label twice, and JSON
     numbers under ``key``, as many as the first record's (else the error
     says ``width_message``). Returns the int64 ids, the label tuples, the
-    rows under ``key`` as a float matrix, each record's ``extra`` field
-    (None without one), and the deferred ``ParseError`` of the line where
-    reading stopped (None if none did)."""
-    ids, labels, rows, extras, seen, error = [], [], [], [], set(), None
+    rows under ``key`` as a float64 matrix in ``order`` ("C" row-major, "F"
+    column-major), each record's ``extra`` field (None without one), and
+    the deferred ``ParseError`` of the line where reading stopped (None if
+    none did).
+
+    Each row is written as it is read into one matrix with a row for
+    every line from the first record on; when blank lines or a stop leave
+    some unused, the rows read are copied out once."""
+    ids, labels, extras, seen, matrix, error = [], [], [], set(), None, None
     try:
         for line_no, line in _lines(path):
             if not line.strip():
@@ -319,17 +331,37 @@ def _read_records(path: str, key: str, width_message: str, extra: str | None = N
                 raise ParseError(path, line_no, f"duplicate id {example_id}")
             if len(set(example_labels)) < len(example_labels):
                 raise ParseError(path, line_no, f"repeated label in {list(example_labels)}")
-            if rows and len(row) != len(rows[0]):
+            if matrix is None:
+                matrix = np.empty((_line_count(path) - line_no + 1, len(row)), order=order)
+            elif len(row) != matrix.shape[1]:
                 raise ParseError(path, line_no, width_message)
+            matrix[len(ids)] = row
             seen.add(example_id)
             ids.append(example_id)
             labels.append(example_labels)
-            rows.append(row)
             extras.append(value)
     except ParseError as exc:
         error = exc  # raised after the row checks: an earlier bad line wins
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, 0))
+    if matrix is None:
+        matrix = np.empty((0, 0))
+    elif len(ids) < len(matrix):
+        matrix = np.array(matrix[:len(ids)], order=order)
     return np.array(ids, dtype=np.int64), labels, matrix, extras, error
+
+
+def _line_count(path: str) -> int:
+    """The number of lines ``_lines`` yields: lines end at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``, and a last line needs no end."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            count += chunk.count(b"\n")
+            if returns := chunk.count(b"\r"):
+                count += returns - chunk.count(b"\r\n")
+            if last == b"\r" and chunk.startswith(b"\n"):
+                count -= 1  # a "\r\n" split between two chunks
+            last = chunk[-1:]
+    return count + (last not in (b"", b"\n", b"\r"))
 
 
 def _raise_first(path: str, error: ParseError | None, checks: list) -> None:

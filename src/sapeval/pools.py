@@ -228,7 +228,10 @@ def pools_from_scores(
 
     ``targets`` is the multi-hot label matrix of the same shape: each
     example is a positive where it is true and a negative elsewhere; no
-    box matching is involved.
+    box matching is involved. Category-major (column-major) matrices, as
+    ``formats.read_predictions`` returns them, are not copied: every pool's
+    scores and positives are views of the one matrix of each. Row-major
+    ones are copied once, category-major.
     """
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets, dtype=bool)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sapeval.formats import (
     read_predictions,
     serialize_feature_dataset,
 )
+from sapeval.pools import pools_from_scores
 
 from conftest import (
     MICRO_DET,
@@ -692,6 +694,100 @@ class TestJsonlReaderMatchesReference:
         expected, result = read_with(reference, path), read_with(library, path)
         several_faults = expected[0] == "error" and len(expected[3]) > 1
         assert result[:2 if several_faults else 3] == expected[:2 if several_faults else 3]
+
+
+def prediction_lines(n, k=3):
+    """``n`` valid prediction records of ``k`` scores, one string each."""
+    return [json.dumps({"id": i, "labels": [i % k], "scores": [(i * 7 + c) % 10 / 10
+                                                               for c in range(k)]})
+            for i in range(n)]
+
+
+def read_as_reference(path):
+    """``read_with`` of the library's and the reference's predictions
+    reader, as comparable values."""
+    library, reference = TestJsonlReaderMatchesReference.readers("predictions", None)
+    return read_with(library, path), read_with(reference, path)
+
+
+class TestJsonlReaderBoundaries:
+    """The predictions matrix has one row per line from the first record
+    on, counted by ``_line_count`` in 1 MiB chunks."""
+
+    CHUNK = 1 << 20
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_files_around_the_count_chunk(self, tmp_path, end, offset):
+        """Files of a chunk -1, +0 and +1 bytes, the last one's line end
+        (a "\\r\\n" too) falling before, on and across the chunk's edge."""
+        lines = prediction_lines(self.CHUNK // 64)
+        text = end.join(lines) + end
+        pad = self.CHUNK + offset - len(text.encode())
+        assert pad >= 0
+        # spaces before the last record's closing brace keep it valid JSON
+        text = text[:-len(end) - 1] + " " * pad + text[-len(end) - 1:]
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(text.encode())
+        assert path.stat().st_size == self.CHUNK + offset
+        with open(path, encoding="utf-8") as fh:
+            assert formats._line_count(str(path)) == sum(1 for _ in fh) == len(lines)
+        result, expected = read_as_reference(path)
+        assert result[0] == "ok" and result == expected
+
+    @pytest.mark.parametrize("text", [
+        "\n \n{0}\n\t\n{1}\n   \n{2}\n\n",
+        "{0}\n{1}\n{2}",
+        "{0}\r\n\r\n{1}\r\n{2}\r\n",
+        "\r\n{0}\r{1}\n \r{2}",
+    ], ids=["blank_and_whitespace_lines", "no_final_newline", "crlf", "mixed_ends"])
+    def test_line_layouts_read_as_reference(self, tmp_path, text):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(text.format(*prediction_lines(3)).encode())
+        result, expected = read_as_reference(path)
+        assert result[0] == "ok" and result == expected
+
+    def test_later_score_out_of_range_precedes_a_json_error(self, tmp_path):
+        """A score out of range on a row deep in the file is reported
+        before the JSON error of a later line, which stopped the read."""
+        lines = prediction_lines(400)
+        lines[300] = json.dumps({"id": 300, "labels": [0], "scores": [0.5, 1.5, 0.25]})
+        lines[350] = lines[350][:-1]
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        result, expected = read_as_reference(path)
+        assert result[:3] == expected[:3]
+        assert result[1] == 301 and "scores must lie in [0, 1]" in result[2]
+
+
+class TestPredictionsMemory:
+    def write(self, tmp_path, n, k, tail=""):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "preds.jsonl"
+        path.write_text(serialize_predictions(list(range(n)), rng.random((n, k)) < 0.1,
+                                              rng.random((n, k))) + tail)
+        return path
+
+    def test_peak_stays_near_the_matrix(self, tmp_path):
+        """The read holds no Python float per score: its traced peak stays
+        within 2.5 times the score matrix."""
+        path = self.write(tmp_path, 8000, 50)
+        tracemalloc.start()
+        try:
+            _, _, scores = read_predictions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * scores.nbytes
+
+    @pytest.mark.parametrize("tail", ["", "\n \n"], ids=["every_line_a_record", "blank_lines"])
+    def test_pools_are_views_of_the_read_matrices(self, tmp_path, tail):
+        ids, targets, scores = read_predictions(self.write(tmp_path, 50, 4, tail))
+        assert scores.flags.f_contiguous and targets.flags.f_contiguous
+        for c, pool in pools_from_scores(scores, targets, ids).items():
+            assert np.shares_memory(pool.scores, scores)
+            assert np.shares_memory(pool.is_positive, targets)
+            assert np.array_equal(pool.scores, scores[:, c])
 
 
 class TestCategoryAp:
