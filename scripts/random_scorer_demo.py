@@ -38,7 +38,7 @@ def main() -> int:
         print(
             f"{n_pos:8d} {average_precision(pool):8.4f} "
             f"{random_baseline_ap(n_pos, args.total):9.4f} "
-            f"{roc_auc(pool):8.4f} {result.mean:8.4f}"
+            f"{roc_auc(pool):8.4f} {result.sap_mean:8.4f}"
         )
     return 0
 

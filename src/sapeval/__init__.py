@@ -21,7 +21,7 @@ from .metrics import (
     roc_auc,
 )
 from .pools import EvalPool, ExampleOrigin, FrameIndex, build_eval_pool, pools_from_scores
-from .sampling import SapConfig, SapResult, msap, sampled_ap, stability_profile
+from .sampling import SapConfig, msap, sampled_ap, stability_profile
 from .training import (
     ModelParams,
     StagePlan,

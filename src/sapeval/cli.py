@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -118,6 +119,8 @@ def _write_outputs(
 def _detection_index(args: argparse.Namespace) -> tuple[FrameIndex, list[int]]:
     """The frame index of ``--gt`` and ``--det`` and the ground truth's
     categories, sorted."""
+    if not 0.0 < args.iou <= 1.0:
+        raise ConfigError("--iou: must lie in (0, 1]")
     gt = read_ground_truth_csv(args.gt)
     index = FrameIndex(gt, read_detections_csv(args.det), args.iou)
     return index, sorted(set(gt.label_category.tolist()))
@@ -171,8 +174,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if not 0.0 < args.iou <= 1.0:
-        raise ConfigError("--iou: must lie in (0, 1]")
     index, gt_categories = _detection_index(args)
     evals, rows = [], []
     for category in gt_categories:
@@ -182,7 +183,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             auc = roc_auc(pool)
         except DegeneratePool:
             auc = None
-        evals.append(CategoryEvaluation(category, pool.n_pos, pool.n_neg, ap, None))
+        evals.append(CategoryEvaluation(category, pool.n_pos, pool.n_neg, ap))
         rows.append({"category": category, "n_pos": pool.n_pos, "n_neg": pool.n_neg,
                      "ap": ap, "roc_auc": auc})
 
@@ -260,6 +261,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.threshold):
+        raise ConfigError("--threshold: must be finite")
     train_ap = read_category_ap(args.train_ap)
     val_ap = read_category_ap(args.val_ap)
     split = split_head_tail(train_ap, val_ap, args.threshold)
@@ -437,6 +440,20 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- rerun
 
 
+def _parses_to(action: argparse.Action, value) -> bool:
+    """Whether ``value`` has the type ``action`` parses to: a bool for a
+    ``store_true`` flag, a member for one with choices, the flag's type for
+    a typed one (an int will do for a float), else a str or None."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return isinstance(value, bool)
+    if action.choices is not None:
+        return isinstance(value, str) and value in action.choices
+    if action.type is not None:
+        kinds = (int, float) if action.type is float else action.type
+        return isinstance(value, kinds) and not isinstance(value, bool)
+    return value is None or isinstance(value, str)
+
+
 def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     if not isinstance(manifest, dict):
@@ -453,13 +470,13 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     config = manifest.get("config", {})
     if not isinstance(config, dict):
         raise ConfigError("manifest config is not an object")
-    missing = sorted(
-        action.dest
-        for action in subparser._actions
-        if not isinstance(action, argparse._HelpAction) and action.dest not in config
-    )
+    actions = [a for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+    missing = sorted(action.dest for action in actions if action.dest not in config)
     if missing:
         raise ConfigError(f"manifest config lacks {', '.join(missing)}")
+    mistyped = sorted(a.dest for a in actions if not _parses_to(a, config[a.dest]))
+    if mistyped:
+        raise ConfigError(f"manifest config mistypes {', '.join(mistyped)}")
     return subparser.get_default("func")(argparse.Namespace(**config))
 
 

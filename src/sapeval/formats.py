@@ -276,6 +276,23 @@ def _json_numbers(values: list, what: str) -> list:
     return [float(v) for v in values] if int in kinds else values
 
 
+def _finite_numbers(values: list, what: str) -> list:
+    """``_json_numbers`` that must all be finite: ``ValueError`` for NaN or
+    an infinity."""
+    numbers = _json_numbers(values, what)
+    non_finite = [v for v in numbers if not math.isfinite(v)]
+    if non_finite:
+        raise ValueError(f"{what} {non_finite[0]} is not finite")
+    return numbers
+
+
+def _check_once(categories: list[int]) -> None:
+    """``ValueError`` naming the first category listed twice."""
+    if len(set(categories)) < len(categories):
+        twice = next(c for c in categories if categories.count(c) > 1)
+        raise ValueError(f"category {twice} listed twice")
+
+
 def read_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (example ids, n x K multi-hot targets, n x K scores), the
     two matrices category-major, so that each category's column is
@@ -422,14 +439,8 @@ def read_category_ap(path: str | Path) -> dict[int, float]:
             scored = [(c, ap) for c, ap in pairs if ap is not None]
         else:
             pairs = scored = [(_int64(k, "category"), v) for k, v in payload.items()]
-        categories = [c for c, _ in pairs]
-        if len(set(categories)) < len(categories):
-            twice = next(c for c in categories if categories.count(c) > 1)
-            raise ValueError(f"category {twice} listed twice")
-        aps = _json_numbers([ap for _, ap in scored], "AP")
-        non_finite = [ap for ap in aps if not math.isfinite(ap)]
-        if non_finite:
-            raise ValueError(f"AP {non_finite[0]} is not finite")
+        _check_once([c for c, _ in pairs])
+        aps = _finite_numbers([ap for _, ap in scored], "AP")
         return dict(zip([c for c, _ in scored], aps))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(path), getattr(exc, "lineno", 0), f"bad AP file: {exc!r}") from None
@@ -437,12 +448,14 @@ def read_category_ap(path: str | Path) -> dict[int, float]:
 
 def read_split(path: str | Path) -> HeadTailSplit:
     """Head/tail split as the ``split`` command writes it: integer ``head``
-    and ``tail`` lists and an optional ``threshold``."""
+    and ``tail`` lists that name no category twice, and an optional finite
+    ``threshold``."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        head, tail = (frozenset(_json_int(c, "category") for c in payload[side])
+        head, tail = ([_json_int(c, "category") for c in payload[side]]
                       for side in ("head", "tail"))
-        threshold = float(payload.get("threshold", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        _check_once(head + tail)
+        (threshold,) = _finite_numbers([payload.get("threshold", 0.0)], "threshold")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError too
         raise ParseError(str(path), getattr(exc, "lineno", 0), f"bad split: {exc!r}") from None
-    return HeadTailSplit(head, tail, threshold)
+    return HeadTailSplit(frozenset(head), frozenset(tail), threshold)

@@ -9,8 +9,8 @@ example id, so every metric here is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -20,36 +20,30 @@ from .boxes import match_detections  # noqa: F401
 from .errors import DegeneratePool, InvalidCounts, NoEligibleCategories, NoPositives
 from .pools import EvalPool, FrameIndex
 
-if TYPE_CHECKING:
-    from .sampling import SapResult
-
 DEFAULT_MIN_EXAMPLES = 25
 
 
 @dataclass(frozen=True)
 class CategoryEvaluation:
-    """One category's scores: its pool sizes, its AP and its sampled AP.
-    A category without positives has neither (None); ``eval`` reports the
-    detection-protocol AP and no sampled AP."""
+    """One category's scores: its pool sizes, its AP, and its sampled AP with
+    the trial APs, their population std and whether negatives were too few
+    to subsample. A category without positives has none of these (None);
+    ``eval`` reports the detection-protocol AP and no sampled AP."""
 
     category: int
     n_pos: int
     n_neg: int
     ap: float | None
-    sap: SapResult | None
+    sap_mean: float | None = None
+    sap_std: float | None = None
+    degenerate: bool | None = None
+    trial_aps: tuple[float, ...] | None = None
 
     def to_dict(self, store_trials: bool = False) -> dict:
-        record: dict = {
-            "category": self.category,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "ap": self.ap,
-            "sap_mean": self.sap.mean if self.sap else None,
-            "sap_std": self.sap.std if self.sap else None,
-            "degenerate": self.sap.degenerate if self.sap else None,
-        }
-        if store_trials and self.sap:
-            record["trial_aps"] = list(self.sap.trial_aps)
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        trial_aps = record.pop("trial_aps")
+        if store_trials and trial_aps is not None:
+            record["trial_aps"] = list(trial_aps)
         return record
 
 

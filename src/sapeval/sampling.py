@@ -6,9 +6,10 @@ averaged. Balancing removes the dependence of AP on the positive/negative
 ratio, so a rare category and a frequent one with the same recognition
 quality score the same.
 
-A result also carries the plain AP of the whole pool, read off the same
-ranking, so a pool is ranked once for both. Also here: the across-category
-mean, and the estimator-stability profile as a function of the trial count.
+``sampled_ap`` scores a category into its ``metrics.CategoryEvaluation``,
+whose plain AP is read off the trials' ranking, so a pool is ranked once
+for both. Also here: the across-category mean, and the estimator-stability
+profile as a function of the trial count.
 """
 
 from __future__ import annotations
@@ -54,34 +55,22 @@ class SapConfig:
             raise ValueError("n_trials must be at least 1")
 
 
-@dataclass(frozen=True)
-class SapResult:
-    """Per-trial APs for one category with their mean and population std,
-    and the AP of the whole pool."""
-
-    category: int
-    trial_aps: tuple[float, ...]
-    mean: float
-    std: float
-    n_pos: int
-    degenerate: bool
-    ap: float
-
-
-def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> SapResult:
-    """Mean AP over ``config.n_trials`` balanced negative subsamples.
+def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> CategoryEvaluation:
+    """The pool's record: mean AP over ``config.n_trials`` balanced negative
+    subsamples, and the whole pool's AP.
 
     Fully determined by (pool, config): trial i samples with a seed derived
     from ``config.seed`` and i. When the negative pool is smaller than the
-    positive set the result is flagged degenerate and every trial simply
-    uses all negatives. ``ap`` is ``metrics.average_precision(pool)`` to
+    positive set the record is flagged degenerate and every trial simply
+    uses all negatives. ``n_neg`` counts background negatives even when
+    they are not sampled; ``ap`` is ``metrics.average_precision(pool)`` to
     the bit, taken from the trials' ranking.
     """
     ranking = flags, negative_ranks = _rank(pool, config.include_background)
     n_pos = int(flags.sum())
     trial_aps, mean, std = _trials(ranking, config)
-    return SapResult(pool.category, trial_aps, mean, std, n_pos,
-                     degenerate=len(negative_ranks) < n_pos, ap=_ranked_ap(flags, n_pos))
+    return CategoryEvaluation(pool.category, n_pos, pool.n_neg, _ranked_ap(flags, n_pos),
+                              mean, std, len(negative_ranks) < n_pos, trial_aps)
 
 
 def _rank(pool: EvalPool, include_background: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +123,7 @@ def _trials(
 def msap(records: Iterable[CategoryEvaluation], min_examples: int = 1) -> float:
     """Unweighted mean sampled AP over the records ``metrics._eligible``
     keeps."""
-    return float(np.mean([r.sap.mean for r in _eligible(records, min_examples)]))
+    return float(np.mean([r.sap_mean for r in _eligible(records, min_examples)]))
 
 
 @dataclass(frozen=True, slots=True)

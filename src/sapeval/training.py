@@ -226,31 +226,6 @@ def _focal_terms(
     return -focus * np.log(p_t), np.where(y > 0.5, dl_dpt, -dl_dpt)
 
 
-def _mean_loss(probabilities, targets, terms, *args) -> tuple[float, np.ndarray]:
-    p = np.clip(np.asarray(probabilities, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    entries, slope = terms(p, np.asarray(targets, dtype=np.float64), *args)
-    return float(np.mean(entries)), slope / p.size
-
-
-def bce_loss(
-    probabilities: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Per-category binary cross-entropy, averaged over every entry.
-
-    Returns the loss and its gradient with respect to the probabilities.
-    """
-    return _mean_loss(probabilities, targets, _bce_terms)
-
-
-def focal_loss(
-    probabilities: np.ndarray, targets: np.ndarray, gamma: float = 2.0
-) -> tuple[float, np.ndarray]:
-    """Focusing loss: cross-entropy scaled by (1 - p_t)^gamma, which
-    down-weights well-classified entries. Reduces exactly to
-    :func:`bce_loss` at gamma = 0."""
-    return _mean_loss(probabilities, targets, _focal_terms, gamma)
-
-
 def head_gradient(
     probabilities: np.ndarray,
     targets: np.ndarray,
@@ -275,7 +250,7 @@ def head_gradient(
     else:
         raise ValueError(f"unknown loss {loss!r}")
     # summed down the columns, the order np.mean reads a column gather in:
-    # the loss is bce_loss (focal_loss) of the gathered columns to the bit
+    # the loss is tests/oracles.reference_loss of the gathered columns to the bit
     value = float(np.asfortranarray(entries).sum() / entries.size)
     dz_used = slope / entries.size * p_used * (1.0 - p_used)
     if columns is None:
@@ -610,11 +585,10 @@ def score_pools(
     evals = []
     for c, pool in sorted(pools.items()):
         if pool.n_pos == 0:
-            evals.append(CategoryEvaluation(c, 0, pool.n_neg, None, None))
+            evals.append(CategoryEvaluation(c, 0, pool.n_neg, None))
             continue
         trial_config = dataclasses.replace(sap_config, seed=mix_seed(sap_config.seed, 1000 + c))
-        sap = sampled_ap(pool, trial_config)
-        evals.append(CategoryEvaluation(c, pool.n_pos, pool.n_neg, sap.ap, sap))
+        evals.append(sampled_ap(pool, trial_config))
     return tuple(evals)
 
 

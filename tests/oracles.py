@@ -77,8 +77,8 @@ def reference_sampled_ap(pool, config) -> dict:
     negatives, each trial's rows ranked by Python ``sorted`` on
     (-score, id), and its precisions summed in one float64 array.
 
-    Returns the ``SapResult`` fields other than the category and the
-    whole-pool AP.
+    Returns the fields of ``sampled_ap``'s record other than the category,
+    ``n_neg`` and the whole-pool AP.
     """
     from sapeval.pools import ExampleOrigin
     from sapeval.sampling import mix_seed
@@ -108,7 +108,7 @@ def reference_sampled_ap(pool, config) -> dict:
         mean, std = trial_aps[0], 0.0
     else:
         mean, std = float(aps.mean()), float(aps.std())
-    return {"trial_aps": tuple(trial_aps), "mean": mean, "std": std, "n_pos": n_pos,
+    return {"trial_aps": tuple(trial_aps), "sap_mean": mean, "sap_std": std, "n_pos": n_pos,
             "degenerate": n_neg < n_pos}
 
 
@@ -447,6 +447,25 @@ def masked_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def reference_loss(p: np.ndarray, y: np.ndarray, loss: str, gamma: float):
+    """Mean binary cross-entropy (``loss="bce"``) or focal loss of
+    probabilities ``p`` against 0/1 targets ``y``, averaged with
+    ``np.mean``, and its gradient with respect to the logits. ``p`` must
+    already lie in [PROB_EPS, 1 - PROB_EPS], as the model clips it."""
+    if loss == "bce":
+        entries = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+        slope = (p - y) / (p * (1.0 - p))
+    else:
+        # cross-entropy of p_t, the probability of the true label, scaled
+        # by (1 - p_t)^gamma; slope by the chain rule through p_t
+        p_t = np.where(y > 0.5, p, 1.0 - p)
+        focus = (1.0 - p_t) ** gamma
+        entries = -focus * np.log(p_t)
+        dl_dpt = gamma * (1.0 - p_t) ** (gamma - 1.0) * np.log(p_t) - focus / p_t
+        slope = np.where(y > 0.5, dl_dpt, -dl_dpt)
+    return float(np.mean(entries)), slope / p.size * p * (1.0 - p)
 
 
 def load_checkpoint(path):

@@ -20,7 +20,7 @@ from sapeval.metrics import (
 )
 from sapeval.pools import pool_from_arrays
 from sapeval.sampling import SapConfig, sampled_ap, stability_profile
-from sapeval.training import bce_loss, focal_loss, model_loss
+from sapeval.training import head_gradient, model_loss
 
 from conftest import (
     MICRO_DET,
@@ -70,7 +70,7 @@ def test_criterion_02_sap_frequency_invariance():
     scores, flags = _random_flagged_pool(FREQUENT, POOL_TOTAL, 7)
     frequent = sampled_ap(
         pool_from_arrays(0, scores, flags), SapConfig(n_trials=15, seed=0)
-    ).mean
+    ).sap_mean
     assert band[0] <= frequent <= band[1]
 
     # rare category: balanced trials are 32-vs-32, so a single pool draw
@@ -85,7 +85,7 @@ def test_criterion_02_sap_frequency_invariance():
         ensemble.append(
             sampled_ap(
                 pool_from_arrays(0, scores, flags), SapConfig(n_trials=15, seed=200 + i)
-            ).mean
+            ).sap_mean
         )
     # 3 sigma of the 12-pool ensemble mean
     assert abs(np.mean(ensemble) - exact) <= 0.04
@@ -102,7 +102,7 @@ def test_criterion_03_sap_oracle_equivalence():
         n_pos = int(rng.integers(1, 6))
         n_neg = int(rng.integers(1, 9))
         pool = random_pool(rng, n_pos, n_pos + n_neg)
-        estimate = sampled_ap(pool, SapConfig(n_trials=10_000, seed=trial)).mean
+        estimate = sampled_ap(pool, SapConfig(n_trials=10_000, seed=trial)).sap_mean
         assert abs(estimate - exhaustive_sampled_ap(*pool_sides(pool))) <= 0.01
 
 
@@ -112,8 +112,8 @@ def test_criterion_04_sap_equals_ap_when_balanced():
         n_pos = int(rng.integers(1, 40))
         pool = random_pool(rng, n_pos, 2 * n_pos)
         result = sampled_ap(pool, SapConfig(n_trials=15, seed=trial))
-        assert result.mean == average_precision(pool)
-        assert result.std == 0.0
+        assert result.sap_mean == average_precision(pool)
+        assert result.sap_std == 0.0
 
 
 def test_criterion_05_stability_profile():
@@ -174,8 +174,9 @@ def test_criterion_07_gradient_checks():
     rng = np.random.default_rng(1)
     p = rng.uniform(0.01, 0.99, size=(50, 7))
     y = (rng.random((50, 7)) < 0.5).astype(float)
-    bce_value, bce_grad = bce_loss(p, y)
-    focal_value, focal_grad = focal_loss(p, y, gamma=0.0)
+    # p lies inside [PROB_EPS, 1 - PROB_EPS], where head_probabilities clips
+    bce_value, bce_grad = head_gradient(p, y, None, "bce", 0.0)
+    focal_value, focal_grad = head_gradient(p, y, None, "focal", 0.0)
     assert abs(bce_value - focal_value) <= 1e-12
     assert np.max(np.abs(bce_grad - focal_grad)) <= 1e-12
 
@@ -293,6 +294,6 @@ def test_criterion_10_roc_sanity():
         [True] * n_pos + [False] * n_neg,
     )
     roc = roc_auc(pool)
-    sap = sampled_ap(pool, SapConfig(n_trials=15, seed=0)).mean
+    sap = sampled_ap(pool, SapConfig(n_trials=15, seed=0)).sap_mean
     assert average_precision(pool) < 0.1  # plain AP is crushed by imbalance
     assert roc - sap >= 0.05

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sapeval.cli import main
+from sapeval.cli import _config_dict, build_parser, main
 from sapeval.manifest import sha256_file
 from sapeval.training import VARIANTS
 
@@ -147,6 +147,17 @@ class TestEval:
             "eval", "--gt", tmp_path / "none.csv", "--det", tmp_path / "none2.csv",
             "--out", tmp_path / "x.json",
         ) == 2
+
+    @pytest.mark.parametrize("command", ["eval", "sap", "stability"])
+    @pytest.mark.parametrize("iou", ["1.5", "0", "nan"])
+    def test_bad_iou_exit_2_with_one_message(self, detection_files, tmp_path, capsys,
+                                             command, iou):
+        gt, det = detection_files
+        extra = ["--category", 0] if command == "stability" else []
+        out = tmp_path / "x.out"
+        assert run(command, "--gt", gt, "--det", det, "--out", out, "--iou", iou, *extra) == 2
+        assert capsys.readouterr().err == "error: --iou: must lie in (0, 1]\n"
+        assert not out.exists()
 
 
 class TestSap:
@@ -422,6 +433,18 @@ class TestSplit:
         ) == 2
 
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exit_2(self, tmp_path, capsys, threshold):
+        (tmp_path / "train.json").write_text('{"0": 0.9, "1": 0.2}')
+        (tmp_path / "val.json").write_text('{"0": 0.5, "1": 0.3}')
+        out = tmp_path / "split.json"
+        assert run(
+            "split", "--train-ap", tmp_path / "train.json", "--val-ap", tmp_path / "val.json",
+            "--threshold", threshold, "--out", out,
+        ) == 2
+        assert "--threshold: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text,message",
         [
@@ -643,8 +666,10 @@ class TestTrain:
             ('{"head": [0, "1"], "tail": [2, 3, 4, 5]}', "category '1' is not an integer"),
             ('[0, 1]', "bad split"),
             ('{"head": [0, 1, 2],\n "tail": [3, 4, 5}', "split.json:2:"),
+            ('{"head": [0, 1, 2], "tail": [2, 3, 4, 5]}', "category 2 listed twice"),
         ],
-        ids=["no_tail", "float_category", "string_category", "list", "malformed_json"],
+        ids=["no_tail", "float_category", "string_category", "list", "malformed_json",
+             "head_and_tail"],
     )
     def test_bad_split_file_is_parse_error(self, synth_dir, tmp_path, capsys, text, message):
         split_file = tmp_path / "split.json"
@@ -760,6 +785,27 @@ class TestRerunDeterminism:
             "lacks det, gt, iou, min_examples, no_background, out, predictions, seed, "
             "store_trials, trials"
         ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,key,value",
+        [
+            (["sap", "--out", "x.json"], "trials", "15"),
+            (["sap", "--out", "x.json"], "iou", True),
+            (["sap", "--out", "x.json"], "no_background", 0),
+            (["sap", "--out", "x.json"], "gt", 3),
+            (["train", "--data-dir", "d", "--out-dir", "o"], "variant", "bogus"),
+            (["train", "--data-dir", "d", "--out-dir", "o"], "loss", ["bce"]),
+        ],
+        ids=["int_flag", "float_flag", "store_true_flag", "path_flag", "choice",
+             "unhashable_choice"],
+    )
+    def test_rerun_rejects_mistyped_config_values(self, tmp_path, capsys, argv, key, value):
+        config = _config_dict(build_parser().parse_args(argv))
+        config[key] = value
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"command": argv[0], "config": config}))
+        assert run("rerun", manifest) == 2
+        assert f"manifest config mistypes {key}" in capsys.readouterr().err
 
     def test_rerun_rejects_non_object_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "run_manifest.json"

@@ -16,6 +16,7 @@ from sapeval.formats import (
     read_feature_dataset,
     read_ground_truth_csv,
     read_predictions,
+    read_split,
     serialize_feature_dataset,
 )
 from sapeval.pools import pools_from_scores
@@ -802,3 +803,35 @@ class TestCategoryAp:
             '{"categories": [{"category": 1, "ap": 0.75}, {"category": 2, "ap": null}]}'
         )
         assert read_category_ap(path) == {1: 0.75}
+
+
+class TestSplit:
+    def test_reads_what_split_writes(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text('{"head": [2, 0], "tail": [1], "threshold": 1}')
+        split = read_split(path)
+        assert (split.head, split.tail) == ({0, 2}, {1})
+        assert split.threshold == 1.0 and type(split.threshold) is float
+        path.write_text('{"head": [0], "tail": []}')
+        assert read_split(path).threshold == 0.0
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"head": [0], "tail": [1], "threshold": true}', "threshold True is not a number"),
+            ('{"head": [0], "tail": [1], "threshold": "0.25"}',
+             "threshold '0.25' is not a number"),
+            ('{"head": [0], "tail": [1], "threshold": NaN}', "threshold nan is not finite"),
+            ('{"head": [0], "tail": [1], "threshold": -Infinity}',
+             "threshold -inf is not finite"),
+            ('{"head": [0, 2, 0], "tail": [1]}', "category 0 listed twice"),
+            ('{"head": [0, 1], "tail": [2, 1]}', "category 1 listed twice"),
+        ],
+        ids=["bool_threshold", "string_threshold", "nan_threshold", "infinite_threshold",
+             "twice_in_head", "in_head_and_tail"],
+    )
+    def test_bad_split_is_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "split.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_split(path)

@@ -188,7 +188,7 @@ class TestFrameAp:
 
 def scored(category, ap, n_pos, n_neg=0):
     """A record with an AP and no sampled AP, as ``sapeval eval`` builds it."""
-    return CategoryEvaluation(category, n_pos, n_neg, ap, None)
+    return CategoryEvaluation(category, n_pos, n_neg, ap)
 
 
 class TestMeanAp:
@@ -214,7 +214,7 @@ class TestMeanAp:
 
     def test_record_without_ap_never_counts(self):
         # a category without positives carries no AP, even at min_examples 0
-        records = [scored(0, 0.3, 5), CategoryEvaluation(1, 0, 9, None, None)]
+        records = [scored(0, 0.3, 5), CategoryEvaluation(1, 0, 9, None)]
         assert mean_ap(records, min_examples=0) == 0.3
         with pytest.raises(NoEligibleCategories):
             mean_ap(records[1:], min_examples=0)

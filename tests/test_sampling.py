@@ -9,7 +9,6 @@ from sapeval.metrics import CategoryEvaluation, average_precision
 from sapeval.pools import EvalPool, ExampleOrigin
 from sapeval.sampling import (
     SapConfig,
-    SapResult,
     mix_seed,
     msap,
     sampled_ap,
@@ -51,8 +50,8 @@ class TestSampledAp:
             n = int(rng.integers(1, 8))
             pool = random_pool(rng, n, 2 * n)
             result = sampled_ap(pool, SapConfig(n_trials=15, seed=1))
-            assert result.mean == average_precision(pool)
-            assert result.std == 0.0
+            assert result.sap_mean == average_precision(pool)
+            assert result.sap_std == 0.0
             assert not result.degenerate
             assert len(result.trial_aps) == 15
 
@@ -60,8 +59,8 @@ class TestSampledAp:
         pool = make_pool([0.9, 0.8, 0.7], [0.5])
         result = sampled_ap(pool, SapConfig(n_trials=5, seed=0))
         assert result.degenerate
-        assert result.std == 0.0
-        assert result.mean == average_precision(pool)
+        assert result.sap_std == 0.0
+        assert result.sap_mean == average_precision(pool)
 
     def test_no_positives(self):
         with pytest.raises(NoPositives):
@@ -71,11 +70,11 @@ class TestSampledAp:
         pool = make_pool([0.9, 0.8, 0.7], rng.uniform(0.0, 0.5, size=50))
         result = sampled_ap(pool, SapConfig(n_trials=25, seed=3))
         assert result.trial_aps == tuple([1.0] * 25)
-        assert result.mean == 1.0 and result.std == 0.0
+        assert result.sap_mean == 1.0 and result.sap_std == 0.0
 
     def test_matches_exhaustive_oracle_on_fixture(self):
         result = sampled_ap(FIXTURE, SapConfig(n_trials=10_000, seed=7))
-        assert result.mean == pytest.approx(8 / 9, abs=0.01)
+        assert result.sap_mean == pytest.approx(8 / 9, abs=0.01)
 
     def test_monotone_transform_invariance(self, rng):
         pool = random_pool(rng, 6, 30)
@@ -104,8 +103,8 @@ class TestSampledAp:
             pool, SapConfig(n_trials=200, seed=0, include_background=False)
         )
         # without the 0.95 distractor every trial ranks the positive first
-        assert without_bg.mean == 1.0
-        assert with_bg.mean < 1.0
+        assert without_bg.sap_mean == 1.0
+        assert with_bg.sap_mean < 1.0
 
     def test_frequency_invariance_for_fixed_scorer_quality(self):
         # same scorer (score = label + unit Gaussian noise); positive counts
@@ -122,10 +121,10 @@ class TestSampledAp:
             return make_pool(scores[flags], scores[~flags])
 
         frequent = build(100_000, 7)
-        frequent_sap = sampled_ap(frequent, SapConfig(n_trials=8, seed=1)).mean
+        frequent_sap = sampled_ap(frequent, SapConfig(n_trials=8, seed=1)).sap_mean
         rare_pools = [build(100, 1000 + i) for i in range(3)]
         rare_sap = np.mean(
-            [sampled_ap(p, SapConfig(n_trials=300, seed=1)).mean for p in rare_pools]
+            [sampled_ap(p, SapConfig(n_trials=300, seed=1)).sap_mean for p in rare_pools]
         )
         assert frequent_sap == pytest.approx(rare_sap, abs=0.03)
         ap_ratio = average_precision(frequent) / np.mean(
@@ -182,10 +181,15 @@ class TestMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(sap_pools(), st.integers(1, 3), st.integers(0, 2**64 - 1))
     def test_reported_ap_is_average_precision(self, drawn, n_trials, seed):
-        # the AP read off the trials' ranking, bit for bit
+        # the AP read off the trials' ranking, bit for bit, in a record
+        # whose counts are the pool's: n_neg counts background negatives
+        # even when they are not sampled
         pool, include_background = drawn
         config = SapConfig(n_trials=n_trials, seed=seed, include_background=include_background)
-        assert sampled_ap(pool, config).ap.hex() == average_precision(pool).hex()
+        record = sampled_ap(pool, config)
+        assert record.ap.hex() == average_precision(pool).hex()
+        assert (record.category, record.n_pos, record.n_neg) == (
+            pool.category, pool.n_pos, pool.n_neg)
 
     @settings(max_examples=60, deadline=None)
     @given(sap_pools(), st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
@@ -197,7 +201,7 @@ class TestMatchesReference:
         for j, (n_trials, point) in enumerate(zip(trial_counts, points)):
             estimates = np.array([
                 reference_sampled_ap(pool, SapConfig(n_trials, mix_seed(mix_seed(seed, j), r),
-                                                     include_background))["mean"]
+                                                     include_background))["sap_mean"]
                 for r in range(repeats)
             ])
             assert (point.n_trials, point.mean, point.std) == (
@@ -239,14 +243,13 @@ class TestExactOracle:
             n_neg = int(rng.integers(n_pos + 1, 9))
             pool = random_pool(rng, n_pos, n_pos + n_neg)
             exact = exhaustive_sampled_ap(*pool_sides(pool))
-            estimate = sampled_ap(pool, SapConfig(n_trials=5000, seed=2)).mean
+            estimate = sampled_ap(pool, SapConfig(n_trials=5000, seed=2)).sap_mean
             assert estimate == pytest.approx(exact, abs=0.01)
 
 
 class TestMsap:
     def _result(self, category, mean, n_pos):
-        sap = SapResult(category, (mean,), mean, 0.0, n_pos, False, mean)
-        return CategoryEvaluation(category, n_pos, n_pos, mean, sap)
+        return CategoryEvaluation(category, n_pos, n_pos, mean, mean, 0.0, False, (mean,))
 
     def test_single_category(self):
         assert msap([self._result(0, 0.7, 50)]) == pytest.approx(0.7)

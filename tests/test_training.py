@@ -22,11 +22,10 @@ from sapeval.training import (
     VARIANTS,
     StagePlan,
     TrainConfig,
+    PROB_EPS,
     _sigmoid,
-    bce_loss,
     checkpoint_text,
     evaluate_model,
-    focal_loss,
     forward,
     head_gradient,
     init_params,
@@ -38,7 +37,7 @@ from sapeval.training import (
     train_stage2,
 )
 
-from oracles import load_checkpoint, masked_sigmoid
+from oracles import load_checkpoint, masked_sigmoid, reference_loss
 
 
 def finite_difference_grads(params, x, y, loss, gamma, mask, step=1e-5):
@@ -122,45 +121,48 @@ class TestForward:
             )
 
 
+def head_loss(p, y, loss="bce", gamma=0.0):
+    """``head_gradient`` over every column of probabilities clipped as
+    ``head_probabilities`` clips them."""
+    p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    return head_gradient(p, np.asarray(y, dtype=np.float64), None, loss, gamma)
+
+
 class TestLosses:
     def test_bce_zero_at_exact_prediction(self):
-        y = np.array([[1.0, 0.0]])
-        p = np.array([[1.0, 0.0]])  # clamped internally
-        loss, _ = bce_loss(p, y)
+        loss, _ = head_loss([[1.0, 0.0]], [[1.0, 0.0]])
         assert loss == pytest.approx(0.0, abs=1e-6)
 
     def test_bce_half_is_ln2(self):
-        y = np.array([[1.0, 0.0, 1.0]])
-        p = np.full((1, 3), 0.5)
-        loss, _ = bce_loss(p, y)
+        loss, _ = head_loss(np.full((1, 3), 0.5), [[1.0, 0.0, 1.0]])
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_focal_reduces_to_bce_at_gamma_zero(self, rng):
         p = rng.uniform(0.02, 0.98, size=(8, 5))
         y = (rng.random((8, 5)) < 0.5).astype(float)
-        bl, bg = bce_loss(p, y)
-        fl, fg = focal_loss(p, y, gamma=0.0)
+        bl, bg = head_loss(p, y, "bce")
+        fl, fg = head_loss(p, y, "focal", 0.0)
         assert fl == pytest.approx(bl, abs=1e-12)
         assert np.allclose(fg, bg, atol=1e-12)
 
     def test_focal_known_value(self):
         # p_t = 0.9 at gamma 2: (0.1)^2 * (-ln 0.9)
-        loss, _ = focal_loss(np.array([[0.9]]), np.array([[1.0]]), gamma=2.0)
+        loss, _ = head_loss([[0.9]], [[1.0]], "focal", 2.0)
         assert loss == pytest.approx(0.01 * -math.log(0.9), abs=1e-12)
         # and symmetrically for a negative scored 0.1
-        loss2, _ = focal_loss(np.array([[0.1]]), np.array([[0.0]]), gamma=2.0)
+        loss2, _ = head_loss([[0.1]], [[0.0]], "focal", 2.0)
         assert loss2 == pytest.approx(loss, abs=1e-12)
 
     def test_focal_downweights_easy_examples(self):
-        easy = focal_loss(np.array([[0.95]]), np.array([[1.0]]), 2.0)[0]
-        hard = focal_loss(np.array([[0.55]]), np.array([[1.0]]), 2.0)[0]
-        easy_bce = bce_loss(np.array([[0.95]]), np.array([[1.0]]))[0]
-        hard_bce = bce_loss(np.array([[0.55]]), np.array([[1.0]]))[0]
+        easy = head_loss([[0.95]], [[1.0]], "focal", 2.0)[0]
+        hard = head_loss([[0.55]], [[1.0]], "focal", 2.0)[0]
+        easy_bce = head_loss([[0.95]], [[1.0]])[0]
+        hard_bce = head_loss([[0.55]], [[1.0]])[0]
         assert easy / easy_bce < hard / hard_bce
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
-            focal_loss(np.array([[0.5]]), np.array([[1.0]]), gamma=-1.0)
+            head_loss([[0.5]], [[1.0]], "focal", -1.0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -181,12 +183,9 @@ class TestLosses:
         used = np.arange(n_categories) if columns is None else columns
         if not len(used):
             return
-        if loss == "bce":
-            value, dloss = bce_loss(p[:, used], y[:, used])
-        else:
-            value, dloss = focal_loss(p[:, used], y[:, used], 1.5)
+        value, dz_used = reference_loss(p[:, used], y[:, used], loss, 1.5)
         dz = np.zeros_like(p)
-        dz[:, used] = dloss * p[:, used] * (1.0 - p[:, used])
+        dz[:, used] = dz_used
         got_value, got_dz = head_gradient(p, y, columns, loss, 1.5)
         assert got_value == value
         assert np.array_equal(got_dz, dz)
@@ -696,7 +695,7 @@ class TestEvaluateModel:
         params = sgd_train(params, x, y, StagePlan(2.0, 0.2, "step", 60), seed=0)
         report = evaluate_model(params, val, SapConfig(n_trials=10, seed=0))
         for record in report.categories:
-            assert record.sap.mean == 1.0
+            assert record.sap_mean == 1.0
         assert report.aggregates["all"]["msap"] == 1.0
 
     def test_random_params_near_half(self):
@@ -705,7 +704,7 @@ class TestEvaluateModel:
         report = evaluate_model(
             params, datasets["val"], SapConfig(n_trials=100, seed=5), split=split
         )
-        saps = [c.sap.mean for c in report.categories if c.sap]
+        saps = [c.sap_mean for c in report.categories if c.sap_mean is not None]
         assert np.mean(saps) == pytest.approx(0.5, abs=0.05)
 
     def test_category_undercoverage_raises(self):
@@ -723,9 +722,9 @@ class TestEvaluateModel:
         by_cat = {c.category: c for c in report.categories}
         for group, members in (("head", split.head), ("tail", split.tail)):
             values = [
-                by_cat[c].sap.mean
+                by_cat[c].sap_mean
                 for c in members
-                if by_cat[c].sap is not None
+                if by_cat[c].sap_mean is not None
             ]
             assert report.aggregates[group]["msap"] == pytest.approx(np.mean(values))
 
