@@ -24,15 +24,15 @@ Feature datasets are JSON lines, one record per example::
 Every record of a feature file names that file's split, and the first
 label is the example's generating (primary) category. Prediction files
 are JSON lines of ``{"id", "labels", "scores"}`` where ``scores`` has one
-entry per category. One loop reads both kinds of JSON lines and holds the
-rules they share: int64 ids, no id twice, integer labels, no label twice,
-and rows of equal width. It writes each record's row, as it reads it,
-into one float64 matrix sized from the file's line count, holding no
-list of rows: category-major for predictions, so that the classification
-pools are views of it, row-major for features, which training gathers by
-row. Each reader then checks its own rules as one row mask per rule, and
-the first bad line's error is raised. Labels leave both readers as an
-n x K multi-hot matrix, category-major for predictions.
+entry per category. One loop reads both kinds and holds the rules they
+share: int64 ids, no id twice, integer labels, no label twice, and rows
+of equal width. json's C scanner decodes each line that is one value up
+to its newline, and ``json.loads`` any other, raising every decode error.
+Rows go as read into one float64 matrix sized from the line count, and
+labels leave as an n x K multi-hot matrix: category-major for
+predictions, so that pools are views of them, row-major for features,
+which training gathers by row. Each reader then checks its own rules as
+one row mask per rule, and the first bad line's error is raised.
 """
 
 from __future__ import annotations
@@ -337,11 +337,7 @@ def _read_records(path: str, key: str, width_message: str, extra: str | None = N
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                example_id = _json_int(record["id"], "id")
-                example_labels = tuple(_json_int(c, "label") for c in record["labels"])
-                row = _json_numbers(record[key], key[:-1])  # "score" or "feature"
-                value = record[extra] if extra else None
+                example_id, example_labels, row, value = _record(line, key, extra)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
             if example_id in seen:
@@ -364,6 +360,32 @@ def _read_records(path: str, key: str, width_message: str, extra: str | None = N
     elif len(ids) < len(matrix):
         matrix = np.array(matrix[:len(ids)], order=order)
     return np.array(ids, dtype=np.int64), labels, matrix, extras, error
+
+
+_scan = json.JSONDecoder().scan_once  # the C scanner of json.loads
+
+
+def _record(line: str, key: str, extra: str | None):
+    """The int64 id, label tuple, numbers under ``key`` as floats and
+    ``extra`` field (None without one) of one JSON line. The C scanner
+    decodes a line that is one value up to its newline, one type test
+    passes ints within int64 and floats; else ``json.loads``, ``_json_int``
+    and ``_json_numbers`` decode and check, raising every error."""
+    try:
+        record, end = _scan(line, 0)
+        if line[end:] not in ("\n", ""):
+            raise ValueError("not one value up to the newline")
+    except (StopIteration, ValueError):
+        record = json.loads(line)
+    try:
+        ints, row = (record["id"], *record["labels"]), record[key]
+        if ({*map(type, ints)} == {int} and max(map(abs, ints)) < 2**63
+                and {*map(type, row)} <= {float}):
+            return ints[0], ints[1:], row, record[extra] if extra else None
+    except (KeyError, TypeError):
+        pass
+    return (_json_int(record["id"], "id"), tuple(_json_int(c, "label") for c in record["labels"]),
+            _json_numbers(record[key], key[:-1]), record[extra] if extra else None)
 
 
 def _line_count(path: str) -> int:

@@ -7,9 +7,9 @@ ratio, so a rare category and a frequent one with the same recognition
 quality score the same.
 
 ``sampled_ap`` scores a category into its ``metrics.CategoryEvaluation``,
-whose plain AP is read off the trials' ranking, so a pool is ranked once
-for both. Also here: the across-category mean, and the estimator-stability
-profile as a function of the trial count.
+its plain AP read off the trials' ranking. A trial costs O(|X|): it reads
+each drawn negative's slot, the number of positives ranked above it. Also
+here: mSAP and the estimator-stability profile by trial count.
 """
 
 from __future__ import annotations
@@ -66,58 +66,61 @@ def sampled_ap(pool: EvalPool, config: SapConfig = SapConfig()) -> CategoryEvalu
     they are not sampled; ``ap`` is ``metrics.average_precision(pool)`` to
     the bit, taken from the trials' ranking.
     """
-    ranking = flags, negative_ranks = _rank(pool, config.include_background)
+    ranking = flags, slots = _rank(pool, config.include_background)
     n_pos = int(flags.sum())
     trial_aps, mean, std = _trials(ranking, config)
     return CategoryEvaluation(pool.category, n_pos, pool.n_neg, _ranked_ap(flags, n_pos),
-                              mean, std, len(negative_ranks) < n_pos, trial_aps)
+                              mean, std, len(slots) < n_pos, trial_aps)
 
 
 def _rank(pool: EvalPool, include_background: bool) -> tuple[np.ndarray, np.ndarray]:
     """The pool's positive flags in rank order (descending score, ascending
-    id), and the rank of each negative a trial may draw, in pool order.
-
-    Ids are unique, so any subset of the pool ranks in this order: a trial
-    is a mask over it, with no sort of its own.
+    id), and the slot of each negative a trial may draw, in pool order: the
+    number of positives ranked above it. Ids are unique, so any subset of
+    the pool ranks in this order: a negative ranks above the k-th positive
+    when its slot is below k.
     """
     if pool.n_pos == 0:
         raise NoPositives(f"category {pool.category} has no positive examples")
     order = rank_order(pool.scores, pool.ids)
+    flags = pool.is_positive[order]
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
     negative = ~pool.is_positive
     if not include_background:
         negative &= pool.origin != ExampleOrigin.BACKGROUND_DETECTION
-    return pool.is_positive[order], rank[negative]
+    return flags, np.cumsum(flags, out=order)[rank[negative]]  # order is spent
 
 
 def _trials(
     ranking: tuple[np.ndarray, np.ndarray], config: SapConfig
 ) -> tuple[tuple[float, ...], float, float]:
     """The trial APs of a pool ranked by ``_rank`` with
-    ``config.include_background``, their mean and their population std."""
-    flags, negative_ranks = ranking
-    n_pos, n_neg = int(flags.sum()), len(negative_ranks)
+    ``config.include_background``, their mean and their population std. A
+    trial ranks its k-th positive at k plus the number of drawn slots below k."""
+    flags, slots = ranking
+    n_pos, n_neg = int(flags.sum()), len(slots)
+    hits = np.arange(1, n_pos + 1)
 
-    trial_aps = []
+    aps = np.empty(config.n_trials)
     for i in range(config.n_trials):
         if n_neg <= n_pos:
-            picked = negative_ranks
+            picked = slots
         else:
             rng = np.random.default_rng(mix_seed(config.seed, i))
-            picked = negative_ranks[rng.choice(n_neg, size=n_pos, replace=False)]
-        # the positives and this trial's negatives, in rank order
-        keep = flags.copy()
-        keep[picked] = True
-        trial_aps.append(_ranked_ap(np.compress(keep, flags), n_pos))
+            # the default shuffle=True: shuffle=False picks another subset
+            picked = slots[rng.choice(n_neg, size=n_pos, replace=False)]
+        ranks = np.bincount(picked, minlength=n_pos + 1)[:n_pos]
+        np.cumsum(ranks, out=ranks)
+        ranks += hits
+        aps[i] = (hits / ranks).sum() / n_pos
 
-    aps = np.array(trial_aps, dtype=np.float64)
     if float(aps.min()) == float(aps.max()):
         # identical trials: report the value itself, exact
         mean, std = float(aps[0]), 0.0
     else:
         mean, std = float(aps.mean()), float(aps.std())
-    return tuple(float(a) for a in aps), mean, std
+    return tuple(aps.tolist()), mean, std
 
 
 def msap(records: Iterable[CategoryEvaluation], min_examples: int = 1) -> float:

@@ -380,7 +380,7 @@ def reference_read_jsonl(path, key, split=None, n_categories=None):
 
     from sapeval.errors import ParseError
 
-    ids, labels, rows = [], [], []
+    ids, labels, rows, seen = [], [], [], set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -390,7 +390,7 @@ def reference_read_jsonl(path, key, split=None, n_categories=None):
             except json.JSONDecodeError as exc:
                 faults = [f"bad record: {exc}"]
             else:
-                first = (set(ids), len(rows[0])) if rows else None
+                first = (seen, len(rows[0])) if rows else None
                 faults, example_id, example_labels, row = _reference_record_faults(
                     record, key, split, n_categories, first
                 )
@@ -399,6 +399,7 @@ def reference_read_jsonl(path, key, split=None, n_categories=None):
                 error.faults = faults
                 raise error
             ids.append(example_id)
+            seen.add(example_id)
             labels.append(example_labels)
             rows.append(row)
     if not rows:

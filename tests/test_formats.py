@@ -761,6 +761,47 @@ class TestJsonlReaderBoundaries:
         assert result[1] == 301 and "scores must lie in [0, 1]" in result[2]
 
 
+RECORD = '{"id": 1, "labels": [0], "scores": [0.5, 0.25, 1.0]}'
+
+
+class TestLineDecoding:
+    """The C scanner decodes a line that is one JSON value up to its end;
+    ``json.loads`` decodes every other line and raises every decode error.
+    Each case is the second line of a file, after a valid record."""
+
+    @pytest.mark.parametrize("line, end", [
+        (" \t" + RECORD, "\n"),
+        (RECORD + " \t ", "\n"),
+        (RECORD, ""),
+        (RECORD, "\r\n"),
+        ('{"id": 1, "labels": [0], "scores": [0.5, 0.25, 1.0], "note": [NaN, Infinity]}', "\n"),
+        ('{"id": 1, "labels": [0], "scores": [0.5, 0.25, 1.0], "id": 2, "labels": [1]}', "\n"),
+        ('{"\\u0069d": 1, "labels": [0], "scores": [0.5, 0.25, 1.0], "\\u00e9": "\\ud83d\\ude00"}',
+         "\n"),
+    ], ids=["leading_whitespace", "trailing_blanks", "no_final_newline", "crlf",
+            "nan_and_infinity", "duplicate_keys", "u_escapes"])
+    def test_line_reads_as_json_loads(self, tmp_path, line, end):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes((prediction_lines(1)[0] + (end or "\n") + line + end).encode())
+        result, expected = read_as_reference(path)
+        assert result == expected and result[0] == "ok"
+
+    @pytest.mark.parametrize("line", [
+        "\ufeff" + RECORD,
+        RECORD + ' {"id": 2}',
+        RECORD[:-3],
+        f"[{RECORD}]",
+    ], ids=["bom", "trailing_data", "truncated_object", "top_level_array"])
+    def test_bad_line_raises_the_json_loads_error(self, tmp_path, line):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes((prediction_lines(1)[0] + "\n" + line + "\n").encode())
+        with pytest.raises((json.JSONDecodeError, TypeError)) as loads_error:
+            json.loads(line + "\n")["id"]
+        library, _ = TestJsonlReaderMatchesReference.readers("predictions", None)
+        assert read_with(library, path)[:3] == (
+            "error", 2, f"{path}:2: bad record: {loads_error.value}")
+
+
 class TestPredictionsMemory:
     def write(self, tmp_path, n, k, tail=""):
         rng = np.random.default_rng(0)

@@ -165,15 +165,36 @@ def sap_pools(draw):
 
 
 class TestMatchesReference:
-    """``sampled_ap`` and ``stability_profile`` rank a pool once and take
-    each trial as a mask over that ranking; the reference re-ranks every
-    trial. Results must agree bit for bit."""
+    """``sampled_ap`` and ``stability_profile`` rank a pool once and score
+    each trial from the slots of its drawn negatives, the positives ranked
+    above each, in O(positives); the reference re-ranks every trial.
+    Results must agree bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(sap_pools(), st.integers(1, 6), st.integers(0, 2**64 - 1))
     def test_sampled_ap(self, drawn, n_trials, seed):
         pool, include_background = drawn
         config = SapConfig(n_trials=n_trials, seed=seed, include_background=include_background)
+        result = sampled_ap(pool, config)
+        expected = reference_sampled_ap(pool, config)
+        assert {k: getattr(result, k) for k in expected} == expected
+
+    @pytest.mark.parametrize("n_pos, n_matched, n_background, include_background", [
+        # numpy's choice tail-shuffles 19,400 for 388 < size <= 970 only with
+        # its default shuffle=True; shuffle=False draws another subset here
+        (600, 19_400, 0, True),
+        (4, 0, 3, False),
+        (5, 2, 1, True),
+        (6, 30, 12, False),
+    ], ids=["choice_switch_band", "no_eligible_negatives", "degenerate", "background_excluded"])
+    def test_explicit_pools(self, n_pos, n_matched, n_background, include_background):
+        n = n_pos + n_matched + n_background
+        rng = np.random.default_rng(n)
+        origin = np.where(np.arange(n) < n_pos + n_matched, ExampleOrigin.MATCHED_GT,
+                          ExampleOrigin.BACKGROUND_DETECTION)
+        pool = EvalPool(0, scores=rng.integers(0, 50, n) / 50, ids=rng.permutation(n),
+                        is_positive=np.arange(n) < n_pos, origin=origin)
+        config = SapConfig(n_trials=4, seed=11, include_background=include_background)
         result = sampled_ap(pool, config)
         expected = reference_sampled_ap(pool, config)
         assert {k: getattr(result, k) for k in expected} == expected
