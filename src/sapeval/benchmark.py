@@ -7,6 +7,8 @@ comparing schemata at equal wall effort is what makes the trade-off
 visible (the balanced multiset spends most of its steps on duplicates).
 The head/tail partition is the top half of the categories by training
 count; the rarest categories are the ones a plain schedule under-serves.
+Each seed's variants train through one :class:`~sapeval.training.Ablation`,
+which builds each example set once and shares each distinct stage 1.
 """
 
 from __future__ import annotations
@@ -20,18 +22,7 @@ from .datasets import FeatureDataset, HeadTailSplit, ZipfSpec, synthesize_datase
 # not called here; perfbench/tracing.py wraps it under this name
 from .datasets import oversample_balance  # noqa: F401
 from .sampling import SapConfig
-from .training import (
-    EvalReport,
-    StagePlan,
-    TrainConfig,
-    _example_rows,
-    evaluate_model,
-    resolve_variant,
-    stage1_key,
-    stage1_mask,
-    train_stage1,
-    train_stage2,
-)
+from .training import Ablation, EvalReport, StagePlan, TrainConfig, evaluate_model, resolve_variant
 
 #: The dataset shape used throughout the benchmark.
 REFERENCE_SPEC = ZipfSpec(
@@ -139,25 +130,14 @@ def run_benchmark(
     splits = synthesize_dataset(spec, REFERENCE_FRACTIONS)
     train, val = splits["train"], splits["val"]
     split = count_split(train)
-    # each example set built once; its size sets the variants' epochs
-    rows = {name: _example_rows(train, name, split, seed) for name in ("all", "head", "balanced")}
+    ablation = Ablation(train, split)
+    n_head, n_balanced = (len(ablation.rows(name, seed)) for name in ("head", "balanced"))
 
     result = BenchmarkResult(seed=seed, split=split)
     sap_config = SapConfig(n_trials=sap_trials, seed=seed)
-    stage1: dict = {}
     for variant in variants:
-        # run_ablation's two stages, with each distinct stage 1 trained once
-        config, stage1_set, stage2_set = resolve_variant(
-            variant,
-            variant_config(variant, seed, len(train), len(rows["head"]), len(rows["balanced"])),
-        )
-        key = stage1_key(config, stage1_set)
-        if key not in stage1:
-            mask = stage1_mask(split, stage1_set)
-            stage1[key] = train_stage1(train, rows[stage1_set], config, mask)
-        params = stage1[key].copy()
-        if stage2_set is not None:
-            params = train_stage2(train, rows[stage2_set], config, params)
+        config = variant_config(variant, seed, len(train), n_head, n_balanced)
+        params = ablation.train(variant, config)
         result.reports[variant] = evaluate_model(
             params, val, sap_config, split=split, min_examples=1
         )

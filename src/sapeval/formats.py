@@ -370,7 +370,8 @@ def _record(line: str, key: str, extra: str | None):
     ``extra`` field (None without one) of one JSON line. The C scanner
     decodes a line that is one value up to its newline, one type test
     passes ints within int64 and floats; else ``json.loads``, ``_json_int``
-    and ``_json_numbers`` decode and check, raising every error."""
+    and ``_json_numbers`` decode and check, raising every error, and a
+    value that is not an object is "not a JSON object"."""
     try:
         record, end = _scan(line, 0)
         if line[end:] not in ("\n", ""):
@@ -383,7 +384,8 @@ def _record(line: str, key: str, extra: str | None):
                 and {*map(type, row)} <= {float}):
             return ints[0], ints[1:], row, record[extra] if extra else None
     except (KeyError, TypeError):
-        pass
+        if type(record) is not dict:
+            raise ValueError("not a JSON object") from None
     return (_json_int(record["id"], "id"), tuple(_json_int(c, "label") for c in record["labels"]),
             _json_numbers(record[key], key[:-1]), record[extra] if extra else None)
 

@@ -139,28 +139,20 @@ def mean_ap(
     return float(np.mean([r.ap for r in _eligible(records, min_examples)]))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    boundaries = np.flatnonzero(
-        np.r_[True, sorted_vals[1:] != sorted_vals[:-1], True]
-    )
-    starts, ends = boundaries[:-1], boundaries[1:]
-    group_ranks = (starts + 1 + ends) / 2.0
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.repeat(group_ranks, ends - starts)
-    return ranks
-
-
 def roc_auc(pool: EvalPool) -> float:
     """Probability that a random positive outranks a random negative
     (rank-sum statistic; tied scores count one half)."""
     if pool.n_pos == 0 or pool.n_neg == 0:
         raise DegeneratePool("ROC-AUC needs at least one positive and one negative")
-    ranks = _midranks(pool.scores)
-    n_pos, n_neg = pool.n_pos, pool.n_neg
-    rank_sum = float(ranks[pool.is_positive].sum())
+    order = rank_order(pool.scores, pool.ids)
+    ranked = pool.scores[order]
+    bounds = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
+    starts, ends = bounds[:-1], bounds[1:]
+    n, n_pos, n_neg = len(ranked), pool.n_pos, pool.n_neg
+    # ascending midrank of the descending tie group [s, e); a sum of
+    # half-integers, exact in any order
+    ranks = np.repeat((2 * n + 1 - starts - ends) / 2.0, ends - starts)
+    rank_sum = float(ranks[pool.is_positive[order]].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -6,16 +6,15 @@ feeding a per-category logistic head. Gradients are written out by hand so
 they can be validated against finite differences.
 
 Every compared schema is one row of :data:`VARIANTS`, trained by
-:func:`run_ablation`: the example set stage 1 trains on (all, head or
+:class:`Ablation`: the example set stage 1 trains on (all, head or
 balanced), whether a second stage retrains a fresh head on the balanced
 set with the extractor frozen, and the config fields it overrides.
 ``two_stage`` is the head-to-tail transfer schema; ``baseline_plain``,
 ``naive_balanced`` and ``focal`` are its single-stage baselines, and
 ``stage1_all``, ``stage2_finetune_all`` and ``stage2_unbalanced`` its
-ablations. :func:`run_ablation` is :func:`train_stage1` followed by
-:func:`train_stage2`, each handed the rows of its example set; variants
-with equal :func:`stage1_key` train the same stage 1, which the reference
-benchmark trains once and shares, as it builds each example set once.
+ablations. One :class:`Ablation` per dataset and split builds each example
+set once and trains each distinct stage 1 once, sharing it between the
+variants that train it; :func:`run_ablation` trains one variant alone.
 :func:`score_pools` scores each pool, ranked once, into one
 :class:`~sapeval.metrics.CategoryEvaluation`.
 """
@@ -143,14 +142,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(*(getattr(self, f.name).copy() for f in dataclasses.fields(self)))
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """A scalar loss together with its gradient for every parameter."""
-
-    value: float
-    grads: ModelParams
 
 
 def init_params(
@@ -285,28 +276,18 @@ def _mask_columns(
     return columns
 
 
-def model_loss(
+def _head_backprop(
     params: ModelParams,
-    features: np.ndarray,
-    targets: np.ndarray,
-    loss: str = "bce",
-    gamma: float = 2.0,
-    category_mask: Sequence[int] | None = None,
-) -> LossValue:
-    """Loss over a batch plus analytic gradients for all parameters.
-
-    With a category mask, the loss averages over the masked categories only
-    and every other category receives an exactly zero gradient; the mask is
-    checked as :func:`sgd_train` checks it.
-    """
-    return _backprop(
-        params,
-        np.atleast_2d(np.asarray(features, dtype=np.float64)),
-        np.atleast_2d(np.asarray(targets, dtype=np.float64)),
-        loss,
-        gamma,
-        _mask_columns(category_mask, params.head_w.shape[0]),
-    )
+    embeddings: np.ndarray,
+    y: np.ndarray,
+    loss: str,
+    gamma: float,
+    columns: np.ndarray | None,
+) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+    """The loss of the head over ``embeddings``, its gradient with respect
+    to the head logits and the gradients of ``head_w`` and ``head_b``."""
+    value, dz = head_gradient(head_probabilities(params, embeddings), y, columns, loss, gamma)
+    return value, dz, {"head_w": dz.T @ embeddings, "head_b": dz.sum(axis=0)}
 
 
 def _backprop(
@@ -316,24 +297,22 @@ def _backprop(
     loss: str,
     gamma: float,
     columns: np.ndarray | None,
-) -> LossValue:
-    """:func:`model_loss` of 2-D float64 arrays and checked columns."""
+) -> tuple[float, ModelParams]:
+    """Loss over a batch of 2-D float64 arrays plus analytic gradients for
+    all parameters. With ``columns`` (checked by :func:`_mask_columns`), the
+    loss averages over those categories only and every other category
+    receives an exactly zero gradient."""
     hidden = np.tanh(features @ params.w1 + params.b1)
     embeddings = hidden @ params.w2 + params.b2
-    probs = head_probabilities(params, embeddings)
-    value, dz = head_gradient(probs, y, columns, loss, gamma)
+    value, dz, head = _head_backprop(params, embeddings, y, loss, gamma, columns)
 
-    g_head_w = dz.T @ embeddings
-    g_head_b = dz.sum(axis=0)
     d_emb = dz @ params.head_w
     g_w2 = hidden.T @ d_emb
     g_b2 = d_emb.sum(axis=0)
     d_hidden = (d_emb @ params.w2.T) * (1.0 - hidden**2)
     g_w1 = features.T @ d_hidden
     g_b1 = d_hidden.sum(axis=0)
-    return LossValue(
-        value, ModelParams(g_w1, g_b1, g_w2, g_b2, g_head_w, g_head_b)
-    )
+    return value, ModelParams(g_w1, g_b1, g_w2, g_b2, **head)
 
 
 def sgd_train(
@@ -373,16 +352,14 @@ def sgd_train(
             rows = order[b * batch_size : (b + 1) * batch_size]
             lr = plan.learning_rate(step, total_steps)
             if head_only:
-                e_batch = cached[rows]
-                value, dz = head_gradient(
-                    head_probabilities(params, e_batch), targets[rows], columns, loss, gamma
+                value, _, grads = _head_backprop(
+                    params, cached[rows], targets[rows], loss, gamma, columns
                 )
-                grads = {"head_w": dz.T @ e_batch, "head_b": dz.sum(axis=0)}
             else:
-                result = _backprop(
+                value, grads = _backprop(
                     params, features[rows], targets[rows], loss, gamma, columns
                 )
-                value, grads = result.value, vars(result.grads)
+                grads = vars(grads)
             if not np.isfinite(value):
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}, step {step}, lr {lr}"
@@ -417,102 +394,97 @@ def resolve_variant(
     return config, stage1, stage2
 
 
-def _example_rows(
-    dataset: FeatureDataset, example_set: str, split: HeadTailSplit | None, seed: int
-) -> list[int] | np.ndarray | slice:
-    """The dataset rows of ``example_set``: every row (``all``), the rows
-    carrying a head category (``head``), or the oversampled balanced
-    multiset seeded by ``mix_seed(seed, 2)`` (``balanced``)."""
-    if example_set == "balanced":
-        return oversample_balance(dataset, seed=mix_seed(seed, 2))
-    if example_set == "all":
-        return slice(None)
-    if not split.head:
-        raise EmptyHead("split has no head categories")
-    rows = np.flatnonzero(dataset.targets[:, sorted(split.head)].any(axis=1))
-    if not len(rows):
-        raise EmptyHead("no training examples carry a head category")
-    return rows
-
-
 #: The :class:`TrainConfig` fields that only a second stage reads.
 _STAGE2_FIELDS = ("stage2", "stage2_freeze", "stage2_balance", "stage2_warm_start")
 
 
-def stage1_key(config: TrainConfig, stage1_set: str) -> tuple:
-    """Everything :func:`train_stage1` reads besides the dataset and the
-    split: on the same dataset and split, equal keys train bitwise-equal
-    stage-1 weights."""
-    defaults = TrainConfig()
-    return stage1_set, dataclasses.replace(
-        config, **{name: getattr(defaults, name) for name in _STAGE2_FIELDS}
-    )
+class Ablation:
+    """The compared schemata on one dataset and split, which must cover
+    the dataset's categories exactly (``None`` serves single-stage
+    variants only).
 
+    Each example set is built once per seed, and each distinct stage 1
+    is trained once: variants whose stage-1 example set and config agree
+    outside the stage-2 fields share its weights and its history entries.
+    Stage 2 trains a copy, so the shared weights never change.
+    """
 
-def _train_stage(stage, params, dataset, rows, config, plan, history, **options):
-    stage_history: list = []
-    params = sgd_train(
-        params,
-        dataset.features[rows],
-        dataset.targets[rows],
-        plan,
-        batch_size=config.batch_size,
-        seed=mix_seed(config.seed, 2 * stage - 1),  # 2 seeds the balancer
-        loss=config.loss,
-        gamma=config.focal_gamma,
-        history=stage_history,
-        **options,
-    )
-    if history is not None:
-        history.extend({"stage": stage, **h} for h in stage_history)
-    return params
+    def __init__(self, dataset: FeatureDataset, split: HeadTailSplit | None):
+        if split is not None and split.categories != frozenset(range(dataset.n_categories)):
+            raise CategoryMismatch("head/tail split does not cover the dataset's categories")
+        self.dataset, self.split = dataset, split
+        self._rows: dict = {}
+        self._stage1: dict = {}
 
+    def rows(self, example_set: str, seed: int) -> np.ndarray | slice:
+        """The dataset rows of ``example_set``: every row (``all``), the
+        rows carrying a head category (``head``), or the oversampled
+        balanced multiset seeded by ``mix_seed(seed, 2)`` (``balanced``)."""
+        key = example_set, seed
+        if key not in self._rows:
+            if example_set == "balanced":
+                rows = oversample_balance(self.dataset, seed=mix_seed(seed, 2))
+            elif example_set == "all":
+                rows = slice(None)
+            else:
+                if self.split is None or not self.split.head:
+                    raise EmptyHead("split has no head categories")
+                head = self.dataset.targets[:, sorted(self.split.head)]
+                rows = np.flatnonzero(head.any(axis=1))
+                if not len(rows):
+                    raise EmptyHead("no training examples carry a head category")
+            self._rows[key] = rows
+        return self._rows[key]
 
-def stage1_mask(split: HeadTailSplit | None, stage1_set: str) -> list[int] | None:
-    """The categories stage 1's loss covers on ``stage1_set``: the head
-    categories on ``head``, every category (None) on the others."""
-    return sorted(split.head) if stage1_set == "head" else None
+    def train(self, variant: str, config: TrainConfig, history: list | None = None) -> ModelParams:
+        """The weights ``variant`` trains under ``config``; ``history``
+        receives one entry per epoch of each stage."""
+        config, stage1_set, stage2_set = resolve_variant(variant, config)
+        if stage2_set is not None and self.split is None:
+            raise EmptyHead(f"variant {variant!r} needs a head/tail split")
+        defaults = TrainConfig()
+        key = stage1_set, dataclasses.replace(
+            config, **{name: getattr(defaults, name) for name in _STAGE2_FIELDS}
+        )
+        if key not in self._stage1:
+            params = init_params(self.dataset.features.shape[1], config.hidden_dim,
+                                 config.embedding_dim, self.dataset.n_categories, config.seed)
+            mask = sorted(self.split.head) if stage1_set == "head" else None
+            self._stage1[key] = self._stage(
+                1, params, stage1_set, config, config.stage1, category_mask=mask
+            )
+        params, stage1_history = self._stage1[key]
+        if history is not None:
+            history.extend(dict(h) for h in stage1_history)
+        if stage2_set is None:
+            return params.copy()
+        if not config.stage2_warm_start:
+            params = reinit_head(params, seed=config.seed)
+        params, stage2_history = self._stage(
+            2, params, stage2_set, config, config.stage2, head_only=config.stage2_freeze
+        )
+        if history is not None:
+            history.extend(stage2_history)
+        return params
 
-
-def train_stage1(
-    dataset: FeatureDataset,
-    rows: list[int] | np.ndarray | slice,
-    config: TrainConfig,
-    category_mask: Sequence[int] | None = None,
-    history: list | None = None,
-) -> ModelParams:
-    """Stage 1: a fresh model trained on the dataset rows ``rows``, its loss
-    over the categories of ``category_mask`` (all when None)."""
-    params = init_params(
-        dataset.features.shape[1],
-        config.hidden_dim,
-        config.embedding_dim,
-        dataset.n_categories,
-        seed=config.seed,
-    )
-    return _train_stage(
-        1, params, dataset, rows, config, config.stage1, history,
-        category_mask=category_mask,
-    )
-
-
-def train_stage2(
-    dataset: FeatureDataset,
-    rows: list[int] | np.ndarray | slice,
-    config: TrainConfig,
-    params: ModelParams,
-    history: list | None = None,
-) -> ModelParams:
-    """Stage 2: retrain the head of the stage-1 ``params`` (left unchanged)
-    on the dataset rows ``rows``; the head starts fresh unless
-    ``stage2_warm_start``, and the extractor is frozen while
-    ``stage2_freeze``."""
-    if not config.stage2_warm_start:
-        params = reinit_head(params, seed=config.seed)
-    return _train_stage(
-        2, params, dataset, rows, config, config.stage2, history,
-        head_only=config.stage2_freeze,
-    )
+    def _stage(self, stage, params, example_set, config, plan, **options):
+        """``sgd_train`` of one stage on its example set (which leaves
+        ``params`` unchanged), and its history entries."""
+        rows = self.rows(example_set, config.seed)
+        history: list = []
+        params = sgd_train(
+            params,
+            self.dataset.features[rows],
+            self.dataset.targets[rows],
+            plan,
+            batch_size=config.batch_size,
+            seed=mix_seed(config.seed, 2 * stage - 1),  # 2 seeds the balancer
+            loss=config.loss,
+            gamma=config.focal_gamma,
+            history=history,
+            **options,
+        )
+        return params, [{"stage": stage, **h} for h in history]
 
 
 def run_ablation(
@@ -529,18 +501,7 @@ def run_ablation(
     without it. A given split must cover the dataset's categories exactly,
     whatever the variant.
     """
-    config, stage1_set, stage2_set = resolve_variant(variant, config)
-    if split is None:
-        if stage2_set is not None:
-            raise EmptyHead(f"variant {variant!r} needs a head/tail split")
-    elif split.categories != frozenset(range(dataset.n_categories)):
-        raise CategoryMismatch("head/tail split does not cover the dataset's categories")
-    rows = _example_rows(dataset, stage1_set, split, config.seed)
-    params = train_stage1(dataset, rows, config, stage1_mask(split, stage1_set), history)
-    if stage2_set is None:
-        return params
-    rows = _example_rows(dataset, stage2_set, split, config.seed)
-    return train_stage2(dataset, rows, config, params, history)
+    return Ablation(dataset, split).train(variant, config, history)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,14 @@ def brute_force_ap(scored: list[tuple[float, bool]], ids=None) -> float:
     return total / n_pos
 
 
+def brute_force_roc_auc(positives, negatives) -> float:
+    """ROC-AUC by comparing every (positive, negative) pair: a win counts
+    one, a tie one half, over n_pos * n_neg pairs."""
+    wins = sum(p > n for p in positives for n in negatives)
+    ties = sum(p == n for p in positives for n in negatives)
+    return (wins + ties / 2) / (len(positives) * len(negatives))
+
+
 def exact_expected_random_ap(n_pos: int, n_total: int) -> float:
     """E[AP] of a uniformly random ranking, by negative-hypergeometric
     enumeration over the rank of each positive."""
@@ -307,6 +315,8 @@ def _reference_record_faults(record, key, split, n_categories, first):
             return f"bad record: {what} {value} outside int64"
         return None
 
+    if type(record) is not dict:
+        return ["bad record: not a JSON object"], None, None, None
     faults, example_id, labels, row = [], None, None, None
     if "id" not in record:
         faults.append("bad record: 'id'")

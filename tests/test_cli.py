@@ -1177,3 +1177,30 @@ def test_every_import_kept_for_the_tracer_is_wrapped():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "", f"kept for the tracer but not wrapped: {result.stdout.split()}"
+
+
+def test_every_import_is_used():
+    """Each name a ``src/sapeval`` module imports is read in that module,
+    apart from ``__init__.py``'s re-exports, ``from __future__`` and the
+    ``noqa: F401`` imports pinned above."""
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted((root / "src" / "sapeval").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -790,16 +790,24 @@ class TestLineDecoding:
         "\ufeff" + RECORD,
         RECORD + ' {"id": 2}',
         RECORD[:-3],
-        f"[{RECORD}]",
-    ], ids=["bom", "trailing_data", "truncated_object", "top_level_array"])
+    ], ids=["bom", "trailing_data", "truncated_object"])
     def test_bad_line_raises_the_json_loads_error(self, tmp_path, line):
         path = tmp_path / "preds.jsonl"
         path.write_bytes((prediction_lines(1)[0] + "\n" + line + "\n").encode())
-        with pytest.raises((json.JSONDecodeError, TypeError)) as loads_error:
-            json.loads(line + "\n")["id"]
+        with pytest.raises(json.JSONDecodeError) as loads_error:
+            json.loads(line + "\n")
         library, _ = TestJsonlReaderMatchesReference.readers("predictions", None)
         assert read_with(library, path)[:3] == (
             "error", 2, f"{path}:2: bad record: {loads_error.value}")
+
+    @pytest.mark.parametrize("line", [f"[{RECORD}]", "7", '"id"', "null", " [1, 2]"],
+                             ids=["top_level_array", "number", "string", "null", "spaced_array"])
+    def test_line_that_is_not_an_object_reads_as_reference(self, tmp_path, line):
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes((prediction_lines(1)[0] + "\n" + line + "\n").encode())
+        result, expected = read_as_reference(path)
+        assert result[:3] == expected[:3] == (
+            "error", 2, f"{path}:2: bad record: not a JSON object")
 
 
 class TestPredictionsMemory:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +20,10 @@ from sapeval.metrics import (
     rank_order,
     roc_auc,
 )
+from sapeval.pools import pool_from_arrays
 
 from conftest import MICRO_DET, MICRO_GT, box, det, det_columns, gt, gt_columns, make_pool, random_pool
-from oracles import brute_force_ap
+from oracles import brute_force_ap, brute_force_roc_auc
 
 
 class TestAveragePrecision:
@@ -250,6 +253,21 @@ class TestRocAuc:
         # negate scores and swap the sides: the statistic is preserved
         flipped = roc_auc(make_pool(1 - neg, 1 - pos))
         assert flipped == pytest.approx(base, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pairwise_count_on_heavily_tied_pools(self, seed):
+        # both sides are one correctly rounded division of the same exact
+        # numerator, so they agree to the bit
+        r = np.random.default_rng(seed)
+        n = int(r.integers(2, 120))
+        scores = r.integers(0, r.integers(1, 6), size=n) / 4
+        flags = r.random(n) < r.uniform(0.05, 0.95)
+        flags[:2] = True, False
+        pool = pool_from_arrays(0, scores, flags)
+        pool = dataclasses.replace(pool, ids=r.permutation(n))
+        expected = brute_force_roc_auc(scores[flags].tolist(), scores[~flags].tolist())
+        assert roc_auc(pool) == expected
 
 
 class TestRandomBaseline:

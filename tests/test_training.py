@@ -23,24 +23,24 @@ from sapeval.training import (
     StagePlan,
     TrainConfig,
     PROB_EPS,
+    Ablation,
+    _backprop,
+    _mask_columns,
     _sigmoid,
     checkpoint_text,
     evaluate_model,
     forward,
     head_gradient,
     init_params,
-    model_loss,
-    resolve_variant,
     run_ablation,
     sgd_train,
-    train_stage1,
-    train_stage2,
 )
 
 from oracles import load_checkpoint, masked_sigmoid, reference_loss
 
 
 def finite_difference_grads(params, x, y, loss, gamma, mask, step=1e-5):
+    columns = _mask_columns(mask, y.shape[1])
     grads = {}
     for field in dataclasses.fields(params):
         arr = getattr(params, field.name)
@@ -50,9 +50,9 @@ def finite_difference_grads(params, x, y, loss, gamma, mask, step=1e-5):
             idx = it.multi_index
             original = arr[idx]
             arr[idx] = original + step
-            up = model_loss(params, x, y, loss, gamma, mask).value
+            up, _ = _backprop(params, x, y, loss, gamma, columns)
             arr[idx] = original - step
-            down = model_loss(params, x, y, loss, gamma, mask).value
+            down, _ = _backprop(params, x, y, loss, gamma, columns)
             arr[idx] = original
             grad[idx] = (up - down) / (2 * step)
         grads[field.name] = grad
@@ -197,10 +197,10 @@ class TestGradients:
     )
     def test_analytic_matches_finite_differences(self, loss, gamma):
         params, x, y = tiny_problem(seed=3)
-        result = model_loss(params, x, y, loss, gamma)
+        _, grads = _backprop(params, x, y, loss, gamma, None)
         fd = finite_difference_grads(params, x, y, loss, gamma, None)
         for name, grad in fd.items():
-            analytic = getattr(result.grads, name)
+            analytic = getattr(grads, name)
             denom = np.maximum(np.abs(grad), 1e-6)
             assert np.max(np.abs(analytic - grad) / denom) < 1e-4
 
@@ -209,22 +209,22 @@ class TestGradients:
         for seed in range(100):
             params, x, y = tiny_problem(seed=seed, n=3, dims=(3, 4, 3, 4))
             mask = [0, 2]
-            result = model_loss(params, x, y, "bce", category_mask=mask)
+            _, grads = _backprop(params, x, y, "bce", 2.0, _mask_columns(mask, 4))
             fd = finite_difference_grads(params, x, y, "bce", 2.0, mask)
             for name, grad in fd.items():
-                analytic = getattr(result.grads, name)
+                analytic = getattr(grads, name)
                 denom = np.maximum(np.abs(grad), 1e-6)
                 worst = max(worst, float(np.max(np.abs(analytic - grad) / denom)))
-            assert np.all(result.grads.head_w[[1, 3]] == 0.0)
-            assert np.all(result.grads.head_b[[1, 3]] == 0.0)
+            assert np.all(grads.head_w[[1, 3]] == 0.0)
+            assert np.all(grads.head_b[[1, 3]] == 0.0)
         assert worst < 1e-4
 
     def test_loss_value_grad_dims_match_params(self):
         params, x, y = tiny_problem()
-        result = model_loss(params, x, y)
+        _, grads = _backprop(params, x, y, "bce", 2.0, None)
         for field in dataclasses.fields(params):
             assert (
-                getattr(result.grads, field.name).shape
+                getattr(grads, field.name).shape
                 == getattr(params, field.name).shape
             )
 
@@ -320,7 +320,7 @@ class TestSgdTrain:
         stepped = sgd_train(
             params, x, y, StagePlan(lr, lr, "step", 1), batch_size=8, head_only=True
         )
-        grads = model_loss(params, x, y).grads
+        _, grads = _backprop(params, x, y, "bce", 2.0, None)
         assert np.allclose(stepped.head_w, params.head_w - lr * grads.head_w, atol=1e-14)
         assert np.allclose(stepped.head_b, params.head_b - lr * grads.head_b, atol=1e-14)
         assert np.array_equal(stepped.w1, params.w1)
@@ -388,11 +388,6 @@ class TestCategoryMask:
             other = self.train(mask)
             for field in dataclasses.fields(trained):
                 assert np.array_equal(getattr(other, field.name), getattr(trained, field.name))
-
-    def test_model_loss_checks_its_mask_too(self):
-        params, x, y = tiny_problem()
-        with pytest.raises(ValueError, match="outside"):
-            model_loss(params, x, y, category_mask=[-1])
 
 
 class TestTwoStage:
@@ -611,17 +606,33 @@ class TestSharedStage1:
         ]
         assert all(math.isfinite(h["loss"]) for h in history)
 
-        staged: list = []
-        config, stage1_set, stage2_set = resolve_variant("two_stage", config)
-        head_rows = training._example_rows(datasets["train"], stage1_set, split, config.seed)
-        stage1 = train_stage1(datasets["train"], head_rows, config, sorted(split.head), staged)
-        kept = stage1.copy()
-        balanced_rows = training._example_rows(datasets["train"], stage2_set, split, config.seed)
-        composed = train_stage2(datasets["train"], balanced_rows, config, stage1, staged)
-        assert staged == history
-        for field in dataclasses.fields(params):
-            assert np.array_equal(getattr(composed, field.name), getattr(params, field.name))
-            assert np.array_equal(getattr(stage1, field.name), getattr(kept, field.name))
+        ablation = Ablation(datasets["train"], split)
+        first: list = []
+        composed = ablation.train("two_stage", config, first)
+        assert first == history
+        assert_same_weights(composed, params)
+
+        # a variant whose stage 1 is cached trains the same weights and
+        # records the same history as when it trained alone
+        again: list = []
+        assert_same_weights(ablation.train("two_stage", config, again), params)
+        assert again == history
+
+        # a warm-started stage 2 retrains a copy of the cached head: the
+        # stage-1 weights baseline_plain returns stay as they were
+        warm = dataclasses.replace(config, stage2_warm_start=True)
+        kept = ablation.train("baseline_plain", config).copy()
+        for variant in ("stage1_all", "two_stage"):
+            alone = run_ablation(datasets["train"], split, variant, warm)
+            assert_same_weights(ablation.train(variant, warm), alone)
+            assert_same_weights(ablation.train(variant, warm), alone)
+        ablation.train("baseline_plain", config).head_w[:] = 0.0  # the caller's copy
+        assert_same_weights(ablation.train("baseline_plain", config), kept)
+
+
+def assert_same_weights(a, b):
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 class TestRunBenchmarkCalls:
