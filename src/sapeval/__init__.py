@@ -22,12 +22,6 @@ from .metrics import (
 )
 from .pools import EvalPool, ExampleOrigin, FrameIndex, build_eval_pool, pools_from_scores
 from .sampling import SapConfig, msap, sampled_ap, stability_profile
-from .training import (
-    ModelParams,
-    StagePlan,
-    TrainConfig,
-    evaluate_model,
-    run_ablation,
-)
+from .training import Ablation, ModelParams, StagePlan, TrainConfig, evaluate_model
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 configuration error, 3 unparseable input file,
-4 empty result (nothing eligible to report). Every command writes a run
-manifest next to its outputs; ``rerun`` re-executes a recorded manifest
-and reproduces the outputs byte for byte.
+Exit codes: 0 success, else the ``exit_code`` of the error raised: 2
+configuration error or unreadable path, 3 unparseable input file, 4 empty
+result (nothing eligible to report), 1 non-finite training loss. Every
+command writes a run manifest next to its outputs; ``rerun`` re-executes
+a recorded manifest and reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -20,18 +21,7 @@ from . import __version__
 from .benchmark import count_split
 from .charts import grouped_bar_chart
 from .datasets import ZipfSpec, split_head_tail, synthesize_dataset, zipf_counts
-from .errors import (
-    CategoryMismatch,
-    DegeneratePool,
-    EmptyCategory,
-    EmptyHead,
-    InvalidCounts,
-    NoEligibleCategories,
-    NonFiniteLoss,
-    NoPositives,
-    ParseError,
-    UnknownCategory,
-)
+from .errors import DegeneratePool, ParseError, SapEvalError
 from .formats import (
     read_category_ap,
     read_detections_csv,
@@ -51,22 +41,18 @@ from .sampling import sampled_ap  # noqa: F401
 from .sampling import SapConfig, msap, stability_profile
 from .training import (
     VARIANTS,
+    Ablation,
     StagePlan,
     TrainConfig,
     checkpoint_text,
     config_hash,
     evaluate_model,
-    run_ablation,
     score_pools,
 )
 
-EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_EMPTY = 4
 
-
-class ConfigError(Exception):
-    pass
+class ConfigError(SapEvalError):
+    """A flag value, flag combination or pair of inputs the command cannot run with."""
 
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
@@ -137,19 +123,16 @@ def _sap_config(args: argparse.Namespace, include_background: bool = True) -> Sa
 
 def cmd_synth(args: argparse.Namespace) -> int:
     fractions = _parse_fractions(args.fractions)
-    try:
-        spec = ZipfSpec(
-            n_categories=args.categories,
-            exponent=args.zipf_s,
-            max_count=args.max_count,
-            min_count=args.min_count,
-            feature_dim=args.feature_dim,
-            cluster_spread=args.sigma,
-            multilabel_rate=args.multilabel_rate,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    spec = ZipfSpec(
+        n_categories=args.categories,
+        exponent=args.zipf_s,
+        max_count=args.max_count,
+        min_count=args.min_count,
+        feature_dim=args.feature_dim,
+        cluster_spread=args.sigma,
+        multilabel_rate=args.multilabel_rate,
+        seed=args.seed,
+    )
 
     datasets = synthesize_dataset(spec, fractions)
     out_dir = Path(args.out_dir)
@@ -285,6 +268,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_dir = Path(args.data_dir)
     train = read_feature_dataset(data_dir / "train.jsonl", "train")
     val = read_feature_dataset(data_dir / "val.jsonl", "val", n_categories=train.n_categories)
+    if val.features.shape[1] != train.features.shape[1]:
+        raise ConfigError(f"{data_dir / 'val.jsonl'} has {val.features.shape[1]} features, "
+                          f"{data_dir / 'train.jsonl'} {train.features.shape[1]}")
 
     split = None
     if args.split:
@@ -294,29 +280,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     elif VARIANTS[args.variant].second_stage:
         raise ConfigError(f"--variant {args.variant} needs --split or --auto-split")
 
-    try:
-        config = TrainConfig(
-            hidden_dim=args.hidden_dim,
-            embedding_dim=args.embedding_dim,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            loss=args.loss,
-            focal_gamma=args.gamma,
-            stage1=StagePlan(
-                args.stage1_lr_start, args.stage1_lr_end, args.stage1_schedule, args.stage1_epochs
-            ),
-            stage2=StagePlan(
-                args.stage2_lr_start, args.stage2_lr_end, args.stage2_schedule, args.stage2_epochs
-            ),
-            stage2_freeze=not args.no_freeze,
-            stage2_balance=not args.no_balance,
-            stage2_warm_start=args.warm_start,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = TrainConfig(
+        hidden_dim=args.hidden_dim,
+        embedding_dim=args.embedding_dim,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        loss=args.loss,
+        focal_gamma=args.gamma,
+        stage1=StagePlan(
+            args.stage1_lr_start, args.stage1_lr_end, args.stage1_schedule, args.stage1_epochs
+        ),
+        stage2=StagePlan(
+            args.stage2_lr_start, args.stage2_lr_end, args.stage2_schedule, args.stage2_epochs
+        ),
+        stage2_freeze=not args.no_freeze,
+        stage2_balance=not args.no_balance,
+        stage2_warm_start=args.warm_start,
+    )
 
     history: list = []
-    params = run_ablation(train, split, args.variant, config, history=history)
+    params = Ablation(train, split).train(args.variant, config, history)
 
     report_train = evaluate_model(
         params, train, sap_config, split=split, min_examples=args.min_examples
@@ -379,10 +362,19 @@ def _evaluation(payload: dict) -> tuple[list[tuple], list[str]]:
     return scored, rows
 
 
+def _read_json(path: str, what: str):
+    """The JSON in ``path``; text that is not UTF-8 JSON is a ``ParseError``
+    naming the file, its line and ``what`` the file is."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(str(path), getattr(exc, "lineno", 0), f"{what}: {exc}") from None
+
+
 def _report_input(flag: str, path: str, read):
     """``read`` applied to the JSON in ``path``; a missing key or a value of
     the wrong type is a ``ConfigError`` naming the flag, the file and the key."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _read_json(path, flag)
     try:
         return read(payload)
     except (AttributeError, KeyError, TypeError) as exc:
@@ -455,7 +447,7 @@ def _parses_to(action: argparse.Action, value) -> bool:
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _read_json(args.manifest, "manifest")
     if not isinstance(manifest, dict):
         raise ConfigError("manifest is not an object")
     command = manifest.get("command")
@@ -512,31 +504,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-examples", type=int, default=25, help="positives needed for mAP eligibility")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sap", help="sampled-AP report")
-    p.add_argument("--gt")
-    p.add_argument("--det")
-    p.add_argument("--predictions", help="classification-mode score file (JSONL)")
+    pools = argparse.ArgumentParser(add_help=False)  # the inputs of sap and stability
+    pools.add_argument("--gt", help="ground-truth CSV (detection mode)")
+    pools.add_argument("--det", help="detections CSV (detection mode)")
+    pools.add_argument("--predictions", help="classification-mode score file (JSONL)")
+    pools.add_argument("--seed", type=int, default=0, help="sampling seed")
+    pools.add_argument("--iou", type=float, default=0.5, help="box-match IoU threshold (detection mode)")
+    pools.add_argument("--no-background", action="store_true",
+                       help="exclude background false positives from negative sampling")
+
+    p = sub.add_parser("sap", parents=[pools], help="sampled-AP report")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--trials", type=int, default=15, help="balanced subsamples per category")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--min-examples", type=int, default=25, help="positives needed for mSAP eligibility")
-    p.add_argument("--iou", type=float, default=0.5, help="box-match IoU threshold (detection mode)")
-    p.add_argument("--no-background", action="store_true",
-                   help="exclude background false positives from negative sampling")
     p.add_argument("--store-trials", action="store_true", help="include per-trial APs in the report")
     p.set_defaults(func=cmd_sap)
 
-    p = sub.add_parser("stability", help="sampled-AP dispersion vs trial count")
-    p.add_argument("--gt", help="ground-truth CSV (detection mode)")
-    p.add_argument("--det", help="detections CSV (detection mode)")
-    p.add_argument("--predictions", help="classification-mode score file (JSONL)")
+    p = sub.add_parser("stability", parents=[pools], help="sampled-AP dispersion vs trial count")
     p.add_argument("--category", type=int, required=True, help="category to profile")
     p.add_argument("--trials", default="5,10,15,20,40", help="comma-separated trial counts")
     p.add_argument("--repeats", type=int, default=20, help="independent estimates per trial count")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--iou", type=float, default=0.5, help="box-match IoU threshold (detection mode)")
-    p.add_argument("--no-background", action="store_true",
-                   help="exclude background false positives from negative sampling")
     p.add_argument("--out", required=True, help="CSV path")
     p.set_defaults(func=cmd_stability)
 
@@ -594,25 +581,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (SapEvalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NoEligibleCategories, NoPositives, EmptyCategory, EmptyHead, DegeneratePool) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (
-        ConfigError,
-        CategoryMismatch,
-        UnknownCategory,
-        InvalidCounts,
-        ValueError,
-        FileNotFoundError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ set with the extractor frozen, and the config fields it overrides.
 ``stage1_all``, ``stage2_finetune_all`` and ``stage2_unbalanced`` its
 ablations. One :class:`Ablation` per dataset and split builds each example
 set once and trains each distinct stage 1 once, sharing it between the
-variants that train it; :func:`run_ablation` trains one variant alone.
+variants that train it, so a variant trains the same weights whether it
+runs alone (``Ablation(dataset, split).train(variant, config)``) or
+beside others.
 :func:`score_pools` scores each pool, ranked once, into one
 :class:`~sapeval.metrics.CategoryEvaluation`.
 """
@@ -485,23 +487,6 @@ class Ablation:
             **options,
         )
         return params, [{"stage": stage, **h} for h in history]
-
-
-def run_ablation(
-    dataset: FeatureDataset,
-    split: HeadTailSplit | None,
-    variant: str,
-    config: TrainConfig = TrainConfig(),
-    history: list | None = None,
-) -> ModelParams:
-    """Train one of the compared schemata; all variants share the config and
-    seed so their results are directly comparable.
-
-    Two-stage variants require a ``split``; single-stage ones train
-    without it. A given split must cover the dataset's categories exactly,
-    whatever the variant.
-    """
-    return Ablation(dataset, split).train(variant, config, history)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sapeval.cli import _config_dict, build_parser, main
+import sapeval.cli
+from sapeval.cli import ConfigError, _config_dict, build_parser, main
+from sapeval.errors import ParseError, SapEvalError
 from sapeval.manifest import sha256_file
-from sapeval.training import VARIANTS
+from sapeval.training import VARIANTS, Ablation
 
 from conftest import (
     MICRO_DET,
@@ -681,15 +684,30 @@ class TestTrain:
 
     def test_zero_trials_rejected_before_training(self, synth_dir, tmp_path, capsys,
                                                   monkeypatch):
-        import sapeval.cli
-
         def no_training(*args, **kwargs):
             raise AssertionError("trained before checking --trials")
 
-        monkeypatch.setattr(sapeval.cli, "run_ablation", no_training)
+        monkeypatch.setattr(Ablation, "train", no_training)
         out = tmp_path / "run"
         assert self._train(synth_dir, out, "--variant", "baseline_plain", "--trials", 0) == 2
         assert "--trials: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_val_narrower_than_train_exit_2_before_training(self, synth_dir, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the feature widths")
+
+        monkeypatch.setattr(Ablation, "train", no_training)
+        data, out = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(synth_dir, data)
+        records = [json.loads(line) for line in (data / "val.jsonl").read_text().splitlines()]
+        (data / "val.jsonl").write_text("".join(
+            json.dumps({**r, "features": r["features"][:-1]}) + "\n" for r in records
+        ))
+        assert self._train(data, out, "--variant", "baseline_plain") == 2
+        err = capsys.readouterr().err
+        assert f"{data / 'val.jsonl'} has 7 features, {data / 'train.jsonl'} 8" in err
         assert not out.exists()
 
     def test_train_writes_checkpoint_and_metrics(self, synth_dir, tmp_path):
@@ -734,6 +752,12 @@ class TestTrain:
         assert summary[0] == "group,msap,map,categories,eligible"
         assert (report_dir / "ap_vs_sap.svg").exists()
         assert (report_dir / "counts.svg").exists()
+
+
+#: JSON inputs that do not parse, each with the line its error names:
+#: empty, cut off on its second line, and not UTF-8 (line 0).
+UNPARSEABLE_JSON = [(b"", 1), (b'{"categories": [\n', 2), (b'{"a": "\xff"}', 0)]
+UNPARSEABLE_JSON_IDS = ["empty", "truncated", "not_utf8"]
 
 
 class TestRerunDeterminism:
@@ -819,6 +843,13 @@ class TestRerunDeterminism:
         assert run("rerun", manifest) == 2
         assert "lacks det, gt, iou, min_examples, out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,line", UNPARSEABLE_JSON, ids=UNPARSEABLE_JSON_IDS)
+    def test_unparseable_manifest_exit_3(self, tmp_path, capsys, text, line):
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_bytes(text)
+        assert run("rerun", manifest) == 3
+        assert capsys.readouterr().err.startswith(f"error: {manifest}:{line}: manifest: ")
+
 
 class TestReportCompare:
     def test_compare_chart(self, synth_dir, tmp_path):
@@ -884,12 +915,79 @@ class TestReportCompare:
                    "--out-dir", out) == 2
         assert not list(out.rglob("*"))
 
+    @pytest.mark.parametrize("flag", ["--metrics", "--compare", "--counts"])
+    @pytest.mark.parametrize("text,line", UNPARSEABLE_JSON, ids=UNPARSEABLE_JSON_IDS)
+    def test_unparseable_report_input_exit_3(self, tmp_path, capsys, flag, text, line):
+        good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"
+        good.write_text(json.dumps(REPORT_EVALUATION))
+        bad.write_bytes(text)
+        files = {"--metrics": good, flag: bad}
+        assert run("report", *(a for item in files.items() for a in item), "--out-dir", out) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: {flag}: ")
+        assert not list(out.rglob("*"))
+
 
 #: A one-category evaluation that ``report`` accepts.
 REPORT_EVALUATION = {
     "categories": [{"category": 0, "ap": 0.5, "sap_mean": 0.6}],
     "aggregates": {"all": {"msap": 0.6, "map": 0.5, "categories": 1, "eligible": 1}},
 }
+
+
+def _error_types(cls=SapEvalError):
+    """``cls`` and every subclass of it defined so far."""
+    return [cls] + [t for sub in cls.__subclasses__() for t in _error_types(sub)]
+
+
+#: The exit code README documents for each error ``main`` reports.
+EXIT_CODES = {
+    "SapEvalError": 2, "ConfigError": 2, "UnknownCategory": 2, "InvalidCounts": 2,
+    "CategoryMismatch": 2, "DimMismatch": 2, "ValueError": 2, "OSError": 2,
+    "ParseError": 3,
+    "NoPositives": 4, "DegeneratePool": 4, "NoEligibleCategories": 4, "EmptyCategory": 4,
+    "EmptyHead": 4,
+    "NonFiniteLoss": 1,
+}
+ERROR_TYPES = [*_error_types(), ValueError, OSError]
+
+
+def test_every_error_type_has_a_documented_exit_code():
+    assert ConfigError in ERROR_TYPES
+    assert sorted(t.__name__ for t in ERROR_TYPES) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda t: t.__name__)
+def test_error_exits_with_its_code_and_one_line(tmp_path, capsys, monkeypatch, error):
+    exc = error("data.csv", 7, "bad row") if error is ParseError else error("went wrong")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(sapeval.cli, "cmd_synth", fail)
+    assert run("synth", "--out-dir", tmp_path) == EXIT_CODES[error.__name__]
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--gt", "{dir}", "--det", "{det}", "--out", "{tmp}/report.json"],
+        ["sap", "--predictions", "{dir}", "--out", "{tmp}/report.json"],
+        ["split", "--train-ap", "{dir}", "--val-ap", "{dir}", "--out", "{tmp}/split.json"],
+        ["eval", "--gt", "{gt}", "--det", "{det}", "--out", "{dir}", "--min-examples", "1"],
+    ],
+    ids=["eval_gt", "sap_predictions", "split_train_ap", "eval_out"],
+)
+def test_directory_path_exit_2(detection_files, tmp_path, capsys, argv):
+    gt, det = detection_files
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    paths = {"dir": directory, "gt": gt, "det": det, "tmp": tmp_path}
+    assert run(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(directory) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["det.csv", "dir", "gt.csv"]
+    assert not list(directory.iterdir())
 
 
 def write_ava_fixture(directory, seed=11):

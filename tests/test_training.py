@@ -32,7 +32,6 @@ from sapeval.training import (
     forward,
     head_gradient,
     init_params,
-    run_ablation,
     sgd_train,
 )
 
@@ -400,10 +399,8 @@ class TestTwoStage:
             stage1=StagePlan(0.5, 0.05, "step", 3),
             stage2=StagePlan(0.5, 0.05, "linear", 2),
         )
-        params = run_ablation(datasets["train"], split, "two_stage", config)
-        stage1_only = run_ablation(
-            datasets["train"],
-            split,
+        params = Ablation(datasets["train"], split).train("two_stage", config)
+        stage1_only = Ablation(datasets["train"], split).train(
             "two_stage",
             dataclasses.replace(config, stage2=StagePlan(1e-9, 1e-10, "linear", 1)),
         )
@@ -421,11 +418,10 @@ class TestTwoStage:
             stage2=StagePlan(0.1, 0.01, "linear", 2),
             stage2_freeze=False,
         )
-        frozen = run_ablation(
-            datasets["train"], split, "two_stage",
-            dataclasses.replace(config, stage2_freeze=True),
+        frozen = Ablation(datasets["train"], split).train(
+            "two_stage", dataclasses.replace(config, stage2_freeze=True),
         )
-        unfrozen = run_ablation(datasets["train"], split, "two_stage", config)
+        unfrozen = Ablation(datasets["train"], split).train("two_stage", config)
         assert not np.array_equal(frozen.w1, unfrozen.w1)
 
     def test_empty_tail_degenerates_to_head_retraining(self):
@@ -439,7 +435,7 @@ class TestTwoStage:
             stage1=StagePlan(0.5, 0.05, "step", 2),
             stage2=StagePlan(0.5, 0.05, "linear", 1),
         )
-        params = run_ablation(train, split, "two_stage", config)
+        params = Ablation(train, split).train("two_stage", config)
         assert np.isfinite(params.head_w).all()
 
     def test_empty_head_raises(self):
@@ -447,13 +443,13 @@ class TestTwoStage:
         train = datasets["train"]
         split = HeadTailSplit(frozenset(), frozenset(range(train.n_categories)), 0.0)
         with pytest.raises(EmptyHead):
-            run_ablation(train, split, "two_stage", TrainConfig(seed=0))
+            Ablation(train, split).train("two_stage", TrainConfig(seed=0))
 
     def test_split_must_cover_categories(self):
         datasets, _ = synthetic_split()
         bad = HeadTailSplit(frozenset({0}), frozenset({1}), 0.0)
         with pytest.raises(CategoryMismatch):
-            run_ablation(datasets["train"], bad, "two_stage", TrainConfig(seed=0))
+            Ablation(datasets["train"], bad).train("two_stage", TrainConfig(seed=0))
 
     def test_warm_start_keeps_stage1_head_basis(self):
         datasets, split = synthetic_split()
@@ -464,10 +460,8 @@ class TestTwoStage:
             stage1=StagePlan(0.5, 0.05, "step", 2),
             stage2=StagePlan(1e-9, 1e-10, "linear", 1),
         )
-        cold = run_ablation(datasets["train"], split, "two_stage", cold_cfg)
-        warm = run_ablation(
-            datasets["train"],
-            split,
+        cold = Ablation(datasets["train"], split).train("two_stage", cold_cfg)
+        warm = Ablation(datasets["train"], split).train(
             "two_stage",
             dataclasses.replace(cold_cfg, stage2_warm_start=True),
         )
@@ -486,15 +480,15 @@ class TestTwoStage:
             stage1=StagePlan(0.5, 0.05, "step", 2),
             stage2=StagePlan(0.1, 0.01, "linear", 1),
         )
-        ablation = run_ablation(datasets["train"], split, variant, config)
-        flagged = run_ablation(
-            datasets["train"], split, "two_stage", dataclasses.replace(config, **{flag: False})
+        ablation = Ablation(datasets["train"], split).train(variant, config)
+        flagged = Ablation(datasets["train"], split).train(
+            "two_stage", dataclasses.replace(config, **{flag: False})
         )
         for field in dataclasses.fields(ablation):
             assert np.array_equal(getattr(ablation, field.name), getattr(flagged, field.name))
 
 
-class TestRunAblation:
+class TestAblationTrain:
     def test_all_variants_run_and_are_deterministic(self):
         datasets, split = synthetic_split()
         config = TrainConfig(
@@ -505,8 +499,8 @@ class TestRunAblation:
             stage2=StagePlan(0.5, 0.05, "linear", 1),
         )
         for variant in VARIANTS:
-            a = run_ablation(datasets["train"], split, variant, config)
-            b = run_ablation(datasets["train"], split, variant, config)
+            a = Ablation(datasets["train"], split).train(variant, config)
+            b = Ablation(datasets["train"], split).train(variant, config)
             for field in dataclasses.fields(a):
                 assert np.array_equal(
                     getattr(a, field.name), getattr(b, field.name)
@@ -515,13 +509,13 @@ class TestRunAblation:
     def test_unknown_variant(self):
         datasets, split = synthetic_split()
         with pytest.raises(ValueError) as err:
-            run_ablation(datasets["train"], split, "mystery", TrainConfig())
+            Ablation(datasets["train"], split).train("mystery", TrainConfig())
         assert all(variant in str(err.value) for variant in VARIANTS)
 
     def test_two_stage_needs_split(self):
         datasets, _ = synthetic_split()
         with pytest.raises(EmptyHead):
-            run_ablation(datasets["train"], None, "two_stage", TrainConfig())
+            Ablation(datasets["train"], None).train("two_stage", TrainConfig())
 
     def test_focal_variant_differs_from_baseline(self):
         datasets, split = synthetic_split()
@@ -531,8 +525,8 @@ class TestRunAblation:
             embedding_dim=5,
             stage1=StagePlan(0.5, 0.05, "step", 2),
         )
-        base = run_ablation(datasets["train"], split, "baseline_plain", config)
-        focal = run_ablation(datasets["train"], split, "focal", config)
+        base = Ablation(datasets["train"], split).train("baseline_plain", config)
+        focal = Ablation(datasets["train"], split).train("focal", config)
         assert not np.array_equal(base.head_w, focal.head_w)
 
     def test_stage2_finetune_all_updates_backbone(self):
@@ -544,8 +538,8 @@ class TestRunAblation:
             stage1=StagePlan(0.5, 0.05, "step", 2),
             stage2=StagePlan(0.1, 0.01, "linear", 1),
         )
-        frozen = run_ablation(datasets["train"], split, "two_stage", config)
-        tuned = run_ablation(datasets["train"], split, "stage2_finetune_all", config)
+        frozen = Ablation(datasets["train"], split).train("two_stage", config)
+        tuned = Ablation(datasets["train"], split).train("stage2_finetune_all", config)
         assert not np.array_equal(frozen.w1, tuned.w1)
 
 
@@ -583,7 +577,7 @@ class TestSharedStage1:
                                    REFERENCE_FRACTIONS)["train"]
         split = count_split(train)
         for variant, config, params in zip(variants, configs, trained, strict=True):
-            alone = run_ablation(train, split, variant, config)
+            alone = Ablation(train, split).train(variant, config)
             for field in dataclasses.fields(alone):
                 assert np.array_equal(
                     getattr(params, field.name), getattr(alone, field.name)
@@ -599,7 +593,7 @@ class TestSharedStage1:
             stage2=StagePlan(0.5, 0.05, "linear", 2),
         )
         history: list = []
-        params = run_ablation(datasets["train"], split, "two_stage", config, history=history)
+        params = Ablation(datasets["train"], split).train("two_stage", config, history)
         assert [list(h) for h in history] == [["stage", "epoch", "loss", "lr"]] * 5
         assert [(h["stage"], h["epoch"]) for h in history] == [
             (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)
@@ -623,7 +617,7 @@ class TestSharedStage1:
         warm = dataclasses.replace(config, stage2_warm_start=True)
         kept = ablation.train("baseline_plain", config).copy()
         for variant in ("stage1_all", "two_stage"):
-            alone = run_ablation(datasets["train"], split, variant, warm)
+            alone = Ablation(datasets["train"], split).train(variant, warm)
             assert_same_weights(ablation.train(variant, warm), alone)
             assert_same_weights(ablation.train(variant, warm), alone)
         ablation.train("baseline_plain", config).head_w[:] = 0.0  # the caller's copy
