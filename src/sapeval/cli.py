@@ -367,7 +367,7 @@ def _read_json(path: str, what: str):
     naming the file, its line and ``what`` the file is."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # undecodable, or nested too deep
         raise ParseError(str(path), getattr(exc, "lineno", 0), f"{what}: {exc}") from None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -91,23 +91,26 @@ class FeatureDataset:
     """One split's examples as columns: row i of ``ids``, ``features``
     (n x d) and ``labels`` is example i, whose label tuple lists its
     generating (primary) category first. ``targets`` is the read-only
-    n x K multi-hot matrix of those labels, built once."""
+    n x K multi-hot matrix of those labels, built once (from ``pairs``,
+    their ``label_pairs``, when a reader hands them over)."""
 
     ids: np.ndarray
     features: np.ndarray
     labels: Sequence[tuple[int, ...]]
     split: str
     n_categories: int
+    pairs: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
     targets: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, pairs):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float64)
         if not len(self.ids) == len(self.features) == len(self.labels):
             raise ValueError("ids, features and labels must have one row per example")
         if not all(self.labels):
             raise ValueError("every example needs a label")
-        self.targets = multi_hot(label_pairs(self.labels), len(self.labels), self.n_categories)
+        pairs = label_pairs(self.labels) if pairs is None else pairs
+        self.targets = multi_hot(pairs, len(self.labels), self.n_categories)
         self.targets.flags.writeable = False
 
     def __len__(self) -> int:

@@ -248,7 +248,7 @@ def read_feature_dataset(path: str | Path, split: str,
     ids, labels, features, splits, error = _read_records(
         path, "features", "feature length differs from the first record's", "split"
     )
-    rows, cols = label_pairs(labels)
+    rows, cols = pairs = label_pairs(labels)
     limit = np.inf if n_categories is None else n_categories
     _raise_first(path, error, [
         (np.array([s != split for s in splits], dtype=bool),
@@ -262,7 +262,7 @@ def read_feature_dataset(path: str | Path, split: str,
     if not labels:
         raise ParseError(path, 0, "no feature records")
     k = n_categories if n_categories is not None else int(cols.max()) + 1
-    return FeatureDataset(ids, features, labels, split, k)
+    return FeatureDataset(ids, features, labels, split, k, pairs)
 
 
 def _json_numbers(values: list, what: str) -> list:
@@ -338,7 +338,7 @@ def _read_records(path: str, key: str, width_message: str, extra: str | None = N
                 continue
             try:
                 example_id, example_labels, row, value = _record(line, key, extra)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
             if example_id in seen:
                 raise ParseError(path, line_no, f"duplicate id {example_id}")
@@ -466,7 +466,7 @@ def read_category_ap(path: str | Path) -> dict[int, float]:
         _check_once([c for c, _ in pairs])
         aps = _finite_numbers([ap for _, ap in scored], "AP")
         return dict(zip([c for c, _ in scored], aps))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(str(path), getattr(exc, "lineno", 0), f"bad AP file: {exc!r}") from None
 
 
@@ -480,6 +480,6 @@ def read_split(path: str | Path) -> HeadTailSplit:
                       for side in ("head", "tail"))
         _check_once(head + tail)
         (threshold,) = _finite_numbers([payload.get("threshold", 0.0)], "threshold")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError too
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:  # JSONDecodeError too
         raise ParseError(str(path), getattr(exc, "lineno", 0), f"bad split: {exc!r}") from None
     return HeadTailSplit(frozenset(head), frozenset(tail), threshold)

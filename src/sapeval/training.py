@@ -2,8 +2,9 @@
 long-tail study.
 
 The model is a two-layer feature extractor (tanh between the layers)
-feeding a per-category logistic head. Gradients are written out by hand so
-they can be validated against finite differences.
+feeding a per-category logistic head. Training reads the head's logits
+(:func:`logit_loss`), so its loss does not cap at saturated logits. Gradients
+are written out by hand so they can be validated against finite differences.
 
 Every compared schema is one row of :data:`VARIANTS`, trained by
 :class:`Ablation`: the example set stage 1 trains on (all, head or
@@ -39,7 +40,7 @@ from .metrics import average_precision  # noqa: F401
 from .pools import EvalPool, pools_from_scores
 from .sampling import SapConfig, mix_seed, msap, sampled_ap
 
-#: Probabilities are kept this far from {0, 1} before any logarithm.
+#: The scores of :func:`forward` are kept this far from {0, 1}; training never clips.
 PROB_EPS = 1e-7
 #: Rows scored per forward pass in ``evaluate_model``.
 EVAL_BATCH_SIZE = 4096
@@ -201,56 +202,34 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return head_probabilities(params, embed(params, features))
 
 
-def _bce_terms(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry binary cross-entropy of probabilities already clipped to
-    [PROB_EPS, 1 - PROB_EPS], and its derivative in the probabilities."""
-    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p)), (p - y) / (p * (1.0 - p))
-
-
-def _focal_terms(
-    p: np.ndarray, y: np.ndarray, gamma: float
+def logit_loss(
+    z: np.ndarray, y: np.ndarray, loss: str, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_bce_terms` of the focusing loss."""
+    """Per-entry loss of head logits ``z`` against 0/1 targets ``y`` and its
+    derivative in ``z``, both from ``e = exp(-|z|)``, which cannot overflow.
+    ``bce`` is ``max(z, 0) - z*y + log1p(e)``, slope ``sigmoid(z) - y``.
+    ``focal`` is ``-(1 - p_t)^gamma * log p_t`` at the true label's logit
+    ``z_t = +-z``, with ``log p_t = -(max(-z_t, 0) + log1p(e))``, slope
+    ``+-(1 - p_t)^gamma * (gamma * p_t * log p_t - (1 - p_t))``."""
+    e = np.exp(-np.abs(z))
+    log1p_e = np.log1p(e)
+    if loss == "bce":
+        slope = np.where(z >= 0, 1.0, e)
+        slope /= 1.0 + e
+        slope -= y
+        return np.maximum(z, 0.0) - z * y + log1p_e, slope
+    if loss != "focal":
+        raise ValueError(f"unknown loss {loss!r}")
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    p_t = np.where(y > 0.5, p, 1.0 - p)
-    focus = (1.0 - p_t) ** gamma
-    dl_dpt = gamma * (1.0 - p_t) ** (gamma - 1.0) * np.log(p_t) - focus / p_t
-    return -focus * np.log(p_t), np.where(y > 0.5, dl_dpt, -dl_dpt)
-
-
-def head_gradient(
-    probabilities: np.ndarray,
-    targets: np.ndarray,
-    columns: np.ndarray | None,
-    loss: str,
-    gamma: float,
-) -> tuple[float, np.ndarray]:
-    """Loss over the given category columns (all when None; distinct
-    ``intp`` indices, as :func:`_mask_columns` returns them) and its
-    gradient with respect to the head logits, zero outside the columns.
-
-    ``probabilities`` come from :func:`head_probabilities`, already clipped.
-    """
-    if columns is None:
-        p_used, y_used = probabilities, targets
-    else:
-        p_used, y_used = probabilities[:, columns], targets[:, columns]
-    if loss == "bce":
-        entries, slope = _bce_terms(p_used, y_used)
-    elif loss == "focal":
-        entries, slope = _focal_terms(p_used, y_used, gamma)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-    # summed down the columns, the order np.mean reads a column gather in:
-    # the loss is tests/oracles.reference_loss of the gathered columns to the bit
-    value = float(np.asfortranarray(entries).sum() / entries.size)
-    dz_used = slope / entries.size * p_used * (1.0 - p_used)
-    if columns is None:
-        return value, dz_used
-    dz = np.zeros_like(probabilities)
-    dz[:, columns] = dz_used
-    return value, dz
+    sign = np.where(y > 0.5, 1.0, -1.0)
+    z_t = sign * z
+    right = z_t >= 0
+    p_t = np.where(right, 1.0, e) / (1.0 + e)
+    miss = np.where(right, e, 1.0) / (1.0 + e)  # 1 - p_t, without the cancellation
+    log_pt = -(np.maximum(-z_t, 0.0) + log1p_e)
+    focus = miss**gamma
+    return -focus * log_pt, sign * focus * (gamma * p_t * log_pt - miss)
 
 
 def _mask_columns(
@@ -286,10 +265,22 @@ def _head_backprop(
     gamma: float,
     columns: np.ndarray | None,
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """The loss of the head over ``embeddings``, its gradient with respect
-    to the head logits and the gradients of ``head_w`` and ``head_b``."""
-    value, dz = head_gradient(head_probabilities(params, embeddings), y, columns, loss, gamma)
-    return value, dz, {"head_w": dz.T @ embeddings, "head_b": dz.sum(axis=0)}
+    """The mean loss of the head's logits over the given category columns
+    (all when None; distinct ``intp`` indices, as :func:`_mask_columns`
+    returns them) against their targets ``y``, its gradient with respect to
+    ``embeddings`` and the gradients of ``head_w`` and ``head_b``, zero
+    outside the columns."""
+    head_w, head_b = params.head_w, params.head_b
+    if columns is not None:
+        head_w, head_b = head_w[columns], head_b[columns]
+    entries, slope = logit_loss(embeddings @ head_w.T + head_b, y, loss, gamma)
+    dz = slope / entries.size
+    grads = {"head_w": dz.T @ embeddings, "head_b": dz.sum(axis=0)}
+    if columns is not None:
+        for name, used in grads.items():
+            grads[name] = np.zeros_like(getattr(params, name))
+            grads[name][columns] = used
+    return float(entries.sum()) / entries.size, dz @ head_w, grads
 
 
 def _backprop(
@@ -301,14 +292,13 @@ def _backprop(
     columns: np.ndarray | None,
 ) -> tuple[float, ModelParams]:
     """Loss over a batch of 2-D float64 arrays plus analytic gradients for
-    all parameters. With ``columns`` (checked by :func:`_mask_columns`), the
-    loss averages over those categories only and every other category
-    receives an exactly zero gradient."""
+    all parameters. With ``columns`` (checked by :func:`_mask_columns`), ``y``
+    holds those categories' targets only, the loss averages over them and
+    every other category receives an exactly zero gradient."""
     hidden = np.tanh(features @ params.w1 + params.b1)
     embeddings = hidden @ params.w2 + params.b2
-    value, dz, head = _head_backprop(params, embeddings, y, loss, gamma, columns)
+    value, d_emb, head = _head_backprop(params, embeddings, y, loss, gamma, columns)
 
-    d_emb = dz @ params.head_w
     g_w2 = hidden.T @ d_emb
     g_b2 = d_emb.sum(axis=0)
     d_hidden = (d_emb @ params.w2.T) * (1.0 - hidden**2)
@@ -336,12 +326,18 @@ def sgd_train(
     only the linear head is updated.
     """
     features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets)  # a dataset's bool targets become float per batch
     if len(features) == 0:
         raise ValueError("training set is empty")
     columns = _mask_columns(category_mask, targets.shape[1])
+    if columns is not None:
+        targets = targets[:, columns]
     params = params.copy()
-    cached = embed(params, features) if head_only else None
+    inputs = embed(params, features) if head_only else features
+    # each epoch's rows are gathered once into the same buffers, so a batch is a
+    # contiguous slice; "clip" (a no-op on a permutation) spares np.take a temporary
+    shuffled_inputs = np.empty(inputs.shape)
+    shuffled_targets = np.empty(targets.shape, targets.dtype)
 
     n = len(features)
     batches = -(-n // batch_size)
@@ -349,18 +345,17 @@ def sgd_train(
     step = 0
     for epoch in range(plan.epochs):
         order = np.random.default_rng(mix_seed(seed, 101 + epoch)).permutation(n)
+        np.take(inputs, order, axis=0, out=shuffled_inputs, mode="clip")
+        np.take(targets, order, axis=0, out=shuffled_targets, mode="clip")
         epoch_loss = 0.0
         for b in range(batches):
-            rows = order[b * batch_size : (b + 1) * batch_size]
+            rows = slice(b * batch_size, (b + 1) * batch_size)
             lr = plan.learning_rate(step, total_steps)
+            x, y = shuffled_inputs[rows], shuffled_targets[rows].astype(np.float64)
             if head_only:
-                value, _, grads = _head_backprop(
-                    params, cached[rows], targets[rows], loss, gamma, columns
-                )
+                value, _, grads = _head_backprop(params, x, y, loss, gamma, columns)
             else:
-                value, grads = _backprop(
-                    params, features[rows], targets[rows], loss, gamma, columns
-                )
+                value, grads = _backprop(params, x, y, loss, gamma, columns)
                 grads = vars(grads)
             if not np.isfinite(value):
                 raise NonFiniteLoss(

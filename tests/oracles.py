@@ -460,11 +460,13 @@ def masked_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_loss(p: np.ndarray, y: np.ndarray, loss: str, gamma: float):
-    """Mean binary cross-entropy (``loss="bce"``) or focal loss of
-    probabilities ``p`` against 0/1 targets ``y``, averaged with
-    ``np.mean``, and its gradient with respect to the logits. ``p`` must
-    already lie in [PROB_EPS, 1 - PROB_EPS], as the model clips it."""
+def reference_loss(z: np.ndarray, y: np.ndarray, loss: str, gamma: float):
+    """Mean binary cross-entropy (``loss="bce"``) or focal loss of logits
+    ``z`` against 0/1 targets ``y``, averaged with ``np.mean``, and its
+    gradient with respect to the logits, worked in probability space from
+    ``p = masked_sigmoid(z)`` by the chain rule. Its rounding grows as p
+    nears 0 or 1, so it is a reference for unsaturated logits only."""
+    p = masked_sigmoid(z)
     if loss == "bce":
         entries = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
         slope = (p - y) / (p * (1.0 - p))

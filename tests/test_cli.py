@@ -40,6 +40,10 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+#: JSON nested deeper than json's decoders recurse: they raise RecursionError
+NESTED_TOO_DEEP = "[" * 200_000 + "]" * 200_000
+
+
 def digests(paths):
     return {p.name: sha256_file(p) for p in paths}
 
@@ -251,9 +255,10 @@ class TestSap:
             ('{"id": 100000000000000000000000, "labels": [1], "scores": [0.1, 0.5]}',
              "id 100000000000000000000000 outside int64"),
             ('{"id": 1, "labels": [1, 1], "scores": [0.1, 0.5]}', "repeated label in [1, 1]"),
+            (NESTED_TOO_DEEP, "bad record: maximum recursion depth exceeded"),
         ],
         ids=["float_label", "bool_label", "float_id", "string_id", "duplicate_id", "int64_id",
-             "repeated_label"],
+             "repeated_label", "nested_too_deep"],
     )
     def test_bad_prediction_id_or_label_is_parse_error_with_line(
         self, tmp_path, capsys, record, message
@@ -467,10 +472,12 @@ class TestSplit:
             ('{"0": 0.5, "1": Infinity}', "AP inf is not finite"),
             ('{"categories": [{"category": 0, "ap": -Infinity}, {"category": 1, "ap": 0.5}]}',
              "AP -inf is not finite"),
+            (NESTED_TOO_DEEP, "bad AP file: RecursionError("),
         ],
         ids=["float_category", "no_category", "no_ap", "float_key", "malformed_json",
              "bool_ap", "string_ap", "string_ap_in_report", "duplicate_category",
-             "duplicate_key", "nan_ap", "infinite_ap", "negative_infinite_ap_in_report"],
+             "duplicate_key", "nan_ap", "infinite_ap", "negative_infinite_ap_in_report",
+             "nested_too_deep"],
     )
     def test_bad_ap_file_is_parse_error(self, tmp_path, capsys, text, message):
         (tmp_path / "train.json").write_text('{"0": 0.9, "1": 0.2}')
@@ -670,9 +677,10 @@ class TestTrain:
             ('[0, 1]', "bad split"),
             ('{"head": [0, 1, 2],\n "tail": [3, 4, 5}', "split.json:2:"),
             ('{"head": [0, 1, 2], "tail": [2, 3, 4, 5]}', "category 2 listed twice"),
+            (NESTED_TOO_DEEP, "bad split: RecursionError("),
         ],
         ids=["no_tail", "float_category", "string_category", "list", "malformed_json",
-             "head_and_tail"],
+             "head_and_tail", "nested_too_deep"],
     )
     def test_bad_split_file_is_parse_error(self, synth_dir, tmp_path, capsys, text, message):
         split_file = tmp_path / "split.json"
@@ -756,8 +764,9 @@ class TestTrain:
 
 #: JSON inputs that do not parse, each with the line its error names:
 #: empty, cut off on its second line, and not UTF-8 (line 0).
-UNPARSEABLE_JSON = [(b"", 1), (b'{"categories": [\n', 2), (b'{"a": "\xff"}', 0)]
-UNPARSEABLE_JSON_IDS = ["empty", "truncated", "not_utf8"]
+UNPARSEABLE_JSON = [(b"", 1), (b'{"categories": [\n', 2), (b'{"a": "\xff"}', 0),
+                    (NESTED_TOO_DEEP.encode(), 0)]
+UNPARSEABLE_JSON_IDS = ["empty", "truncated", "not_utf8", "nested_too_deep"]
 
 
 class TestRerunDeterminism:
@@ -1189,7 +1198,7 @@ GOLDEN_OUTPUTS = {
          "--trials", "5"],
         {
             "metrics.json": "e6b75a3448aa64d0bf6ffb9457fc64418780b9ee202bb740a95e8ad87b85702e",
-            "checkpoint.json": "de528e1209f7df937c86d08c8126cddbae0353beec932d567dbb37db2ba46072",
+            "checkpoint.json": "a041cbef004fe52c6b1a92521597d7f7c6f05bff71863e8b1e947bd72c193b11",
         }),
     "train_naive_balanced": (
         ["train", "--data-dir", "{data}", "--out-dir", "{out}", "--variant", "naive_balanced",
@@ -1198,7 +1207,7 @@ GOLDEN_OUTPUTS = {
          "--trials", "3", "--min-examples", "3"],
         {
             "metrics.json": "8747c7a0e8fd2d77ffa706de0aaf91119a55ebbe81e0f8ce801a17ea3bc4ce5f",
-            "checkpoint.json": "72d33309b4dcecb176d8e5ef3f54b298467f4650a51dcc550a2815193d77630e",
+            "checkpoint.json": "78aa2551cd3816191b00740b5b28bf5d2b7a01b04c6c413d5bc51704003d7f25",
         }),
     "report": (
         ["report", "--metrics", "{metrics}", "--compare", "{compare}", "--counts", "{counts}",

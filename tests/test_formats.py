@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sapeval import formats
-from sapeval.datasets import ZipfSpec, synthesize_dataset
+from sapeval import datasets, formats
+from sapeval.datasets import ZipfSpec, label_pairs, synthesize_dataset
 from sapeval.errors import ParseError
 from sapeval.formats import (
     read_category_ap,
@@ -31,7 +31,7 @@ from conftest import (
     serialize_predictions,
 )
 from oracles import reference_read_detections, reference_read_ground_truth, reference_read_jsonl
-from test_cli import write_ava_fixture
+from test_cli import NESTED_TOO_DEEP, write_ava_fixture
 
 
 def gt_rows(columns):
@@ -493,6 +493,23 @@ class TestFeatureDatasetJsonl:
             read_feature_dataset(path, "train")
         assert err.value.line == 1
 
+    def test_labels_are_paired_once(self, tmp_path, monkeypatch):
+        # the reader's row checks and the dataset's targets share one pairing
+        calls = []
+
+        def counted(labels):
+            calls.append(len(labels))
+            return label_pairs(labels)
+
+        monkeypatch.setattr(formats, "label_pairs", counted)
+        monkeypatch.setattr(datasets, "label_pairs", counted)
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"id": 0, "split": "train", "labels": [1, 0], "features": [0.5]}\n'
+                        '{"id": 1, "split": "train", "labels": [2], "features": [0.25]}\n')
+        loaded = read_feature_dataset(path, "train")
+        assert calls == [2]
+        assert loaded.targets.tolist() == [[True, True, False], [False, False, True]]
+
 
 class TestPredictions:
     def test_round_trip(self, tmp_path):
@@ -852,6 +869,32 @@ class TestCategoryAp:
             '{"categories": [{"category": 1, "ap": 0.75}, {"category": 2, "ap": null}]}'
         )
         assert read_category_ap(path) == {1: 0.75}
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than json's decoders recurse is a ``ParseError``,
+    not the decoders' ``RecursionError``."""
+
+    @pytest.mark.parametrize("read", [read_split, read_category_ap])
+    def test_json_file(self, tmp_path, read):
+        path = tmp_path / "nested.json"
+        path.write_text(NESTED_TOO_DEEP)
+        with pytest.raises(ParseError, match=r"RecursionError\("):
+            read(path)
+
+    @pytest.mark.parametrize(
+        "read,first",
+        [(read_predictions, '{"id": 0, "labels": [0], "scores": [0.5]}'),
+         (lambda path: read_feature_dataset(path, "train"),
+          '{"id": 0, "split": "train", "labels": [0], "features": [0.5]}')],
+        ids=["predictions", "features"],
+    )
+    def test_json_lines_record(self, tmp_path, read, first):
+        path = tmp_path / "nested.jsonl"
+        path.write_text(f"{first}\n{NESTED_TOO_DEEP}\n")
+        with pytest.raises(ParseError, match="bad record: maximum recursion depth") as err:
+            read(path)
+        assert err.value.line == 2
 
 
 class TestSplit:

@@ -17,7 +17,7 @@ from sapeval.benchmark import (
 )
 from sapeval.datasets import HeadTailSplit, ZipfSpec, synthesize_dataset
 from sapeval.errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
-from sapeval.sampling import SapConfig
+from sapeval.sampling import SapConfig, mix_seed
 from sapeval.training import (
     VARIANTS,
     StagePlan,
@@ -25,13 +25,15 @@ from sapeval.training import (
     PROB_EPS,
     Ablation,
     _backprop,
+    _head_backprop,
     _mask_columns,
     _sigmoid,
     checkpoint_text,
+    embed,
     evaluate_model,
     forward,
-    head_gradient,
     init_params,
+    logit_loss,
     sgd_train,
 )
 
@@ -40,6 +42,8 @@ from oracles import load_checkpoint, masked_sigmoid, reference_loss
 
 def finite_difference_grads(params, x, y, loss, gamma, mask, step=1e-5):
     columns = _mask_columns(mask, y.shape[1])
+    if columns is not None:
+        y = y[:, columns]
     grads = {}
     for field in dataclasses.fields(params):
         arr = getattr(params, field.name)
@@ -120,11 +124,22 @@ class TestForward:
             )
 
 
-def head_loss(p, y, loss="bce", gamma=0.0):
-    """``head_gradient`` over every column of probabilities clipped as
-    ``head_probabilities`` clips them."""
+def logit(p):
+    """The logits of probabilities ``p`` clipped to [PROB_EPS, 1 - PROB_EPS]."""
     p = np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    return head_gradient(p, np.asarray(y, dtype=np.float64), None, loss, gamma)
+    return np.log(p) - np.log1p(-p)
+
+
+def mean_loss(z, y, loss="bce", gamma=0.0):
+    """The mean of ``logit_loss`` over every entry, and its gradient in ``z``."""
+    entries, slope = logit_loss(np.asarray(z, dtype=np.float64),
+                                np.asarray(y, dtype=np.float64), loss, gamma)
+    return float(np.mean(entries)), slope / entries.size
+
+
+def head_loss(p, y, loss="bce", gamma=0.0):
+    """``mean_loss`` at the logits of probabilities ``p``."""
+    return mean_loss(logit(p), y, loss, gamma)
 
 
 class TestLosses:
@@ -163,31 +178,96 @@ class TestLosses:
         with pytest.raises(ValueError):
             head_loss([[0.5]], [[1.0]], "focal", -1.0)
 
+    def test_unknown_loss(self):
+        with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+            head_loss([[0.5]], [[1.0]], "hinge")
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(1, 200),
         st.integers(1, 25),
         st.integers(0, 2**32 - 1),
         st.sampled_from(["bce", "focal"]),
+        st.sampled_from([0.0, 0.7, 1.5, 2.0]),
+    )
+    def test_matches_the_probability_space_reference(self, batch, n_categories, seed, loss,
+                                                     gamma):
+        # unsaturated logits, where the reference's own rounding stays far
+        # below the bound: it works through p and 1 - p
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-6.0, 6.0, size=(batch, n_categories))
+        y = (rng.random((batch, n_categories)) < 0.3).astype(float)
+        value, dz = mean_loss(z, y, loss, gamma)
+        ref_value, ref_dz = reference_loss(z, y, loss, gamma)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(dz, ref_dz, rtol=1e-12, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["bce", "focal"]),
         st.booleans(),
     )
-    def test_head_gradient_is_bitwise_the_loss_of_the_column_gather(
-        self, batch, n_categories, seed, loss, masked
-    ):
+    def test_head_backprop_matches_the_reference(self, batch, n_categories, seed, loss,
+                                                 masked):
+        # the loss of the used columns' logits only, and head gradients
+        # that are the reference's logit gradient carried through the head
         rng = np.random.default_rng(seed)
         params = init_params(3, 4, 5, n_categories, seed=seed % 1000)
-        p = forward(params, rng.normal(size=(batch, 3)))
+        params.head_w *= 0.5
+        embeddings = rng.normal(size=(batch, 5))
         y = (rng.random((batch, n_categories)) < 0.3).astype(float)
-        columns = np.flatnonzero(rng.random(n_categories) < 0.5) if masked else None
+        columns = _mask_columns(
+            sorted({int(c) for c in rng.integers(0, n_categories, size=n_categories)}),
+            n_categories) if masked else None
         used = np.arange(n_categories) if columns is None else columns
-        if not len(used):
-            return
-        value, dz_used = reference_loss(p[:, used], y[:, used], loss, 1.5)
-        dz = np.zeros_like(p)
-        dz[:, used] = dz_used
-        got_value, got_dz = head_gradient(p, y, columns, loss, 1.5)
-        assert got_value == value
-        assert np.array_equal(got_dz, dz)
+        z = embeddings @ params.head_w[used].T + params.head_b[used]
+        ref_value, ref_dz = reference_loss(z, y[:, used], loss, 1.5)
+
+        value, d_emb, grads = _head_backprop(params, embeddings, y[:, used], loss, 1.5,
+                                             columns)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+        # each gradient is a sum of products, so its rounding bound scales
+        # with the sum of their magnitudes
+        for got, ref, bound in [
+            (grads["head_w"][used], ref_dz.T @ embeddings, np.abs(ref_dz).T @ np.abs(embeddings)),
+            (grads["head_b"][used], ref_dz.sum(axis=0), np.abs(ref_dz).sum(axis=0)),
+            (d_emb, ref_dz @ params.head_w[used], np.abs(ref_dz) @ np.abs(params.head_w[used])),
+        ]:
+            assert np.all(np.abs(got - ref) <= 1e-12 * bound)
+        unused = np.setdiff1d(np.arange(n_categories), used)
+        assert np.all(grads["head_w"][unused] == 0.0)
+        assert np.all(grads["head_b"][unused] == 0.0)
+
+    @pytest.mark.parametrize("loss", ["bce", "focal"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_saturated_logits_stay_finite(self, loss, gamma):
+        z = np.array([[-1e3, -745.2, -40.0, 0.0, 40.0, 745.2, 1e3]] * 2)
+        y = np.array([[1.0] * 7, [0.0] * 7])
+        entries, slope = logit_loss(z, y, loss, gamma)
+        assert np.all(np.isfinite(entries)) and np.all(np.isfinite(slope))
+        assert np.all(entries >= 0.0)
+        # a confident wrong logit costs |z|: no cap where a clipped
+        # probability used to stop the loss at -log(PROB_EPS)
+        assert entries[0, 0] == entries[1, -1] == 1e3
+        assert slope[0, 0] == -1.0 and slope[1, -1] == 1.0
+
+    def test_bce_is_softplus(self):
+        # y = 1 costs softplus(-z) and y = 0 softplus(z), log(1 + e^v) in
+        # closed form, at every magnitude up to 1e3
+        z = np.concatenate([-np.logspace(-3, 3, 60), [0.0], np.logspace(-3, 3, 60)])
+        entries, slope = logit_loss(np.stack([z, z]), np.stack([np.ones_like(z), np.zeros_like(z)]),
+                                    "bce", 0.0)
+        softplus = lambda v: np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+        np.testing.assert_allclose(entries[0], softplus(-z), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(entries[1], np.logaddexp(0.0, z), rtol=1e-15, atol=0)
+        assert entries[1, -1] == 1e3 and entries[0, -1] == 0.0
+        assert entries[0, 60] == entries[1, 60] == math.log(2)
+        np.testing.assert_allclose(slope[1], masked_sigmoid(z), rtol=1e-15, atol=0)
+        # sigmoid(z) - 1 keeps sigmoid(z)'s absolute rounding, within an ulp of 1
+        np.testing.assert_allclose(slope[0], -masked_sigmoid(-z), rtol=0, atol=2**-52)
 
 
 class TestGradients:
@@ -208,7 +288,7 @@ class TestGradients:
         for seed in range(100):
             params, x, y = tiny_problem(seed=seed, n=3, dims=(3, 4, 3, 4))
             mask = [0, 2]
-            _, grads = _backprop(params, x, y, "bce", 2.0, _mask_columns(mask, 4))
+            _, grads = _backprop(params, x, y[:, mask], "bce", 2.0, _mask_columns(mask, 4))
             fd = finite_difference_grads(params, x, y, "bce", 2.0, mask)
             for name, grad in fd.items():
                 analytic = getattr(grads, name)
@@ -336,6 +416,39 @@ class TestSgdTrain:
         assert np.array_equal(head_only.w1, params.w1)
         assert np.array_equal(head_only.w2, params.w2)
         assert not np.array_equal(head_only.head_w, params.head_w)
+
+    @pytest.mark.parametrize("loss", ["bce", "focal"])
+    @pytest.mark.parametrize("masked,head_only", [(False, False), (True, False), (False, True)])
+    def test_epoch_gather_matches_indexing_each_batch(self, loss, masked, head_only):
+        # the shuffled rows are gathered once per epoch (the targets in their
+        # own dtype); stepping on rows indexed batch by batch gives the same bits
+        datasets, split = synthetic_split()
+        train = datasets["train"]
+        x, y = train.features, train.targets
+        params = init_params(8, 12, 6, train.n_categories, seed=3)
+        plan, batch_size, seed = StagePlan(0.5, 0.05, "step", 3), 16, 12
+        mask = sorted(split.head) if masked else None
+        trained = sgd_train(params, x, y, plan, batch_size=batch_size, seed=seed,
+                            category_mask=mask, head_only=head_only, loss=loss, gamma=1.5)
+
+        columns = _mask_columns(mask, y.shape[1])
+        y = y.astype(np.float64) if columns is None else y[:, columns].astype(np.float64)
+        expected = params.copy()
+        cached = embed(expected, x)
+        batches = -(-len(x) // batch_size)
+        for step in range(plan.epochs * batches):
+            epoch, b = divmod(step, batches)
+            order = np.random.default_rng(mix_seed(seed, 101 + epoch)).permutation(len(x))
+            rows = order[b * batch_size : (b + 1) * batch_size]
+            if head_only:
+                grads = _head_backprop(expected, cached[rows], y[rows], loss, 1.5, columns)[2]
+            else:
+                grads = vars(_backprop(expected, x[rows], y[rows], loss, 1.5, columns)[1])
+            for name, grad in grads.items():
+                weights = getattr(expected, name)
+                weights -= plan.learning_rate(step, plan.epochs * batches) * grad
+        for field in dataclasses.fields(trained):
+            assert np.array_equal(getattr(trained, field.name), getattr(expected, field.name))
 
     def test_nonfinite_loss_aborts(self):
         x = np.ones((4, 3))
