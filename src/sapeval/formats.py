@@ -7,11 +7,15 @@ Ground-truth CSV (UTF-8, no header), one row per (box, label) pair::
 Rows sharing (video_id, timestamp, x1, y1, x2, y2) merge into one
 multi-label box. Detection CSV adds a trailing ``score`` column. numpy's
 C parser reads both, into ``GroundTruthColumns`` and
-``DetectionColumns``, and the rows are checked as arrays. A file the C
-parser rejects, or whose rows fail that check, is read again line by line
-with Python's ``int`` and ``float``: that reader raises the first bad
-line's error, or reads a valid file the C parser cannot (``1_0``,
-non-ASCII digits, whitespace-only lines). Coordinates and scores are
+``DetectionColumns``, ``CHUNK`` lines per call: each chunk's structured
+rows are checked as arrays and written into columns sized from the line
+count, then dropped, so that no copy of the whole file's rows exists. A
+file the C parser rejects, or whose rows fail that check, is parsed once
+more with its whitespace-only lines dropped, then, if it fails again,
+read line by line with Python's ``int`` and ``float``: that reader raises
+the first bad line's error, so every error and line number comes from
+it, or reads a valid file the C parser cannot (``1_0``, non-ASCII
+digits). Coordinates and scores are
 written as 6-decimal fixed point and quantized to that grid on read, so
 parse -> serialize -> parse is the identity. Timestamps and category ids
 must fit in int64. In every line-based file, invalid UTF-8 is a parse
@@ -97,6 +101,9 @@ _BOX_ROWS = {7: np.dtype(_BOX_FIELDS), 8: np.dtype([*_BOX_FIELDS, ("score", "f8"
 #: the controls the C parser strips around a number as whitespace, and
 #: ``int`` and ``float`` do not
 _C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: lines per ``np.loadtxt`` call: one chunk's structured rows, 64 bytes a
+#: row, are the only copy of the data a box CSV read holds beside its columns
+CHUNK = 1 << 14
 
 
 def _read_box_csv(path: str, n_fields: int):
@@ -105,29 +112,45 @@ def _read_box_csv(path: str, n_fields: int):
     order of first appearance, each row's index into them, the (n, 4)
     corners, the categories, and the scores (None for ground truth).
 
-    numpy's C parser reads the file into structured rows, the video ids
-    turned into codes as it goes. If it fails, or its rows fail
-    ``_checked_columns``, the file is read line by line by
-    ``_check_box_row``: that raises the first bad line's ``ParseError``,
-    or returns the rows of a valid file the C parser rejects (``1_0``,
-    non-ASCII digits, whitespace-only lines)."""
-    videos = _Codes()
-    try:
-        if _holds_c_only_space(path):
-            raise ValueError("control characters the C parser would strip")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty file warns
-            rows = np.loadtxt(path, _BOX_ROWS[n_fields], delimiter=",", comments=None,
-                              encoding="utf-8", ndmin=1, converters={0: videos.__getitem__})
-        return _checked_columns(rows, videos)
-    except (ValueError, OverflowError, Warning):  # UnicodeDecodeError too
-        videos = _Codes()
-        rows = []
-        for line_no, line in _lines(path):
-            if line.strip():
-                video, *row = _check_box_row(path, line_no, line, n_fields)
-                rows.append((videos[video], *row))
-        return _checked_columns(np.array(rows, _BOX_ROWS[n_fields]), videos)
+    numpy's C parser reads the file ``CHUNK`` lines at a time into
+    structured rows, the video ids turned into codes as it goes; each
+    chunk is checked and written into columns sized from the line count,
+    then dropped. If a chunk fails, the C parser reads the file once more
+    with its whitespace-only lines dropped; if that fails too, the file is
+    read line by line by ``_check_box_row``: that raises the first bad
+    line's ``ParseError``, or returns the rows of a valid file the C
+    parser rejects (``1_0``, non-ASCII digits)."""
+    n_lines, c_only_space = _byte_pass(path)
+    if not c_only_space:
+        for drop_blank in (False, True):
+            try:
+                return _parsed_columns(path, n_fields, n_lines, drop_blank)
+            except (ValueError, OverflowError):  # UnicodeDecodeError too
+                pass
+    videos, rows = _Codes(), []
+    for line_no, line in _lines(path):
+        if line.strip():
+            video, *row = _check_box_row(path, line_no, line, n_fields)
+            rows.append((videos[video], *row))
+    columns = _BoxColumns(len(rows), n_fields)
+    columns.add(np.array(rows, _BOX_ROWS[n_fields]))
+    return columns.finish(videos)
+
+
+def _parsed_columns(path: str, n_fields: int, n_lines: int, drop_blank: bool):
+    """``_read_box_csv``'s columns as the C parser reads them, ``CHUNK``
+    lines per call, whitespace-only lines dropped first if
+    ``drop_blank``; ``ValueError`` for a file it or
+    ``_BoxColumns.add`` rejects."""
+    videos, columns = _Codes(), _BoxColumns(n_lines, n_fields)
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a chunk of empty lines holds no data
+        lines = (line for line in fh if not line.isspace()) if drop_blank else fh
+        for line in lines:
+            chunk = itertools.chain((line,), itertools.islice(lines, CHUNK - 1))
+            columns.add(np.loadtxt(chunk, _BOX_ROWS[n_fields], delimiter=",", comments=None,
+                                   ndmin=1, converters={0: videos.__getitem__}))
+    return columns.finish(videos)
 
 
 class _Codes(dict):
@@ -139,63 +162,115 @@ class _Codes(dict):
         return code
 
 
-def _holds_c_only_space(path: str) -> bool:
-    """Whether the file holds a byte of ``_C_ONLY_SPACE``, read in chunks."""
+def _byte_pass(path: str) -> tuple[int, bool]:
+    """The number of lines ``_lines`` yields (lines end at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``, and a last line needs no end), and whether
+    the file holds a byte of ``_C_ONLY_SPACE``, read in 256 KiB blocks."""
+    count, last, c_only_space = 0, b"", False
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if any(control in chunk for control in _C_ONLY_SPACE):
-                return True
-    return False
+        while block := fh.read(1 << 18):
+            count += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            if b"\r" in block:
+                count += block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):
+                count -= 1  # a "\r\n" split between two blocks
+            c_only_space = c_only_space or any(control in block for control in _C_ONLY_SPACE)
+            last = block[-1:]
+    return count + (last not in (b"", b"\n", b"\r")), c_only_space
 
 
-def _checked_columns(rows: np.ndarray, videos: dict[str, int]):
-    """``_read_box_csv``'s columns of structured rows whose videos are
-    codes into ``videos``, corners and scores quantized. ``ValueError``
-    for an empty video id, a bad box or a score outside [0, 1]. Every
-    column is a copy, so that the rows can go."""
-    if "" in videos:
-        raise ValueError("empty video_id")
-    boxes = _quantized(rows["box"])
-    score = _quantized(rows["score"]) if "score" in rows.dtype.names else None
-    x1, y1, x2, y2 = boxes.T
-    valid = (0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
-    if score is not None:
-        valid &= (0.0 <= score) & (score <= 1.0)
-    if not valid.all():
-        raise ValueError("invalid box corners or score")
-    # one frame per (video_id, timestamp) value: "7" and "07" are one frame
-    first, frame = _first_appearance(rows["video"], rows["timestamp"])
-    names = list(videos)
-    frames = tuple(zip([names[v] for v in rows["video"][first].tolist()],
-                       rows["timestamp"][first].tolist()))
-    return frames, frame, boxes, rows["category"].copy(), score
+def _line_count(path: str) -> int:
+    """The number of lines ``_lines`` yields."""
+    return _byte_pass(path)[0]
 
 
-def _quantized(values: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of ``values``, each one as ``round(value, 6)``."""
-    values = np.array(values, dtype=np.float64, order="C")
-    flat = values.reshape(-1)
+class _BoxColumns:
+    """The columns of a box CSV, sized for ``n_rows`` rows and written one
+    chunk of structured rows at a time, corners and scores quantized."""
+
+    def __init__(self, n_rows: int, n_fields: int):
+        self.n = 0
+        self.video, self.timestamp, self.category = (np.empty(n_rows, np.int64) for _ in range(3))
+        self.boxes = np.empty((n_rows, 4))
+        self.score = np.empty(n_rows) if n_fields == 8 else None
+
+    def add(self, rows: np.ndarray) -> None:
+        """Write ``rows`` after the rows so far; ``ValueError`` for a bad
+        box or a score outside [0, 1]."""
+        part = slice(self.n, self.n + len(rows))
+        self.n = part.stop
+        for name in ("video", "timestamp", "category"):
+            getattr(self, name)[part] = rows[name]
+        boxes = self.boxes[part]
+        boxes[:] = rows["box"]
+        _quantize(boxes.reshape(-1))
+        x1, y1, x2, y2 = boxes.T
+        valid = (0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
+        if self.score is not None:
+            score = self.score[part]
+            score[:] = rows["score"]
+            _quantize(score)
+            valid &= (0.0 <= score) & (score <= 1.0)
+        if not valid.all():
+            raise ValueError("invalid box corners or score")
+
+    def finish(self, videos: dict[str, int]):
+        """``_read_box_csv``'s result for the rows written, whose videos
+        are codes into ``videos``; ``ValueError`` for an empty video id."""
+        if "" in videos:
+            raise ValueError("empty video_id")
+        n, names = self.n, list(videos)
+        video, stamp = self.video[:n], self.timestamp[:n]
+        low = int(stamp.min(initial=0))
+        span = int(stamp.max(initial=0)) - low + 1
+        # one frame per (video_id, timestamp) value: "7" and "07" are one frame
+        if len(names) * span < 2**63:
+            # each frame as one int64 key, written over the video codes: one
+            # sort, and the timestamps go before it
+            key = video
+            key *= span
+            stamp -= low
+            key += stamp
+            self.video = self.timestamp = video = stamp = None
+            first, frame = _first_appearance(key)
+            frames = tuple((names[k // span], k % span + low) for k in key[first].tolist())
+        else:
+            first, frame = _first_appearance(video, stamp)
+            frames = tuple(zip([names[v] for v in video[first].tolist()],
+                               stamp[first].tolist()))
+        score = None if self.score is None else self.score[:n]
+        return frames, frame, self.boxes[:n], self.category[:n], score
+
+
+def _quantize(values: np.ndarray) -> None:
+    """Set each value of the 1-D ``values`` to ``round(value, 6)``."""
     # a float np.round leaves unchanged is one round(value, 6) leaves
     # unchanged; only values with more than 6 decimals go through round
     with np.errstate(over="ignore", invalid="ignore"):
-        off_grid = np.flatnonzero(np.round(flat, 6) != flat)
-    flat[off_grid] = [_q6(v) for v in flat[off_grid].tolist()]
-    return values
+        off_grid = np.flatnonzero(np.round(values, 6) != values)
+    values[off_grid] = [_q6(v) for v in values[off_grid].tolist()]
 
 
 def _first_appearance(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows grouped by equal values in every key column: each group's
     first row, ascending, and each row's group, groups numbered in order
     of first appearance."""
-    order = np.lexsort(keys[::-1])  # stable: each run of equal keys starts at its first row
+    # runs of equal keys, each group's rows in any order: one key needs no
+    # stable sort, whose runs would start at their first rows
+    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
     starts = np.zeros(len(order), dtype=bool)
     starts[:1] = True
     for key in keys:
         ranked = key[order]
         starts[1:] |= ranked[1:] != ranked[:-1]
-    first = np.sort(order[starts])
+        del ranked
+    firsts = np.minimum.reduceat(order, np.flatnonzero(starts))  # each run's first row
+    first = np.sort(firsts)
+    run = np.cumsum(starts)
+    run -= 1
+    run = np.searchsorted(first, firsts)[run]  # each sorted row's group
     group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.searchsorted(first, order[starts])[np.cumsum(starts) - 1]
+    group[order] = run
     return first, group
 
 
@@ -388,21 +463,6 @@ def _record(line: str, key: str, extra: str | None):
             raise ValueError("not a JSON object") from None
     return (_json_int(record["id"], "id"), tuple(_json_int(c, "label") for c in record["labels"]),
             _json_numbers(record[key], key[:-1]), record[extra] if extra else None)
-
-
-def _line_count(path: str) -> int:
-    """The number of lines ``_lines`` yields: lines end at ``\\n``,
-    ``\\r\\n`` or a lone ``\\r``, and a last line needs no end."""
-    count, last = 0, b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            count += chunk.count(b"\n")
-            if returns := chunk.count(b"\r"):
-                count += returns - chunk.count(b"\r\n")
-            if last == b"\r" and chunk.startswith(b"\n"):
-                count -= 1  # a "\r\n" split between two chunks
-            last = chunk[-1:]
-    return count + (last not in (b"", b"\n", b"\r"))
 
 
 def _raise_first(path: str, error: ParseError | None, checks: list) -> None:

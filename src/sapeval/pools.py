@@ -35,6 +35,9 @@ from .errors import UnknownCategory
 #: Sentinel score for ground-truth boxes no detection claimed; ranks below
 #: every real detection score.
 UNDETECTED_SCORE = -1.0
+#: detections per block of ``FrameIndex.iou``: the gather of their frames'
+#: corners and ``paired_iou``'s temporaries are this many rows long
+_IOU_BLOCK = 1 << 13
 
 
 class ExampleOrigin(IntEnum):
@@ -94,9 +97,13 @@ class FrameIndex:
     boxes are sorted by (frame, instance id), the pool's order, and laid
     out in a padded (frame, slot) table. Detections are sorted by
     (category, frame, descending score, corners), stably, in two sorts
-    (``_detection_order``, the pattern of ``metrics.rank_order``), and
-    ``iou`` holds each one's IoU with every slot of its own frame (0 for
-    padding).
+    (``_detection_order``, the pattern of ``metrics.rank_order``): ``order``
+    holds each one's row in the detection columns, and ``category``,
+    ``frame`` and ``score`` are reordered copies. The corners, four times
+    as wide and read only through ``order``, are not copied: ``boxes`` is
+    the detection columns' own array. ``iou`` holds each detection's IoU
+    with every slot of its own frame (0 for padding), built ``_IOU_BLOCK``
+    detections at a time, so that no temporary is as long as the input.
     """
 
     def __init__(
@@ -123,13 +130,16 @@ class FrameIndex:
         corners = np.zeros((*self.at.shape, 4))
         corners[box_frame, slot] = gt.boxes[order]
 
-        det_frame = np.array([number[key] for key in dets.frames], dtype=np.int64)[dets.frame]
-        order = _detection_order(dets.category, det_frame, dets.score, dets.boxes)
-        self.category, self.frame = dets.category[order], det_frame[order]
-        self.score, self.boxes = dets.score[order], dets.boxes[order]
-        self.iou = np.zeros((len(order), self.at.shape[1]))
-        for s in range(self.at.shape[1]):
-            self.iou[:, s] = paired_iou(self.boxes, corners[self.frame, s])
+        frame = np.array([number[key] for key in dets.frames], dtype=np.int64)[dets.frame]
+        self.order = _detection_order(dets.category, frame, dets.score, dets.boxes)
+        self.category, self.frame = dets.category[self.order], frame[self.order]
+        self.score, self.boxes = dets.score[self.order], dets.boxes
+        del frame
+        self.iou = np.empty((len(self.order), self.at.shape[1]))
+        for start in range(0, len(self.order), _IOU_BLOCK):
+            rows = slice(start, start + _IOU_BLOCK)
+            self.iou[rows] = paired_iou(self.boxes[self.order[rows], None],
+                                        corners[self.frame[rows]])
 
     def _rows(self, category: int) -> slice:
         return slice(np.searchsorted(self.category, category),
@@ -156,7 +166,8 @@ class FrameIndex:
         # background: unclaimed and overlapping no box at the threshold,
         # sorted by (frame, score, corners)
         stray = np.flatnonzero(~hit & (self.iou[rows] < self.iou_threshold).all(axis=1))
-        stray = stray[np.lexsort((*self.boxes[rows][stray].T[::-1], score[stray], frame[stray]))]
+        corners = self.boxes[self.order[rows][stray]]
+        stray = stray[np.lexsort((*corners.T[::-1], score[stray], frame[stray]))]
         first_id, n = self.ids.max(initial=-1) + 1, len(stray)
         return EvalPool(
             category,

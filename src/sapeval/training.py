@@ -264,11 +264,13 @@ def _head_backprop(
     loss: str,
     gamma: float,
     columns: np.ndarray | None,
-) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+    embedding_grad: bool = False,
+) -> tuple[float, np.ndarray | None, dict[str, np.ndarray]]:
     """The mean loss of the head's logits over the given category columns
     (all when None; distinct ``intp`` indices, as :func:`_mask_columns`
     returns them) against their targets ``y``, its gradient with respect to
-    ``embeddings`` and the gradients of ``head_w`` and ``head_b``, zero
+    ``embeddings`` if ``embedding_grad`` (else None: a head-only step has no
+    use for it) and the gradients of ``head_w`` and ``head_b``, zero
     outside the columns."""
     head_w, head_b = params.head_w, params.head_b
     if columns is not None:
@@ -280,7 +282,8 @@ def _head_backprop(
         for name, used in grads.items():
             grads[name] = np.zeros_like(getattr(params, name))
             grads[name][columns] = used
-    return float(entries.sum()) / entries.size, dz @ head_w, grads
+    d_emb = dz @ head_w if embedding_grad else None
+    return float(entries.sum()) / entries.size, d_emb, grads
 
 
 def _backprop(
@@ -297,7 +300,8 @@ def _backprop(
     every other category receives an exactly zero gradient."""
     hidden = np.tanh(features @ params.w1 + params.b1)
     embeddings = hidden @ params.w2 + params.b2
-    value, d_emb, head = _head_backprop(params, embeddings, y, loss, gamma, columns)
+    value, d_emb, head = _head_backprop(params, embeddings, y, loss, gamma, columns,
+                                        embedding_grad=True)
 
     g_w2 = hidden.T @ d_emb
     g_b2 = d_emb.sum(axis=0)

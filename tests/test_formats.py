@@ -19,7 +19,7 @@ from sapeval.formats import (
     read_split,
     serialize_feature_dataset,
 )
-from sapeval.pools import pools_from_scores
+from sapeval.pools import FrameIndex, pools_from_scores
 
 from conftest import (
     MICRO_DET,
@@ -401,6 +401,91 @@ class TestFastPaths:
         assert exact(gt_rows(read_ground_truth_csv(gt))) == expected[0]
         assert rows_of(read_detections_csv(det)) == expected[1]
 
+    def test_whitespace_only_lines_need_no_line_reader(self, tmp_path, monkeypatch):
+        """The C parser reads a file again with its whitespace-only lines
+        dropped before the line reader is tried."""
+        gt, det = write_ava_fixture(tmp_path)
+        for path in (gt, det):
+            lines = path.read_text().splitlines(keepends=True)
+            lines[len(lines) // 2:len(lines) // 2] = ["  \n", "\t\n"]
+            path.write_text("".join(lines) + " \n")
+        expected = (exact(reference_read_ground_truth(gt)), reference_read_detections(det))
+        calls = []
+        check_box_row = formats._check_box_row
+        monkeypatch.setattr(formats, "_check_box_row",
+                            lambda *args: calls.append(args) or check_box_row(*args))
+        assert exact(gt_rows(read_ground_truth_csv(gt))) == expected[0]
+        assert rows_of(read_detections_csv(det)) == expected[1]
+        assert calls == []
+
+
+def box_csv_lines(n, n_fields=8, seed=0):
+    """``n`` valid random box CSV lines, detections or (7 fields) ground
+    truth, over 40 videos x 50 timestamps, in 6-decimal fixed point."""
+    rng = np.random.default_rng(seed)
+    x1, y1 = rng.integers(0, 500_000, (2, n))
+    x2, y2 = x1 + rng.integers(1, 500_000, n), y1 + rng.integers(1, 500_000, n)
+    video, stamp, category = rng.integers(0, 40, n), rng.integers(0, 50, n), rng.integers(0, 20, n)
+    score = [f",0.{s:06d}" for s in rng.integers(0, 10**6, n).tolist()] if n_fields == 8 else [""] * n
+    return [f"vid{v},{t},0.{a:06d},0.{b:06d},0.{c:06d},0.{d:06d},{k}{s}\n"
+            for v, t, a, b, c, d, k, s in zip(video.tolist(), stamp.tolist(), x1.tolist(),
+                                                y1.tolist(), x2.tolist(), y2.tolist(),
+                                                category.tolist(), score)]
+
+
+#: each box CSV reader, its reference, and how to compare their rows
+BOX_READERS = {
+    "detections": (8, read_detections_csv, reference_read_detections, rows_of),
+    "ground_truth": (7, read_ground_truth_csv, lambda path: exact(reference_read_ground_truth(path)),
+                     lambda columns: exact(gt_rows(columns))),
+}
+
+
+class TestBoxCsvChunks:
+    """The C parser reads ``formats.CHUNK`` lines per call: files around a
+    chunk's edge, and rows whose frame or error lies past the first chunk,
+    read as the reference does."""
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_files_around_a_chunk(self, tmp_path, monkeypatch, kind, offset):
+        n_fields, read, reference, rows = BOX_READERS[kind]
+        path = tmp_path / "boxes.csv"
+        path.write_text("".join(box_csv_lines(formats.CHUNK + offset, n_fields)))
+        expected = reference(path)
+        calls = []
+        monkeypatch.setattr(formats, "_check_box_row", lambda *args: calls.append(args))
+        assert rows(read(path)) == expected
+        assert calls == []  # the C parser read it all
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    def test_video_first_seen_in_the_last_chunk(self, tmp_path, kind):
+        n_fields, read, reference, rows = BOX_READERS[kind]
+        lines = box_csv_lines(2 * formats.CHUNK + 3, n_fields)
+        lines[-2] = "late" + lines[-2][lines[-2].index(","):]
+        path = tmp_path / "boxes.csv"
+        path.write_text("".join(lines))
+        columns = read(path)
+        assert columns.frames[-1][0] == "late"
+        assert rows(columns) == reference(path)
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    @pytest.mark.parametrize("bad", ["x", "1.5"], ids=["number", "corner"])
+    def test_bad_row_in_the_second_chunk(self, tmp_path, kind, bad):
+        n_fields, read, reference, _ = BOX_READERS[kind]
+        lines = box_csv_lines(2 * formats.CHUNK, n_fields)
+        fields = lines[formats.CHUNK + 7].split(",")
+        fields[4] = bad
+        lines[formats.CHUNK + 7] = ",".join(fields)
+        path = tmp_path / "boxes.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as expected:
+            reference(path)
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert expected.value.line == formats.CHUNK + 8
+        assert (err.value.line, str(err.value)) == (expected.value.line, str(expected.value))
+
 
 class TestInvalidUtf8:
     @pytest.mark.parametrize("read,good", [
@@ -730,7 +815,8 @@ def read_as_reference(path):
 
 class TestJsonlReaderBoundaries:
     """The predictions matrix has one row per line from the first record
-    on, counted by ``_line_count`` in 1 MiB chunks."""
+    on, counted by ``_line_count`` in blocks: 1 MiB is a whole number of
+    them, so these files end before, on and past a block's edge."""
 
     CHUNK = 1 << 20
 
@@ -855,6 +941,51 @@ class TestPredictionsMemory:
             assert np.shares_memory(pool.scores, scores)
             assert np.shares_memory(pool.is_positive, targets)
             assert np.array_equal(pool.scores, scores[:, c])
+
+
+class TestDetectionsMemory:
+    """The detection path holds about one copy of its data: the reader
+    one chunk of structured rows beside its columns, the frame index no
+    reordered copy of the corners and its IoU table built in blocks."""
+
+    N = 8 * formats.CHUNK
+
+    def write(self, tmp_path):
+        det, gt = tmp_path / "det.csv", tmp_path / "gt.csv"
+        det.write_text("".join(box_csv_lines(self.N)))
+        # three boxes in each of the detections' frames
+        gt.write_text("".join(f"vid{v},{t},0.{s}00000,0.100000,0.{s}50000,0.600000,{s}\n"
+                              for v in range(40) for t in range(50) for s in (1, 4, 7)))
+        return det, gt
+
+    def test_read_peak_stays_near_the_columns(self, tmp_path):
+        """Within 1.6 times the columns returned."""
+        det, _ = self.write(tmp_path)
+        tracemalloc.start()
+        try:
+            columns = read_detections_csv(det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == self.N
+        size = sum(a.nbytes for a in (columns.frame, columns.boxes, columns.category,
+                                      columns.score))
+        assert peak < 1.6 * size
+
+    def test_index_peak_stays_near_its_arrays(self, tmp_path):
+        """Reading the detections and indexing them, as the CLI does, peaks
+        within twice the arrays the index keeps."""
+        det, gt = self.write(tmp_path)
+        ground_truth = read_ground_truth_csv(gt)
+        tracemalloc.start()
+        try:
+            index = FrameIndex(ground_truth, read_detections_csv(det))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.iou.shape == (self.N, 3)
+        size = sum(v.nbytes for v in vars(index).values() if isinstance(v, np.ndarray))
+        assert peak < 2 * size
 
 
 class TestCategoryAp:

@@ -421,6 +421,7 @@ class TestFrameIndexDetectionOrder:
         index = FrameIndex(gt_columns([gt("a", 0, box(0.0, 0.0, 0.5, 0.5), {0}, 0)]), dets)
         frame = np.array([2, 1, 0])[code]  # sorted frame numbers
         order = np.lexsort((*boxes.T[::-1], -score, frame, category))
+        assert index.boxes is boxes  # read through index.order, not copied
         for got, expected in ((index.category, category), (index.frame, frame),
-                              (index.score, score), (index.boxes, boxes)):
+                              (index.score, score), (index.boxes[index.order], boxes)):
             assert got.tobytes() == expected[order].tobytes()

@@ -227,7 +227,7 @@ class TestLosses:
         ref_value, ref_dz = reference_loss(z, y[:, used], loss, 1.5)
 
         value, d_emb, grads = _head_backprop(params, embeddings, y[:, used], loss, 1.5,
-                                             columns)
+                                             columns, embedding_grad=True)
         assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
         # each gradient is a sum of products, so its rounding bound scales
         # with the sum of their magnitudes
@@ -237,6 +237,8 @@ class TestLosses:
             (d_emb, ref_dz @ params.head_w[used], np.abs(ref_dz) @ np.abs(params.head_w[used])),
         ]:
             assert np.all(np.abs(got - ref) <= 1e-12 * bound)
+        # a head-only step does not compute the embedding gradient it would discard
+        assert _head_backprop(params, embeddings, y[:, used], loss, 1.5, columns)[1] is None
         unused = np.setdiff1d(np.arange(n_categories), used)
         assert np.all(grads["head_w"][unused] == 0.0)
         assert np.all(grads["head_b"][unused] == 0.0)
