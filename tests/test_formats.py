@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,7 @@ class TestGroundTruthReaderMatchesReference:
 # ------------------------------------- box CSV grammar at the C parser's edges
 
 ROW = "v,1,0.1,0.1,0.3,0.3,0"
+CORNERS = "0.1,0.1,0.3,0.3"
 
 #: detection files, each read by the C parser or falling back to the line
 #: reader; either way the rows or the first error must be the reference's
@@ -320,6 +322,13 @@ DETECTION_GRAMMAR = {
     "trailing_comma": f"{ROW},0.5\n{ROW},0.5,\n",
     "unit_separator_in_number": f"{ROW},0.5\x1f\n",
     "unit_separator_in_video_id": "v\x1c1,1,0.1,0.1,0.3,0.3,0,0.5\n",
+    "float_timestamp": "v,1.5,0.1,0.1,0.3,0.3,0,0.5\n",
+    "exponent_timestamp": f"{ROW},0.5\nv,1e3,0.1,0.1,0.3,0.3,0,0.5\n",
+    "float_category": "v,1,0.1,0.1,0.3,0.3,2.0,0.5\n",
+    "far_timestamps": f"v,{-2**63},{CORNERS},0,0.5\nw,{2**63 - 1},{CORNERS},1,0.5\n"
+                      f"v,{2**63 - 1},{CORNERS},0,0.5\n",
+    "large_close_timestamps": f"v,{2**62 + 1},{CORNERS},0,0.5\nw,{2**62},{CORNERS},1,0.5\n"
+                              f"v,{2**62},{CORNERS},0,0.5\nv,{2**62 + 1},{CORNERS},2,0.5\n",
     "empty": "",
     "blank_only": "\n\n\n",
     "spaces_only": "  \n \n",
@@ -341,6 +350,13 @@ GROUND_TRUTH_GRAMMAR = {
     "bom": f"\ufeff{ROW}\n{ROW[:-1]}1\n",
     "trailing_comma": f"{ROW}\n{ROW},\n",
     "unit_separator_in_number": f"{ROW}\x1e\n",
+    "float_timestamp": "v,1.5,0.1,0.1,0.3,0.3,0\n",
+    "exponent_timestamp": f"{ROW}\nv,1e3,0.1,0.1,0.3,0.3,0\n",
+    "float_category": "v,1,0.1,0.1,0.3,0.3,2.0\n",
+    "far_timestamps": f"v,{-2**63},{CORNERS},0\nw,{2**63 - 1},{CORNERS},1\n"
+                      f"v,{2**63 - 1},{CORNERS},0\n",
+    "large_close_timestamps": f"v,{2**62 + 1},{CORNERS},0\nw,{2**62},{CORNERS},1\n"
+                              f"v,{2**62},{CORNERS},0\nv,{2**62 + 1},{CORNERS},2\n",
     "empty": "",
     "blank_only": "\n\n\n",
 }
@@ -385,10 +401,45 @@ class TestBoxCsvGrammar:
             path.write_bytes(DETECTION_GRAMMAR[name].encode("utf-8"))
             assert len(read_detections_csv(path)) == 0, name
 
+    @pytest.mark.parametrize("name", ["float_timestamp", "exponent_timestamp", "float_category"])
+    def test_non_integer_in_an_integer_column_is_a_parse_error(self, tmp_path, name):
+        path = tmp_path / "det.csv"
+        path.write_bytes(DETECTION_GRAMMAR[name].encode("utf-8"))
+        with pytest.raises(ParseError, match="invalid literal for int"):
+            read_detections_csv(path)
+
+    @pytest.mark.parametrize("name", ["far_timestamps", "large_close_timestamps"])
+    def test_frames_of_extreme_timestamps(self, tmp_path, name):
+        """Timestamps too far apart to pack into one frame key, and large
+        ones close together, which pack from their minimum."""
+        path = tmp_path / "det.csv"
+        path.write_bytes(DETECTION_GRAMMAR[name].encode("utf-8"))
+        columns = read_detections_csv(path)
+        assert [columns.frames[f] for f in columns.frame.tolist()] == [
+            (line.split(",")[0], int(line.split(",")[1]))
+            for line in DETECTION_GRAMMAR[name].splitlines()]
+
 
 class TestFastPaths:
     """The golden CSVs must come through the C parser: with the line reader
     broken, a fast path that always fell back would fail here."""
+
+    def test_a_parser_warning_sends_the_file_to_the_line_reader(self, tmp_path, monkeypatch):
+        """A C parser that warns as it reads a value wrongly, as numpy's
+        did for a float in an integer column, is not trusted."""
+        gt, det = write_ava_fixture(tmp_path)
+        expected = (exact(reference_read_ground_truth(gt)), reference_read_detections(det))
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("implicit cast", DeprecationWarning)
+            rows = loadtxt(*args, **kwargs)
+            rows["timestamp"] += 1
+            return rows
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        assert exact(gt_rows(read_ground_truth_csv(gt))) == expected[0]
+        assert rows_of(read_detections_csv(det)) == expected[1]
 
     def test_golden_csvs_need_no_line_reader(self, tmp_path, monkeypatch):
         gt, det = write_ava_fixture(tmp_path)
@@ -402,8 +453,8 @@ class TestFastPaths:
         assert rows_of(read_detections_csv(det)) == expected[1]
 
     def test_whitespace_only_lines_need_no_line_reader(self, tmp_path, monkeypatch):
-        """The C parser reads a file again with its whitespace-only lines
-        dropped before the line reader is tried."""
+        """Whitespace-only lines are dropped before the C parser reads a
+        file, so they do not send it to the line reader."""
         gt, det = write_ava_fixture(tmp_path)
         for path in (gt, det):
             lines = path.read_text().splitlines(keepends=True)
@@ -815,7 +866,7 @@ def read_as_reference(path):
 
 class TestJsonlReaderBoundaries:
     """The predictions matrix has one row per line from the first record
-    on, counted by ``_line_count`` in blocks: 1 MiB is a whole number of
+    on, counted by ``_byte_pass`` in blocks: 1 MiB is a whole number of
     them, so these files end before, on and past a block's edge."""
 
     CHUNK = 1 << 20
@@ -835,7 +886,7 @@ class TestJsonlReaderBoundaries:
         path.write_bytes(text.encode())
         assert path.stat().st_size == self.CHUNK + offset
         with open(path, encoding="utf-8") as fh:
-            assert formats._line_count(str(path)) == sum(1 for _ in fh) == len(lines)
+            assert formats._byte_pass(str(path))[0] == sum(1 for _ in fh) == len(lines)
         result, expected = read_as_reference(path)
         assert result[0] == "ok" and result == expected
 
