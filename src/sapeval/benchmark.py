@@ -5,8 +5,9 @@ Every variant gets the same optimizer budget, counted in SGD steps rather
 than epochs: balancing inflates the training multiset severalfold, and
 comparing schemata at equal wall effort is what makes the trade-off
 visible (the balanced multiset spends most of its steps on duplicates).
-The head/tail partition is the top half of the categories by training
-count; the rarest categories are the ones a plain schedule under-serves.
+The head/tail partition is ``datasets.count_split``, the top half of the
+categories by training count; the rarest categories are the ones a plain
+schedule under-serves.
 Each seed's variants train through one :class:`~sapeval.training.Ablation`,
 which builds each example set once and shares each distinct stage 1.
 """
@@ -16,9 +17,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .datasets import FeatureDataset, HeadTailSplit, ZipfSpec, synthesize_dataset
+from .datasets import HeadTailSplit, ZipfSpec, count_split, synthesize_dataset
 # not called here; perfbench/tracing.py wraps it under this name
 from .datasets import oversample_balance  # noqa: F401
 from .sampling import SapConfig
@@ -42,8 +41,6 @@ REFERENCE_FRACTIONS = (0.6, 0.2, 0.2)
 STAGE1_STEPS = 400
 STAGE2_STEPS = 500
 BATCH_SIZE = 128
-#: Share of the categories, most frequent first, in ``count_split``'s head.
-HEAD_FRACTION = 0.5
 
 DEFAULT_VARIANTS = (
     "baseline_plain",
@@ -57,18 +54,6 @@ def epochs_for_budget(n_examples: int, batch_size: int, budget_steps: int) -> in
     """Whole-epoch count closest to the step budget for a given set size."""
     batches = -(-n_examples // batch_size)
     return max(1, round(budget_steps / batches))
-
-
-def count_split(dataset: FeatureDataset) -> HeadTailSplit:
-    """Head = the most frequent half of the categories in this split."""
-    counts = dataset.contains_counts()
-    order = np.argsort(-counts, kind="stable")
-    n_head = max(1, round(dataset.n_categories * HEAD_FRACTION))
-    return HeadTailSplit(
-        frozenset(int(c) for c in order[:n_head]),
-        frozenset(int(c) for c in order[n_head:]),
-        threshold=0.0,
-    )
 
 
 def variant_config(

@@ -4,7 +4,8 @@ Exit codes: 0 success, else the ``exit_code`` of the error raised: 2
 configuration error or unreadable path, 3 unparseable input file, 4 empty
 result (nothing eligible to report), 1 non-finite training loss. Every
 command writes a run manifest next to its outputs; ``rerun`` re-executes
-a recorded manifest and reproduces the outputs byte for byte.
+a recorded manifest and reproduces the outputs byte for byte, or exits 2,
+writing nothing, if an input's digest differs from the recorded one.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from pathlib import Path
 
 
 from . import __version__
-from .benchmark import count_split
 from .charts import grouped_bar_chart
-from .datasets import ZipfSpec, split_head_tail, synthesize_dataset, zipf_counts
+from .datasets import ZipfSpec, count_split, split_head_tail, synthesize_dataset, zipf_counts
 from .errors import DegeneratePool, ParseError, SapEvalError
 from .formats import (
     read_category_ap,
@@ -31,14 +31,14 @@ from .formats import (
     read_split,
     serialize_feature_dataset,
 )
-from .manifest import json_text, write_atomic, write_manifest
+from .manifest import json_text, sha256_file, write_atomic, write_manifest
 from .metrics import CategoryEvaluation, _eligible, frame_ap_from_index, mean_ap, roc_auc
 from .pools import FrameIndex, pools_from_scores
 # not called here; perfbench/tracing.py wraps them under these names
 from .metrics import average_precision, frame_ap  # noqa: F401
 from .pools import build_eval_pool  # noqa: F401
 from .sampling import sampled_ap  # noqa: F401
-from .sampling import SapConfig, msap, stability_profile
+from .sampling import SapConfig, msap, score_pools, stability_profile
 from .training import (
     VARIANTS,
     Ablation,
@@ -47,7 +47,6 @@ from .training import (
     checkpoint_text,
     config_hash,
     evaluate_model,
-    score_pools,
 )
 
 
@@ -81,7 +80,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "command", "recorded_inputs")}
 
 
 def _write_outputs(
@@ -90,7 +90,15 @@ def _write_outputs(
     """Write each output's text to its path, then the run manifest, seeded
     with ``--seed`` if the command has one: ``<out>.manifest.json`` beside
     ``--out``, else ``report_manifest.json`` (``report``) or ``run_manifest.json``
-    in ``--out-dir``. Called once every output is computed: a failed command writes nothing."""
+    in ``--out-dir``. Called once every output is computed: a failed command writes nothing,
+    and neither does a ``rerun`` whose inputs differ from the digests its manifest recorded."""
+    recorded = getattr(args, "recorded_inputs", None)
+    if recorded is not None:
+        changed = [f"{name} ({path})" for name, path in sorted(inputs.items())
+                   if recorded.get(name) != sha256_file(path)]
+        if changed:
+            raise ConfigError(f"input changed since the manifest was recorded: "
+                              f"{', '.join(changed)}")
     for path, text in outputs.values():
         write_atomic(path, text)
     if getattr(args, "out", None):
@@ -469,7 +477,12 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     mistyped = sorted(a.dest for a in actions if not _parses_to(a, config[a.dest]))
     if mistyped:
         raise ConfigError(f"manifest config mistypes {', '.join(mistyped)}")
-    return subparser.get_default("func")(argparse.Namespace(**config))
+    recorded = manifest.get("inputs")
+    if not isinstance(recorded, dict):
+        raise ConfigError("manifest inputs is not an object")
+    args = argparse.Namespace(**config)
+    args.recorded_inputs = recorded  # _write_outputs checks them before it writes
+    return subparser.get_default("func")(args)
 
 
 # --------------------------------------------------------------- parser

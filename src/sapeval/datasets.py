@@ -1,5 +1,5 @@
-"""Synthetic long-tail feature datasets, oversampling, and the head/tail
-category split.
+"""Synthetic long-tail feature datasets, oversampling, and the two head/tail
+category splits: by train-minus-validation AP gap, and by training count.
 
 The generator draws per-category Gaussian feature clusters whose sizes
 follow a Zipf curve, producing the kind of imbalance (a handful of huge
@@ -23,6 +23,8 @@ from .sampling import mix_seed
 
 #: The splits ``synthesize_dataset`` returns, in the order of its fractions.
 SPLIT_NAMES = ("train", "val", "test")
+#: Share of the categories, most frequent first, in ``count_split``'s head.
+HEAD_FRACTION = 0.5
 
 
 class EmptySplitWarning(UserWarning):
@@ -297,3 +299,15 @@ def split_head_tail(
         else:
             head.add(c)
     return HeadTailSplit(frozenset(head), frozenset(tail), threshold)
+
+
+def count_split(dataset: FeatureDataset) -> HeadTailSplit:
+    """Head = the most frequent half of the categories in this split."""
+    counts = dataset.contains_counts()
+    order = np.argsort(-counts, kind="stable")
+    n_head = max(1, round(dataset.n_categories * HEAD_FRACTION))
+    return HeadTailSplit(
+        frozenset(int(c) for c in order[:n_head]),
+        frozenset(int(c) for c in order[n_head:]),
+        threshold=0.0,
+    )

@@ -117,19 +117,22 @@ def _read_box_csv(path: str, n_fields: int):
     from the line count, then dropped. If a chunk fails, or the parser
     warns, the file is read line by line by ``_check_box_row``: that
     raises the first bad line's ``ParseError``, or returns the rows of a
-    valid file the C parser rejects (``1_0``, non-ASCII digits)."""
+    valid file the C parser rejects (``1_0``, non-ASCII digits), which go
+    into the same columns ``CHUNK`` rows at a time."""
     n_lines, c_only_space = _byte_pass(path, _C_ONLY_SPACE)
     if not c_only_space:
         try:
             return _parsed_columns(path, n_fields, n_lines)
         except (ValueError, OverflowError, Warning):  # UnicodeDecodeError too
             pass
-    videos, rows = _Codes(), []
+    videos, columns, rows = _Codes(), _BoxColumns(n_lines, n_fields), []
     for line_no, line in _lines(path):
         if line.strip():
             video, *row = _check_box_row(path, line_no, line, n_fields)
             rows.append((videos[video], *row))
-    columns = _BoxColumns(len(rows), n_fields)
+            if len(rows) == CHUNK:
+                columns.add(np.array(rows, _BOX_ROWS[n_fields]))
+                rows.clear()
     columns.add(np.array(rows, _BOX_ROWS[n_fields]))
     return columns.finish(videos)
 

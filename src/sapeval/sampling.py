@@ -8,21 +8,24 @@ quality score the same.
 
 ``sampled_ap`` scores a category into its ``metrics.CategoryEvaluation``,
 its plain AP read off the trials' ranking. A trial costs O(|X|): it reads
-each drawn negative's slot, the number of positives ranked above it. Also
-here: mSAP and the estimator-stability profile by trial count.
+each drawn negative's slot, the number of positives ranked above it.
+``score_pools`` scores every category of an evaluation, each seeded by its
+own id, and is the one scorer of ``sapeval sap`` and
+``training.evaluate_model``. Also here: mSAP, the mSAP/mAP aggregate of a
+category group, and the estimator-stability profile by trial count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NoPositives
+from .errors import NoEligibleCategories, NoPositives
 # not called here; perfbench/tracing.py wraps it under this name
 from .metrics import average_precision_from_arrays  # noqa: F401
-from .metrics import CategoryEvaluation, _eligible, _ranked_ap, rank_order
+from .metrics import CategoryEvaluation, _eligible, _ranked_ap, mean_ap, rank_order
 from .pools import EvalPool, ExampleOrigin
 
 _MASK64 = (1 << 64) - 1
@@ -127,6 +130,37 @@ def msap(records: Iterable[CategoryEvaluation], min_examples: int = 1) -> float:
     """Unweighted mean sampled AP over the records ``metrics._eligible``
     keeps."""
     return float(np.mean([r.sap_mean for r in _eligible(records, min_examples)]))
+
+
+def score_pools(pools: Mapping[int, EvalPool],
+                sap_config: SapConfig) -> tuple[CategoryEvaluation, ...]:
+    """AP and sampled AP of each pool, from one ranking of it, in category
+    order. A category without positives carries null metrics. Category c's
+    trials are seeded with ``mix_seed(sap_config.seed, 1000 + c)``, so its
+    result does not depend on which other categories are scored."""
+    evals = []
+    for c, pool in sorted(pools.items()):
+        if pool.n_pos == 0:
+            evals.append(CategoryEvaluation(c, 0, pool.n_neg, None))
+            continue
+        trial_config = replace(sap_config, seed=mix_seed(sap_config.seed, 1000 + c))
+        evals.append(sampled_ap(pool, trial_config))
+    return tuple(evals)
+
+
+def _group_aggregate(evals: Sequence[CategoryEvaluation], min_examples: int) -> dict:
+    """mSAP and mAP of a category group, both None when no record is
+    eligible."""
+    try:
+        eligible = _eligible(evals, min_examples)
+    except NoEligibleCategories:
+        return {"msap": None, "map": None, "categories": len(evals), "eligible": 0}
+    return {
+        "msap": msap(eligible, min_examples),
+        "map": mean_ap(eligible, min_examples),
+        "categories": len(evals),
+        "eligible": len(eligible),
+    }
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,9 +17,9 @@ ablations. One :class:`Ablation` per dataset and split builds each example
 set once and trains each distinct stage 1 once, sharing it between the
 variants that train it, so a variant trains the same weights whether it
 runs alone (``Ablation(dataset, split).train(variant, config)``) or
-beside others.
-:func:`score_pools` scores each pool, ranked once, into one
-:class:`~sapeval.metrics.CategoryEvaluation`.
+beside others. :func:`evaluate_model` scores a model's pools with
+:func:`~sapeval.sampling.score_pools`, the scorer of ``sapeval sap``, and
+aggregates them over all, head and tail categories.
 """
 
 from __future__ import annotations
@@ -28,17 +28,18 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .datasets import FeatureDataset, HeadTailSplit, oversample_balance
-from .errors import CategoryMismatch, DimMismatch, EmptyHead, NoEligibleCategories, NonFiniteLoss
-from .metrics import CategoryEvaluation, _eligible, mean_ap
-# not called here; perfbench/tracing.py wraps it under this name
+from .errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
+from .metrics import CategoryEvaluation
+from .pools import pools_from_scores
+from .sampling import SapConfig, _group_aggregate, mix_seed, score_pools
+# not called here; perfbench/tracing.py wraps them under these names
 from .metrics import average_precision  # noqa: F401
-from .pools import EvalPool, pools_from_scores
-from .sampling import SapConfig, mix_seed, msap, sampled_ap
+from .sampling import sampled_ap  # noqa: F401
 
 #: The scores of :func:`forward` are kept this far from {0, 1}; training never clips.
 PROB_EPS = 1e-7
@@ -501,40 +502,6 @@ class EvalReport:
 
     def ap_by_category(self) -> dict[int, float]:
         return {c.category: c.ap for c in self.categories if c.ap is not None}
-
-
-def _group_aggregate(
-    evals: Sequence[CategoryEvaluation], min_examples: int
-) -> dict:
-    """mSAP and mAP of a category group, both None when no record is
-    eligible."""
-    try:
-        eligible = _eligible(evals, min_examples)
-    except NoEligibleCategories:
-        return {"msap": None, "map": None, "categories": len(evals), "eligible": 0}
-    return {
-        "msap": msap(eligible, min_examples),
-        "map": mean_ap(eligible, min_examples),
-        "categories": len(evals),
-        "eligible": len(eligible),
-    }
-
-
-def score_pools(
-    pools: Mapping[int, EvalPool], sap_config: SapConfig
-) -> tuple[CategoryEvaluation, ...]:
-    """AP and sampled AP of each pool, from one ranking of it, in category
-    order. A category without positives carries null metrics. Category c's
-    trials are seeded with ``mix_seed(sap_config.seed, 1000 + c)``, so its
-    result does not depend on which other categories are scored."""
-    evals = []
-    for c, pool in sorted(pools.items()):
-        if pool.n_pos == 0:
-            evals.append(CategoryEvaluation(c, 0, pool.n_neg, None))
-            continue
-        trial_config = dataclasses.replace(sap_config, seed=mix_seed(sap_config.seed, 1000 + c))
-        evals.append(sampled_ap(pool, trial_config))
-    return tuple(evals)
 
 
 def evaluate_model(

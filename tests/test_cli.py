@@ -803,6 +803,30 @@ class TestRerunDeterminism:
         assert run("rerun", out / "run_manifest.json") == 0
         assert sha256_file(out / "train.jsonl") == before
 
+    def test_rerun_refuses_a_changed_input(self, detection_files, tmp_path, capsys):
+        """A rerun whose input no longer has its recorded digest exits 2,
+        names that input, and leaves the output and its manifest as they were."""
+        gt, det = detection_files
+        out = tmp_path / "e.json"
+        assert run("eval", "--gt", gt, "--det", det, "--out", out, "--min-examples", 1) == 0
+        manifest = Path(str(out) + ".manifest.json")
+        before = out.read_bytes(), manifest.read_bytes()
+        text = det.read_text()
+        det.write_text(text.replace(",0.900000\n", ",0.100000\n", 1))  # one score
+        assert det.read_text() != text
+        capsys.readouterr()
+        assert run("rerun", manifest) == 2
+        err = capsys.readouterr().err
+        assert f"det ({det})" in err and "gt (" not in err
+        assert (out.read_bytes(), manifest.read_bytes()) == before
+
+    def test_rerun_rejects_non_object_inputs(self, tmp_path, capsys):
+        config = _config_dict(build_parser().parse_args(["sap", "--out", "x.json"]))
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"command": "sap", "config": config, "inputs": []}))
+        assert run("rerun", manifest) == 2
+        assert "manifest inputs is not an object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["rerun", "mystery", None])
     def test_rerun_rejects_unknown_command(self, tmp_path, capsys, command):
         manifest = tmp_path / "run_manifest.json"
@@ -1311,3 +1335,31 @@ def test_every_import_is_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+#: The functions of the evaluation half of ``cli``, which read no training code.
+EVALUATION_FUNCTIONS = ("cmd_eval", "cmd_sap", "cmd_stability", "_load_pools",
+                        "_detection_index", "_sap_config", "_write_outputs")
+
+
+def test_evaluation_commands_read_no_training_code():
+    """``eval``, ``sap`` and ``stability`` and the helpers they call read no
+    name ``cli`` imports from ``training``, ``benchmark`` or ``charts``."""
+    tree = ast.parse(Path(sapeval.cli.__file__).read_text(encoding="utf-8"))
+    training_side = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module in ("training", "benchmark", "charts")
+        for alias in node.names
+    }
+    assert training_side
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read = {
+        f"{name}: {node.id}"
+        for name in EVALUATION_FUNCTIONS
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Name) and node.id in training_side
+    }
+    assert read == set()
+

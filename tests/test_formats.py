@@ -1023,6 +1023,27 @@ class TestDetectionsMemory:
                                       columns.score))
         assert peak < 1.6 * size
 
+    def test_line_reader_peak_stays_near_the_columns(self, tmp_path):
+        """A valid file the C parser rejects (one ``1_0`` category) is read
+        line by line into the same columns, a chunk of rows at a time: within
+        2.5 times the columns returned."""
+        lines = box_csv_lines(self.N)
+        fields = lines[self.N // 2].split(",")
+        fields[6] = "1_0"
+        lines[self.N // 2] = ",".join(fields)
+        det = tmp_path / "det.csv"
+        det.write_text("".join(lines))
+        tracemalloc.start()
+        try:
+            columns = read_detections_csv(det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == self.N and columns.category[self.N // 2] == 10
+        size = sum(a.nbytes for a in (columns.frame, columns.boxes, columns.category,
+                                      columns.score))
+        assert peak < 2.5 * size
+
     def test_index_peak_stays_near_its_arrays(self, tmp_path):
         """Reading the detections and indexing them, as the CLI does, peaks
         within twice the arrays the index keeps."""

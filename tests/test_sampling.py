@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from sapeval.sampling import (
     mix_seed,
     msap,
     sampled_ap,
+    score_pools,
     stability_profile,
 )
 
@@ -288,6 +290,40 @@ class TestMsap:
         assert msap(results, min_examples=25) == pytest.approx(0.3)
         with pytest.raises(NoEligibleCategories):
             msap(results, min_examples=100)
+
+
+class TestScorePools:
+    """``score_pools`` scores each category as ``sampled_ap`` does, its
+    trials seeded by the category's id alone."""
+
+    CONFIG = SapConfig(n_trials=7, seed=3)
+
+    def pools(self, rng):
+        sides = {4: (3, 20), 0: (5, 9), 9: (6, 2)}  # category 9 is degenerate
+        return {c: random_pool(rng, n_pos, n_pos + n_neg, category=c)
+                for c, (n_pos, n_neg) in sides.items()}
+
+    def test_each_record_is_its_pools_sampled_ap(self, rng):
+        pools = self.pools(rng)
+        records = score_pools(pools, self.CONFIG)
+        assert [r.category for r in records] == sorted(pools)
+        for record in records:
+            seed = mix_seed(self.CONFIG.seed, 1000 + record.category)
+            assert record == sampled_ap(pools[record.category], replace(self.CONFIG, seed=seed))
+
+    def test_record_does_not_depend_on_other_categories(self, rng):
+        pools = self.pools(rng)
+        every = {r.category: r for r in score_pools(pools, self.CONFIG)}
+        for c, pool in pools.items():
+            assert score_pools({c: pool}, self.CONFIG) == (every[c],)
+        more = score_pools({**pools, 7: random_pool(rng, 4, 30, category=7)}, self.CONFIG)
+        assert {r.category: r for r in more if r.category != 7} == every
+
+    def test_pool_without_positives_has_null_metrics(self, rng):
+        pools = {2: random_pool(rng, 0, 6, category=2), 5: random_pool(rng, 3, 10, category=5)}
+        empty, scored = score_pools(pools, self.CONFIG)
+        assert empty == CategoryEvaluation(2, 0, 6, None)
+        assert scored.sap_mean is not None
 
 
 class TestStabilityProfile:
