@@ -23,6 +23,7 @@ from .charts import grouped_bar_chart
 from .datasets import ZipfSpec, count_split, split_head_tail, synthesize_dataset, zipf_counts
 from .errors import DegeneratePool, ParseError, SapEvalError
 from .formats import (
+    _finite_numbers,
     read_category_ap,
     read_detections_csv,
     read_feature_dataset,
@@ -356,6 +357,8 @@ def _evaluation(payload: dict) -> tuple[list[tuple], list[str]]:
     evaluation = payload["evaluation"]["val"] if "evaluation" in payload else payload
     scored = [(c["category"], c["ap"], c["sap_mean"])
               for c in evaluation["categories"] if c.get("sap_mean") is not None]
+    _bounded([ap for _, ap, _ in scored], "AP", 1.0)
+    _bounded([sap for _, _, sap in scored], "sampled AP", 1.0)
     rows = ["group,msap,map,categories,eligible"]
     for group in ("all", "tail", "head"):
         agg = evaluation["aggregates"].get(group)
@@ -379,13 +382,22 @@ def _read_json(path: str, what: str):
         raise ParseError(str(path), getattr(exc, "lineno", 0), f"{what}: {exc}") from None
 
 
+def _bounded(values: list, what: str, high: float = math.inf) -> list:
+    """``values`` if each is a finite JSON number in [0, ``high``]; else
+    ``ValueError`` (``OverflowError`` for an integer beyond the float range)."""
+    outside = [v for v in _finite_numbers(values, what) if not 0.0 <= v <= high]
+    if outside:
+        raise ValueError(f"{what} {outside[0]} outside [0, {high}]")
+    return values
+
+
 def _report_input(flag: str, path: str, read):
     """``read`` applied to the JSON in ``path``; a missing key or a value of
-    the wrong type is a ``ConfigError`` naming the flag, the file and the key."""
+    the wrong type or range is a ``ConfigError`` naming the flag and the file."""
     payload = _read_json(path, flag)
     try:
         return read(payload)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{flag}: {path}: {exc!r}") from None
 
 
@@ -421,7 +433,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         inputs["compare"] = args.compare
 
     if args.counts:
-        counts = _report_input("--counts", args.counts, lambda manifest: manifest["zipf_counts"])
+        counts = _report_input("--counts", args.counts, lambda m: _bounded(m["zipf_counts"], "count"))
         counts_chart = grouped_bar_chart(
             [str(c) for c in range(len(counts))],
             {"examples": counts},

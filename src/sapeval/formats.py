@@ -52,6 +52,7 @@ import numpy as np
 from .boxes import DetectionColumns, GroundTruthColumns
 from .datasets import FeatureDataset, HeadTailSplit, label_pairs, multi_hot
 from .errors import ParseError
+from .pools import _sort_runs
 
 
 def _q6(value: float) -> float:
@@ -81,12 +82,10 @@ def read_ground_truth_csv(path: str | Path) -> GroundTruthColumns:
     number the boxes in order of first appearance."""
     frames, frame, boxes, category, _ = _read_box_csv(str(path), 7)
     first, instance = _first_appearance(frame, *boxes.T)
-    pairs = np.lexsort((category, instance))
-    label_row, label_category = instance[pairs], category[pairs]
-    distinct = np.ones(len(pairs), dtype=bool)
-    distinct[1:] = (label_row[1:] != label_row[:-1]) | (label_category[1:] != label_category[:-1])
+    pairs, distinct = _sort_runs(instance, category)  # one (box, category) pair per run
+    pairs = pairs[distinct]
     return GroundTruthColumns(frames, frame[first], boxes[first], np.arange(len(first)),
-                              label_row[distinct], label_category[distinct])
+                              instance[pairs], category[pairs])
 
 
 def read_detections_csv(path: str | Path) -> DetectionColumns:
@@ -250,15 +249,7 @@ def _first_appearance(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows grouped by equal values in every key column: each group's
     first row, ascending, and each row's group, groups numbered in order
     of first appearance."""
-    # runs of equal keys, each group's rows in any order: one key needs no
-    # stable sort, whose runs would start at their first rows
-    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
-    starts = np.zeros(len(order), dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        ranked = key[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-        del ranked
+    order, starts = _sort_runs(*keys)
     firsts = np.minimum.reduceat(order, np.flatnonzero(starts))  # each run's first row
     first = np.sort(firsts)
     run = np.cumsum(starts)

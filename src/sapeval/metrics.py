@@ -3,8 +3,9 @@ detection-protocol AP, ROC-AUC, and the analytic baseline a random scorer
 converges to; the per-category scoring record and the mean AP over the
 categories eligible to count.
 
-Ranking is always by descending score with ties broken by ascending
-example id, so every metric here is reproducible bit-for-bit.
+Pools rank by descending score, ties by ascending example id; the
+detection protocol keeps frame order on ties. Every metric here is
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .boxes import DetectionColumns, GroundTruthColumns
 # not called here; perfbench/tracing.py wraps it under this name
 from .boxes import match_detections  # noqa: F401
 from .errors import DegeneratePool, InvalidCounts, NoEligibleCategories, NoPositives
-from .pools import EvalPool, FrameIndex
+from .pools import EvalPool, FrameIndex, _break_ties, _sort_runs
 
 DEFAULT_MIN_EXAMPLES = 25
 
@@ -80,19 +81,9 @@ def average_precision_from_arrays(
 
 def rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Row indices by descending score, ties by ascending id, then by row:
-    the order of ``np.lexsort((ids, -scores))`` for scores without NaN.
-
-    One unstable sort of the scores, then a sort of the tied rows alone,
-    which costs far less than a lexsort when few scores tie.
-    """
-    key = -scores
-    order = np.argsort(key)
-    ranked = key[order]
-    same = ranked[1:] == ranked[:-1]
-    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-    rows = order[tied]
-    order[tied] = rows[np.lexsort((rows, ids[rows], ranked[tied]))]
-    return order
+    the order of ``np.lexsort((ids, -scores))`` for scores without NaN, at
+    the cost of one sort of the scores and one of the tied rows."""
+    return _break_ties(*_sort_runs(-scores), ids)
 
 
 def _ranked_ap(flags: np.ndarray, n_pos: int) -> float:
@@ -144,13 +135,12 @@ def roc_auc(pool: EvalPool) -> float:
     (rank-sum statistic; tied scores count one half)."""
     if pool.n_pos == 0 or pool.n_neg == 0:
         raise DegeneratePool("ROC-AUC needs at least one positive and one negative")
-    order = rank_order(pool.scores, pool.ids)
-    ranked = pool.scores[order]
-    bounds = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
+    order, starts = _sort_runs(-pool.scores)
+    bounds = np.flatnonzero(np.r_[starts, True])
     starts, ends = bounds[:-1], bounds[1:]
-    n, n_pos, n_neg = len(ranked), pool.n_pos, pool.n_neg
-    # ascending midrank of the descending tie group [s, e); a sum of
-    # half-integers, exact in any order
+    n, n_pos, n_neg = len(order), pool.n_pos, pool.n_neg
+    # ascending midrank of the descending tie group [s, e), its rows in any
+    # order; a sum of half-integers, exact in any order
     ranks = np.repeat((2 * n + 1 - starts - ends) / 2.0, ends - starts)
     rank_sum = float(ranks[pool.is_positive[order]].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -17,6 +17,9 @@ ground-truth and detection columns the CSV readers return: frames grouped
 once, every detection's IoU with its frame's boxes computed once, and the
 greedy match run per category on those arrays. ``build_eval_pool`` and
 ``metrics.frame_ap`` are one-category views of it.
+
+``_sort_runs`` and ``_break_ties`` are the one sort-and-group kernel of
+the detection order, ``metrics.rank_order`` and the box-CSV readers.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ class FrameIndex:
     Frames are numbered in sorted (video_id, timestamp) order. Annotated
     boxes are sorted by (frame, instance id), the pool's order, and laid
     out in a padded (frame, slot) table. Detections are sorted by
-    (category, frame, descending score, corners), stably, in two sorts
-    (``_detection_order``, the pattern of ``metrics.rank_order``): ``order``
+    (category, frame, descending score, corners, row), ``_break_ties`` over
+    ``_sort_runs``' runs of the first three keys: ``order``
     holds each one's row in the detection columns, and ``category``,
     ``frame`` and ``score`` are reordered copies. The corners, four times
     as wide and read only through ``order``, are not copied: ``boxes`` is
@@ -116,7 +119,6 @@ class FrameIndex:
             raise ValueError(f"iou_threshold {iou_threshold} outside (0, 1]")
         self.iou_threshold = iou_threshold
         gt, dets = ground_truth, detections
-        self.categories = set(np.union1d(gt.label_category, dets.category).tolist())
         number = {key: i for i, key in enumerate(sorted(set(gt.frames).union(dets.frames)))}
 
         box_frame = np.array([number[key] for key in gt.frames], dtype=np.int64)[gt.frame]
@@ -131,7 +133,7 @@ class FrameIndex:
         corners[box_frame, slot] = gt.boxes[order]
 
         frame = np.array([number[key] for key in dets.frames], dtype=np.int64)[dets.frame]
-        self.order = _detection_order(dets.category, frame, dets.score, dets.boxes)
+        self.order = _break_ties(*_sort_runs(dets.category, frame, -dets.score), *dets.boxes.T)
         self.category, self.frame = dets.category[self.order], frame[self.order]
         self.score, self.boxes = dets.score[self.order], dets.boxes
         del frame
@@ -152,9 +154,9 @@ class FrameIndex:
 
     def pool(self, category: int) -> EvalPool:
         """``build_eval_pool``'s pool for ``category``."""
-        if category not in self.categories:
+        rows, labeled = self._rows(category), self._labeled(category)
+        if rows.start == rows.stop and not labeled.any():
             raise UnknownCategory(f"category {category} absent from ground truth and detections")
-        rows = self._rows(category)
         frame, score = self.frame[rows], self.score[rows]
         slot = _greedy_match(self.iou[rows], frame, self.at >= 0, self.iou_threshold)
         hit = slot >= 0
@@ -173,7 +175,7 @@ class FrameIndex:
             category,
             np.concatenate([scores, score[stray]]),
             np.concatenate([self.ids, np.arange(first_id, first_id + n)]),
-            np.concatenate([self._labeled(category), np.zeros(n, dtype=bool)]),
+            np.concatenate([labeled, np.zeros(n, dtype=bool)]),
             np.concatenate([origin, np.full(n, ExampleOrigin.BACKGROUND_DETECTION, np.int8)]),
         )
 
@@ -189,23 +191,27 @@ class FrameIndex:
         return self.score[rows], claimed >= 0, int(labeled.sum())
 
 
-def _detection_order(category: np.ndarray, frame: np.ndarray, score: np.ndarray,
-                     boxes: np.ndarray) -> np.ndarray:
-    """The order of ``np.lexsort((*boxes.T[::-1], -score, frame, category))``.
-
-    One sort by the first three keys, then a sort of only the rows tied on
-    all three, by (run, corners, row), which costs far less than a 7-key
-    lexsort when few rows tie.
-    """
-    keys = (category, frame, -score)
-    order = np.lexsort(keys[::-1])
-    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+def _sort_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows sorted by ``keys``, the first the primary, and a flag on each
+    sorted row that starts a run of rows equal in every key. The rows of a
+    run come in any order: one key is sorted by an unstable argsort."""
+    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
     for key in keys:
         ranked = key[order]
-        same &= ranked[1:] == ranked[:-1]
-    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-    rows, run = order[tied], np.cumsum(np.r_[True, ~same])[tied]
-    order[tied] = rows[np.lexsort((rows, *boxes[rows].T[::-1], run))]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+        del ranked  # one gathered key at a time
+    return order, starts
+
+
+def _break_ties(order: np.ndarray, starts: np.ndarray, *tiebreaks: np.ndarray) -> np.ndarray:
+    """``_sort_runs``' ``order`` with the rows of each run longer than one
+    sorted by (``tiebreaks``, row), in place: the order of a lexsort by
+    (keys, tiebreaks, row), at the cost of one sort of the tied rows."""
+    tied = np.flatnonzero(~starts | np.r_[~starts[1:], False])  # in runs longer than one
+    rows, run = order[tied], np.cumsum(starts[tied])
+    order[tied] = rows[np.lexsort((rows, *(key[rows] for key in tiebreaks[::-1]), run))]
     return order
 
 

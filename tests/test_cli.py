@@ -927,9 +927,22 @@ class TestReportCompare:
             ("--counts", {"spec": {}}, "KeyError('zipf_counts')"),
             ("--metrics", {"categories": [], "aggregates": []}, "AttributeError"),
             ("--metrics", {"categories": [], "aggregates": {"all": [0.5]}}, "TypeError"),
+            ("--counts", {"zipf_counts": 7}, "TypeError"),
+            ("--counts", {"zipf_counts": [5, -3, "x"]}, "count 'x' is not a number"),
+            ("--counts", {"zipf_counts": [5, -3]}, "count -3.0 outside [0, inf]"),
+            ("--counts", {"zipf_counts": [float("nan"), 5]}, "count nan is not finite"),
+            ("--counts", {"zipf_counts": [5, 10**400]}, "OverflowError"),
+            ("--metrics", {"categories": [{"category": 0, "ap": 0.5, "sap_mean": "x"}],
+                           "aggregates": {}}, "sampled AP 'x' is not a number"),
+            ("--metrics", {"categories": [{"category": 0, "ap": None, "sap_mean": 0.6}],
+                           "aggregates": {}}, "AP None is not a number"),
+            ("--compare", {"categories": [{"category": 0, "ap": 1.5, "sap_mean": 0.6}],
+                           "aggregates": {}}, "AP 1.5 outside [0, 1.0]"),
         ],
         ids=["no_val", "no_category", "no_ap", "no_msap", "compare_no_val", "no_zipf_counts",
-             "aggregates_list", "aggregate_list"],
+             "aggregates_list", "aggregate_list", "counts_not_list", "count_string",
+             "count_negative", "count_nan", "count_huge", "sap_string", "ap_null",
+             "compare_ap_above_one"],
     )
     def test_malformed_report_input_exit_2(self, tmp_path, capsys, flag, payload, message):
         good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sapeval.boxes import DetectionColumns
 from sapeval.errors import NoPositives, UnknownCategory
@@ -9,6 +9,8 @@ from sapeval.pools import (
     EvalPool,
     ExampleOrigin,
     FrameIndex,
+    _break_ties,
+    _sort_runs,
     build_eval_pool,
     pool_from_arrays,
     pools_from_scores,
@@ -407,6 +409,39 @@ TIED_DET_ROW = st.tuples(
     st.integers(0, 2), st.integers(0, 2), st.sampled_from([0.0, -0.0, 0.5, 1.0]),
     SIGNED_ZEROS, SIGNED_ZEROS, st.sampled_from([0.5, 0.75]), st.sampled_from([0.5, 0.75]),
 )
+
+
+#: a key or tiebreak column's dtype and the few values it draws from:
+#: heavy ties, and -0.0 beside 0.0
+TIED_COLUMN_KINDS = [(np.int64, [-1, 0, 2]), (np.float64, [-0.0, 0.0, 0.5, -2.5])]
+
+
+@st.composite
+def tied_columns(draw):
+    """1-3 key columns and 0-2 tiebreak columns of one length, 0 to 30."""
+    n = draw(st.integers(0, 30))
+
+    def column():
+        dtype, values = draw(st.sampled_from(TIED_COLUMN_KINDS))
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype)
+
+    return ([column() for _ in range(draw(st.integers(1, 3)))],
+            [column() for _ in range(draw(st.integers(0, 2)))])
+
+
+class TestSortKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_columns())
+    @example(([np.array([], dtype=np.float64)], []))
+    @example(([np.array([-0.0]), np.array([2])], [np.array([0.0])]))
+    def test_equals_lexsort_by_keys_tiebreaks_and_row(self, columns):
+        keys, tiebreaks = columns
+        n = len(keys[0])
+        order, starts = _sort_runs(*keys)
+        ranked = np.array([key[order] for key in keys])
+        assert starts.tolist() == [True, *(ranked[:, 1:] != ranked[:, :-1]).any(axis=0)][:n]
+        expected = np.lexsort((np.arange(n), *tiebreaks[::-1], *keys[::-1]))
+        assert _break_ties(order, starts, *tiebreaks).tolist() == expected.tolist()
 
 
 class TestFrameIndexDetectionOrder:
