@@ -32,7 +32,7 @@ from .formats import (
     read_split,
     serialize_feature_dataset,
 )
-from .manifest import json_text, sha256_file, write_atomic, write_manifest
+from .manifest import file_digests, json_text, write_atomic, write_manifest
 from .metrics import CategoryEvaluation, _eligible, frame_ap_from_index, mean_ap, roc_auc
 from .pools import FrameIndex, pools_from_scores
 # not called here; perfbench/tracing.py wraps them under these names
@@ -93,10 +93,11 @@ def _write_outputs(
     ``--out``, else ``report_manifest.json`` (``report``) or ``run_manifest.json``
     in ``--out-dir``. Called once every output is computed: a failed command writes nothing,
     and neither does a ``rerun`` whose inputs differ from the digests its manifest recorded."""
+    digests = file_digests(inputs)  # hashed once, for the check and the manifest
     recorded = getattr(args, "recorded_inputs", None)
     if recorded is not None:
-        changed = [f"{name} ({path})" for name, path in sorted(inputs.items())
-                   if recorded.get(name) != sha256_file(path)]
+        changed = [f"{name} ({inputs[name]})" for name, digest in digests.items()
+                   if recorded.get(name) != digest]
         if changed:
             raise ConfigError(f"input changed since the manifest was recorded: "
                               f"{', '.join(changed)}")
@@ -107,7 +108,7 @@ def _write_outputs(
     else:
         filename = "report_manifest.json" if command == "report" else "run_manifest.json"
         manifest = Path(args.out_dir) / filename
-    write_manifest(manifest, command, _config_dict(args), inputs,
+    write_manifest(manifest, command, _config_dict(args), digests,
                    {name: path for name, (path, _) in outputs.items()}, getattr(args, "seed", None))
 
 
@@ -370,6 +371,8 @@ def _evaluation(payload: dict) -> tuple[list[tuple], list[str]]:
             )
         except KeyError as exc:
             raise KeyError(f"the {group} aggregate lacks {exc}") from None
+    if not scored:
+        raise ValueError("no category has a sampled AP (sap_mean)")
     return scored, rows
 
 
@@ -389,6 +392,14 @@ def _bounded(values: list, what: str, high: float = math.inf) -> list:
     if outside:
         raise ValueError(f"{what} {outside[0]} outside [0, {high}]")
     return values
+
+
+def _counts(payload: dict) -> list:
+    """The ``zipf_counts`` of a dataset manifest: finite, non-negative, at least one."""
+    counts = _bounded(payload["zipf_counts"], "count")
+    if not counts:
+        raise ValueError("zipf_counts is empty")
+    return counts
 
 
 def _report_input(flag: str, path: str, read):
@@ -420,6 +431,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         other, _ = _report_input("--compare", args.compare, _evaluation)
         other_sap = {c: sap for c, _, sap in other}
         shared = [(c, sap) for c, _, sap in scored if c in other_sap]
+        if not shared:
+            raise ConfigError(f"--compare: {args.compare}: "
+                              f"shares no scored category with --metrics")
         compare_chart = grouped_bar_chart(
             [str(c) for c, _ in shared],
             {
@@ -433,7 +447,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         inputs["compare"] = args.compare
 
     if args.counts:
-        counts = _report_input("--counts", args.counts, lambda m: _bounded(m["zipf_counts"], "count"))
+        counts = _report_input("--counts", args.counts, _counts)
         counts_chart = grouped_bar_chart(
             [str(c) for c in range(len(counts))],
             {"examples": counts},

@@ -45,34 +45,30 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def build_manifest(
-    command: str,
-    config: Mapping,
-    inputs: Mapping[str, str | Path],
-    outputs: Mapping[str, str | Path],
-    seed: int | None,
-) -> dict:
-    from . import __version__
-
-    return {
-        "command": command,
-        "config": dict(config),
-        "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
-        "outputs": {name: sha256_file(p) for name, p in sorted(outputs.items())},
-        "seed": seed,
-        "version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
+def file_digests(paths: Mapping[str, str | Path]) -> dict[str, str]:
+    """The SHA-256 of each named file, in name order."""
+    return {name: sha256_file(p) for name, p in sorted(paths.items())}
 
 
 def write_manifest(
     path: str | Path,
     command: str,
     config: Mapping,
-    inputs: Mapping[str, str | Path],
+    input_digests: Mapping[str, str],
     outputs: Mapping[str, str | Path],
     seed: int | None,
-) -> dict:
-    manifest = build_manifest(command, config, inputs, outputs, seed)
-    write_atomic(path, json_text(manifest))
-    return manifest
+) -> None:
+    """Write the run manifest to ``path``: the digests of the inputs, which
+    the caller takes (:func:`file_digests`) before it writes any output, and
+    of the outputs, hashed here."""
+    from . import __version__
+
+    write_atomic(path, json_text({
+        "command": command,
+        "config": dict(config),
+        "inputs": dict(input_digests),
+        "outputs": file_digests(outputs),
+        "seed": seed,
+        "version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+    }))

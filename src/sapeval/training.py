@@ -9,7 +9,11 @@ are written out by hand so they can be validated against finite differences.
 Every compared schema is one row of :data:`VARIANTS`, trained by
 :class:`Ablation`: the example set stage 1 trains on (all, head or
 balanced), whether a second stage retrains a fresh head on the balanced
-set with the extractor frozen, and the config fields it overrides.
+set with the extractor frozen, and the config fields it overrides. On the
+head set, stage 1 trains a classifier of the head categories only: the
+other categories' head rows keep their initial values, which a
+warm-started second stage starts from. :func:`sgd_train` itself knows no
+categories; it trains one head row per target column.
 ``two_stage`` is the head-to-tail transfer schema; ``baseline_plain``,
 ``naive_balanced`` and ``focal`` are its single-stage baselines, and
 ``stage1_all``, ``stage2_finetune_all`` and ``stage2_unbalanced`` its
@@ -28,7 +32,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,76 +237,33 @@ def logit_loss(
     return -focus * log_pt, sign * focus * (gamma * p_t * log_pt - miss)
 
 
-def _mask_columns(
-    category_mask: Sequence[int] | None, n_categories: int
-) -> np.ndarray | None:
-    """A category mask as sorted ``intp`` columns (None stays None).
-
-    Raises ValueError for an empty mask, and for an entry that is not an
-    integer, lies outside ``[0, n_categories)`` or repeats.
-    """
-    if category_mask is None:
-        return None
-    entries = list(category_mask)
-    if not entries:
-        raise ValueError("category_mask selects no category")
-    for c in entries:
-        if isinstance(c, (bool, np.bool_)) or not isinstance(c, (int, np.integer)):
-            raise ValueError(f"category_mask entry {c!r} is not an integer")
-        if not 0 <= c < n_categories:
-            raise ValueError(f"category_mask entry {c} is outside [0, {n_categories})")
-    columns = np.array(sorted(entries), dtype=np.intp)
-    repeated = columns[1:][columns[1:] == columns[:-1]]
-    if len(repeated):
-        raise ValueError(f"category_mask repeats entry {repeated[0]}")
-    return columns
-
-
 def _head_backprop(
     params: ModelParams,
     embeddings: np.ndarray,
     y: np.ndarray,
     loss: str,
     gamma: float,
-    columns: np.ndarray | None,
     embedding_grad: bool = False,
 ) -> tuple[float, np.ndarray | None, dict[str, np.ndarray]]:
-    """The mean loss of the head's logits over the given category columns
-    (all when None; distinct ``intp`` indices, as :func:`_mask_columns`
-    returns them) against their targets ``y``, its gradient with respect to
-    ``embeddings`` if ``embedding_grad`` (else None: a head-only step has no
-    use for it) and the gradients of ``head_w`` and ``head_b``, zero
-    outside the columns."""
-    head_w, head_b = params.head_w, params.head_b
-    if columns is not None:
-        head_w, head_b = head_w[columns], head_b[columns]
-    entries, slope = logit_loss(embeddings @ head_w.T + head_b, y, loss, gamma)
+    """The mean loss of the head's logits against their targets ``y``, its
+    gradient with respect to ``embeddings`` if ``embedding_grad`` (else
+    None: a head-only step has no use for it) and the gradients of
+    ``head_w`` and ``head_b``."""
+    entries, slope = logit_loss(embeddings @ params.head_w.T + params.head_b, y, loss, gamma)
     dz = slope / entries.size
     grads = {"head_w": dz.T @ embeddings, "head_b": dz.sum(axis=0)}
-    if columns is not None:
-        for name, used in grads.items():
-            grads[name] = np.zeros_like(getattr(params, name))
-            grads[name][columns] = used
-    d_emb = dz @ head_w if embedding_grad else None
+    d_emb = dz @ params.head_w if embedding_grad else None
     return float(entries.sum()) / entries.size, d_emb, grads
 
 
 def _backprop(
-    params: ModelParams,
-    features: np.ndarray,
-    y: np.ndarray,
-    loss: str,
-    gamma: float,
-    columns: np.ndarray | None,
+    params: ModelParams, features: np.ndarray, y: np.ndarray, loss: str, gamma: float
 ) -> tuple[float, ModelParams]:
     """Loss over a batch of 2-D float64 arrays plus analytic gradients for
-    all parameters. With ``columns`` (checked by :func:`_mask_columns`), ``y``
-    holds those categories' targets only, the loss averages over them and
-    every other category receives an exactly zero gradient."""
+    all parameters."""
     hidden = np.tanh(features @ params.w1 + params.b1)
     embeddings = hidden @ params.w2 + params.b2
-    value, d_emb, head = _head_backprop(params, embeddings, y, loss, gamma, columns,
-                                        embedding_grad=True)
+    value, d_emb, head = _head_backprop(params, embeddings, y, loss, gamma, embedding_grad=True)
 
     g_w2 = hidden.T @ d_emb
     g_b2 = d_emb.sum(axis=0)
@@ -319,7 +280,6 @@ def sgd_train(
     plan: StagePlan,
     batch_size: int = 128,
     seed: int = 0,
-    category_mask: Sequence[int] | None = None,
     head_only: bool = False,
     loss: str = "bce",
     gamma: float = 2.0,
@@ -327,16 +287,15 @@ def sgd_train(
 ) -> ModelParams:
     """Mini-batch SGD over seeded shuffles; pure function of its inputs.
 
-    ``head_only`` freezes the extractor: embeddings are computed once and
-    only the linear head is updated.
+    Each column of ``targets`` is the target of the head row of the same
+    index, so ``params`` has one head row per column. ``head_only`` freezes
+    the extractor: embeddings are computed once and only the linear head is
+    updated.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets)  # a dataset's bool targets become float per batch
     if len(features) == 0:
         raise ValueError("training set is empty")
-    columns = _mask_columns(category_mask, targets.shape[1])
-    if columns is not None:
-        targets = targets[:, columns]
     params = params.copy()
     inputs = embed(params, features) if head_only else features
     # each epoch's rows are gathered once into the same buffers, so a batch is a
@@ -358,9 +317,9 @@ def sgd_train(
             lr = plan.learning_rate(step, total_steps)
             x, y = shuffled_inputs[rows], shuffled_targets[rows].astype(np.float64)
             if head_only:
-                value, _, grads = _head_backprop(params, x, y, loss, gamma, columns)
+                value, _, grads = _head_backprop(params, x, y, loss, gamma)
             else:
-                value, grads = _backprop(params, x, y, loss, gamma, columns)
+                value, grads = _backprop(params, x, y, loss, gamma)
                 grads = vars(grads)
             if not np.isfinite(value):
                 raise NonFiniteLoss(
@@ -451,10 +410,7 @@ class Ablation:
         if key not in self._stage1:
             params = init_params(self.dataset.features.shape[1], config.hidden_dim,
                                  config.embedding_dim, self.dataset.n_categories, config.seed)
-            mask = sorted(self.split.head) if stage1_set == "head" else None
-            self._stage1[key] = self._stage(
-                1, params, stage1_set, config, config.stage1, category_mask=mask
-            )
+            self._stage1[key] = self._stage(1, params, stage1_set, config, config.stage1)
         params, stage1_history = self._stage1[key]
         if history is not None:
             history.extend(dict(h) for h in stage1_history)
@@ -469,24 +425,32 @@ class Ablation:
             history.extend(stage2_history)
         return params
 
-    def _stage(self, stage, params, example_set, config, plan, **options):
+    def _stage(self, stage, params, example_set, config, plan, head_only=False):
         """``sgd_train`` of one stage on its example set (which leaves
-        ``params`` unchanged), and its history entries."""
+        ``params`` unchanged), and its history entries. The stage trains the
+        classifier rows of the categories its set covers, the head
+        categories on ``head`` and all of them otherwise; every other row
+        keeps its value in ``params``."""
         rows = self.rows(example_set, config.seed)
+        covered = sorted(self.split.head) if example_set == "head" else slice(None)
         history: list = []
-        params = sgd_train(
-            params,
+        trained = sgd_train(
+            dataclasses.replace(params, head_w=params.head_w[covered],
+                                head_b=params.head_b[covered]),
             self.dataset.features[rows],
-            self.dataset.targets[rows],
+            self.dataset.targets[rows][:, covered],
             plan,
             batch_size=config.batch_size,
             seed=mix_seed(config.seed, 2 * stage - 1),  # 2 seeds the balancer
+            head_only=head_only,
             loss=config.loss,
             gamma=config.focal_gamma,
             history=history,
-            **options,
         )
-        return params, [{"stage": stage, **h} for h in history]
+        head_w, head_b = params.head_w.copy(), params.head_b.copy()
+        head_w[covered], head_b[covered] = trained.head_w, trained.head_b
+        trained = dataclasses.replace(trained, head_w=head_w, head_b=head_b)
+        return trained, [{"stage": stage, **h} for h in history]
 
 
 @dataclass(frozen=True)

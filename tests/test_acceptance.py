@@ -163,8 +163,8 @@ def test_criterion_07_gradient_checks():
     for point in range(100):
         params, x, y = tiny_problem(seed=point, n=3, dims=(3, 4, 3, 4))
         loss, gamma = ("bce", 0.0) if point % 2 == 0 else ("focal", 2.0)
-        _, grads = _backprop(params, x, y, loss, gamma, None)
-        fd = finite_difference_grads(params, x, y, loss, gamma, None, step=1e-5)
+        _, grads = _backprop(params, x, y, loss, gamma)
+        fd = finite_difference_grads(params, x, y, loss, gamma, step=1e-5)
         for name, grad in fd.items():
             analytic = getattr(grads, name)
             denom = np.maximum(np.abs(grad), 1e-6)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import shutil
@@ -820,6 +821,19 @@ class TestRerunDeterminism:
         assert f"det ({det})" in err and "gt (" not in err
         assert (out.read_bytes(), manifest.read_bytes()) == before
 
+    def test_rerun_hashes_each_input_once(self, detection_files, tmp_path, monkeypatch):
+        """One digest of each input serves both the rerun's check and the
+        manifest it writes."""
+        gt, det = detection_files
+        out = tmp_path / "e.json"
+        assert run("eval", "--gt", gt, "--det", det, "--out", out, "--min-examples", 1) == 0
+        digests = []
+        real = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: digests.append(real(*a)) or digests[-1])
+        assert run("rerun", Path(str(out) + ".manifest.json")) == 0
+        # gt.csv, det.csv and the report
+        assert len(digests) == 3
+
     def test_rerun_rejects_non_object_inputs(self, tmp_path, capsys):
         config = _config_dict(build_parser().parse_args(["sap", "--out", "x.json"]))
         manifest = tmp_path / "run_manifest.json"
@@ -938,11 +952,16 @@ class TestReportCompare:
                            "aggregates": {}}, "AP None is not a number"),
             ("--compare", {"categories": [{"category": 0, "ap": 1.5, "sap_mean": 0.6}],
                            "aggregates": {}}, "AP 1.5 outside [0, 1.0]"),
+            ("--metrics", {"categories": [{"category": 0, "ap": 0.5, "sap_mean": None}],
+                           "aggregates": {}}, "no category has a sampled AP (sap_mean)"),
+            ("--counts", {"zipf_counts": []}, "zipf_counts is empty"),
+            ("--compare", {"categories": [{"category": 1, "ap": 0.5, "sap_mean": 0.6}],
+                           "aggregates": {}}, "shares no scored category with --metrics"),
         ],
         ids=["no_val", "no_category", "no_ap", "no_msap", "compare_no_val", "no_zipf_counts",
              "aggregates_list", "aggregate_list", "counts_not_list", "count_string",
              "count_negative", "count_nan", "count_huge", "sap_string", "ap_null",
-             "compare_ap_above_one"],
+             "compare_ap_above_one", "no_sampled_ap", "counts_empty", "compare_disjoint"],
     )
     def test_malformed_report_input_exit_2(self, tmp_path, capsys, flag, payload, message):
         good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out"

@@ -1,7 +1,7 @@
 import hashlib
 import json
 
-from sapeval.manifest import build_manifest, json_text, sha256_file, write_atomic
+from sapeval.manifest import file_digests, json_text, sha256_file, write_atomic, write_manifest
 
 
 def test_write_atomic_leaves_no_temp_files(tmp_path):
@@ -27,16 +27,18 @@ def test_json_atomic_round_trip(tmp_path):
     assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def test_build_manifest_fields(tmp_path):
+def test_write_manifest_fields(tmp_path):
     inp = tmp_path / "in.txt"
     out = tmp_path / "out.txt"
     inp.write_text("x")
     out.write_text("y")
-    manifest = build_manifest("demo", {"flag": 1}, {"in": inp}, {"out": out}, seed=9)
+    path = tmp_path / "run_manifest.json"
+    write_manifest(path, "demo", {"flag": 1}, file_digests({"in": inp}), {"out": out}, seed=9)
+    manifest = json.loads(path.read_text())
     assert manifest["command"] == "demo"
     assert manifest["config"] == {"flag": 1}
-    assert manifest["inputs"]["in"] == sha256_file(inp)
-    assert manifest["outputs"]["out"] == sha256_file(out)
+    assert manifest["inputs"] == {"in": sha256_file(inp)}
+    assert manifest["outputs"] == {"out": sha256_file(out)}
     assert manifest["seed"] == 9
     assert manifest["version"]
     assert "created" in manifest

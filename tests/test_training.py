@@ -26,7 +26,6 @@ from sapeval.training import (
     Ablation,
     _backprop,
     _head_backprop,
-    _mask_columns,
     _sigmoid,
     checkpoint_text,
     embed,
@@ -40,10 +39,7 @@ from sapeval.training import (
 from oracles import load_checkpoint, masked_sigmoid, reference_loss
 
 
-def finite_difference_grads(params, x, y, loss, gamma, mask, step=1e-5):
-    columns = _mask_columns(mask, y.shape[1])
-    if columns is not None:
-        y = y[:, columns]
+def finite_difference_grads(params, x, y, loss, gamma, step=1e-5):
     grads = {}
     for field in dataclasses.fields(params):
         arr = getattr(params, field.name)
@@ -53,9 +49,9 @@ def finite_difference_grads(params, x, y, loss, gamma, mask, step=1e-5):
             idx = it.multi_index
             original = arr[idx]
             arr[idx] = original + step
-            up, _ = _backprop(params, x, y, loss, gamma, columns)
+            up, _ = _backprop(params, x, y, loss, gamma)
             arr[idx] = original - step
-            down, _ = _backprop(params, x, y, loss, gamma, columns)
+            down, _ = _backprop(params, x, y, loss, gamma)
             arr[idx] = original
             grad[idx] = (up - down) / (2 * step)
         grads[field.name] = grad
@@ -208,40 +204,31 @@ class TestLosses:
         st.integers(1, 12),
         st.integers(0, 2**32 - 1),
         st.sampled_from(["bce", "focal"]),
-        st.booleans(),
     )
-    def test_head_backprop_matches_the_reference(self, batch, n_categories, seed, loss,
-                                                 masked):
-        # the loss of the used columns' logits only, and head gradients
-        # that are the reference's logit gradient carried through the head
+    def test_head_backprop_matches_the_reference(self, batch, n_categories, seed, loss):
+        # the loss of the head's logits, and head gradients that are the
+        # reference's logit gradient carried through the head
         rng = np.random.default_rng(seed)
         params = init_params(3, 4, 5, n_categories, seed=seed % 1000)
         params.head_w *= 0.5
         embeddings = rng.normal(size=(batch, 5))
         y = (rng.random((batch, n_categories)) < 0.3).astype(float)
-        columns = _mask_columns(
-            sorted({int(c) for c in rng.integers(0, n_categories, size=n_categories)}),
-            n_categories) if masked else None
-        used = np.arange(n_categories) if columns is None else columns
-        z = embeddings @ params.head_w[used].T + params.head_b[used]
-        ref_value, ref_dz = reference_loss(z, y[:, used], loss, 1.5)
+        z = embeddings @ params.head_w.T + params.head_b
+        ref_value, ref_dz = reference_loss(z, y, loss, 1.5)
 
-        value, d_emb, grads = _head_backprop(params, embeddings, y[:, used], loss, 1.5,
-                                             columns, embedding_grad=True)
+        value, d_emb, grads = _head_backprop(params, embeddings, y, loss, 1.5,
+                                             embedding_grad=True)
         assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
         # each gradient is a sum of products, so its rounding bound scales
         # with the sum of their magnitudes
         for got, ref, bound in [
-            (grads["head_w"][used], ref_dz.T @ embeddings, np.abs(ref_dz).T @ np.abs(embeddings)),
-            (grads["head_b"][used], ref_dz.sum(axis=0), np.abs(ref_dz).sum(axis=0)),
-            (d_emb, ref_dz @ params.head_w[used], np.abs(ref_dz) @ np.abs(params.head_w[used])),
+            (grads["head_w"], ref_dz.T @ embeddings, np.abs(ref_dz).T @ np.abs(embeddings)),
+            (grads["head_b"], ref_dz.sum(axis=0), np.abs(ref_dz).sum(axis=0)),
+            (d_emb, ref_dz @ params.head_w, np.abs(ref_dz) @ np.abs(params.head_w)),
         ]:
             assert np.all(np.abs(got - ref) <= 1e-12 * bound)
         # a head-only step does not compute the embedding gradient it would discard
-        assert _head_backprop(params, embeddings, y[:, used], loss, 1.5, columns)[1] is None
-        unused = np.setdiff1d(np.arange(n_categories), used)
-        assert np.all(grads["head_w"][unused] == 0.0)
-        assert np.all(grads["head_b"][unused] == 0.0)
+        assert _head_backprop(params, embeddings, y, loss, 1.5)[1] is None
 
     @pytest.mark.parametrize("loss", ["bce", "focal"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
@@ -278,31 +265,16 @@ class TestGradients:
     )
     def test_analytic_matches_finite_differences(self, loss, gamma):
         params, x, y = tiny_problem(seed=3)
-        _, grads = _backprop(params, x, y, loss, gamma, None)
-        fd = finite_difference_grads(params, x, y, loss, gamma, None)
+        _, grads = _backprop(params, x, y, loss, gamma)
+        fd = finite_difference_grads(params, x, y, loss, gamma)
         for name, grad in fd.items():
             analytic = getattr(grads, name)
             denom = np.maximum(np.abs(grad), 1e-6)
             assert np.max(np.abs(analytic - grad) / denom) < 1e-4
 
-    def test_masked_gradients_at_random_points(self):
-        worst = 0.0
-        for seed in range(100):
-            params, x, y = tiny_problem(seed=seed, n=3, dims=(3, 4, 3, 4))
-            mask = [0, 2]
-            _, grads = _backprop(params, x, y[:, mask], "bce", 2.0, _mask_columns(mask, 4))
-            fd = finite_difference_grads(params, x, y, "bce", 2.0, mask)
-            for name, grad in fd.items():
-                analytic = getattr(grads, name)
-                denom = np.maximum(np.abs(grad), 1e-6)
-                worst = max(worst, float(np.max(np.abs(analytic - grad) / denom)))
-            assert np.all(grads.head_w[[1, 3]] == 0.0)
-            assert np.all(grads.head_b[[1, 3]] == 0.0)
-        assert worst < 1e-4
-
     def test_loss_value_grad_dims_match_params(self):
         params, x, y = tiny_problem()
-        _, grads = _backprop(params, x, y, "bce", 2.0, None)
+        _, grads = _backprop(params, x, y, "bce", 2.0)
         for field in dataclasses.fields(params):
             assert (
                 getattr(grads, field.name).shape
@@ -378,21 +350,6 @@ class TestSgdTrain:
         )
         assert history[-1]["loss"] < 0.01
 
-    def test_masked_categories_untouched(self):
-        datasets, split = synthetic_split()
-        train = datasets["train"]
-        x, y = train.features, train.targets
-        params = init_params(8, 12, 6, train.n_categories, seed=4)
-        before = params.copy()
-        mask = sorted(split.head)
-        after = sgd_train(
-            params, x, y, StagePlan(0.5, 0.05, "step", 2), seed=5, category_mask=mask
-        )
-        masked_out = sorted(split.tail)
-        assert np.array_equal(after.head_w[masked_out], before.head_w[masked_out])
-        assert np.array_equal(after.head_b[masked_out], before.head_b[masked_out])
-        assert not np.array_equal(after.head_w[mask], before.head_w[mask])
-
     def test_head_only_step_matches_model_loss_head_gradient(self):
         # one full-batch step on cached embeddings moves the head exactly
         # as the head gradients of the full backward pass say
@@ -401,7 +358,7 @@ class TestSgdTrain:
         stepped = sgd_train(
             params, x, y, StagePlan(lr, lr, "step", 1), batch_size=8, head_only=True
         )
-        _, grads = _backprop(params, x, y, "bce", 2.0, None)
+        _, grads = _backprop(params, x, y, "bce", 2.0)
         assert np.allclose(stepped.head_w, params.head_w - lr * grads.head_w, atol=1e-14)
         assert np.allclose(stepped.head_b, params.head_b - lr * grads.head_b, atol=1e-14)
         assert np.array_equal(stepped.w1, params.w1)
@@ -420,21 +377,19 @@ class TestSgdTrain:
         assert not np.array_equal(head_only.head_w, params.head_w)
 
     @pytest.mark.parametrize("loss", ["bce", "focal"])
-    @pytest.mark.parametrize("masked,head_only", [(False, False), (True, False), (False, True)])
-    def test_epoch_gather_matches_indexing_each_batch(self, loss, masked, head_only):
+    @pytest.mark.parametrize("head_only", [False, True])
+    def test_epoch_gather_matches_indexing_each_batch(self, loss, head_only):
         # the shuffled rows are gathered once per epoch (the targets in their
         # own dtype); stepping on rows indexed batch by batch gives the same bits
-        datasets, split = synthetic_split()
+        datasets, _ = synthetic_split()
         train = datasets["train"]
         x, y = train.features, train.targets
         params = init_params(8, 12, 6, train.n_categories, seed=3)
         plan, batch_size, seed = StagePlan(0.5, 0.05, "step", 3), 16, 12
-        mask = sorted(split.head) if masked else None
         trained = sgd_train(params, x, y, plan, batch_size=batch_size, seed=seed,
-                            category_mask=mask, head_only=head_only, loss=loss, gamma=1.5)
+                            head_only=head_only, loss=loss, gamma=1.5)
 
-        columns = _mask_columns(mask, y.shape[1])
-        y = y.astype(np.float64) if columns is None else y[:, columns].astype(np.float64)
+        y = y.astype(np.float64)
         expected = params.copy()
         cached = embed(expected, x)
         batches = -(-len(x) // batch_size)
@@ -443,9 +398,9 @@ class TestSgdTrain:
             order = np.random.default_rng(mix_seed(seed, 101 + epoch)).permutation(len(x))
             rows = order[b * batch_size : (b + 1) * batch_size]
             if head_only:
-                grads = _head_backprop(expected, cached[rows], y[rows], loss, 1.5, columns)[2]
+                grads = _head_backprop(expected, cached[rows], y[rows], loss, 1.5)[2]
             else:
-                grads = vars(_backprop(expected, x[rows], y[rows], loss, 1.5, columns)[1])
+                grads = vars(_backprop(expected, x[rows], y[rows], loss, 1.5)[1])
             for name, grad in grads.items():
                 weights = getattr(expected, name)
                 weights -= plan.learning_rate(step, plan.epochs * batches) * grad
@@ -469,39 +424,6 @@ class TestSgdTrain:
         params = init_params(3, 4, 3, 2, seed=0)
         with pytest.raises(ValueError):
             sgd_train(params, np.zeros((0, 3)), np.zeros((0, 2)), StagePlan(0.1, 0.01))
-
-
-class TestCategoryMask:
-    def train(self, mask):
-        params, x, y = tiny_problem(seed=2, n=8, dims=(5, 7, 4, 3))
-        return sgd_train(params, x, y, StagePlan(0.3, 0.03, "step", 2), batch_size=4,
-                         category_mask=mask)
-
-    @pytest.mark.parametrize("mask", [[0, 1.0], [0.5], [True], ["1"]])
-    def test_non_integer_entry_rejected(self, mask):
-        with pytest.raises(ValueError, match="not an integer"):
-            self.train(mask)
-
-    @pytest.mark.parametrize("mask", [[-1], [0, 3], [2**63]])
-    def test_entry_outside_categories_rejected(self, mask):
-        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-            self.train(mask)
-
-    @pytest.mark.parametrize("mask,entry", [([1, 1], 1), ([2, 0, 2], 2)])
-    def test_repeated_entry_rejected(self, mask, entry):
-        with pytest.raises(ValueError, match=f"repeats entry {entry}"):
-            self.train(mask)
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError, match="selects no category"):
-            self.train([])
-
-    def test_order_and_integer_type_do_not_matter(self):
-        trained = self.train([0, 2])
-        for mask in ((2, 0), np.array([2, 0]), [np.int32(0), np.int64(2)], {0, 2}):
-            other = self.train(mask)
-            for field in dataclasses.fields(trained):
-                assert np.array_equal(getattr(other, field.name), getattr(trained, field.name))
 
 
 class TestTwoStage:
@@ -643,6 +565,24 @@ class TestAblationTrain:
         base = Ablation(datasets["train"], split).train("baseline_plain", config)
         focal = Ablation(datasets["train"], split).train("focal", config)
         assert not np.array_equal(base.head_w, focal.head_w)
+
+    def test_head_stage1_leaves_tail_rows_at_init(self):
+        # stage 1 on the head trains the head categories' classifier rows;
+        # the tail's rows keep their initial values bit for bit
+        datasets, split = synthetic_split()
+        train = datasets["train"]
+        config = TrainConfig(seed=4, hidden_dim=12, embedding_dim=6,
+                             stage1=StagePlan(0.5, 0.05, "step", 2))
+        ablation = Ablation(train, split)
+        ablation.train("two_stage", config)
+        ((stage1, _),) = ablation._stage1.values()
+        init = init_params(train.features.shape[1], 12, 6, train.n_categories, seed=4)
+        head, tail = sorted(split.head), sorted(split.tail)
+        assert stage1.head_w.shape == init.head_w.shape
+        assert np.array_equal(stage1.head_w[tail], init.head_w[tail])
+        assert np.array_equal(stage1.head_b[tail], init.head_b[tail])
+        assert (stage1.head_w[head] != init.head_w[head]).any(axis=1).all()
+        assert (stage1.head_b[head] != init.head_b[head]).all()
 
     def test_stage2_finetune_all_updates_backbone(self):
         datasets, split = synthetic_split()
@@ -794,6 +734,19 @@ def test_run_benchmark_reports_are_pinned():
     }
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert digest == RUN_BENCHMARK_0_DIGEST
+
+
+#: SHA-256 of the JSON-dumped ``EvalReport.to_dict()`` of each variant of
+#: ``run_benchmark(0, ("two_stage", "stage2_unbalanced"))``, which share one
+#: head stage 1, recorded while stage 1 masked the tail out of a full-size head.
+TWO_STAGE_0_DIGEST = "0699f018b540ba648ada8022db7ca14ab8dff1bd2ac8479b76f424066784f014"
+
+
+def test_two_stage_reports_are_pinned():
+    result = run_benchmark(0, variants=("two_stage", "stage2_unbalanced"))
+    payload = {variant: report.to_dict() for variant, report in result.reports.items()}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == TWO_STAGE_0_DIGEST
 
 
 class TestEvaluateModel:
