@@ -288,7 +288,8 @@ def sgd_train(
     """Mini-batch SGD over seeded shuffles; pure function of its inputs.
 
     Each column of ``targets`` is the target of the head row of the same
-    index, so ``params`` has one head row per column. ``head_only`` freezes
+    index, so ``params`` has one head row per column; ``features`` and
+    ``targets`` of any other shape are a ``DimMismatch``. ``head_only`` freezes
     the extractor: embeddings are computed once and only the linear head is
     updated.
     """
@@ -296,6 +297,11 @@ def sgd_train(
     targets = np.asarray(targets)  # a dataset's bool targets become float per batch
     if len(features) == 0:
         raise ValueError("training set is empty")
+    if features.shape[1:] != params.w1.shape[:1]:
+        raise DimMismatch(f"features {features.shape} != model input dim {params.w1.shape[0]}")
+    if targets.shape != (len(features), len(params.head_b)):
+        raise DimMismatch(f"targets {targets.shape} != ({len(features)} examples, "
+                          f"{len(params.head_b)} head rows)")
     params = params.copy()
     inputs = embed(params, features) if head_only else features
     # each epoch's rows are gathered once into the same buffers, so a batch is a

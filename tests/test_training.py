@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sapeval.benchmark import (
     count_split,
     run_benchmark,
 )
-from sapeval.datasets import HeadTailSplit, ZipfSpec, synthesize_dataset
+from sapeval.datasets import FeatureDataset, HeadTailSplit, ZipfSpec, synthesize_dataset
 from sapeval.errors import CategoryMismatch, DimMismatch, EmptyHead, NonFiniteLoss
 from sapeval.sampling import SapConfig, mix_seed
 from sapeval.training import (
@@ -330,6 +331,21 @@ class TestSgdTrain:
         for field in dataclasses.fields(a):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
+    @pytest.mark.parametrize(
+        "shape", [(6, 1), (6, 4), (5, 3), (6,)],
+        ids=["too_few_columns", "too_many_columns", "too_few_rows", "one_dimensional"],
+    )
+    def test_targets_must_match_examples_and_head_rows(self, shape):
+        params, x, _ = tiny_problem(n=6, dims=(5, 7, 4, 3))
+        with pytest.raises(DimMismatch, match=re.escape(f"targets {shape} != (6 examples, 3")):
+            sgd_train(params, x, np.zeros(shape), StagePlan(0.1, 0.01), batch_size=4)
+
+    @pytest.mark.parametrize("head_only", [False, True])
+    def test_feature_dim_must_match_model(self, head_only):
+        params, _, y = tiny_problem(n=6, dims=(5, 7, 4, 3))
+        with pytest.raises(DimMismatch, match="model input dim 5"):
+            sgd_train(params, np.ones((6, 9)), y, StagePlan(0.1, 0.01), head_only=head_only)
+
     def test_near_separable_data_trains_to_low_loss(self):
         spec = ZipfSpec(
             n_categories=4,
@@ -583,6 +599,37 @@ class TestAblationTrain:
         assert np.array_equal(stage1.head_b[tail], init.head_b[tail])
         assert (stage1.head_w[head] != init.head_w[head]).any(axis=1).all()
         assert (stage1.head_b[head] != init.head_b[head]).all()
+
+    @pytest.mark.parametrize("extra", [{"head": 6}, {"tail": -1}],
+                             ids=["head_past_end", "tail_negative"])
+    def test_split_naming_a_category_outside_the_dataset_rejected(self, extra):
+        datasets, split = synthetic_split()
+        sides = {"head": split.head, "tail": split.tail}
+        sides.update({side: sides[side] | {c} for side, c in extra.items()})
+        bad = HeadTailSplit(sides["head"], sides["tail"], 0.0)
+        with pytest.raises(CategoryMismatch):
+            Ablation(datasets["train"], bad)
+
+    def test_head_without_training_examples_raises(self):
+        # no example carries category 0, the only head category
+        train = FeatureDataset(ids=[0, 1, 2], features=np.eye(3), labels=[(1,), (2,), (1, 2)],
+                               split="train", n_categories=3)
+        split = HeadTailSplit(frozenset({0}), frozenset({1, 2}), 0.0)
+        with pytest.raises(EmptyHead, match="no training examples carry a head category"):
+            Ablation(train, split).train("two_stage", TrainConfig(seed=0, hidden_dim=4,
+                                                                  embedding_dim=2))
+
+    def test_integer_type_of_split_entries_does_not_matter(self):
+        datasets, split = synthetic_split()
+        config = TrainConfig(seed=4, hidden_dim=12, embedding_dim=6,
+                             stage1=StagePlan(0.5, 0.05, "step", 2),
+                             stage2=StagePlan(0.5, 0.05, "linear", 1))
+        trained = Ablation(datasets["train"], split).train("two_stage", config)
+        numpy_split = HeadTailSplit(frozenset(np.int32(c) for c in split.head),
+                                    frozenset(np.int64(c) for c in split.tail), 0.0)
+        other = Ablation(datasets["train"], numpy_split).train("two_stage", config)
+        for field in dataclasses.fields(trained):
+            assert np.array_equal(getattr(other, field.name), getattr(trained, field.name))
 
     def test_stage2_finetune_all_updates_backbone(self):
         datasets, split = synthetic_split()
