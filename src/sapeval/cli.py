@@ -33,10 +33,10 @@ from .formats import (
     serialize_feature_dataset,
 )
 from .manifest import file_digests, json_text, write_atomic, write_manifest
-from .metrics import CategoryEvaluation, _eligible, frame_ap_from_index, mean_ap, roc_auc
+from .metrics import CategoryEvaluation, _eligible, frame_ap, mean_ap, roc_auc
 from .pools import FrameIndex, pools_from_scores
 # not called here; perfbench/tracing.py wraps them under these names
-from .metrics import average_precision, frame_ap  # noqa: F401
+from .metrics import average_precision  # noqa: F401
 from .pools import build_eval_pool  # noqa: F401
 from .sampling import sampled_ap  # noqa: F401
 from .sampling import SapConfig, msap, score_pools, stability_profile
@@ -48,6 +48,7 @@ from .training import (
     checkpoint_text,
     config_hash,
     evaluate_model,
+    resolve_variant,
 )
 
 
@@ -171,7 +172,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     evals, rows = [], []
     for category in gt_categories:
         pool = index.pool(category)
-        ap = frame_ap_from_index(index, category)
+        ap = frame_ap(index, category)
         try:
             auc = roc_auc(pool)
         except DegeneratePool:
@@ -307,6 +308,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         stage2_balance=not args.no_balance,
         stage2_warm_start=args.warm_start,
     )
+    config = resolve_variant(args.variant, config)[0]
 
     history: list = []
     params = Ablation(train, split).train(args.variant, config, history)

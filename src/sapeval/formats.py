@@ -126,12 +126,11 @@ def _read_box_csv(path: str, n_fields: int):
             pass
     videos, columns, rows = _Codes(), _BoxColumns(n_lines, n_fields), []
     for line_no, line in _lines(path):
-        if line.strip():
-            video, *row = _check_box_row(path, line_no, line, n_fields)
-            rows.append((videos[video], *row))
-            if len(rows) == CHUNK:
-                columns.add(np.array(rows, _BOX_ROWS[n_fields]))
-                rows.clear()
+        video, *row = _check_box_row(path, line_no, line, n_fields)
+        rows.append((videos[video], *row))
+        if len(rows) == CHUNK:
+            columns.add(np.array(rows, _BOX_ROWS[n_fields]))
+            rows.clear()
     columns.add(np.array(rows, _BOX_ROWS[n_fields]))
     return columns.finish(videos)
 
@@ -161,9 +160,9 @@ class _Codes(dict):
 
 
 def _byte_pass(path: str, controls: tuple[bytes, ...] = ()) -> tuple[int, bool]:
-    """The number of lines ``_lines`` yields (lines end at ``\\n``,
-    ``\\r\\n`` or a lone ``\\r``, and a last line needs no end), and whether
-    the file holds one of the bytes ``controls``, read in 256 KiB blocks."""
+    """How many lines ``_lines`` numbers, blank ones too (lines end at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``, a last line needing no end), and
+    whether the file holds one of the bytes ``controls``, in 256 KiB blocks."""
     count, last, found = 0, b"", False
     with open(path, "rb") as fh:
         while block := fh.read(1 << 18):
@@ -395,8 +394,6 @@ def _read_records(path: str, key: str, width_message: str, extra: str | None = N
     ids, labels, extras, seen, matrix, error = [], [], [], set(), None, None
     try:
         for line_no, line in _lines(path):
-            if not line.strip():
-                continue
             try:
                 example_id, example_labels, row, value = _record(line, key, extra)
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
@@ -468,8 +465,7 @@ def _raise_first(path: str, error: ParseError | None, checks: list) -> None:
 
 def _record_line(path: str, row: int) -> int:
     """Line number of record ``row`` of a JSON-lines file, blank lines skipped."""
-    numbers = (n for n, line in _lines(path) if line.strip())
-    return next(itertools.islice(numbers, row, None))
+    return next(itertools.islice(_lines(path), row, None))[0]
 
 
 #: what an undecodable byte becomes under ``errors="surrogateescape"``
@@ -477,24 +473,17 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _lines(path: str):
-    """(line number, line) of each line of a UTF-8 text file. Invalid
-    UTF-8 is the ``ParseError`` of the first line holding it, raised once
-    every line before it has been yielded: only then is the file read
-    again, with undecodable bytes escaped, to find that line."""
-    line_no = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                yield line_no, line
-        return
-    except UnicodeDecodeError:
-        pass
+    """(line number, line) of each line of a UTF-8 text file that is not
+    whitespace only, read in one pass with undecodable bytes escaped.
+    Invalid UTF-8 is the ``ParseError`` of the first line holding an
+    escaped byte, raised once every line before it has been yielded."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for n, line in itertools.islice(enumerate(fh, start=1), line_no, None):
-            if bad := _UNDECODED.search(line):
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii() and (bad := _UNDECODED.search(line)):
                 byte = ord(bad.group()) - 0xDC00
-                raise ParseError(path, n, f"invalid UTF-8 byte 0x{byte:02x}")
-            yield n, line
+                raise ParseError(path, line_no, f"invalid UTF-8 byte 0x{byte:02x}")
+            if not line.isspace():
+                yield line_no, line
 
 
 def read_category_ap(path: str | Path) -> dict[int, float]:

@@ -15,7 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .boxes import DetectionColumns, GroundTruthColumns
 # not called here; perfbench/tracing.py wraps it under this name
 from .boxes import match_detections  # noqa: F401
 from .errors import DegeneratePool, InvalidCounts, NoEligibleCategories, NoPositives
@@ -98,12 +97,7 @@ def average_precision(pool: EvalPool) -> float:
     return average_precision_from_arrays(pool.scores, pool.is_positive, pool.ids)
 
 
-def frame_ap(
-    ground_truth: GroundTruthColumns,
-    detections: DetectionColumns,
-    category: int,
-    iou_threshold: float = 0.5,
-) -> float:
+def frame_ap(index: FrameIndex, category: int) -> float:
     """Detection-protocol AP for one category.
 
     Detections are matched greedily to same-frame annotated boxes carrying
@@ -111,11 +105,6 @@ def frame_ap(
     globally by score and AP is computed with the category's annotation
     count as the number of positives. An empty detection set scores 0.
     """
-    return frame_ap_from_index(FrameIndex(ground_truth, detections, iou_threshold), category)
-
-
-def frame_ap_from_index(index: FrameIndex, category: int) -> float:
-    """``frame_ap`` on an index built once for every category."""
     scores, true_positive, n_pos = index.frame_matches(category)
     if n_pos == 0:
         raise NoPositives(f"no ground-truth instances for category {category}")

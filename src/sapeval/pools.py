@@ -15,8 +15,9 @@ order, then background detections in sorted order.
 Detection mode goes through one ``FrameIndex`` per input, built from the
 ground-truth and detection columns the CSV readers return: frames grouped
 once, every detection's IoU with its frame's boxes computed once, and the
-greedy match run per category on those arrays. ``build_eval_pool`` and
-``metrics.frame_ap`` are one-category views of it.
+greedy match run per category on those arrays. ``FrameIndex.pool`` and
+``metrics.frame_ap(index, category)`` read one category off it;
+``build_eval_pool`` builds an index for one category's pool.
 
 ``_sort_runs`` and ``_break_ties`` are the one sort-and-group kernel of
 the detection order, ``metrics.rank_order`` and the box-CSV readers.

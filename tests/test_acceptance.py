@@ -130,17 +130,20 @@ def test_criterion_06_ap_fixtures_and_invariance():
         5 / 6, abs=1e-12
     )
     from sapeval.metrics import frame_ap
+    from sapeval.pools import FrameIndex
     from conftest import box, det
 
     missing_one = [det("v1", 1, box(0.1, 0.1, 0.3, 0.3), 0, 0.9)]
     micro_gt = gt_columns(MICRO_GT)
-    assert frame_ap(micro_gt, det_columns(missing_one), 0) == pytest.approx(0.5, abs=1e-12)
+    assert frame_ap(FrameIndex(micro_gt, det_columns(missing_one)), 0) == pytest.approx(
+        0.5, abs=1e-12
+    )
     stray_first = [
         det("v1", 1, box(0.7, 0.7, 0.9, 0.9), 0, 0.95),
         det("v1", 1, box(0.1, 0.1, 0.3, 0.3), 0, 0.9),
         det("v1", 2, box(0.2, 0.2, 0.4, 0.4), 0, 0.7),
     ]
-    assert frame_ap(micro_gt, det_columns(stray_first), 0) == pytest.approx(
+    assert frame_ap(FrameIndex(micro_gt, det_columns(stray_first)), 0) == pytest.approx(
         (0.5 + 2 / 3) / 2, abs=1e-12
     )
 

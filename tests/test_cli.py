@@ -732,6 +732,23 @@ class TestTrain:
         assert checkpoint["training"]["config"]["stage2_freeze"] is True
         assert len(checkpoint["training"]["config_hash"]) == 16
 
+    @pytest.mark.parametrize("variant,flags", [
+        (["focal"], ["baseline_plain", "--loss", "focal"]),
+        (["stage2_unbalanced", "--auto-split"], ["two_stage", "--no-balance", "--auto-split"]),
+    ], ids=["focal", "stage2_unbalanced"])
+    def test_checkpoint_records_the_config_the_variant_trained_with(self, synth_dir, tmp_path,
+                                                                     variant, flags):
+        """A variant's overrides reach the recorded config: it matches the
+        config of the flags that train the same weights."""
+        records = []
+        for name, argv in (("variant", variant), ("flags", flags)):
+            assert self._train(synth_dir, tmp_path / name, "--variant", *argv) == 0
+            records.append(json.loads((tmp_path / name / "checkpoint.json").read_text()))
+        by_variant, by_flags = records
+        assert by_variant["weights"] == by_flags["weights"]
+        for key in ("config", "config_hash"):
+            assert by_variant["training"][key] == by_flags["training"][key], key
+
     def test_baseline_then_split_then_report_pipeline(self, synth_dir, tmp_path):
         base = tmp_path / "base"
         assert self._train(synth_dir, base, "--variant", "baseline_plain") == 0
@@ -1340,6 +1357,31 @@ def test_every_import_kept_for_the_tracer_is_wrapped():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "", f"kept for the tracer but not wrapped: {result.stdout.split()}"
+
+
+def test_tracer_sees_each_frame_ap_of_eval(tmp_path):
+    """``eval`` calls frame AP under the name the tracer wraps, so a traced
+    ``eval`` records one ``metrics.frame_ap`` span per ground-truth
+    category."""
+    root = Path(__file__).resolve().parents[1]
+    gt, det = write_ava_fixture(tmp_path)
+    categories = {line.rsplit(",", 1)[1] for line in gt.read_text().splitlines()}
+    argv = ["eval", "--gt", str(gt), "--det", str(det), "--out", str(tmp_path / "report.json"),
+            "--min-examples", "3"]
+    check = (
+        "import sapeval.cli, tracing\n"
+        "tracer = tracing.install('check')\n"
+        f"assert sapeval.cli.main({argv!r}) == 0\n"
+        "code = tracer.names.get('metrics.frame_ap')\n"
+        "print(list(tracer.spans[2::5]).count(code))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", check],
+        cwd=root / "perfbench", env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(len(categories))
 
 
 def test_every_import_is_used():

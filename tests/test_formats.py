@@ -584,6 +584,27 @@ class TestInvalidUtf8:
         assert err.value.line == 2
 
 
+class TestLineReader:
+    def test_invalid_utf8_found_in_one_text_read(self, tmp_path, monkeypatch):
+        """A byte that is not UTF-8 past the first read buffer is found by
+        the one text-mode read of the file, not by a second read."""
+        path = tmp_path / "preds.jsonl"
+        good = '{"id": %d, "labels": [0], "scores": [0.5, 0.25]}\n'
+        path.write_bytes("".join(good % i for i in range(500)).encode() + b'{"id": \xff}\n')
+        text_opens = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "b" not in mode:
+                text_opens.append(file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(formats, "open", counting_open, raising=False)
+        with pytest.raises(ParseError, match="invalid UTF-8 byte 0xff") as err:
+            read_predictions(path)
+        assert err.value.line == 501
+        assert len(text_opens) == 1
+
+
 class TestFeatureDatasetJsonl:
     def test_round_trip_preserves_everything(self, tmp_path):
         spec = ZipfSpec(

@@ -20,7 +20,7 @@ from sapeval.metrics import (
     rank_order,
     roc_auc,
 )
-from sapeval.pools import pool_from_arrays
+from sapeval.pools import FrameIndex, pool_from_arrays
 
 from conftest import MICRO_DET, MICRO_GT, box, det, det_columns, gt, gt_columns, make_pool, random_pool
 from oracles import brute_force_ap, brute_force_roc_auc
@@ -141,7 +141,7 @@ class TestAveragePrecision:
 
 
 def frame_ap_of(instances, detections, category):
-    return frame_ap(gt_columns(instances), det_columns(detections), category)
+    return frame_ap(FrameIndex(gt_columns(instances), det_columns(detections)), category)
 
 
 class TestFrameAp:
