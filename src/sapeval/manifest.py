@@ -1,10 +1,10 @@
 """Run manifests and atomic file output.
 
 Every CLI command records what it ran: the resolved configuration, digests
-of its inputs and outputs, the seed, and the tool version. Re-running the
-recorded command reproduces the outputs byte for byte. Output files are
-written to a temporary sibling and renamed into place, so a failed run
-never leaves a partial file behind.
+of its inputs and outputs, the seed, the tool version, and the Python and
+numpy versions. Re-running the recorded command reproduces the outputs byte
+for byte. Output files are written to a temporary sibling and renamed into
+place, so a failed run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -12,10 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 
 def sha256_file(path: str | Path) -> str:
@@ -60,7 +63,7 @@ def write_manifest(
 ) -> None:
     """Write the run manifest to ``path``: the digests of the inputs, which
     the caller takes (:func:`file_digests`) before it writes any output, and
-    of the outputs, hashed here."""
+    of the outputs, hashed here, and the Python and numpy versions run."""
     from . import __version__
 
     write_atomic(path, json_text({
@@ -70,5 +73,6 @@ def write_manifest(
         "outputs": file_digests(outputs),
         "seed": seed,
         "version": __version__,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
         "created": datetime.now(timezone.utc).isoformat(),
     }))

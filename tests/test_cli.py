@@ -6,11 +6,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import sapeval.cli
+import sapeval.pools
 from sapeval.cli import ConfigError, _config_dict, build_parser, main
 from sapeval.errors import ParseError, SapEvalError
 from sapeval.manifest import sha256_file
@@ -1145,6 +1147,23 @@ def test_reports_are_byte_identical_to_golden(tmp_path, name):
     gt, det = write_ava_fixture(tmp_path)
     out = tmp_path / "report.json"
     assert run(*argv, "--gt", gt, "--det", det, "--out", out, "--min-examples", 3) == 0
+    assert sha256_file(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_reports_are_golden_on_the_three_key_detection_sort(tmp_path, name):
+    """One extra detection of a category 10¹⁵ above the others, which the
+    ground truth does not label, spreads the categories too far for the
+    frame index's packed sort key: the index sorts by three keys, and the
+    ground-truth categories' reports stay byte-identical to golden."""
+    argv, digest = GOLDEN_REPORTS[name]
+    gt, det = write_ava_fixture(tmp_path)
+    with det.open("a") as fh:
+        fh.write(f"vid0,902,0.100000,0.100000,0.300000,0.300000,{10**15},0.500000\n")
+    out = tmp_path / "report.json"
+    with mock.patch.object(sapeval.pools, "_sort_runs", wraps=sapeval.pools._sort_runs) as sort:
+        assert run(*argv, "--gt", gt, "--det", det, "--out", out, "--min-examples", 3) == 0
+    assert [len(call.args) for call in sort.call_args_list] == [3]
     assert sha256_file(out) == digest
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import platform
+
+import numpy as np
 
 from sapeval.manifest import file_digests, json_text, sha256_file, write_atomic, write_manifest
 
@@ -41,4 +44,6 @@ def test_write_manifest_fields(tmp_path):
     assert manifest["outputs"] == {"out": sha256_file(out)}
     assert manifest["seed"] == 9
     assert manifest["version"]
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__}
     assert "created" in manifest

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sapeval import pools
 from sapeval.boxes import DetectionColumns
 from sapeval.errors import NoPositives, UnknownCategory
 from sapeval.metrics import average_precision_from_arrays, frame_ap
@@ -443,6 +446,21 @@ class TestSortKernel:
         assert _break_ties(order, starts, *tiebreaks).tolist() == expected.tolist()
 
 
+#: the most categories whose packed key fits beside three frames and
+#: scores spanning [0, 1]: C·F·S < 2⁶³ holds for C up to this, not above
+PACKED_CATEGORIES = (2**63 - 1) // (3 * (10**6 + 1))
+#: detection rows for the three-key path: scores off the 10⁻⁶ grid, NaN,
+#: ±inf, negative, above 1, or as far above 1 as 2e10, whose span passes
+#: 2⁵³ in millionths; categories as far apart as 2⁶² besides 0-2
+ANY_DET_ROW = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from([0, 1, 2, 3 * 10**12, 2**62, -2**62]),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-6, 1 / 3, 0.5 + 1e-9, np.nan, np.inf, -np.inf,
+                     -0.25, 3.0, 2e10]),
+    SIGNED_ZEROS, SIGNED_ZEROS, st.sampled_from([0.5, 0.75]), st.sampled_from([0.5, 0.75]),
+)
+
+
 class TestFrameIndexDetectionOrder:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(TIED_DET_ROW, max_size=40))
@@ -459,3 +477,38 @@ class TestFrameIndexDetectionOrder:
         for got, expected in ((index.category, category), (index.frame, frame),
                               (index.score, score), (index.boxes[index.order], boxes)):
             assert got.tobytes() == expected[order].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ANY_DET_ROW, max_size=40))
+    @example([(0, 0, 0.0, 0.0, 0.0, 0.5, 0.5), (1, PACKED_CATEGORIES - 1, 1.0, 0.0, 0.0, 0.5, 0.5),
+              (1, 0, 0.5, 0.25, 0.0, 0.5, 0.5), (1, 0, 0.5, 0.0, 0.0, 0.5, 0.5)])
+    @example([(0, 0, 0.0, 0.0, 0.0, 0.5, 0.5), (1, PACKED_CATEGORIES, 1.0, 0.0, 0.0, 0.5, 0.5),
+              (1, 0, 0.5, 0.25, 0.0, 0.5, 0.5), (1, 0, 0.5, 0.0, 0.0, 0.5, 0.5)])
+    @example([(0, 0, np.nan, 0.25, 0.0, 0.5, 0.5), (0, 0, np.nan, 0.0, 0.0, 0.5, 0.5)])
+    @example([(0, 0, 2e10, 0.0, 0.0, 0.5, 0.5), (0, 0, 1e-6, 0.0, 0.0, 0.5, 0.5),
+              (0, 0, 0.0, 0.25, 0.0, 0.5, 0.5)])
+    def test_any_scores_and_categories_equal_seven_key_lexsort(self, rows):
+        """Scores off the 10⁻⁶ grid, NaN, ±inf, negative or above 1, and
+        categories so far apart that the key cannot pack, order as the
+        seven-key lexsort does; the rows reach ``_sort_runs`` as one packed
+        key exactly when their scores and spans allow it."""
+        frames = (("b", 0), ("a", 1), ("a", 0))
+        code = np.array([r[0] for r in rows], dtype=np.int64)
+        category = np.array([r[1] for r in rows], dtype=np.int64)
+        score = np.array([r[2] for r in rows], dtype=np.float64)
+        boxes = np.array([r[3:] for r in rows], dtype=np.float64).reshape(-1, 4)
+        dets = DetectionColumns(frames, code, boxes, category, score)
+        with mock.patch.object(pools, "_sort_runs", wraps=pools._sort_runs) as sort_runs:
+            index = FrameIndex(gt_columns([gt("a", 0, box(0.0, 0.0, 0.5, 0.5), {0}, 0)]), dets)
+        frame = np.array([2, 1, 0])[code]
+        order = np.lexsort((*boxes.T[::-1], -score, frame, category))
+        for got, expected in ((index.category, category), (index.frame, frame),
+                              (index.score, score), (index.boxes[index.order], boxes)):
+            assert got.tobytes() == expected[order].tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.rint(score * 1e6)
+            on_grid = np.isfinite(q).all() and (q / 1e6 == score).all()
+        c_span = int(category.max()) - int(category.min()) + 1 if len(rows) else 0
+        q_span = int(q.max()) - int(q.min()) + 1 if on_grid and len(rows) else 0
+        packs = len(rows) > 0 and on_grid and c_span * 3 * q_span < 2**63 and q_span <= 2**53
+        assert len(sort_runs.call_args.args) == (1 if packs else 3)
