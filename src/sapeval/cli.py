@@ -129,6 +129,12 @@ def _sap_config(args: argparse.Namespace, include_background: bool = True) -> Sa
     return SapConfig(args.trials, args.seed, include_background)
 
 
+def _min_examples(args: argparse.Namespace) -> int:
+    if args.min_examples < 0:
+        raise ConfigError("--min-examples: must be at least 0")
+    return args.min_examples
+
+
 # ---------------------------------------------------------------- synth
 
 
@@ -168,6 +174,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    min_examples = _min_examples(args)
     index, gt_categories = _detection_index(args)
     evals, rows = [], []
     for category in gt_categories:
@@ -181,11 +188,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rows.append({"category": category, "n_pos": pool.n_pos, "n_neg": pool.n_neg,
                      "ap": ap, "roc_auc": auc})
 
-    eligible = _eligible(evals, args.min_examples)
+    eligible = _eligible(evals, min_examples)
     report = {
         "categories": rows,
         "aggregate": {
-            "map": mean_ap(eligible, args.min_examples),
+            "map": mean_ap(eligible, min_examples),
             "eligible_categories": len(eligible),
         },
     }
@@ -212,7 +219,7 @@ def _load_pools(args: argparse.Namespace) -> tuple[dict[int, object], dict[str, 
 
 
 def cmd_sap(args: argparse.Namespace) -> int:
-    sap_config = _sap_config(args, include_background=not args.no_background)
+    sap_config, min_examples = _sap_config(args, not args.no_background), _min_examples(args)
     pools, inputs = _load_pools(args)
     evals = score_pools(pools, sap_config)
     records = [
@@ -220,7 +227,7 @@ def cmd_sap(args: argparse.Namespace) -> int:
     ]
     report = {
         "categories": records,
-        "aggregate": {"msap": msap(evals, args.min_examples)},
+        "aggregate": {"msap": msap(evals, min_examples)},
     }
     _write_outputs(args, "sap", {"report": (args.out, json_text(report))}, inputs)
     print(f"mSAP {report['aggregate']['msap']:.4f}")
@@ -275,7 +282,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    sap_config = _sap_config(args)
+    sap_config, min_examples = _sap_config(args), _min_examples(args)
     data_dir = Path(args.data_dir)
     train = read_feature_dataset(data_dir / "train.jsonl", "train")
     val = read_feature_dataset(data_dir / "val.jsonl", "val", n_categories=train.n_categories)
@@ -314,10 +321,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     params = Ablation(train, split).train(args.variant, config, history)
 
     report_train = evaluate_model(
-        params, train, sap_config, split=split, min_examples=args.min_examples
+        params, train, sap_config, split=split, min_examples=min_examples
     )
     report_val = evaluate_model(
-        params, val, sap_config, split=split, min_examples=args.min_examples
+        params, val, sap_config, split=split, min_examples=min_examples
     )
 
     out_dir = Path(args.out_dir)

@@ -10,15 +10,15 @@ C parser reads both, into ``GroundTruthColumns`` and
 ``DetectionColumns``, whitespace-only lines dropped, ``CHUNK`` lines per
 call: each chunk's structured rows are checked as arrays and written into
 columns sized from the line count, then dropped, so that no copy of the
-whole file's rows exists. A file the C parser rejects, or whose rows fail
-that check, is read again line by line with Python's ``int`` and
-``float``: that reader raises the first bad line's error, so every error
-and line number comes from it, or reads a valid file the C parser cannot
-(``1_0``, non-ASCII digits). Coordinates and scores are written as
-6-decimal fixed point and quantized to that grid on read, so
-parse -> serialize -> parse is the identity. Timestamps and category ids
-must fit in int64. In every line-based file, invalid UTF-8 is a parse
-error at the line that holds it.
+whole file's rows exists. A chunk the C parser rejects, or whose rows fail
+that check, is taken back, and only its lines are read again, one at a
+time with Python's ``int`` and ``float``: that reader raises the first
+bad line's error, so every error and line number comes from it, or reads
+valid lines the C parser cannot (``1_0``, non-ASCII digits). Coordinates
+and scores are written as 6-decimal fixed point and quantized to that
+grid on read, so parse -> serialize -> parse is the identity. Timestamps
+and category ids must fit in int64. In every line-based file, invalid
+UTF-8 is a parse error at the line that holds it.
 
 Feature datasets are JSON lines, one record per example::
 
@@ -99,8 +99,8 @@ _BOX_ROWS = {7: np.dtype(_BOX_FIELDS), 8: np.dtype([*_BOX_FIELDS, ("score", "f8"
 #: the controls the C parser strips around a number as whitespace, and
 #: ``int`` and ``float`` do not
 _C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-#: lines per ``np.loadtxt`` call: one chunk's structured rows, 64 bytes a
-#: row, are the only copy of the data a box CSV read holds beside its columns
+#: lines per ``np.loadtxt`` call or line reader fallback: one chunk's rows are
+#: the only copy of the data a box CSV read holds beside its columns
 CHUNK = 1 << 14
 
 
@@ -110,51 +110,45 @@ def _read_box_csv(path: str, n_fields: int):
     order of first appearance, each row's index into them, the (n, 4)
     corners, the categories, and the scores (None for ground truth).
 
-    numpy's C parser reads the file's lines that are not whitespace only,
-    ``CHUNK`` at a time, into structured rows, the video ids turned into
-    codes as it goes; each chunk is checked and written into columns sized
-    from the line count, then dropped. If a chunk fails, or the parser
-    warns, the file is read line by line by ``_check_box_row``: that
-    raises the first bad line's ``ParseError``, or returns the rows of a
-    valid file the C parser rejects (``1_0``, non-ASCII digits), which go
-    into the same columns ``CHUNK`` rows at a time."""
+    Each ``CHUNK`` of the lines that are not whitespace only goes through
+    numpy's C parser into columns sized from the line count. A chunk it
+    rejects or warns on is taken back and read again through one
+    forward-only ``_lines`` by ``_check_box_row``, which raises the first
+    bad line's ``ParseError`` or reads ``1_0`` and non-ASCII digits."""
     n_lines, c_only_space = _byte_pass(path, _C_ONLY_SPACE)
-    if not c_only_space:
-        try:
-            return _parsed_columns(path, n_fields, n_lines)
-        except (ValueError, OverflowError, Warning):  # UnicodeDecodeError too
-            pass
-    videos, columns, rows = _Codes(), _BoxColumns(n_lines, n_fields), []
-    for line_no, line in _lines(path):
-        video, *row = _check_box_row(path, line_no, line, n_fields)
-        rows.append((videos[video], *row))
-        if len(rows) == CHUNK:
-            columns.add(np.array(rows, _BOX_ROWS[n_fields]))
-            rows.clear()
-    columns.add(np.array(rows, _BOX_ROWS[n_fields]))
-    return columns.finish(videos)
-
-
-def _parsed_columns(path: str, n_fields: int, n_lines: int):
-    """``_read_box_csv``'s columns as the C parser reads them, whitespace-only
-    lines dropped, ``CHUNK`` lines per call; ``ValueError`` or a warning
-    for a file it or ``_BoxColumns.add`` rejects."""
-    videos, columns = _Codes(), _BoxColumns(n_lines, n_fields)
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning sends the file to the line reader
+    videos, columns, dtype = _Codes(), _BoxColumns(n_lines, n_fields), _BOX_ROWS[n_fields]
+    line_reader, line_rows = _lines(path), 0  # the lines it has yielded
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning sends the chunk to the line reader
         lines = itertools.filterfalse(str.isspace, fh)
         for line in lines:
             chunk = itertools.chain((line,), itertools.islice(lines, CHUNK - 1))
-            columns.add(np.loadtxt(chunk, _BOX_ROWS[n_fields], delimiter=",", comments=None,
-                                   ndmin=1, converters={0: videos.__getitem__}))
+            start, n_videos = columns.n, len(videos)
+            if not c_only_space:
+                try:
+                    columns.add(np.loadtxt(chunk, dtype, delimiter=",", comments=None, ndmin=1,
+                                           converters={0: videos.__getitem__}))
+                    continue
+                except (ValueError, OverflowError, Warning):
+                    columns.n = start
+                    while len(videos) > n_videos:
+                        videos.popitem()
+            next(itertools.islice(chunk, CHUNK, CHUNK), None)  # skip the lines it left
+            skip = start - line_rows  # the lines of chunks the C parser read
+            columns.add(np.array([(videos[video], *row) for video, *row in (
+                _check_box_row(path, line_no, text, n_fields)
+                for line_no, text in itertools.islice(line_reader, skip, skip + CHUNK))], dtype))
+            line_rows = columns.n
     return columns.finish(videos)
 
 
 class _Codes(dict):
-    """Strings to int codes: a string not seen before gets the next code,
-    so codes number the strings in order of first appearance."""
+    """Strings to int codes in order of first appearance; ``ValueError`` for
+    an empty string or one holding a byte ``_lines`` rejects."""
 
     def __missing__(self, key: str) -> int:
+        if not key or (not key.isascii() and _UNDECODED.search(key)):
+            raise ValueError(f"video_id {key!r}")
         self[key] = code = len(self)
         return code
 
@@ -207,10 +201,7 @@ class _BoxColumns:
             raise ValueError("invalid box corners or score")
 
     def finish(self, videos: dict[str, int]):
-        """``_read_box_csv``'s result for the rows written, whose videos
-        are codes into ``videos``; ``ValueError`` for an empty video id."""
-        if "" in videos:
-            raise ValueError("empty video_id")
+        """``_read_box_csv``'s result for the rows written, their videos codes in ``videos``."""
         n, names = self.n, list(videos)
         video, stamp = self.video[:n], self.timestamp[:n]
         low, high = (int(stamp.min()), int(stamp.max())) if n else (0, 0)

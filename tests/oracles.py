@@ -241,7 +241,8 @@ def _reference_box_lines(path, n_fields):
     """``(video_id, timestamp, corners, category, scores)`` of each
     non-blank line of a box CSV with ``n_fields`` fields, the scores
     the fields after the category. Raises ``ParseError`` at the first bad
-    line, checking in field order: field count, video id, timestamp
+    line: a line holding invalid UTF-8 names the first such byte; else
+    the checks go in field order: field count, video id, timestamp
     (integer, int64), corners (numbers quantized to 6 decimals, then box
     validity), category (integer, int64), score (number, then [0, 1])."""
     from sapeval.errors import ParseError
@@ -252,8 +253,14 @@ def _reference_box_lines(path, n_fields):
             raise ValueError(f"{what} {value} outside int64")
         return value
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            raw = line.encode("utf-8", "surrogateescape")  # the line's own bytes
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(str(path), line_no,
+                                 f"invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split(",")

@@ -789,6 +789,18 @@ UNPARSEABLE_JSON = [(b"", 1), (b'{"categories": [\n', 2), (b'{"a": "\xff"}', 0),
 UNPARSEABLE_JSON_IDS = ["empty", "truncated", "not_utf8", "nested_too_deep"]
 
 
+@pytest.mark.parametrize("command", ["eval", "sap", "train"])
+def test_negative_min_examples_exit_2_naming_the_flag(detection_files, synth_dir, tmp_path,
+                                                      capsys, command):
+    gt, det = detection_files
+    out = tmp_path / "out"
+    argv = (["train", "--data-dir", synth_dir, "--out-dir", out, "--variant", "baseline_plain"]
+            if command == "train" else [command, "--gt", gt, "--det", det, "--out", out])
+    assert run(*argv, "--min-examples", -3) == 2
+    assert capsys.readouterr().err == "error: --min-examples: must be at least 0\n"
+    assert not out.exists()
+
+
 class TestRerunDeterminism:
     def test_rerun_from_manifest_reproduces_bytes(self, synth_dir, tmp_path):
         out = tmp_path / "run"

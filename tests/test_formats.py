@@ -538,6 +538,112 @@ class TestBoxCsvChunks:
         assert (err.value.line, str(err.value)) == (expected.value.line, str(expected.value))
 
 
+#: valid values the C parser rejects, by field: underscores between digits
+#: and non-ASCII digits
+ODD_FIELDS = {1: ["١", "0_1"], 6: ["1_0", "７"], 7: ["0.5_0", "０.５"]}
+
+
+@st.composite
+def mixed_box_line(draw, n_fields):
+    """One box CSV line as bytes: a valid row, a valid row the C parser
+    rejects, a bad row, a blank line or a row holding invalid UTF-8."""
+    fields = draw(detection_lines() if n_fields == 8 else GT_LINES)
+    kind = draw(st.sampled_from(["valid", "odd", "bad", "blank", "byte"]))
+    if kind == "odd":
+        i = draw(st.sampled_from([i for i in ODD_FIELDS if i < n_fields]))
+        fields[i] = draw(st.sampled_from(ODD_FIELDS[i]))
+    elif kind == "bad":
+        kinds = [k for k in CORRUPTIONS if n_fields == 8 or k != "score"]
+        fields = corrupt(draw, fields, draw(st.sampled_from(kinds)))
+    line = ",".join(fields).encode()
+    if kind == "blank":
+        return b" "
+    if kind == "byte":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + line[at:]
+    return line
+
+
+class TestFallbackPerChunk:
+    """A chunk the C parser rejects, and only that chunk, is read again by
+    the line reader; the rows, or the first error, are the reference's."""
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    def test_only_the_rejected_chunk_is_read_line_by_line(self, tmp_path, monkeypatch, kind):
+        n_fields, read, reference, rows = BOX_READERS[kind]
+        lines = box_csv_lines(2 * formats.CHUNK + 3, n_fields)
+        edits = {formats.CHUNK + 5: (0, "new"), formats.CHUNK + 9: (6, "1_0")}
+        for i, (field, value) in edits.items():
+            fields = lines[i].rstrip("\n").split(",")
+            fields[field] = value
+            lines[i] = ",".join(fields) + "\n"
+        path = tmp_path / "boxes.csv"
+        path.write_text("".join(lines))
+        expected = reference(path)
+        line_numbers = []
+        check_box_row = formats._check_box_row
+        monkeypatch.setattr(formats, "_check_box_row",
+                            lambda *args: line_numbers.append(args[1]) or check_box_row(*args))
+        columns = read(path)
+        assert line_numbers == list(range(formats.CHUNK + 1, 2 * formats.CHUNK + 1))
+        assert rows(columns) == expected
+        assert list(columns.frames) == list(dict.fromkeys(
+            (video, int(stamp)) for video, stamp, *_ in (line.split(",") for line in lines)))
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    @settings(max_examples=150, deadline=None)
+    @given(chunk=st.integers(1, 3), data=st.data())
+    def test_mixed_files_read_as_reference(self, tmp_path_factory, kind, chunk, data):
+        n_fields, read, reference, rows = BOX_READERS[kind]
+        lines = data.draw(st.lists(mixed_box_line(n_fields), max_size=10))
+        path = tmp_path_factory.mktemp("boxes") / "boxes.csv"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "CHUNK", chunk)
+            expect_reference(path, read, reference, rows)
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    def test_a_chunk_whose_rows_fail_the_array_check_is_taken_back(self, tmp_path,
+                                                                   monkeypatch, kind):
+        """Rows the C parser read wrongly (here every chunk's last x1) are
+        dropped, and the line reader writes the chunk where they were."""
+        n_fields, read, reference, rows = BOX_READERS[kind]
+        monkeypatch.setattr(formats, "CHUNK", 3)
+        path = tmp_path / "boxes.csv"
+        path.write_text("".join(box_csv_lines(8, n_fields)))
+        expected = reference(path)
+        loadtxt = np.loadtxt
+
+        def misreading_loadtxt(*args, **kwargs):
+            parsed = loadtxt(*args, **kwargs)
+            parsed["box"][-1, 0] = 2.0
+            return parsed
+
+        monkeypatch.setattr(np, "loadtxt", misreading_loadtxt)
+        assert rows(read(path)) == expected
+
+    def test_earlier_bad_line_in_a_fallback_chunk_wins_over_a_later_byte(self, tmp_path,
+                                                                         monkeypatch):
+        monkeypatch.setattr(formats, "CHUNK", 3)
+        path = tmp_path / "det.csv"
+        path.write_bytes(f"{ROW},0.5\n{ROW},0.5\n{ROW},0.5\n{ROW[:-1]}1_0,0.5\nv,1\n"
+                         f"\xff{ROW},0.5\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="expected 8 fields, got 2") as err:
+            read_detections_csv(path)
+        assert err.value.line == 5
+
+    def test_bad_line_in_the_chunk_after_a_fallback_chunk(self, tmp_path, monkeypatch):
+        """Line numbers count the blank lines of every chunk before."""
+        monkeypatch.setattr(formats, "CHUNK", 2)
+        path = tmp_path / "det.csv"
+        path.write_text(f"{ROW},0.5\n\n{ROW},0.5\n{ROW[:-1]}1_0,0.5\n \n{ROW},0.5\n\n"
+                        f"{ROW},0.5\nw,1,0.1,0.1,1.5,0.3,0,0.5\n")
+        expect_reference(path, read_detections_csv, reference_read_detections, rows_of)
+        with pytest.raises(ParseError, match="invalid box corners") as err:
+            read_detections_csv(path)
+        assert err.value.line == 9
+
+
 class TestInvalidUtf8:
     @pytest.mark.parametrize("read,good", [
         (read_detections_csv, f"{ROW},0.5"), (read_ground_truth_csv, ROW)],
@@ -1045,9 +1151,9 @@ class TestDetectionsMemory:
         assert peak < 1.6 * size
 
     def test_line_reader_peak_stays_near_the_columns(self, tmp_path):
-        """A valid file the C parser rejects (one ``1_0`` category) is read
-        line by line into the same columns, a chunk of rows at a time: within
-        2.5 times the columns returned."""
+        """A valid file with one row the C parser rejects (a ``1_0``
+        category) has that row's chunk read line by line into the same
+        columns: within 2.5 times the columns returned."""
         lines = box_csv_lines(self.N)
         fields = lines[self.N // 2].split(",")
         fields[6] = "1_0"
@@ -1061,6 +1167,28 @@ class TestDetectionsMemory:
         finally:
             tracemalloc.stop()
         assert len(columns) == self.N and columns.category[self.N // 2] == 10
+        size = sum(a.nbytes for a in (columns.frame, columns.boxes, columns.category,
+                                      columns.score))
+        assert peak < 2.5 * size
+
+    def test_line_reader_peak_over_a_whole_file(self, tmp_path):
+        """A ``1_0`` category in every chunk sends every line through the
+        line reader, one chunk of rows at a time: within 2.5 times the
+        columns returned."""
+        lines = box_csv_lines(self.N)
+        for i in range(formats.CHUNK // 2, self.N, formats.CHUNK):
+            fields = lines[i].split(",")
+            fields[6] = "1_0"
+            lines[i] = ",".join(fields)
+        det = tmp_path / "det.csv"
+        det.write_text("".join(lines))
+        tracemalloc.start()
+        try:
+            columns = read_detections_csv(det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == self.N and columns.category[formats.CHUNK // 2] == 10
         size = sum(a.nbytes for a in (columns.frame, columns.boxes, columns.category,
                                       columns.score))
         assert peak < 2.5 * size
