@@ -5,20 +5,25 @@ Ground-truth CSV (UTF-8, no header), one row per (box, label) pair::
     video_id,timestamp,x1,y1,x2,y2,category_id
 
 Rows sharing (video_id, timestamp, x1, y1, x2, y2) merge into one
-multi-label box. Detection CSV adds a trailing ``score`` column. numpy's
-C parser reads both, into ``GroundTruthColumns`` and
-``DetectionColumns``, whitespace-only lines dropped, ``CHUNK`` lines per
-call: each chunk's structured rows are checked as arrays and written into
+multi-label box. Detection CSV adds a trailing ``score`` column.
+
+Both text formats go through one chunk loop, ``_read_chunks``: it hands
+each chunk of lines, whitespace-only lines dropped, to the format's block
+parser, and a chunk that parser rejects, and only that chunk, is read
+again from the same file handle by the format's per-line reader, which
+raises the first bad line's error, so every error and line number comes
+from it. For box CSVs the block parser is numpy's C parser, ``CHUNK``
+lines per call, into ``GroundTruthColumns`` and ``DetectionColumns``:
+each chunk's structured rows are checked as arrays and written into
 columns sized from the line count, then dropped, so that no copy of the
-whole file's rows exists. A chunk the C parser rejects, or whose rows fail
-that check, is taken back, and only its lines are read again, one at a
-time with Python's ``int`` and ``float``: that reader raises the first
-bad line's error, so every error and line number comes from it, or reads
-valid lines the C parser cannot (``1_0``, non-ASCII digits). Coordinates
-and scores are written as 6-decimal fixed point and quantized to that
-grid on read, so parse -> serialize -> parse is the identity. Timestamps
-and category ids must fit in int64. In every line-based file, invalid
-UTF-8 is a parse error at the line that holds it.
+whole file's rows exists. A chunk it rejects or warns on, whose rows fail
+that check, or that holds a control it would strip as whitespace, goes to
+the line reader, which reads lines with Python's ``int`` and ``float``,
+valid ones the C parser cannot too (``1_0``, non-ASCII digits).
+Coordinates and scores are written as 6-decimal fixed point and quantized
+to that grid on read, so parse -> serialize -> parse is the identity.
+Timestamps and category ids must fit in int64. In every line-based file,
+invalid UTF-8 is a parse error at the line that holds it.
 
 Feature datasets are JSON lines, one record per example::
 
@@ -27,15 +32,20 @@ Feature datasets are JSON lines, one record per example::
 Every record of a feature file names that file's split, and the first
 label is the example's generating (primary) category. Prediction files
 are JSON lines of ``{"id", "labels", "scores"}`` where ``scores`` has one
-entry per category. One loop reads both kinds and holds the rules they
+entry per category. One reader reads both kinds and holds the rules they
 share: int64 ids, no id twice, integer labels, no label twice, and rows
-of equal width. json's C scanner decodes each line that is one value up
-to its newline, and ``json.loads`` any other, raising every decode error.
-Rows go as read into one float64 matrix sized from the line count, and
-labels leave as an n x K multi-hot matrix: category-major for
-predictions, so that pools are views of them, row-major for features,
-which training gathers by row. Each reader then checks its own rules as
-one row mask per rule, and the first bad line's error is raised.
+of equal width. Its block parser takes ``JSON_BLOCK`` lines at a time:
+json's C scanner decodes each line, which must be one value up to its
+newline, the shared rules are checked once for the block, and one
+``np.array`` builds its rows, written into one float64 matrix sized from
+the line count. A block it cannot take whole (a bad record, a line that
+is not one value, a boolean where numpy would read a number, an
+undecodable byte) goes to the per-line reader, which decodes any other
+line with ``json.loads`` and raises every decode error. Labels leave as
+an n x K multi-hot matrix: category-major for predictions, so that pools
+are views of them, row-major for features, which training gathers by
+row. Each reader then checks its own rules as one row mask per rule, and
+the first bad line's error is raised.
 """
 
 from __future__ import annotations
@@ -98,10 +108,34 @@ _BOX_FIELDS = [("video", "i8"), ("timestamp", "i8"), ("box", "f8", (4,)), ("cate
 _BOX_ROWS = {7: np.dtype(_BOX_FIELDS), 8: np.dtype([*_BOX_FIELDS, ("score", "f8")])}
 #: the controls the C parser strips around a number as whitespace, and
 #: ``int`` and ``float`` do not
-_C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-#: lines per ``np.loadtxt`` call or line reader fallback: one chunk's rows are
-#: the only copy of the data a box CSV read holds beside its columns
+_C_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+#: lines per ``_read_chunks`` chunk of a box CSV, one ``np.loadtxt`` call: one
+#: chunk's rows are the only copy of the data a box CSV read holds beside its
+#: columns, and a chunk the C parser rejects is read again line by line
 CHUNK = 1 << 14
+#: lines per ``_read_chunks`` block of a JSON-lines file, decoded line by line
+#: by json's C scanner and checked once; far fewer than ``CHUNK``, as a
+#: block's decoded records hold a Python float per value
+JSON_BLOCK = 64
+
+
+def _read_chunks(path: str, size: int, parse_chunk, read_lines) -> None:
+    """Read ``path`` ``size`` lines at a time through one text handle.
+    ``parse_chunk`` gets each chunk's lines that are not whitespace only, as
+    an iterator, and says whether it read them all, leaving nothing changed
+    when it did not. A chunk it rejects, and only that chunk, is read again
+    from the same handle, sought back to the chunk's first byte, by
+    ``read_lines``: the format's per-line reader, which gets the chunk's
+    (line number, line) pairs from ``_numbered`` and raises the first bad
+    line's ``ParseError``."""
+    starts = None  # each chunk's first byte, found at the first rejected chunk
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh):  # the body reads the rest of each chunk
+            chunk = itertools.chain((line,), itertools.islice(fh, size - 1))
+            if not parse_chunk(itertools.filterfalse(str.isspace, chunk)):
+                starts = _chunk_starts(path, size) if starts is None else starts
+                fh.seek(starts[number])
+                read_lines(_numbered(path, itertools.islice(fh, size), number * size + 1))
 
 
 def _read_box_csv(path: str, n_fields: int):
@@ -110,41 +144,45 @@ def _read_box_csv(path: str, n_fields: int):
     order of first appearance, each row's index into them, the (n, 4)
     corners, the categories, and the scores (None for ground truth).
 
-    Each ``CHUNK`` of the lines that are not whitespace only goes through
-    numpy's C parser into columns sized from the line count. A chunk it
-    rejects or warns on is taken back and read again through one
-    forward-only ``_lines`` by ``_check_box_row``, which raises the first
-    bad line's ``ParseError`` or reads ``1_0`` and non-ASCII digits."""
-    n_lines, c_only_space = _byte_pass(path, _C_ONLY_SPACE)
+    ``_read_chunks`` hands each ``CHUNK`` to numpy's C parser, which writes
+    it into columns sized from the line count. A chunk it rejects or warns
+    on, or one holding a ``_C_ONLY_SPACE`` control, goes to
+    ``_check_box_row``, which raises the first bad line's ``ParseError`` or
+    reads ``1_0`` and non-ASCII digits."""
+    n_lines, controls = _byte_pass(path)
     videos, columns, dtype = _Codes(), _BoxColumns(n_lines, n_fields), _BOX_ROWS[n_fields]
-    line_reader, line_rows = _lines(path), 0  # the lines it has yielded
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh, warnings.catch_warnings():
+    # the chunks holding a control: each chunk's first byte is at or before it
+    control_chunks = {*(np.searchsorted(_chunk_starts(path, CHUNK), controls, "right") - 1)
+                      .tolist()} if controls else set()
+    chunk_numbers = itertools.count()
+
+    def parse_chunk(chunk) -> bool:
+        start, n_videos = columns.n, len(videos)
+        if next(chunk_numbers) in control_chunks:
+            return False
+        try:
+            columns.add(np.loadtxt(chunk, dtype, delimiter=",", comments=None, ndmin=1,
+                                   converters={0: videos.__getitem__}))
+            return True
+        except (ValueError, OverflowError, Warning):
+            columns.n = start
+            while len(videos) > n_videos:
+                videos.popitem()
+            return False
+
+    def read_lines(numbered) -> None:
+        columns.add(np.array([(videos[video], *row) for video, *row in (
+            _check_box_row(path, line_no, text, n_fields) for line_no, text in numbered)], dtype))
+
+    with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning sends the chunk to the line reader
-        lines = itertools.filterfalse(str.isspace, fh)
-        for line in lines:
-            chunk = itertools.chain((line,), itertools.islice(lines, CHUNK - 1))
-            start, n_videos = columns.n, len(videos)
-            if not c_only_space:
-                try:
-                    columns.add(np.loadtxt(chunk, dtype, delimiter=",", comments=None, ndmin=1,
-                                           converters={0: videos.__getitem__}))
-                    continue
-                except (ValueError, OverflowError, Warning):
-                    columns.n = start
-                    while len(videos) > n_videos:
-                        videos.popitem()
-            next(itertools.islice(chunk, CHUNK, CHUNK), None)  # skip the lines it left
-            skip = start - line_rows  # the lines of chunks the C parser read
-            columns.add(np.array([(videos[video], *row) for video, *row in (
-                _check_box_row(path, line_no, text, n_fields)
-                for line_no, text in itertools.islice(line_reader, skip, skip + CHUNK))], dtype))
-            line_rows = columns.n
+        _read_chunks(path, CHUNK, parse_chunk, read_lines)
     return columns.finish(videos)
 
 
 class _Codes(dict):
     """Strings to int codes in order of first appearance; ``ValueError`` for
-    an empty string or one holding a byte ``_lines`` rejects."""
+    an empty string or one holding a byte ``_numbered`` rejects."""
 
     def __missing__(self, key: str) -> int:
         if not key or (not key.isascii() and _UNDECODED.search(key)):
@@ -153,21 +191,51 @@ class _Codes(dict):
         return code
 
 
-def _byte_pass(path: str, controls: tuple[bytes, ...] = ()) -> tuple[int, bool]:
-    """How many lines ``_lines`` numbers, blank ones too (lines end at
-    ``\\n``, ``\\r\\n`` or a lone ``\\r``, a last line needing no end), and
-    whether the file holds one of the bytes ``controls``, in 256 KiB blocks."""
-    count, last, found = 0, b"", False
+def _byte_pass(path: str) -> tuple[int, list[int]]:
+    """How many lines ``path`` has, blank ones too (a last line needs no
+    end), and the byte offsets of the ``_C_ONLY_SPACE`` controls."""
+    count, last, base, controls = 0, b"", 0, []
+    for block in _blocks(path):
+        count += np.count_nonzero(_line_ends(block))
+        if any(control.encode() in block for control in _C_ONLY_SPACE):
+            codes = np.frombuffer(block, np.uint8)
+            controls += (np.flatnonzero((codes >= 0x1C) & (codes <= 0x1F)) + base).tolist()
+        base += len(block)
+        last = block[-1:]
+    return count + (last not in (b"", b"\n", b"\r")), controls
+
+
+def _chunk_starts(path: str, size: int) -> np.ndarray:
+    """The byte offset of the first line of each ``size`` lines of ``path``."""
+    starts, count, base = [np.zeros(1, np.int64)], 0, 0
+    for block in _blocks(path):
+        after = np.flatnonzero(_line_ends(block)) + (base + 1)  # each next line's first byte
+        starts.append(after[-(count + 1) % size::size])  # after lines size, 2 size, ...
+        count += len(after)
+        base += len(block)
+    return np.concatenate(starts)
+
+
+def _blocks(path: str):
+    """The bytes of ``path`` in 256 KiB blocks, a ``\\r\\n`` never split
+    between two."""
     with open(path, "rb") as fh:
         while block := fh.read(1 << 18):
-            count += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-            if b"\r" in block:
-                count += block.count(b"\r") - block.count(b"\r\n")
-            if last == b"\r" and block.startswith(b"\n"):
-                count -= 1  # a "\r\n" split between two blocks
-            found = found or any(control in block for control in controls)
-            last = block[-1:]
-    return count + (last not in (b"", b"\n", b"\r")), found
+            while block.endswith(b"\r") and (byte := fh.read(1)):
+                block += byte
+            yield block
+
+
+def _line_ends(block: bytes) -> np.ndarray:
+    """The mask of the bytes of ``block`` that end a line, as text-mode reads
+    split lines: ``\\n``, and ``\\r`` not followed by ``\\n``."""
+    codes = np.frombuffer(block, np.uint8)
+    ends = codes == ord("\n")
+    if b"\r" in block:
+        returns = codes == ord("\r")
+        returns[:-1] &= ~ends[1:]
+        ends |= returns
+    return ends
 
 
 class _BoxColumns:
@@ -379,36 +447,107 @@ def _read_records(path: str, key: str, width_message: str, extra: str | None = N
     the deferred ``ParseError`` of the line where reading stopped (None if
     none did).
 
-    Each row is written as it is read into one matrix with a row for
-    every line from the first record on; when blank lines or a stop leave
-    some unused, the rows read are copied out once."""
-    ids, labels, extras, seen, matrix, error = [], [], [], set(), None, None
+    ``_read_chunks`` hands each ``JSON_BLOCK`` of lines to
+    ``_Records.add_block``, and a block it rejects to ``add_lines``."""
+    records, error = _Records(path, key, width_message, extra, order), None
     try:
-        for line_no, line in _lines(path):
+        _read_chunks(path, JSON_BLOCK, lambda chunk: records.add_block(list(chunk)),
+                     records.add_lines)
+    except ParseError as exc:
+        error = exc  # raised after the row checks: an earlier bad line wins
+    return (*records.finish(), error)
+
+
+class _Records:
+    """The records of ``_read_records``' file read so far: ids, label tuples
+    and ``extra`` fields in lists, and rows in one float64 matrix with a row
+    for every line of the file, made at the first record; when blank lines
+    or a stop leave some rows unused, ``finish`` copies the rows read out
+    once."""
+
+    def __init__(self, path: str, key: str, width_message: str, extra: str | None, order: str):
+        self.path, self.key, self.width_message, self.extra = path, key, width_message, extra
+        self.ids, self.labels, self.extras, self.seen = [], [], [], set()
+        self.n_lines, self.order, self.matrix = _byte_pass(path)[0], order, None
+
+    def fits(self, width: int) -> bool:
+        """Whether rows of ``width`` go in the matrix, made for them if none is."""
+        if self.matrix is None:
+            self.matrix = np.empty((self.n_lines, width), order=self.order)
+        return self.matrix.shape[1] == width
+
+    def add_lines(self, numbered) -> None:
+        """Add the records of (line number, line) pairs one at a time; the
+        ``ParseError`` of the first line that breaks a rule."""
+        path = self.path
+        for line_no, line in numbered:
             try:
-                example_id, example_labels, row, value = _record(line, key, extra)
+                example_id, example_labels, row, value = _record(line, self.key, self.extra)
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ParseError(path, line_no, f"bad record: {exc}") from None
-            if example_id in seen:
+            if example_id in self.seen:
                 raise ParseError(path, line_no, f"duplicate id {example_id}")
             if len(set(example_labels)) < len(example_labels):
                 raise ParseError(path, line_no, f"repeated label in {list(example_labels)}")
-            if matrix is None:
-                matrix = np.empty((_byte_pass(path)[0] - line_no + 1, len(row)), order=order)
-            elif len(row) != matrix.shape[1]:
-                raise ParseError(path, line_no, width_message)
-            matrix[len(ids)] = row
-            seen.add(example_id)
-            ids.append(example_id)
-            labels.append(example_labels)
-            extras.append(value)
-    except ParseError as exc:
-        error = exc  # raised after the row checks: an earlier bad line wins
-    if matrix is None:
-        matrix = np.empty((0, 0))
-    elif len(ids) < len(matrix):
-        matrix = np.array(matrix[:len(ids)], order=order)
-    return np.array(ids, dtype=np.int64), labels, matrix, extras, error
+            if not self.fits(len(row)):
+                raise ParseError(path, line_no, self.width_message)
+            self.matrix[len(self.ids)] = row
+            self.seen.add(example_id)
+            self.ids.append(example_id)
+            self.labels.append(example_labels)
+            self.extras.append(value)
+
+    def add_block(self, lines: list[str]) -> bool:
+        """Add the records of ``lines`` if ``add_lines`` would add them all
+        as they are, checking each rule once for the block; else False,
+        with nothing added. json's C scanner decodes each line, which must
+        be one value up to its newline, and one ``np.array`` builds the
+        rows, taken only as a 2-D float64 or int64 array."""
+        if not lines:
+            return True  # a block of blank lines
+        if not lines[0].endswith(("}\n", "}")):
+            return False  # saves decoding a block of, say, lines with trailing blanks
+        if not all(map(str.isascii, lines)) and any(map(_UNDECODED.search, lines)):
+            return False  # _numbered raises at an escaped byte
+        try:
+            records, ends = zip(*map(_scan, lines, itertools.repeat(0)))
+            ids = [record["id"] for record in records]
+            labels = [tuple(record["labels"]) for record in records]
+            rows = np.array([record[self.key] for record in records])
+            extras = ([record[self.extra] for record in records] if self.extra
+                      else [None] * len(lines))
+        except (StopIteration, KeyError, TypeError, ValueError, OverflowError, RecursionError):
+            return False
+        ints = [*ids, *itertools.chain.from_iterable(labels)]
+        # every line but the file's last ends at "\n": one value up to it leaves only that
+        if (sum(map(len, lines)) - sum(ends) != len(lines) - (not lines[-1].endswith("\n"))
+                or {*map(type, ints)} != {int} or min(ints) < -(2**63) or max(ints) >= 2**63
+                or rows.ndim != 2 or rows.dtype not in (np.float64, np.int64)
+                or len({*ids}) < len(ids) or not self.seen.isdisjoint(ids)
+                or any(len({*t}) < len(t) for t in labels if len(t) > 1)):
+            return False
+        if ((rows == 0) | (rows == 1)).any():  # where np.array may have read a bool
+            text = "".join(lines)
+            if "true" in text or "false" in text:
+                return False
+        if not self.fits(rows.shape[1]):
+            return False
+        n = len(self.ids)
+        self.matrix[n:n + len(rows)] = rows
+        self.seen.update(ids)
+        self.ids += ids
+        self.labels += labels
+        self.extras += extras
+        return True
+
+    def finish(self):
+        """The int64 ids, label tuples, rows and ``extra`` fields read."""
+        matrix = self.matrix
+        if matrix is None:
+            matrix = np.empty((0, 0))
+        elif len(self.ids) < len(matrix):
+            matrix = np.array(matrix[:len(self.ids)], order=self.order)
+        return np.array(self.ids, dtype=np.int64), self.labels, matrix, self.extras
 
 
 _scan = json.JSONDecoder().scan_once  # the C scanner of json.loads
@@ -417,24 +556,17 @@ _scan = json.JSONDecoder().scan_once  # the C scanner of json.loads
 def _record(line: str, key: str, extra: str | None):
     """The int64 id, label tuple, numbers under ``key`` as floats and
     ``extra`` field (None without one) of one JSON line. The C scanner
-    decodes a line that is one value up to its newline, one type test
-    passes ints within int64 and floats; else ``json.loads``, ``_json_int``
-    and ``_json_numbers`` decode and check, raising every error, and a
-    value that is not an object is "not a JSON object"."""
+    decodes a line that is one value up to its newline, ``json.loads`` any
+    other; ``_json_int`` and ``_json_numbers`` check the fields, raising
+    every error, and a value that is not an object is "not a JSON object"."""
     try:
         record, end = _scan(line, 0)
         if line[end:] not in ("\n", ""):
             raise ValueError("not one value up to the newline")
     except (StopIteration, ValueError):
         record = json.loads(line)
-    try:
-        ints, row = (record["id"], *record["labels"]), record[key]
-        if ({*map(type, ints)} == {int} and max(map(abs, ints)) < 2**63
-                and {*map(type, row)} <= {float}):
-            return ints[0], ints[1:], row, record[extra] if extra else None
-    except (KeyError, TypeError):
-        if type(record) is not dict:
-            raise ValueError("not a JSON object") from None
+    if type(record) is not dict:
+        raise ValueError("not a JSON object")
     return (_json_int(record["id"], "id"), tuple(_json_int(c, "label") for c in record["labels"]),
             _json_numbers(record[key], key[:-1]), record[extra] if extra else None)
 
@@ -456,25 +588,25 @@ def _raise_first(path: str, error: ParseError | None, checks: list) -> None:
 
 def _record_line(path: str, row: int) -> int:
     """Line number of record ``row`` of a JSON-lines file, blank lines skipped."""
-    return next(itertools.islice(_lines(path), row, None))[0]
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return next(itertools.islice(_numbered(path, fh), row, None))[0]
 
 
 #: what an undecodable byte becomes under ``errors="surrogateescape"``
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _lines(path: str):
-    """(line number, line) of each line of a UTF-8 text file that is not
-    whitespace only, read in one pass with undecodable bytes escaped.
-    Invalid UTF-8 is the ``ParseError`` of the first line holding an
-    escaped byte, raised once every line before it has been yielded."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii() and (bad := _UNDECODED.search(line)):
-                byte = ord(bad.group()) - 0xDC00
-                raise ParseError(path, line_no, f"invalid UTF-8 byte 0x{byte:02x}")
-            if not line.isspace():
-                yield line_no, line
+def _numbered(path: str, lines, first: int = 1):
+    """(line number, line) of each of ``lines``, lines of ``path`` read with
+    undecodable bytes escaped, that is not whitespace only, numbered from
+    ``first``. Invalid UTF-8 is the ``ParseError`` of the first line holding
+    an escaped byte, raised once every line before it has been yielded."""
+    for line_no, line in enumerate(lines, start=first):
+        if not line.isascii() and (bad := _UNDECODED.search(line)):
+            byte = ord(bad.group()) - 0xDC00
+            raise ParseError(path, line_no, f"invalid UTF-8 byte 0x{byte:02x}")
+        if not line.isspace():
+            yield line_no, line
 
 
 def read_category_ap(path: str | Path) -> dict[int, float]:

@@ -591,6 +591,25 @@ class TestFallbackPerChunk:
             (video, int(stamp)) for video, stamp, *_ in (line.split(",") for line in lines)))
 
     @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    def test_a_control_sends_only_its_chunk_to_the_line_reader(self, tmp_path, monkeypatch,
+                                                               kind):
+        """A control the C parser would strip as whitespace (here in a video
+        id of the last chunk) sends that chunk, not the file, line by line."""
+        n_fields, read, reference, rows = BOX_READERS[kind]
+        lines = box_csv_lines(2 * formats.CHUNK + 3, n_fields)
+        lines[-2] = "\x1f" + lines[-2]
+        path = tmp_path / "boxes.csv"
+        path.write_text("".join(lines))
+        expected = reference(path)
+        line_numbers = []
+        check_box_row = formats._check_box_row
+        monkeypatch.setattr(formats, "_check_box_row",
+                            lambda *args: line_numbers.append(args[1]) or check_box_row(*args))
+        columns = read(path)
+        assert line_numbers == list(range(2 * formats.CHUNK + 1, 2 * formats.CHUNK + 4))
+        assert rows(columns) == expected
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
     @settings(max_examples=150, deadline=None)
     @given(chunk=st.integers(1, 3), data=st.data())
     def test_mixed_files_read_as_reference(self, tmp_path_factory, kind, chunk, data):
@@ -1017,6 +1036,28 @@ class TestJsonlReaderBoundaries:
         result, expected = read_as_reference(path)
         assert result[0] == "ok" and result == expected
 
+    @pytest.mark.parametrize("edge", [b"\r\n", b"\r", b"\n", b"\r\r\n"],
+                             ids=["crlf_split", "cr", "lf", "cr_then_crlf"])
+    def test_chunk_starts_around_the_block_edge(self, tmp_path, edge):
+        """A rejected chunk is read again from the byte ``_chunk_starts``
+        gives: where a text-mode read starts the chunk's first line, with
+        ``edge`` ending a line at the last byte of the first 256 KiB block."""
+        block = 1 << 18
+        ends = [b"\n", b"\r\n", b"\r"]
+        body = b"".join(b"line %d" % i + ends[i % 3] for i in range(block // 16))
+        head = body[:body.rindex(b"\n", 0, block - 64) + 1]
+        text = head + b"y" * (block - 1 - len(head)) + edge + body
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text)
+        with open(path, encoding="utf-8", newline=None) as fh:
+            lines = list(fh)
+            for size in (1, 3):
+                starts = formats._chunk_starts(str(path), size)
+                assert len(starts) >= -(-len(lines) // size)
+                for number in range(-(-len(lines) // size)):
+                    fh.seek(int(starts[number]))
+                    assert fh.readline() == lines[number * size]
+
     @pytest.mark.parametrize("text", [
         "\n \n{0}\n\t\n{1}\n   \n{2}\n\n",
         "{0}\n{1}\n{2}",
@@ -1089,6 +1130,171 @@ class TestLineDecoding:
         result, expected = read_as_reference(path)
         assert result[:3] == expected[:3] == (
             "error", 2, f"{path}:2: bad record: not a JSON object")
+
+
+#: ROADMAP item 5's hazard: joined, these two lines decode to two records
+#: (ids 1 and 2), one per line, and each starts with "{" and ends with "}";
+#: read one at a time, the first holds extra data
+HAZARD_LINES = ['{"id": 1, "labels": [0], "scores": [0.5]}, '
+                '{"id": 2, "labels": [0], "scores": [0.5], "x": [{}',
+                '{"id": 3, "labels": [0], "scores": [0.5]}]}']
+#: JSON values that are not an int64: ints beyond it, a bool, a float
+ODD_INTS = [2**63, -(2**63) - 1, 2**64, 10**400, True, False, 1.5]
+#: values of a row under ``scores``: numbers, then values that are not one
+#: or that numpy would take as one (a bool, an int beyond float, a string,
+#: a nested list, null)
+ROW_VALUES = st.one_of(
+    st.floats(), st.integers(-3, 3), st.sampled_from([-(2**63), 2**63 - 1, 2**63, 2**64]),
+    st.sampled_from([True, False, 10**400, "0.5", [0.5], [], None]),
+)
+
+
+def rarely(draw, odd, usual):
+    """A value of ``odd`` one time in ten, else of ``usual``."""
+    return draw(odd if draw(st.integers(0, 9)) == 0 else usual)
+
+
+@st.composite
+def json_line(draw, key, extra):
+    """One line of a JSON-lines file as bytes: mostly a record under
+    ``key`` (with ``extra``, the split, when given), valid or not, else a
+    blank line, a hazard line, or a line that is not JSON."""
+    kind = draw(st.sampled_from(["record"] * 6 + ["blank", "hazard", "not_json"]))
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b" ", b"\t "]))
+    if kind == "hazard":
+        return draw(st.sampled_from(HAZARD_LINES)).encode()
+    width = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    row = st.one_of(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width),
+                    st.lists(ROW_VALUES, min_size=width, max_size=width))
+    record = {
+        "id": rarely(draw, st.sampled_from(ODD_INTS), st.integers(0, 12)),
+        "labels": draw(st.lists(st.integers(0, 3), max_size=3)),
+        # rarely a row that is not a list of values: a number, nested lists, a string
+        key: rarely(draw, st.sampled_from([0.5, [[0.5]] * width, "0.5"]), row),
+        "note": "~",  # where an invalid byte may go into a string
+    }
+    if draw(st.integers(0, 9)) == 0:
+        record["labels"].append(draw(st.sampled_from(ODD_INTS)))
+    if extra:
+        record[extra] = draw(st.sampled_from(["train", "train", "val", 5]))
+    if draw(st.integers(0, 9)) == 0:
+        del record[draw(st.sampled_from(sorted(record)))]
+    text = json.dumps(rarely(draw, st.just([record]), st.just(record)))
+    if kind == "not_json":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    text = rarely(draw, st.sampled_from([" ", "\t"]), st.just("")) + text + rarely(
+        draw, st.sampled_from([" ", " \t"]), st.just(""))
+    line = text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.one_of(st.integers(0, len(line)), st.just(line.find(b"~"))))
+        line = line[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + line[at:]
+    return line
+
+
+def read_records(path, kind, line_by_line):
+    """``_read_records`` of a predictions or feature file as comparable
+    values: the matrix by its bits, and the error by line and message. With
+    ``line_by_line`` every block goes to the per-line reader."""
+    key, extra, order = ("scores", None, "F") if kind == "predictions" else (
+        "features", "split", "C")
+    with pytest.MonkeyPatch.context() as patch:
+        if line_by_line:
+            patch.setattr(formats._Records, "add_block", lambda *args: False)
+        ids, labels, matrix, extras, error = formats._read_records(
+            str(path), key, "width differs", extra, order)
+    return (ids.tolist(), labels, extras, matrix.dtype, matrix.shape, matrix.tobytes(order="A"),
+            matrix.flags.f_contiguous, error and (error.line, str(error)))
+
+
+class TestJsonBlocks:
+    """``_Records.add_block`` reads a block of JSON lines only when the
+    per-line reader would read every line of it to the same records; a
+    block it rejects, and only that block, goes to the per-line reader."""
+
+    def spy_on_records(self, monkeypatch):
+        """The lines ``_record``, the per-line decoder, is called on."""
+        calls = []
+        record = formats._record
+        monkeypatch.setattr(formats, "_record", lambda *args: calls.append(args[0]) or record(*args))
+        return calls
+
+    def test_clean_blocks_need_no_line_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n".join(prediction_lines(3 * formats.JSON_BLOCK + 5)) + "\n\n")
+        calls = self.spy_on_records(monkeypatch)
+        result, expected = read_as_reference(path)
+        assert result[0] == "ok" and result == expected
+        assert calls == []
+
+    def test_a_bad_record_sends_only_its_block_to_the_line_reader(self, tmp_path, monkeypatch):
+        lines = [line + "\n" for line in prediction_lines(3 * formats.JSON_BLOCK)]
+        bad = formats.JSON_BLOCK + 10
+        lines[bad] = '{"id": %d, "labels": [0], "scores": [0.5, null, 0.25]}\n' % bad
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(lines))
+        calls = self.spy_on_records(monkeypatch)
+        result, expected = read_as_reference(path)
+        assert result[:3] == expected[:3] == (
+            "error", bad + 1, f"{path}:{bad + 1}: bad record: score None is not a number")
+        assert calls == lines[formats.JSON_BLOCK:bad + 1]
+
+    @pytest.mark.parametrize("kind", sorted(KEYS))
+    @settings(max_examples=300, deadline=None)
+    @given(block=st.integers(1, 3), data=st.data())
+    def test_block_path_reads_as_the_line_reader(self, tmp_path_factory, kind, block, data):
+        key, extra = ("scores", None) if kind == "predictions" else ("features", "split")
+        lines = data.draw(st.lists(json_line(key, extra), max_size=10))
+        ends = data.draw(st.lists(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]),
+                                  min_size=len(lines), max_size=len(lines)))
+        if lines and data.draw(st.booleans()):
+            ends[-1] = b""  # no final line end
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "JSON_BLOCK", block)
+            assert read_records(path, kind, False) == read_records(path, kind, True)
+
+    @pytest.mark.parametrize("lines, error", [
+        ([b'{"id": 0, "labels": [0], "scores": [0.5]}', *map(str.encode, HAZARD_LINES)],
+         (2, "bad record: Extra data: line 1 column 42 (char 41)")),
+        ([b'{"id": 1, "labels": [0], "scores": [0.5, 0.25], "note": [NaN, Infinity]}',
+          b'{"id": 2, "labels": [0], "scores": [0.5, null]}', b'{"id": 3, "labels": [0], "sc\xff'],
+         (2, "bad record: score None is not a number")),
+        ([b'{"id": 0, "labels": [0], "scores": [0.5, 0.25]}',
+          b'{"id": 1, "labels": [0], "scores": [true, 0.25]}'],
+         (2, "bad record: score True is not a number")),
+        ([b'{"id": 0, "labels": [0], "scores": [0.5]}', b'{"id": 1, "labels": [0], "scores": [1]}',
+          b'{"id": 2, "labels": [0], "scores": [0.5]}', b'{"id": 0, "labels": [0], "scores": [0]}'],
+         (4, "duplicate id 0")),
+        ([b'{"id": 0, "labels": [0], "scores": [0.5]}', b'{"id": 1, "labels": [0], "scores": [1]}',
+          b'{"id": 2, "labels": [0], "scores": [0.5]}', b'{"id": 3, "labels": [0], "scores": [1, 0]}'],
+         (4, "width differs")),
+        ([b'{"id": 0, "labels": [0], "scores": [0.5], "note": "\xff"}'],
+         (1, "invalid UTF-8 byte 0xff")),
+        ([b'{"id": %d, "labels": [0], "scores": [[0.5], [0.25]]}' % i for i in range(3)],
+         (1, "bad record: score [0.5] is not a number")),
+        ([b'{"id": %d, "labels": [0], "scores": 0.5}' % i for i in range(3)],
+         (1, "bad record: 'float' object is not iterable")),
+        ([b'{"id": 0, "labels": [0], "scores": [0.5]}', b'{"id": 1.5, "labels": [0], "scores": [0.5]}'],
+         (2, "bad record: id 1.5 is not an integer")),
+        ([b'{"id": 0, "labels": [0], "scores": [0.5]}', b'{"id": 1, "labels": [true], "scores": [0.5]}'],
+         (2, "bad record: label True is not an integer")),
+        ([b'{"id": 0, "labels": [0], "scores": [0.5]}',
+          b'{"id": 1, "labels": [9223372036854775808], "scores": [0.5]}'],
+         (2, "bad record: label 9223372036854775808 outside int64")),
+    ], ids=["hazard_lines", "invalid_utf8_after_a_bad_record", "bool_score",
+            "duplicate_id_across_blocks", "width_across_blocks", "invalid_utf8_in_a_string",
+            "nested_rows", "number_rows", "float_id", "bool_label", "label_beyond_int64"])
+    def test_block_path_names_the_line_reader_error(self, tmp_path, monkeypatch, lines, error):
+        """Blocks of three lines: each error comes from the first bad line,
+        as the per-line reader raises it."""
+        monkeypatch.setattr(formats, "JSON_BLOCK", 3)
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        result = read_records(path, "predictions", False)
+        assert result == read_records(path, "predictions", True)
+        assert result[-1] == (error[0], f"{path}:{error[0]}: {error[1]}")
 
 
 class TestPredictionsMemory:
