@@ -63,7 +63,7 @@ def _parse_fractions(text: str) -> tuple[float, ...]:
         raise ConfigError(f"--fractions: cannot parse {text!r}") from None
     if len(fractions) != 3:
         raise ConfigError("--fractions: expected three comma-separated values")
-    if min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
+    if not (all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ConfigError("--fractions: values must be positive and sum to 1")
     return fractions
 

@@ -54,14 +54,14 @@ class ZipfSpec:
     def __post_init__(self):
         if self.n_categories < 1:
             raise ValueError("n_categories must be at least 1")
-        if self.exponent < 0:
-            raise ValueError("exponent must be non-negative")
+        if not 0 <= self.exponent < math.inf:
+            raise ValueError("exponent must be finite and non-negative")
         if not 1 <= self.min_count <= self.max_count:
             raise ValueError("need max_count >= min_count >= 1")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be at least 1")
-        if self.cluster_spread <= 0:
-            raise ValueError("cluster_spread must be positive")
+        if not 0 < self.cluster_spread < math.inf:
+            raise ValueError("cluster_spread must be finite and positive")
         if not 0.0 <= self.multilabel_rate < 1.0:
             raise ValueError("multilabel_rate must lie in [0, 1)")
 

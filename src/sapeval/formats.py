@@ -7,23 +7,25 @@ Ground-truth CSV (UTF-8, no header), one row per (box, label) pair::
 Rows sharing (video_id, timestamp, x1, y1, x2, y2) merge into one
 multi-label box. Detection CSV adds a trailing ``score`` column.
 
-Both text formats go through one chunk loop, ``_read_chunks``: it hands
-each chunk of lines, whitespace-only lines dropped, to the format's block
-parser, and a chunk that parser rejects, and only that chunk, is read
-again from the same file handle by the format's per-line reader, which
-raises the first bad line's error, so every error and line number comes
-from it. For box CSVs the block parser is numpy's C parser, ``CHUNK``
-lines per call, into ``GroundTruthColumns`` and ``DetectionColumns``:
-each chunk's structured rows are checked as arrays and written into
-columns sized from the line count, then dropped, so that no copy of the
-whole file's rows exists. A chunk it rejects or warns on, whose rows fail
-that check, or that holds a control it would strip as whitespace, goes to
-the line reader, which reads lines with Python's ``int`` and ``float``,
-valid ones the C parser cannot too (``1_0``, non-ASCII digits).
-Coordinates and scores are written as 6-decimal fixed point and quantized
-to that grid on read, so parse -> serialize -> parse is the identity.
-Timestamps and category ids must fit in int64. In every line-based file,
-invalid UTF-8 is a parse error at the line that holds it.
+A text file is read in one binary pass, ``_byte_pass`` (its line count,
+and the lines holding a 0x1c-0x1f control), and one text pass, the chunk
+loop of both formats, ``_read_chunks``: each chunk of lines, blank ones
+dropped, goes to the format's block parser, and a chunk it rejects or
+that holds a control, and only that chunk, is read again from where it
+began by the format's per-line reader, which raises the first bad line's
+error, so every error and line number comes from it. For box CSVs the
+block parser is numpy's C parser, ``CHUNK`` lines per call, into
+``GroundTruthColumns`` and ``DetectionColumns``: each chunk's structured
+rows are checked as arrays and written into columns sized from the line
+count, then dropped, so that no copy of the whole file's rows exists. A
+chunk it rejects or warns on, whose rows fail that check, or that holds
+a control it would strip as whitespace, goes to the line reader, which
+reads lines with Python's ``int`` and ``float``, valid ones the C parser
+cannot too (``1_0``, non-ASCII digits). Coordinates and scores are
+written as 6-decimal fixed point and quantized to that grid on read, so
+parse -> serialize -> parse is the identity. Timestamps and category ids
+must fit in int64. In every line-based file, invalid UTF-8 is a parse
+error at the line that holds it.
 
 Feature datasets are JSON lines, one record per example::
 
@@ -119,23 +121,30 @@ CHUNK = 1 << 14
 JSON_BLOCK = 64
 
 
-def _read_chunks(path: str, size: int, parse_chunk, read_lines) -> None:
+def _read_chunks(path: str, size: int, controls: list[int], parse_chunk, read_lines) -> None:
     """Read ``path`` ``size`` lines at a time through one text handle.
     ``parse_chunk`` gets each chunk's lines that are not whitespace only, as
     an iterator, and says whether it read them all, leaving nothing changed
-    when it did not. A chunk it rejects, and only that chunk, is read again
-    from the same handle, sought back to the chunk's first byte, by
+    when it did not. A chunk it rejects, or one holding a line of
+    ``controls`` (0-based line numbers), and only that chunk, is read again
+    from the same handle, sought back to its own first line, by
     ``read_lines``: the format's per-line reader, which gets the chunk's
     (line number, line) pairs from ``_numbered`` and raises the first bad
     line's ``ParseError``."""
-    starts = None  # each chunk's first byte, found at the first rejected chunk
+    control_chunks = {line // size for line in controls}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for number, line in enumerate(fh):  # the body reads the rest of each chunk
-            chunk = itertools.chain((line,), itertools.islice(fh, size - 1))
-            if not parse_chunk(itertools.filterfalse(str.isspace, chunk)):
-                starts = _chunk_starts(path, size) if starts is None else starts
-                fh.seek(starts[number])
-                read_lines(_numbered(path, itertools.islice(fh, size), number * size + 1))
+        for number in itertools.count():
+            # readline, as iterating the handle disables tell(); a fresh
+            # iterator per read, as one stays exhausted once it meets the end
+            start = fh.tell()
+            if not (line := fh.readline()):
+                return
+            chunk = itertools.chain((line,), itertools.islice(iter(fh.readline, ""), size - 1))
+            if number in control_chunks or not parse_chunk(
+                    itertools.filterfalse(str.isspace, chunk)):
+                fh.seek(start)
+                read_lines(_numbered(path, itertools.islice(iter(fh.readline, ""), size),
+                                     number * size + 1))
 
 
 def _read_box_csv(path: str, n_fields: int):
@@ -151,15 +160,9 @@ def _read_box_csv(path: str, n_fields: int):
     reads ``1_0`` and non-ASCII digits."""
     n_lines, controls = _byte_pass(path)
     videos, columns, dtype = _Codes(), _BoxColumns(n_lines, n_fields), _BOX_ROWS[n_fields]
-    # the chunks holding a control: each chunk's first byte is at or before it
-    control_chunks = {*(np.searchsorted(_chunk_starts(path, CHUNK), controls, "right") - 1)
-                      .tolist()} if controls else set()
-    chunk_numbers = itertools.count()
 
     def parse_chunk(chunk) -> bool:
         start, n_videos = columns.n, len(videos)
-        if next(chunk_numbers) in control_chunks:
-            return False
         try:
             columns.add(np.loadtxt(chunk, dtype, delimiter=",", comments=None, ndmin=1,
                                    converters={0: videos.__getitem__}))
@@ -176,7 +179,7 @@ def _read_box_csv(path: str, n_fields: int):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning sends the chunk to the line reader
-        _read_chunks(path, CHUNK, parse_chunk, read_lines)
+        _read_chunks(path, CHUNK, controls, parse_chunk, read_lines)
     return columns.finish(videos)
 
 
@@ -193,27 +196,18 @@ class _Codes(dict):
 
 def _byte_pass(path: str) -> tuple[int, list[int]]:
     """How many lines ``path`` has, blank ones too (a last line needs no
-    end), and the byte offsets of the ``_C_ONLY_SPACE`` controls."""
-    count, last, base, controls = 0, b"", 0, []
+    end), and the 0-based number of the line of each ``_C_ONLY_SPACE``
+    control, lines split as text-mode reads split them."""
+    count, last, controls = 0, b"", []
     for block in _blocks(path):
-        count += np.count_nonzero(_line_ends(block))
         if any(control.encode() in block for control in _C_ONLY_SPACE):
             codes = np.frombuffer(block, np.uint8)
-            controls += (np.flatnonzero((codes >= 0x1C) & (codes <= 0x1F)) + base).tolist()
-        base += len(block)
+            at = np.flatnonzero((codes >= 0x1C) & (codes <= 0x1F))
+            controls += (np.searchsorted(np.flatnonzero(_line_ends(block)), at) + count).tolist()
+        # no mask held into the next block's read, which doubled this pass's time
+        count += np.count_nonzero(_line_ends(block))
         last = block[-1:]
     return count + (last not in (b"", b"\n", b"\r")), controls
-
-
-def _chunk_starts(path: str, size: int) -> np.ndarray:
-    """The byte offset of the first line of each ``size`` lines of ``path``."""
-    starts, count, base = [np.zeros(1, np.int64)], 0, 0
-    for block in _blocks(path):
-        after = np.flatnonzero(_line_ends(block)) + (base + 1)  # each next line's first byte
-        starts.append(after[-(count + 1) % size::size])  # after lines size, 2 size, ...
-        count += len(after)
-        base += len(block)
-    return np.concatenate(starts)
 
 
 def _blocks(path: str):
@@ -449,9 +443,10 @@ def _read_records(path: str, key: str, width_message: str, extra: str | None = N
 
     ``_read_chunks`` hands each ``JSON_BLOCK`` of lines to
     ``_Records.add_block``, and a block it rejects to ``add_lines``."""
-    records, error = _Records(path, key, width_message, extra, order), None
+    n_lines, controls = _byte_pass(path)
+    records, error = _Records(path, key, width_message, extra, order, n_lines), None
     try:
-        _read_chunks(path, JSON_BLOCK, lambda chunk: records.add_block(list(chunk)),
+        _read_chunks(path, JSON_BLOCK, controls, lambda chunk: records.add_block(list(chunk)),
                      records.add_lines)
     except ParseError as exc:
         error = exc  # raised after the row checks: an earlier bad line wins
@@ -465,10 +460,11 @@ class _Records:
     or a stop leave some rows unused, ``finish`` copies the rows read out
     once."""
 
-    def __init__(self, path: str, key: str, width_message: str, extra: str | None, order: str):
+    def __init__(self, path: str, key: str, width_message: str, extra: str | None, order: str,
+                 n_lines: int):
         self.path, self.key, self.width_message, self.extra = path, key, width_message, extra
         self.ids, self.labels, self.extras, self.seen = [], [], [], set()
-        self.n_lines, self.order, self.matrix = _byte_pass(path)[0], order, None
+        self.n_lines, self.order, self.matrix = n_lines, order, None
 
     def fits(self, width: int) -> bool:
         """Whether rows of ``width`` go in the matrix, made for them if none is."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,8 +87,9 @@ class StagePlan:
     epochs: int = 1
 
     def __post_init__(self):
-        if self.lr_start <= 0 or self.lr_end <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_start", "lr_end"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.schedule not in ("step", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.epochs < 1:
@@ -121,8 +123,8 @@ class TrainConfig:
             raise ValueError("hidden_dim and embedding_dim must be at least 1")
         if self.loss not in ("bce", "focal"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.focal_gamma < 0:
-            raise ValueError("focal_gamma must be non-negative")
+        if not 0 <= self.focal_gamma < math.inf:
+            raise ValueError("focal_gamma must be finite and non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 

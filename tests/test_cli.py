@@ -801,6 +801,26 @@ def test_negative_min_examples_exit_2_naming_the_flag(detection_files, synth_dir
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value,field", [
+    ("synth", "--sigma", "nan", "cluster_spread"),
+    ("synth", "--sigma", "inf", "cluster_spread"),
+    ("synth", "--zipf-s", "nan", "exponent"),
+    ("synth", "--fractions", "nan,0.5,0.5", "--fractions"),
+    ("train", "--gamma", "nan", "focal_gamma"),
+    ("train", "--stage1-lr-start", "nan", "lr_start"),
+    ("train", "--stage1-lr-end", "inf", "lr_end"),
+])
+def test_non_finite_float_flag_exit_2_naming_the_field(synth_dir, tmp_path, capsys, command,
+                                                       flag, value, field):
+    out = tmp_path / "out"
+    argv = (["train", "--data-dir", synth_dir, "--out-dir", out, "--variant", "baseline_plain"]
+            if command == "train" else ["synth", "--out-dir", out])
+    assert run(*argv, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert not out.exists()
+
+
 class TestRerunDeterminism:
     def test_rerun_from_manifest_reproduces_bytes(self, synth_dir, tmp_path):
         out = tmp_path / "run"

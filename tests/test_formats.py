@@ -730,6 +730,48 @@ class TestLineReader:
         assert len(text_opens) == 1
 
 
+class TestOneBinaryPass:
+    """Each text-file read scans the file's bytes once, in ``_blocks``,
+    whether or not a chunk falls back to the line reader."""
+
+    def count_binary_passes(self, monkeypatch):
+        calls = []
+        blocks = formats._blocks
+        monkeypatch.setattr(formats, "_blocks", lambda path: calls.append(path) or blocks(path))
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    @pytest.mark.parametrize("edit", [None, (0, "\x1fv"), (6, "1_0")],
+                             ids=["clean", "control", "underscore_category"])
+    def test_box_csv(self, tmp_path, monkeypatch, kind, edit):
+        n_fields, read, reference, rows = BOX_READERS[kind]
+        lines = box_csv_lines(2 * formats.CHUNK + 3, n_fields)
+        if edit:
+            field, value = edit
+            fields = lines[formats.CHUNK + 5].rstrip("\n").split(",")
+            fields[field] = value
+            lines[formats.CHUNK + 5] = ",".join(fields) + "\n"
+        path = tmp_path / "boxes.csv"
+        path.write_text("".join(lines))
+        expected = reference(path)
+        calls = self.count_binary_passes(monkeypatch)
+        assert rows(read(path)) == expected
+        assert len(calls) == 1
+
+    def test_predictions_with_a_bad_record(self, tmp_path, monkeypatch):
+        lines = prediction_lines(3 * formats.JSON_BLOCK)
+        bad = formats.JSON_BLOCK + 10
+        lines[bad] = '{"id": %d, "labels": [0], "scores": [0.5, null, 0.25]}' % bad
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        library, reference = TestJsonlReaderMatchesReference.readers("predictions", None)
+        expected = read_with(reference, path)
+        calls = self.count_binary_passes(monkeypatch)
+        result = read_with(library, path)
+        assert result[0] == "error" and result[:3] == expected[:3]
+        assert len(calls) == 1
+
+
 class TestFeatureDatasetJsonl:
     def test_round_trip_preserves_everything(self, tmp_path):
         spec = ZipfSpec(
@@ -1038,25 +1080,41 @@ class TestJsonlReaderBoundaries:
 
     @pytest.mark.parametrize("edge", [b"\r\n", b"\r", b"\n", b"\r\r\n"],
                              ids=["crlf_split", "cr", "lf", "cr_then_crlf"])
-    def test_chunk_starts_around_the_block_edge(self, tmp_path, edge):
-        """A rejected chunk is read again from the byte ``_chunk_starts``
-        gives: where a text-mode read starts the chunk's first line, with
-        ``edge`` ending a line at the last byte of the first 256 KiB block."""
+    @pytest.mark.parametrize("size", [1, 3, formats.JSON_BLOCK])
+    def test_rejected_chunks_reread_around_the_block_edge(self, tmp_path, edge, size):
+        """Every chunk rejected, the line reader gets the (line number,
+        line) pairs of a text-mode read, blank lines dropped, with ``edge``
+        ending a line at the last byte of the first 256 KiB block."""
         block = 1 << 18
         ends = [b"\n", b"\r\n", b"\r"]
-        body = b"".join(b"line %d" % i + ends[i % 3] for i in range(block // 16))
+        body = b"".join((b"line %d" % i if i % 7 else b"  ") + ends[i % 3]
+                        for i in range(block // 16))
         head = body[:body.rindex(b"\n", 0, block - 64) + 1]
         text = head + b"y" * (block - 1 - len(head)) + edge + body
         path = tmp_path / "lines.txt"
         path.write_bytes(text)
         with open(path, encoding="utf-8", newline=None) as fh:
-            lines = list(fh)
-            for size in (1, 3):
-                starts = formats._chunk_starts(str(path), size)
-                assert len(starts) >= -(-len(lines) // size)
-                for number in range(-(-len(lines) // size)):
-                    fh.seek(int(starts[number]))
-                    assert fh.readline() == lines[number * size]
+            expected = [(n, line) for n, line in enumerate(fh, 1) if not line.isspace()]
+        pairs = []
+        formats._read_chunks(str(path), size, [], lambda chunk: False, pairs.extend)
+        assert pairs == expected
+
+    def test_control_line_numbers_are_text_mode_line_indices(self, tmp_path):
+        """``\\x1f`` at the first and last byte of a 256 KiB block, and right
+        after a ``\\r\\n`` split between two blocks."""
+        block = 1 << 18
+        ends = [b"\n", b"\r\n", b"\r"]
+        text = bytearray(b"".join(b"line %d" % i + ends[i % 3] for i in range(block // 4)))
+        for at in (0, block - 1, block):
+            text[at] = 0x1F
+        text[2 * block - 1:2 * block + 2] = b"\r\n\x1f"
+        path = tmp_path / "lines.txt"
+        path.write_bytes(bytes(text))
+        assert [len(b) for b in formats._blocks(str(path))][:2] == [block, block + 1]
+        with open(path, encoding="utf-8", newline=None) as fh:
+            expected = [i for i, line in enumerate(fh) for c in line if c == "\x1f"]
+        assert len(expected) == 4
+        assert formats._byte_pass(str(path))[1] == expected
 
     @pytest.mark.parametrize("text", [
         "\n \n{0}\n\t\n{1}\n   \n{2}\n\n",
