@@ -204,8 +204,10 @@ def synthesize_dataset(
     """
     if len(split_fractions) != len(SPLIT_NAMES):
         raise ValueError(f"split_fractions needs one fraction for each of {SPLIT_NAMES}")
-    if abs(sum(split_fractions) - 1.0) > 1e-9 or min(split_fractions) <= 0:
-        raise ValueError("split fractions must be positive and sum to 1")
+    # phrased as what must hold, so that NaN, which fails every comparison, fails it
+    if not (all(0 < f < math.inf for f in split_fractions)
+            and abs(sum(split_fractions) - 1.0) <= 1e-9):
+        raise ValueError("split fractions must be finite, positive and sum to 1")
 
     counts = zipf_counts(spec)
     rng = np.random.default_rng(mix_seed(spec.seed, 0))

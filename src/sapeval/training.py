@@ -227,8 +227,8 @@ def logit_loss(
         return np.maximum(z, 0.0) - z * y + log1p_e, slope
     if loss != "focal":
         raise ValueError(f"unknown loss {loss!r}")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not 0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and non-negative")
     sign = np.where(y > 0.5, 1.0, -1.0)
     z_t = sign * z
     right = z_t >= 0
@@ -286,44 +286,55 @@ def sgd_train(
     loss: str = "bce",
     gamma: float = 2.0,
     history: list | None = None,
+    rows: np.ndarray | None = None,
 ) -> ModelParams:
     """Mini-batch SGD over seeded shuffles; pure function of its inputs.
 
+    The training examples are ``rows``, a 1-D integer array of indices into
+    ``features`` and ``targets`` that may repeat or omit any of them (by
+    default every row once); training on ``rows`` gives the same bits as
+    training on ``features[rows]`` and ``targets[rows]``, without their copy.
     Each column of ``targets`` is the target of the head row of the same
     index, so ``params`` has one head row per column; ``features`` and
     ``targets`` of any other shape are a ``DimMismatch``. ``head_only`` freezes
-    the extractor: embeddings are computed once and only the linear head is
-    updated.
+    the extractor: each row of ``features`` is embedded once, however often
+    ``rows`` repeats it, and only the linear head is updated.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets)  # a dataset's bool targets become float per batch
-    if len(features) == 0:
+    rows = np.arange(len(features)) if rows is None else np.asarray(rows)
+    if rows.size == 0:
         raise ValueError("training set is empty")
     if features.shape[1:] != params.w1.shape[:1]:
         raise DimMismatch(f"features {features.shape} != model input dim {params.w1.shape[0]}")
     if targets.shape != (len(features), len(params.head_b)):
         raise DimMismatch(f"targets {targets.shape} != ({len(features)} examples, "
                           f"{len(params.head_b)} head rows)")
+    if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"rows must be a 1-D array of integer indices, not {rows.dtype} "
+                         f"of shape {rows.shape}")
+    if rows.min() < 0 or rows.max() >= len(features):
+        raise ValueError(f"rows must lie in [0, {len(features)})")
     params = params.copy()
     inputs = embed(params, features) if head_only else features
     # each epoch's rows are gathered once into the same buffers, so a batch is a
-    # contiguous slice; "clip" (a no-op on a permutation) spares np.take a temporary
-    shuffled_inputs = np.empty(inputs.shape)
-    shuffled_targets = np.empty(targets.shape, targets.dtype)
+    # contiguous slice; "clip" (a no-op on the checked rows) spares np.take a temporary
+    n = len(rows)
+    shuffled_inputs = np.empty((n, inputs.shape[1]))
+    shuffled_targets = np.empty((n, targets.shape[1]), targets.dtype)
 
-    n = len(features)
     batches = -(-n // batch_size)
     total_steps = plan.epochs * batches
     step = 0
     for epoch in range(plan.epochs):
-        order = np.random.default_rng(mix_seed(seed, 101 + epoch)).permutation(n)
+        order = rows[np.random.default_rng(mix_seed(seed, 101 + epoch)).permutation(n)]
         np.take(inputs, order, axis=0, out=shuffled_inputs, mode="clip")
         np.take(targets, order, axis=0, out=shuffled_targets, mode="clip")
         epoch_loss = 0.0
         for b in range(batches):
-            rows = slice(b * batch_size, (b + 1) * batch_size)
+            batch = slice(b * batch_size, (b + 1) * batch_size)
             lr = plan.learning_rate(step, total_steps)
-            x, y = shuffled_inputs[rows], shuffled_targets[rows].astype(np.float64)
+            x, y = shuffled_inputs[batch], shuffled_targets[batch].astype(np.float64)
             if head_only:
                 value, _, grads = _head_backprop(params, x, y, loss, gamma)
             else:
@@ -385,16 +396,18 @@ class Ablation:
         self._rows: dict = {}
         self._stage1: dict = {}
 
-    def rows(self, example_set: str, seed: int) -> np.ndarray | slice:
-        """The dataset rows of ``example_set``: every row (``all``), the
-        rows carrying a head category (``head``), or the oversampled
-        balanced multiset seeded by ``mix_seed(seed, 2)`` (``balanced``)."""
+    def rows(self, example_set: str, seed: int) -> np.ndarray:
+        """The dataset rows of ``example_set``, as int64 indices: every row
+        (``all``), the rows carrying a head category (``head``), or the
+        oversampled balanced multiset seeded by ``mix_seed(seed, 2)``
+        (``balanced``)."""
         key = example_set, seed
         if key not in self._rows:
             if example_set == "balanced":
-                rows = oversample_balance(self.dataset, seed=mix_seed(seed, 2))
+                rows = np.array(oversample_balance(self.dataset, seed=mix_seed(seed, 2)),
+                                dtype=np.int64)
             elif example_set == "all":
-                rows = slice(None)
+                rows = np.arange(len(self.dataset))
             else:
                 if self.split is None or not self.split.head:
                     raise EmptyHead("split has no head categories")
@@ -435,18 +448,18 @@ class Ablation:
 
     def _stage(self, stage, params, example_set, config, plan, head_only=False):
         """``sgd_train`` of one stage on its example set (which leaves
-        ``params`` unchanged), and its history entries. The stage trains the
+        ``params`` unchanged), and its history entries. The stage reads the
+        dataset's rows by index, copying none of them. It trains the
         classifier rows of the categories its set covers, the head
         categories on ``head`` and all of them otherwise; every other row
         keeps its value in ``params``."""
-        rows = self.rows(example_set, config.seed)
         covered = sorted(self.split.head) if example_set == "head" else slice(None)
         history: list = []
         trained = sgd_train(
             dataclasses.replace(params, head_w=params.head_w[covered],
                                 head_b=params.head_b[covered]),
-            self.dataset.features[rows],
-            self.dataset.targets[rows][:, covered],
+            self.dataset.features,
+            self.dataset.targets[:, covered],
             plan,
             batch_size=config.batch_size,
             seed=mix_seed(config.seed, 2 * stage - 1),  # 2 seeds the balancer
@@ -454,6 +467,7 @@ class Ablation:
             loss=config.loss,
             gamma=config.focal_gamma,
             history=history,
+            rows=self.rows(example_set, config.seed),
         )
         head_w, head_b = params.head_w.copy(), params.head_b.copy()
         head_w[covered], head_b[covered] = trained.head_w, trained.head_b

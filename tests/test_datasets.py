@@ -144,6 +144,14 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_dataset(SMALL_SPEC, (0.5, 0.4, 0.2))
 
+    @pytest.mark.parametrize("fractions", [(np.nan, 0.5, 0.5), (0.5, np.nan, 0.5),
+                                           (np.inf, 0.5, 0.5), (0.7, 0.15, -np.inf)])
+    def test_non_finite_fractions_rejected(self, fractions):
+        # every comparison with NaN is false, so it passed both range checks
+        # and failed inside numpy when a split size was rounded
+        with pytest.raises(ValueError, match="split fractions must be finite"):
+            synthesize_dataset(SMALL_SPEC, fractions)
+
     def test_multilabel_examples_have_primary_first(self):
         datasets = synthesize_dataset(SMALL_SPEC)
         multi = [labels for ds in datasets.values() for labels in ds.labels if len(labels) > 1]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,10 +437,94 @@ class TestSgdTrain:
         with pytest.raises(ValueError, match="gamma"):
             sgd_train(params, x, y, StagePlan(0.1, 0.01), loss="focal", gamma=-0.5)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_focal_gamma_rejected(self, gamma):
+        # NaN would pass a bare "gamma < 0" and end in NonFiniteLoss, and an
+        # infinite gamma would zero every gradient: TrainConfig's rule holds here
+        params, x, y = tiny_problem()
+        with pytest.raises(ValueError, match="gamma must be finite and non-negative"):
+            sgd_train(params, x, y, StagePlan(0.1, 0.01), loss="focal", gamma=gamma)
+
     def test_empty_dataset(self):
         params = init_params(3, 4, 3, 2, seed=0)
         with pytest.raises(ValueError):
             sgd_train(params, np.zeros((0, 3)), np.zeros((0, 2)), StagePlan(0.1, 0.01))
+
+
+class TestSgdTrainRows:
+    """Training on row indices equals training on the rows they gather."""
+
+    @pytest.mark.parametrize("loss", ["bce", "focal"])
+    @pytest.mark.parametrize("head_only", [False, True])
+    def test_rows_equal_the_gathered_rows(self, loss, head_only):
+        datasets, _ = synthetic_split()
+        train = datasets["train"]
+        x, y = train.features, train.targets
+        rng = np.random.default_rng(4)
+        # every row drawn with replacement: some repeat, others are left out
+        rows = rng.integers(0, len(x), size=2 * len(x))
+        assert len(np.unique(rows)) < len(x)
+        batch_size = 23
+        assert len(rows) % batch_size
+        params = init_params(8, 12, 6, train.n_categories, seed=2)
+        kwargs = dict(batch_size=batch_size, seed=5, head_only=head_only, loss=loss,
+                      gamma=1.5)
+        plan = StagePlan(0.5, 0.05, "step", 3)
+        by_index, gathered = [], []
+        trained = sgd_train(params, x, y, plan, history=by_index, rows=rows, **kwargs)
+        expected = sgd_train(params, x[rows], y[rows], plan, history=gathered, **kwargs)
+        assert_same_weights(trained, expected)
+        assert by_index == gathered
+
+    def test_default_rows_are_every_row_once(self):
+        params, x, y = tiny_problem(n=9)
+        plan = StagePlan(0.3, 0.03, "linear", 2)
+        assert_same_weights(sgd_train(params, x, y, plan, batch_size=4),
+                            sgd_train(params, x, y, plan, batch_size=4, rows=np.arange(9)))
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (np.array([0, -1, 2]), r"rows must lie in \[0, 6\)"),
+            (np.array([0, 6, 2]), r"rows must lie in \[0, 6\)"),
+            (np.array([0.0, 1.0]), "rows must be a 1-D array of integer indices"),
+            (np.ones(6, dtype=bool), "rows must be a 1-D array of integer indices"),
+            (np.array([[0, 1], [2, 3]]), "rows must be a 1-D array of integer indices"),
+            (np.array([], dtype=np.int64), "training set is empty"),
+            (np.array([]), "training set is empty"),
+        ],
+        ids=["negative", "past_the_end", "float", "bool_mask", "two_dimensional",
+             "empty", "empty_float"],
+    )
+    def test_bad_rows_raise_rather_than_clip(self, rows, message):
+        params, x, y = tiny_problem(n=6)
+        with pytest.raises(ValueError, match=message):
+            sgd_train(params, x, y, StagePlan(0.1, 0.01), rows=rows)
+
+
+class TestTrainingMemory:
+    def test_two_stage_peak_stays_near_the_epoch_buffers(self):
+        """The frozen stage 2 gathers its balanced multiset straight into its
+        epoch buffers and embeds each distinct row once: the traced peak of a
+        two-stage run stays within twice those buffers plus the distinct rows'
+        embeddings, where embedding the multiset would take about four times."""
+        spec = ZipfSpec(n_categories=20, exponent=1.2, max_count=400, feature_dim=16, seed=3)
+        train = synthesize_dataset(spec)["train"]
+        config = TrainConfig(stage1=StagePlan(0.05, 0.005, "step", 1),
+                             stage2=StagePlan(0.001, 0.0001, "linear", 1))
+        ablation = Ablation(train, count_split(train))
+        balanced = len(ablation.rows("balanced", config.seed))
+        assert balanced >= 5 * len(train)
+        epoch_buffers = balanced * (8 * config.embedding_dim + train.n_categories)
+        embeddings = len(train) * 8 * config.embedding_dim
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ablation.train("two_stage", config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (epoch_buffers + embeddings)
 
 
 class TestTwoStage:
