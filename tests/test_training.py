@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from sapeval.benchmark import (
     DEFAULT_VARIANTS,
     REFERENCE_FRACTIONS,
     REFERENCE_SPEC,
+    BenchmarkResult,
     count_split,
+    ordering_checks,
     run_benchmark,
 )
 from sapeval.datasets import FeatureDataset, HeadTailSplit, ZipfSpec, synthesize_dataset
@@ -848,6 +851,37 @@ class TestRunBenchmarkCalls:
 
     def test_balanced_set_is_built_once(self, calls):
         assert calls["oversample_balance"] == 1
+
+
+def test_run_benchmark_builds_only_the_sets_it_trains_on(monkeypatch):
+    calls = []
+    real = training.oversample_balance
+    monkeypatch.setattr(training, "oversample_balance",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    monkeypatch.setattr(benchmark, "evaluate_model", lambda *args, **kwargs: None)
+    run_benchmark(0, ("baseline_plain",))
+    assert calls == []
+
+
+@pytest.mark.parametrize("two_stage,naive_balanced,expected", [
+    (0.8, 0.9, {"all_two_stage_gt_naive_balanced": False,
+                "head_two_stage_ge_naive_balanced": False}),
+    (0.9, 0.9, {"all_two_stage_gt_naive_balanced": False,
+                "head_two_stage_ge_naive_balanced": True}),
+    (0.9, 0.8, {"all_two_stage_gt_naive_balanced": True,
+                "head_two_stage_ge_naive_balanced": True}),
+    # a claim on a missing mSAP does not hold, negated or not
+    (None, 0.9, {"all_two_stage_gt_naive_balanced": False,
+                 "head_two_stage_ge_naive_balanced": False}),
+    (0.9, None, {"all_two_stage_gt_naive_balanced": False,
+                 "head_two_stage_ge_naive_balanced": False}),
+])
+def test_ordering_checks(two_stage, naive_balanced, expected):
+    reports = {variant: SimpleNamespace(aggregates={group: {"msap": msap}
+                                                    for group in ("all", "head", "tail")})
+               for variant, msap in (("two_stage", two_stage),
+                                     ("naive_balanced", naive_balanced))}
+    assert ordering_checks(BenchmarkResult(0, None, reports)) == expected
 
 
 #: SHA-256 of ``run_benchmark(0)``'s report dicts, trial APs included,
