@@ -101,9 +101,9 @@ def frame_ap(index: FrameIndex, category: int) -> float:
     """Detection-protocol AP for one category.
 
     Detections are matched greedily to same-frame annotated boxes carrying
-    the category (in instance-id order), then all of them are ranked
-    globally by score and AP is computed with the category's annotation
-    count as the number of positives. An empty detection set scores 0.
+    the category (in instance-id order: sorted corners, for the box reader),
+    then all are ranked globally by score and AP is computed with the
+    category's annotation count as positives. An empty detection set scores 0.
     """
     scores, true_positive, n_pos = index.frame_matches(category)
     if n_pos == 0:

@@ -98,14 +98,14 @@ class FrameIndex:
     category is matched on the same prepared arrays.
 
     Frames are numbered in sorted (video_id, timestamp) order. Annotated
-    boxes are sorted by (frame, instance id), the pool's order, and laid
-    out in a padded (frame, slot) table. Detections are sorted by
-    (category, frame, descending score, corners, row), ``_break_ties`` over
-    ``_sort_runs``' runs of the first three keys. Those three go to the
-    sort packed into one int64 key, written over the frame numbers
-    (``_detection_keys``); the index falls back to the three keys when a
-    score is not finite or off the 10⁻⁶ grid the box reader rounds to,
-    or when the spans of category, frame and score do not fit. ``order``
+    boxes are sorted by (frame, instance id), the pool's order, in which
+    the box reader's ids ascend, and laid out in a padded (frame, slot)
+    table. Detections are sorted by (category, frame, descending score,
+    corners, row), ``_break_ties`` over ``_sort_runs``' runs of the first
+    three keys. Those three go to the sort packed into one int64 key,
+    written over the frame numbers (``_detection_keys``); the index falls
+    back to the three keys when a score is not finite or off the 10⁻⁶ grid
+    the box reader rounds to, or when the spans do not fit. ``order``
     holds each one's row in the detection columns, and ``category``,
     ``frame`` and ``score`` are reordered copies. The corners, four times
     as wide and read only through ``order``, are not copied: ``boxes`` is

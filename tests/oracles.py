@@ -242,7 +242,9 @@ def _reference_box_lines(path, n_fields):
     non-blank line of a box CSV with ``n_fields`` fields, the scores
     the fields after the category. Raises ``ParseError`` at the first bad
     line: a line holding invalid UTF-8 names the first such byte; else
-    the checks go in field order: field count, video id, timestamp
+    the checks go in this order: a 0x1c-0x1f control anywhere, field
+    count, video id, each number field in turn an ASCII number (no ``_``
+    and, whitespace around it aside, only ASCII characters), then timestamp
     (integer, int64), corners (numbers quantized to 6 decimals, then box
     validity), category (integer, int64), score (number, then [0, 1])."""
     from sapeval.errors import ParseError
@@ -265,10 +267,17 @@ def _reference_box_lines(path, n_fields):
                 continue
             fields = line.rstrip("\n").split(",")
             try:
+                controls = [c for c in line if "\x1c" <= c <= "\x1f"]
+                if controls:
+                    raise ValueError(f"control character 0x{ord(controls[0]):02x}")
                 if len(fields) != n_fields:
                     raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
                 if not fields[0]:
                     raise ValueError("empty video_id")
+                for i, field in enumerate(fields[1:], start=2):
+                    body = field.strip()
+                    if not body.isascii() or "_" in body:
+                        raise ValueError(f"field {i} {field!r} is not an ASCII number")
                 timestamp = int64(fields[1], "timestamp")
                 x1, y1, x2, y2 = (round(float(v), 6) for v in fields[2:6])
                 if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
@@ -298,13 +307,13 @@ def reference_read_ground_truth(path):
     instance id)`` rows, one per box, parsed one line at a time by
     ``_reference_box_lines``. Rows with equal (video_id, timestamp,
     corners) values merge, keeping the first row's corners; ids count the
-    boxes in order of first appearance."""
+    boxes in sorted (video_id, timestamp, corners) order."""
     boxes = {}
     for video_id, timestamp, corners, category, _ in _reference_box_lines(path, 7):
         boxes.setdefault((video_id, timestamp, corners), (corners, set()))[1].add(category)
     return [
         (video_id, timestamp, corners, frozenset(categories), i)
-        for i, ((video_id, timestamp, _), (corners, categories)) in enumerate(boxes.items())
+        for i, ((video_id, timestamp, _), (corners, categories)) in enumerate(sorted(boxes.items()))
     ]
 
 

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,9 @@ import sapeval.cli
 import sapeval.pools
 from sapeval.cli import ConfigError, _config_dict, build_parser, main
 from sapeval.errors import ParseError, SapEvalError
+from sapeval.formats import read_detections_csv, read_ground_truth_csv
 from sapeval.manifest import sha256_file
+from sapeval.pools import FrameIndex
 from sapeval.training import VARIANTS, Ablation
 
 from conftest import (
@@ -1202,6 +1205,36 @@ def test_reports_are_golden_on_the_three_key_detection_sort(tmp_path, name):
         assert run(*argv, "--gt", gt, "--det", det, "--out", out, "--min-examples", 3) == 0
     assert [len(call.args) for call in sort.call_args_list] == [3]
     assert sha256_file(out) == digest
+
+
+def test_detection_outputs_do_not_depend_on_line_order(tmp_path):
+    """Frames and instance ids are numbered in sorted order, not in order
+    of first appearance: with the lines of both CSVs shuffled, the ``eval``,
+    ``sap`` and ``stability`` outputs stay byte-identical, and every pool
+    lists its ids in ascending order."""
+    commands = [["eval", "--min-examples", "1"],
+                ["sap", "--trials", "7", "--seed", "4", "--min-examples", "1"],
+                ["stability", "--category", "2", "--trials", "2,5", "--repeats", "4",
+                 "--seed", "6"]]
+    outputs = []
+    for name in ("sorted", "shuffled"):
+        (tmp_path / name).mkdir()
+        gt, det = write_ava_fixture(tmp_path / name)
+        if name == "shuffled":
+            for path in (gt, det):
+                lines = path.read_text().splitlines(keepends=True)
+                random.Random(1).shuffle(lines)
+                path.write_text("".join(lines))
+        outputs.append([])
+        for argv in commands:
+            out = tmp_path / name / argv[0]
+            assert run(*argv, "--gt", gt, "--det", det, "--out", out) == 0
+            outputs[-1].append(out.read_bytes())
+        index = FrameIndex(read_ground_truth_csv(gt), read_detections_csv(det))
+        for category in range(5):
+            ids = index.pool(category).ids
+            assert (ids[1:] > ids[:-1]).all(), (name, category)
+    assert outputs[0] == outputs[1]
 
 
 def write_golden_inputs(directory, seed=13):

@@ -374,6 +374,22 @@ def expect_reference(path, read, reference, rows):
         assert rows(read(path)) == expected
 
 
+#: (field, value, message) of fields that Python's ``int`` and ``float``
+#: read and the C parser does not, or that hold a control it strips
+NOT_C_NUMBERS = [
+    (1, "١", "field 2 '١' is not an ASCII number"),
+    (1, "0_1", "field 2 '0_1' is not an ASCII number"),
+    (2, "０.1", "field 3 '０.1' is not an ASCII number"),
+    (6, "1_0", "field 7 '1_0' is not an ASCII number"),
+    (6, "７", "field 7 '７' is not an ASCII number"),
+    (7, "0.5_0", "field 8 '0.5_0' is not an ASCII number"),
+    (7, "０.５", "field 8 '０.５' is not an ASCII number"),
+    (0, "v\x1c1", "control character 0x1c"),
+    (4, "0.3\x1e", "control character 0x1e"),
+    (7, "0.5\x1f", "control character 0x1f"),
+]
+
+
 class TestBoxCsvGrammar:
     @pytest.mark.parametrize("name", sorted(DETECTION_GRAMMAR))
     def test_detections_read_as_reference(self, tmp_path, name):
@@ -390,16 +406,36 @@ class TestBoxCsvGrammar:
                          lambda columns: exact(gt_rows(columns)))
 
     def test_valid_edge_cases_are_read(self, tmp_path):
-        """The cases the line reader must accept, not merely match."""
+        """The cases the reader must accept, not merely match."""
         path = tmp_path / "det.csv"
-        for name in ("underscore_category", "full_width_category", "whitespace_only_line",
-                     "hash_in_video_id", "quoted_video_id", "long_video_id", "bom",
-                     "unit_separator_in_video_id"):
+        for name in ("whitespace_only_line", "hash_in_video_id", "quoted_video_id",
+                     "long_video_id", "bom"):
             path.write_bytes(DETECTION_GRAMMAR[name].encode("utf-8"))
             assert len(read_detections_csv(path)) > 0, name
         for name in ("empty", "blank_only", "spaces_only"):
             path.write_bytes(DETECTION_GRAMMAR[name].encode("utf-8"))
             assert len(read_detections_csv(path)) == 0, name
+
+    @pytest.mark.parametrize("kind,field,value,message", [
+        (kind, *case) for kind in ("detections", "ground_truth") for case in NOT_C_NUMBERS
+        if kind == "detections" or case[0] < 7])
+    def test_what_only_int_and_float_read_is_a_parse_error(self, tmp_path, kind, field, value,
+                                                           message):
+        """Python's ``int`` and ``float`` read ``1_0`` and non-ASCII digits,
+        and the C parser strips a 0x1c-0x1f control; each is exit 3 at its
+        own line, in the reader and in the reference."""
+        read, reference, row = {"detections": (read_detections_csv, reference_read_detections,
+                                               f"{ROW},0.5"),
+                                "ground_truth": (read_ground_truth_csv,
+                                                 reference_read_ground_truth, ROW)}[kind]
+        fields = row.split(",")
+        fields[field] = value
+        path = tmp_path / "boxes.csv"
+        path.write_text(f"{row}\n\n{','.join(fields)}\n{row}\n", encoding="utf-8")
+        for read_file in (read, reference):
+            with pytest.raises(ParseError) as err:
+                read_file(path)
+            assert (err.value.line, str(err.value)) == (3, f"{path}:3: {message}")
 
     @pytest.mark.parametrize("name", ["float_timestamp", "exponent_timestamp", "float_category"])
     def test_non_integer_in_an_integer_column_is_a_parse_error(self, tmp_path, name):
@@ -423,23 +459,6 @@ class TestBoxCsvGrammar:
 class TestFastPaths:
     """The golden CSVs must come through the C parser: with the line reader
     broken, a fast path that always fell back would fail here."""
-
-    def test_a_parser_warning_sends_the_file_to_the_line_reader(self, tmp_path, monkeypatch):
-        """A C parser that warns as it reads a value wrongly, as numpy's
-        did for a float in an integer column, is not trusted."""
-        gt, det = write_ava_fixture(tmp_path)
-        expected = (exact(reference_read_ground_truth(gt)), reference_read_detections(det))
-        loadtxt = np.loadtxt
-
-        def warning_loadtxt(*args, **kwargs):
-            warnings.warn("implicit cast", DeprecationWarning)
-            rows = loadtxt(*args, **kwargs)
-            rows["timestamp"] += 1
-            return rows
-
-        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
-        assert exact(gt_rows(read_ground_truth_csv(gt))) == expected[0]
-        assert rows_of(read_detections_csv(det)) == expected[1]
 
     def test_golden_csvs_need_no_line_reader(self, tmp_path, monkeypatch):
         gt, det = write_ava_fixture(tmp_path)
@@ -517,7 +536,7 @@ class TestBoxCsvChunks:
         path = tmp_path / "boxes.csv"
         path.write_text("".join(lines))
         columns = read(path)
-        assert columns.frames[-1][0] == "late"
+        assert columns.frames[0][0] == "late"  # frames in sorted order
         assert rows(columns) == reference(path)
 
     @pytest.mark.parametrize("kind", sorted(BOX_READERS))
@@ -538,21 +557,47 @@ class TestBoxCsvChunks:
         assert (err.value.line, str(err.value)) == (expected.value.line, str(expected.value))
 
 
-#: valid values the C parser rejects, by field: underscores between digits
-#: and non-ASCII digits
-ODD_FIELDS = {1: ["١", "0_1"], 6: ["1_0", "７"], 7: ["0.5_0", "０.５"]}
+#: what a drawn box CSV field is made of: ASCII digits, sign, point and
+#: exponent, which the C parser reads; ``_`` and non-ASCII digits, which
+#: ``int`` and ``float`` read and it does not; Unicode spaces, which both
+#: strip around a number; the controls it strips and they do not; and the
+#: words of the non-finite floats
+FIELD_PIECES = [*"0123456789+-.e", "_", "١", "７", "　", "\x85", *"\x1c\x1d\x1e\x1f",
+                "inf", "nan"]
+
+
+@st.composite
+def grammar_field(draw, field):
+    """``field`` with up to two pieces inserted, or pieces alone."""
+    if draw(st.integers(0, 4)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(FIELD_PIECES), min_size=1, max_size=3)))
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(field)))
+        field = field[:at] + draw(st.sampled_from(FIELD_PIECES)) + field[at:]
+    return field
+
+
+@st.composite
+def grammar_line(draw, n_fields):
+    """The fields of one valid box CSV row, one or two of them, the video id
+    too, drawn by ``grammar_field``."""
+    fields = draw(detection_lines() if n_fields == 8 else GT_LINES)
+    for i in draw(st.lists(st.integers(0, n_fields - 1), min_size=1, max_size=2, unique=True)):
+        fields[i] = draw(grammar_field(fields[i]))
+    return fields
 
 
 @st.composite
 def mixed_box_line(draw, n_fields):
-    """One box CSV line as bytes: a valid row, a valid row the C parser
-    rejects, a bad row, a blank line or a row holding invalid UTF-8."""
-    fields = draw(detection_lines() if n_fields == 8 else GT_LINES)
-    kind = draw(st.sampled_from(["valid", "odd", "bad", "blank", "byte"]))
-    if kind == "odd":
-        i = draw(st.sampled_from([i for i in ODD_FIELDS if i < n_fields]))
-        fields[i] = draw(st.sampled_from(ODD_FIELDS[i]))
-    elif kind == "bad":
+    """One box CSV line as bytes: a valid row, a row with fields drawn by
+    ``grammar_field``, a bad row, a blank line or a row holding invalid
+    UTF-8."""
+    kind = draw(st.sampled_from(["valid", "grammar", "bad", "blank", "byte"]))
+    if kind == "grammar":
+        fields = draw(grammar_line(n_fields))
+    else:
+        fields = draw(detection_lines() if n_fields == 8 else GT_LINES)
+    if kind == "bad":
         kinds = [k for k in CORRUPTIONS if n_fields == 8 or k != "score"]
         fields = corrupt(draw, fields, draw(st.sampled_from(kinds)))
     line = ",".join(fields).encode()
@@ -564,9 +609,28 @@ def mixed_box_line(draw, n_fields):
     return line
 
 
+class TestBoxCsvGrammarMatchesReference:
+    """Field by field, the C parser's grammar is the reference's: a file of
+    rows with drawn fields reads as the reference's rows, or both raise the
+    same first error, whichever chunks the C parser rejects."""
+
+    @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    @settings(max_examples=300, deadline=None)
+    @given(chunk=st.integers(1, 3), data=st.data())
+    def test_drawn_fields_read_as_reference(self, tmp_path_factory, kind, chunk, data):
+        n_fields, read, reference, rows = BOX_READERS[kind]
+        valid = detection_lines() if n_fields == 8 else GT_LINES
+        lines = data.draw(st.lists(st.one_of(grammar_line(n_fields), valid), max_size=6))
+        path = tmp_path_factory.mktemp("boxes") / "boxes.csv"
+        path.write_text(csv_text(data.draw, lines), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "CHUNK", chunk)
+            expect_reference(path, read, reference, rows)
+
+
 class TestFallbackPerChunk:
-    """A chunk the C parser rejects, and only that chunk, is read again by
-    the line reader; the rows, or the first error, are the reference's."""
+    """A chunk the C parser rejects, and only that chunk, is checked again
+    by the line reader; the rows, or the first error, are the reference's."""
 
     @pytest.mark.parametrize("kind", sorted(BOX_READERS))
     def test_only_the_rejected_chunk_is_read_line_by_line(self, tmp_path, monkeypatch, kind):
@@ -579,35 +643,34 @@ class TestFallbackPerChunk:
             lines[i] = ",".join(fields) + "\n"
         path = tmp_path / "boxes.csv"
         path.write_text("".join(lines))
-        expected = reference(path)
         line_numbers = []
         check_box_row = formats._check_box_row
         monkeypatch.setattr(formats, "_check_box_row",
                             lambda *args: line_numbers.append(args[1]) or check_box_row(*args))
-        columns = read(path)
-        assert line_numbers == list(range(formats.CHUNK + 1, 2 * formats.CHUNK + 1))
-        assert rows(columns) == expected
-        assert list(columns.frames) == list(dict.fromkeys(
-            (video, int(stamp)) for video, stamp, *_ in (line.split(",") for line in lines)))
+        expect_reference(path, read, reference, rows)
+        assert line_numbers == list(range(formats.CHUNK + 1, formats.CHUNK + 11))
 
     @pytest.mark.parametrize("kind", sorted(BOX_READERS))
+    @pytest.mark.parametrize("where", ["video_id", "blank_line"])
     def test_a_control_sends_only_its_chunk_to_the_line_reader(self, tmp_path, monkeypatch,
-                                                               kind):
-        """A control the C parser would strip as whitespace (here in a video
-        id of the last chunk) sends that chunk, not the file, line by line."""
+                                                               kind, where):
+        """A control the C parser would strip as whitespace, here in the last
+        chunk, sends that chunk, not the file, line by line: in a video id
+        it is the error of its line; in a whitespace-only line, which is
+        blank, the checker finds no bad line and the C parser reads the
+        chunk."""
         n_fields, read, reference, rows = BOX_READERS[kind]
         lines = box_csv_lines(2 * formats.CHUNK + 3, n_fields)
-        lines[-2] = "\x1f" + lines[-2]
+        lines[-2] = "\x1f" + lines[-2] if where == "video_id" else " \x1f\n"
         path = tmp_path / "boxes.csv"
         path.write_text("".join(lines))
-        expected = reference(path)
         line_numbers = []
         check_box_row = formats._check_box_row
         monkeypatch.setattr(formats, "_check_box_row",
                             lambda *args: line_numbers.append(args[1]) or check_box_row(*args))
-        columns = read(path)
-        assert line_numbers == list(range(2 * formats.CHUNK + 1, 2 * formats.CHUNK + 4))
-        assert rows(columns) == expected
+        expect_reference(path, read, reference, rows)
+        last = 2 * formats.CHUNK + 1
+        assert line_numbers == ([last, last + 1] if where == "video_id" else [last, last + 2])
 
     @pytest.mark.parametrize("kind", sorted(BOX_READERS))
     @settings(max_examples=150, deadline=None)
@@ -622,40 +685,49 @@ class TestFallbackPerChunk:
             expect_reference(path, read, reference, rows)
 
     @pytest.mark.parametrize("kind", sorted(BOX_READERS))
-    def test_a_chunk_whose_rows_fail_the_array_check_is_taken_back(self, tmp_path,
-                                                                   monkeypatch, kind):
-        """Rows the C parser read wrongly (here every chunk's last x1) are
-        dropped, and the line reader writes the chunk where they were."""
-        n_fields, read, reference, rows = BOX_READERS[kind]
+    @pytest.mark.parametrize("how", ["warning", "misreading"])
+    def test_a_rejected_chunk_with_no_bad_line_is_a_parse_error(self, tmp_path, monkeypatch,
+                                                                 kind, how):
+        """A chunk the C parser rejects (here the second, by a warning or by
+        rows that fail the array check) in which the line checker finds no
+        bad line is an error at the chunk's first line: the checker builds
+        no rows."""
+        n_fields, read, _, _ = BOX_READERS[kind]
         monkeypatch.setattr(formats, "CHUNK", 3)
         path = tmp_path / "boxes.csv"
         path.write_text("".join(box_csv_lines(8, n_fields)))
-        expected = reference(path)
-        loadtxt = np.loadtxt
+        loadtxt, calls = np.loadtxt, []
 
-        def misreading_loadtxt(*args, **kwargs):
-            parsed = loadtxt(*args, **kwargs)
-            parsed["box"][-1, 0] = 2.0
-            return parsed
+        def rejecting_loadtxt(*args, **kwargs):
+            rows = loadtxt(*args, **kwargs)
+            calls.append(args)
+            if len(calls) > 1 and how == "warning":
+                warnings.warn("implicit cast", DeprecationWarning)
+            elif len(calls) > 1:
+                rows["box"][-1, 0] = 2.0
+            return rows
 
-        monkeypatch.setattr(np, "loadtxt", misreading_loadtxt)
-        assert rows(read(path)) == expected
+        monkeypatch.setattr(np, "loadtxt", rejecting_loadtxt)
+        with pytest.raises(ParseError, match="chunk rejected by numpy's C parser") as err:
+            read(path)
+        assert err.value.line == 4
 
     def test_earlier_bad_line_in_a_fallback_chunk_wins_over_a_later_byte(self, tmp_path,
                                                                          monkeypatch):
         monkeypatch.setattr(formats, "CHUNK", 3)
         path = tmp_path / "det.csv"
-        path.write_bytes(f"{ROW},0.5\n{ROW},0.5\n{ROW},0.5\n{ROW[:-1]}1_0,0.5\nv,1\n"
+        path.write_bytes(f"{ROW},0.5\n{ROW},0.5\n{ROW},0.5\n{ROW},0.5\nv,1\n"
                          f"\xff{ROW},0.5\n".encode("latin-1"))
         with pytest.raises(ParseError, match="expected 8 fields, got 2") as err:
             read_detections_csv(path)
         assert err.value.line == 5
 
     def test_bad_line_in_the_chunk_after_a_fallback_chunk(self, tmp_path, monkeypatch):
-        """Line numbers count the blank lines of every chunk before."""
+        """Line numbers count the blank lines of every chunk before, the
+        fallback chunk's too (a control in a blank line sends it)."""
         monkeypatch.setattr(formats, "CHUNK", 2)
         path = tmp_path / "det.csv"
-        path.write_text(f"{ROW},0.5\n\n{ROW},0.5\n{ROW[:-1]}1_0,0.5\n \n{ROW},0.5\n\n"
+        path.write_text(f"{ROW},0.5\n\n{ROW},0.5\n\x1f\n \n{ROW},0.5\n\n"
                         f"{ROW},0.5\nw,1,0.1,0.1,1.5,0.3,0,0.5\n")
         expect_reference(path, read_detections_csv, reference_read_detections, rows_of)
         with pytest.raises(ParseError, match="invalid box corners") as err:
@@ -753,9 +825,8 @@ class TestOneBinaryPass:
             lines[formats.CHUNK + 5] = ",".join(fields) + "\n"
         path = tmp_path / "boxes.csv"
         path.write_text("".join(lines))
-        expected = reference(path)
         calls = self.count_binary_passes(monkeypatch)
-        assert rows(read(path)) == expected
+        expect_reference(path, read, reference, rows)
         assert len(calls) == 1
 
     def test_predictions_with_a_bad_record(self, tmp_path, monkeypatch):
@@ -1413,49 +1484,6 @@ class TestDetectionsMemory:
         size = sum(a.nbytes for a in (columns.frame, columns.boxes, columns.category,
                                       columns.score))
         assert peak < 1.6 * size
-
-    def test_line_reader_peak_stays_near_the_columns(self, tmp_path):
-        """A valid file with one row the C parser rejects (a ``1_0``
-        category) has that row's chunk read line by line into the same
-        columns: within 2.5 times the columns returned."""
-        lines = box_csv_lines(self.N)
-        fields = lines[self.N // 2].split(",")
-        fields[6] = "1_0"
-        lines[self.N // 2] = ",".join(fields)
-        det = tmp_path / "det.csv"
-        det.write_text("".join(lines))
-        tracemalloc.start()
-        try:
-            columns = read_detections_csv(det)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(columns) == self.N and columns.category[self.N // 2] == 10
-        size = sum(a.nbytes for a in (columns.frame, columns.boxes, columns.category,
-                                      columns.score))
-        assert peak < 2.5 * size
-
-    def test_line_reader_peak_over_a_whole_file(self, tmp_path):
-        """A ``1_0`` category in every chunk sends every line through the
-        line reader, one chunk of rows at a time: within 2.5 times the
-        columns returned."""
-        lines = box_csv_lines(self.N)
-        for i in range(formats.CHUNK // 2, self.N, formats.CHUNK):
-            fields = lines[i].split(",")
-            fields[6] = "1_0"
-            lines[i] = ",".join(fields)
-        det = tmp_path / "det.csv"
-        det.write_text("".join(lines))
-        tracemalloc.start()
-        try:
-            columns = read_detections_csv(det)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(columns) == self.N and columns.category[formats.CHUNK // 2] == 10
-        size = sum(a.nbytes for a in (columns.frame, columns.boxes, columns.category,
-                                      columns.score))
-        assert peak < 2.5 * size
 
     def test_index_peak_stays_near_its_arrays(self, tmp_path):
         """Reading the detections and indexing them, as the CLI does, peaks
